@@ -85,7 +85,7 @@ let outcome_of_item mode (item : Session.item) =
         tokens = item.Session.token_count;
         cst =
           (match mode with
-          | Wire.Cst -> Some (Fmt.str "%a" Parser_gen.Cst.pp cst)
+          | Wire.Cst -> Some (Parser_gen.Cst.to_string cst)
           | Wire.Recognize -> None);
       }
   | Error e -> Wire.Rejected (Wire.error_of_core ~query:item.Session.sql e)

@@ -268,13 +268,16 @@ let put_payload b = function
     put_str b p
   | Bye -> put_u8 b tag_bye
 
+(* The frame is built in one buffer: four placeholder bytes for the length
+   prefix, then the payload, then the prefix is patched in the single copy
+   out of the buffer. *)
 let encode frame =
-  let payload = Buffer.create 256 in
-  put_payload payload frame;
-  let b = Buffer.create (Buffer.length payload + 4) in
-  put_u32 b (Buffer.length payload);
-  Buffer.add_buffer b payload;
-  Buffer.contents b
+  let b = Buffer.create 256 in
+  put_u32 b 0;
+  put_payload b frame;
+  let frame = Buffer.to_bytes b in
+  Bytes.set_int32_be frame 0 (Int32.of_int (Bytes.length frame - 4));
+  Bytes.unsafe_to_string frame
 
 let encode_items items =
   let b = Buffer.create 256 in
@@ -476,6 +479,8 @@ let decode ?(max_frame = default_max_frame) s =
    outside printable ASCII as \u00XX, so arbitrary payloads (newlines, NUL,
    raw UTF-8) survive the line discipline and round-trip bytewise. *)
 
+let hex_digits = "0123456789abcdef"
+
 let json_escape b s =
   Buffer.add_char b '"';
   String.iter
@@ -484,7 +489,11 @@ let json_escape b s =
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | ' ' .. '~' -> Buffer.add_char b ch
-      | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c)))
+      | c ->
+        let c = Char.code c in
+        Buffer.add_string b "\\u00";
+        Buffer.add_char b hex_digits.[c lsr 4];
+        Buffer.add_char b hex_digits.[c land 0xf])
     s;
   Buffer.add_char b '"'
 
@@ -922,8 +931,13 @@ type reader = {
   mutable eof : bool;
 }
 
+(* Refills read up to 64 KiB at a time, so a large reply arrives in a few
+   reads. Nothing is allocated from a length prefix: [buf] grows only with
+   bytes actually received. *)
+let chunk_size = 65536
+
 let reader ?(max_frame = default_max_frame) read =
-  { read; buf = Buffer.create 4096; chunk = Bytes.create 4096;
+  { read; buf = Buffer.create 4096; chunk = Bytes.create chunk_size;
     max_frame; enc = None; eof = false }
 
 let reader_encoding r = r.enc
@@ -949,10 +963,15 @@ let refill r =
 
 let buffered r = Buffer.length r.buf
 
+(* Drop the first [n] buffered bytes. The common case — the frame was the
+   whole buffer — copies nothing. *)
 let consume r n =
-  let rest = Buffer.sub r.buf n (Buffer.length r.buf - n) in
-  Buffer.clear r.buf;
-  Buffer.add_string r.buf rest
+  if n = Buffer.length r.buf then Buffer.clear r.buf
+  else begin
+    let rest = Buffer.sub r.buf n (Buffer.length r.buf - n) in
+    Buffer.clear r.buf;
+    Buffer.add_string r.buf rest
+  end
 
 let rec read_frame r =
   match r.enc with
@@ -995,14 +1014,15 @@ and read_binary r =
          (Printf.sprintf "stream ended mid-frame: %d header byte(s) received"
             (buffered r)))
 
-and read_json r =
+(* [from] bytes of the buffer are already known to hold no newline. *)
+and read_json ?(from = 0) r =
   let newline () =
     let n = buffered r in
     let rec scan i = if i >= n then None
       else if Buffer.nth r.buf i = '\n' then Some i
       else scan (i + 1)
     in
-    scan 0
+    scan from
   in
   match newline () with
   | Some i ->
@@ -1012,9 +1032,10 @@ and read_json r =
     | Result.Ok f -> Result.Ok (Some f)
     | Result.Error e -> Result.Error e)
   | None ->
-    if buffered r > r.max_frame then
-      Result.Error (oversized r.max_frame (buffered r))
-    else if refill r then read_json r
+    let scanned = buffered r in
+    if scanned > r.max_frame then
+      Result.Error (oversized r.max_frame scanned)
+    else if refill r then read_json ~from:scanned r
     else if buffered r = 0 then Result.Ok None
     else
       Result.Error

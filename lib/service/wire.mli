@@ -105,7 +105,9 @@ type reply_stats = {
   accepted : int;
   rejected : int;
   tokens : int;
-  elapsed_ns : int64;  (** server-side wall time for the batch *)
+  elapsed_ns : int64;
+      (** server-side wall time spent parsing the batch; rendering the
+          CSTs and encoding the reply come after and are not included *)
 }
 
 type reply = { id : int; items : outcome list; stats : reply_stats }

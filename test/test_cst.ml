@@ -1,0 +1,143 @@
+(* [Cst.to_string] against its oracle [Fmt.str "%a" Cst.pp]: the wire
+   renderer must reproduce Format's layout byte for byte, on real parse
+   trees from every shipped dialect and on seeded random trees built to
+   sit on the layout rule's edges (flat width equal to the space left and
+   one either side, chains past the 68-column indent cap, labels and leaf
+   texts longer than the 78-column margin, leaves whose text is empty or
+   equals the kind). *)
+
+open Parser_gen
+
+let check_same ~msg t =
+  let want = Fmt.str "%a" Cst.pp t in
+  let got = Cst.to_string t in
+  if not (String.equal got want) then
+    Alcotest.failf "%s: to_string differs from pp@.--- pp ---@.%s@.--- to_string ---@.%s"
+      msg want got
+
+let tok ?(text = "") kind =
+  { Lexing_gen.Token.kind; kind_id = Lexing_gen.Token.no_id; text;
+    pos = { Lexing_gen.Token.line = 1; column = 1; offset = 0 } }
+
+(* --- real trees --------------------------------------------------------- *)
+
+let dialect_corpus = function
+  | "minimal" -> Corpus.minimal_accept
+  | "scql" -> Corpus.scql_accept
+  | "tinysql" -> Corpus.tinysql_accept
+  | "embedded" -> Corpus.embedded_accept
+  | "analytics" -> Corpus.analytics_accept
+  | _ -> Corpus.full_accept
+
+let test_dialect (d : Dialects.Dialect.t) () =
+  let g =
+    match Core.generate_dialect d with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "generate %s: %a" d.name Core.pp_error e
+  in
+  let sampled = Service.Sentences.sample ~count:60 ~seed:4241 g in
+  let trees =
+    List.filter_map
+      (fun sql -> Result.to_option (Core.parse_cst g sql))
+      (dialect_corpus d.name @ sampled)
+  in
+  Alcotest.(check bool) "some statements parse" true (trees <> []);
+  List.iteri
+    (fun i t -> check_same ~msg:(Printf.sprintf "%s #%d" d.name i) t)
+    trees
+
+(* --- random trees ------------------------------------------------------- *)
+
+let word st n = String.init n (fun _ -> Char.chr (97 + Random.State.int st 26))
+
+(* Mostly short names, now and then one past the margin. *)
+let name st =
+  match Random.State.int st 20 with
+  | 0 -> ""
+  | 1 -> word st (79 + Random.State.int st 20)
+  | _ -> word st (1 + Random.State.int st 12)
+
+let leaf st =
+  let kind = name st in
+  match Random.State.int st 4 with
+  | 0 -> Cst.Leaf (tok kind)
+  | 1 -> Cst.Leaf (tok ~text:kind kind)
+  | _ -> Cst.Leaf (tok ~text:(name st) kind)
+
+let rec tree st depth =
+  if depth = 0 || Random.State.int st 3 = 0 then leaf st
+  else
+    Cst.Node
+      ( name st,
+        List.init (Random.State.int st 5) (fun _ -> tree st (depth - 1)) )
+
+(* A node of flat width exactly [w] (at least 2): a label padded around a
+   few short leaves, so it has children to break when it does not fit. *)
+let sized st w =
+  let kids = List.init (Random.State.int st 3) (fun _ -> Cst.Leaf (tok "k")) in
+  let used = 2 + (2 * List.length kids) in
+  if w < used then Cst.Node (String.make (w - 2) 'n', [])
+  else Cst.Node (String.make (w - used) 'n', kids)
+
+(* A chain of [depth] single-path ancestors (each with random siblings)
+   ending in a node whose width is the space left at its column, plus
+   [delta]. Every ancestor is too wide to fit, so the target starts at the
+   chain's indent: [min 68 (2 * depth)]. *)
+let edge_tree st ~depth ~delta =
+  let indent = min 68 (2 * depth) in
+  let target = sized st (max 2 (78 - indent + delta)) in
+  let rec wrap d t =
+    if d = 0 then t
+    else
+      let before = List.init (Random.State.int st 2) (fun _ -> leaf st) in
+      let after = List.init (Random.State.int st 2) (fun _ -> tree st 2) in
+      wrap (d - 1) (Cst.Node (word st (Random.State.int st 6), before @ (t :: after)))
+  in
+  wrap depth target
+
+let test_random () =
+  let st = Random.State.make [| 13 |] in
+  for i = 1 to 2000 do
+    check_same ~msg:(Printf.sprintf "random #%d" i) (tree st 6)
+  done
+
+let test_edges () =
+  let st = Random.State.make [| 78; 68 |] in
+  for depth = 0 to 45 do
+    for delta = -1 to 1 do
+      for i = 1 to 12 do
+        check_same
+          ~msg:(Printf.sprintf "depth %d, delta %d, #%d" depth delta i)
+          (edge_tree st ~depth ~delta)
+      done
+    done
+  done
+
+let test_fixed () =
+  List.iter
+    (fun (msg, t) -> check_same ~msg t)
+    [
+      ("bare leaf", Cst.Leaf (tok "SELECT"));
+      ("leaf text = kind", Cst.Leaf (tok ~text:"SELECT" "SELECT"));
+      ("leaf with text", Cst.Leaf (tok ~text:"x" "IDENT"));
+      ("empty node", Cst.Node ("", []));
+      ("empty label", Cst.Node ("", [ Cst.Leaf (tok "a"); Cst.Leaf (tok "b") ]));
+      ("wide root", sized (Random.State.make [| 1 |]) 78);
+      ("fitting root", sized (Random.State.make [| 1 |]) 77);
+      ( "label past the margin",
+        Cst.Node (String.make 100 'l', [ Cst.Leaf (tok ~text:(String.make 90 't') "K") ]) );
+    ]
+
+let suite =
+  List.map
+    (fun (d : Dialects.Dialect.t) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: to_string = pp (corpus + sampled)" d.name)
+        `Quick (test_dialect d))
+    Dialects.Dialect.all
+  @ [
+      Alcotest.test_case "fixed edge trees" `Quick test_fixed;
+      Alcotest.test_case "seeded random trees" `Quick test_random;
+      Alcotest.test_case "width = space left ± 1, past the indent cap" `Quick
+        test_edges;
+    ]

@@ -22,6 +22,7 @@ let () =
       ("stream", Test_stream.suite);
       ("conformance", Test_conformance.suite);
       ("differential", Test_differential.suite);
+      ("cst", Test_cst.suite);
       ("alloc", Test_alloc.suite);
       ("negative", Test_negative.suite);
       ("properties", Test_properties.suite);

@@ -277,7 +277,10 @@ let test_poisoned_statement_isolated () =
 
 let test_modes_and_json_parity () =
   with_server (fun server ->
-      let stmts = [ "SELECT a FROM t"; "SELECT a FROM" ] in
+      let stmts =
+        [ "SELECT a FROM t"; "SELECT a FROM";
+          "SELECT DISTINCT a FROM t WHERE x = y" ]
+      in
       let binary, _ = connect_exn ~selection:(Wire.Dialect "minimal") server in
       let debug, _ =
         connect_exn ~encoding:Wire.Json
@@ -292,6 +295,28 @@ let test_modes_and_json_parity () =
       (match b_cst.Wire.items with
       | Wire.Accepted { cst = Some _; _ } :: _ -> ()
       | _ -> Alcotest.fail "cst mode must render the tree");
+      (* The tree text is pinned to [Cst.pp] of the library's own parse,
+         not to [Server.outcome_of_item], which renders it the same way the
+         server does and so could not catch the renderer drifting. *)
+      let g =
+        match Core.generate_dialect (dialect "minimal") with
+        | Ok g -> g
+        | Error e -> Alcotest.failf "generate minimal: %a" Core.pp_error e
+      in
+      List.iter
+        (fun (label, reply) ->
+          List.iter2
+            (fun sql item ->
+              match (Core.parse_cst g sql, item) with
+              | Ok cst, Wire.Accepted { cst = Some text; _ } ->
+                Alcotest.(check string)
+                  (Printf.sprintf "%s reply renders %S as Cst.pp" label sql)
+                  (Fmt.str "%a" Parser_gen.Cst.pp cst)
+                  text
+              | Ok _, _ -> Alcotest.failf "%s: %S not rendered" label sql
+              | Error _, _ -> ())
+            stmts reply.Wire.items)
+        [ ("binary", b_cst); ("json", j_cst) ];
       let b_rec = request_exn ~mode:Wire.Recognize binary stmts in
       (match b_rec.Wire.items with
       | Wire.Accepted { cst = None; tokens } :: _ ->
