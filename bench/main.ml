@@ -1196,12 +1196,12 @@ let report_e20 ?(smoke = false) () =
 (* ------------------------------------------------------------------ *)
 (* E21 — family-based compilation. The product line's fragments are    *)
 (* compiled once into a variability-aware artifact (Family.build);     *)
-(* each configuration is then instantiated by a presence-condition     *)
-(* mask/replay plus interned LL(k) classification. We gate on          *)
-(* byte-identical products (grammar, tokens, sequence, dispatch        *)
-(* summary) against the cold pipeline, then time cold compose+generate *)
-(* vs. family instantiation per dialect, and the service angle: cold-  *)
-(* connection latency with and without a family-backed server cache.   *)
+(* Core.generate instantiates each configuration from it by a          *)
+(* presence-condition mask/replay plus interned LL(k) classification.  *)
+(* We gate on byte-identical products (grammar, tokens, sequence,      *)
+(* dispatch summary) against the cold pipeline kept as the test        *)
+(* oracle (Oracle.Cold: direct composition, string classifier), then   *)
+(* time the oracle vs. Core.generate per dialect.                      *)
 (* Emits BENCH_e21.json.                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1222,8 +1222,8 @@ let e21_generate name how =
   let d, _ = dialect name in
   let result =
     match how with
-    | `Cold -> Core.generate_dialect d
-    | `Family -> Core.generate_family_dialect d
+    | `Cold -> Oracle.Cold.generate_dialect d
+    | `Family -> Core.generate_dialect d
   in
   match result with
   | Ok g -> g
@@ -1257,35 +1257,13 @@ let e21_row ~repeats name =
     e21_speedup = cold /. family;
   }
 
-(* Cold-connection latency: a fresh cache per server, so every first hello
-   pays a miss — resolved by the cold pipeline or by the family artifact. *)
-let e21_serve_connect ~family names =
-  let cache = Service.Cache.create () in
-  Service.Cache.use_family cache family;
-  let server =
-    match Service.Server.start ~workers:2 ~cache (Wire.Tcp ("127.0.0.1", 0)) with
-    | Ok s -> s
-    | Error msg -> Fmt.failwith "e21: %s" msg
-  in
-  Fun.protect ~finally:(fun () -> Service.Server.stop server) @@ fun () ->
-  let addr = Service.Server.address server in
-  List.map
-    (fun name ->
-      let t0 = now () in
-      (match Service.Client.connect ~selection:(Wire.Dialect name) addr with
-      | Ok (client, _) -> Service.Client.close client
-      | Error e -> Fmt.failwith "e21 connect %s: %a" name Wire.pp_error e);
-      (name, (now () -. t0) *. 1e3))
-    names
-
-let write_e21_json ~build_ms rows connect_rows =
+let write_e21_json ~build_ms rows =
   let oc = open_out "BENCH_e21.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n  \"experiment\": \"e21\",\n";
   p "  \"basis\": \"family artifact built once per process; per-dialect \
-     instantiation (mask/replay + interned LL(k) classification) vs cold \
-     compose+generate, best of 3; cold-connection latency against sqlpl \
-     serve with a fresh cache\",\n";
+     Core.generate (mask/replay + interned LL(k) classification) vs the \
+     cold compose+generate test oracle, best of 3\",\n";
   p "  \"family_build_ms\": %.2f,\n" build_ms;
   p "  \"rows\": [\n";
   List.iteri
@@ -1296,14 +1274,6 @@ let write_e21_json ~build_ms rows connect_rows =
         row.e21_dialect row.e21_cold_ms row.e21_family_ms row.e21_speedup
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  p "  ],\n  \"serve_cold_connect\": [\n";
-  List.iteri
-    (fun i (name, plain_ms, family_ms) ->
-      p
-        "    {\"dialect\": %S, \"plain_ms\": %.2f, \"family_ms\": %.2f}%s\n"
-        name plain_ms family_ms
-        (if i = List.length connect_rows - 1 then "" else ","))
-    connect_rows;
   p "  ]\n}\n";
   close_out oc
 
@@ -1331,18 +1301,9 @@ let report_e21 ?(smoke = false) () =
       pf "%-10s %12.2f %12.2f %8.1fx\n" row.e21_dialect row.e21_cold_ms
         row.e21_family_ms row.e21_speedup)
     rows;
-  pf "(every family product gated byte-identical to the cold pipeline)\n";
-  let plain = e21_serve_connect ~family:false names in
-  let famc = e21_serve_connect ~family:true names in
-  let connect_rows =
-    List.map2 (fun (n, p) (_, f) -> (n, p, f)) plain famc
-  in
-  pf "%-10s %15s %17s\n" "dialect" "cold connect ms" "family connect ms";
-  List.iter
-    (fun (n, p, f) -> pf "%-10s %15.2f %17.2f\n" n p f)
-    connect_rows;
+  pf "(every Core.generate product gated byte-identical to the cold oracle)\n";
   if not smoke then begin
-    write_e21_json ~build_ms rows connect_rows;
+    write_e21_json ~build_ms rows;
     pf "(wrote BENCH_e21.json)\n"
   end
 

@@ -512,16 +512,13 @@ let lint_cmd =
            Printf.printf "lint %s (%d features)\n" label
              (Feature.Config.cardinal config);
            Fmt.pr "%a@." Lint.pp_report diags;
-           (* Where the generated parser will actually backtrack: classify
-              the choice points of the normalized grammar, as generation
-              does, and name the rules whose conflicts force fallback. *)
-           let factored, _ =
-             Grammar.Factor.normalize out.Compose.Composer.grammar
-           in
-           (match Parser_gen.Engine.generate factored with
+           (* Where the generated parser will actually backtrack: the
+              dispatch summary of the parser production builds, naming
+              the rules whose conflicts force fallback. *)
+           (match Core.generate ~label config with
             | Error _ -> ()
-            | Ok parser ->
-              let s = Parser_gen.Engine.summary parser in
+            | Ok g ->
+              let s = Core.dispatch_summary g in
               Fmt.pr "dispatch: %a@." Parser_gen.Engine.pp_summary s;
               List.iter
                 (fun (c : Parser_gen.Engine.nt_class) ->
@@ -607,33 +604,20 @@ let diff_cmd =
 (* --- cache --------------------------------------------------------------------- *)
 
 let cache_stats_cmd =
-  let family_flag =
-    Arg.(
-      value & flag
-      & info [ "family" ]
-          ~doc:
-            "Serve cache misses from the variability-aware family artifact \
-             (one shared compilation, per-config mask/replay) instead of the \
-             cold compose+generate pipeline, and print the artifact's \
-             statistics.")
-  in
-  let run family =
+  let run () =
     (* Resolve every shipped dialect twice through the shared cache: the
-       first pass pays compose+generate (misses), the second hits. *)
+       first pass pays generation (misses), the second hits. *)
     let cache = Service.Cache.default in
-    Service.Cache.use_family cache family;
     let time f =
-      let t0 = Sys.time () in
+      let t0 = Unix.gettimeofday () in
       let r = f () in
-      (r, (Sys.time () -. t0) *. 1e3)
+      (r, (Unix.gettimeofday () -. t0) *. 1e3)
     in
     Printf.printf "%-10s %-32s %10s %10s\n" "dialect" "digest" "cold" "warm";
     let rec go = function
       | [] ->
         Fmt.pr "--@.%a@." Service.Cache.pp_stats (Service.Cache.stats cache);
-        Option.iter
-          (fun s -> Fmt.pr "family: %a@." Family.pp_stats s)
-          (Core.family_stats ());
+        Fmt.pr "family: %a@." Family.pp_stats (Family.stats (Core.family ()));
         `Ok ()
       | (d : Dialects.Dialect.t) :: rest -> (
         let digest = Service.Digest_key.of_config d.config in
@@ -654,7 +638,7 @@ let cache_stats_cmd =
        ~doc:"Resolve all shipped dialects through the configuration-keyed \
              parser cache (cold, then warm) and print its hit/miss/eviction \
              counters")
-    Term.(ret (const run $ family_flag))
+    Term.(ret (const run $ const ()))
 
 let cache_key_cmd =
   let run dialect features config_file =
@@ -786,18 +770,6 @@ let serve_cmd =
              unframed SQL bytes to EOF — answered one $(b,ok)/$(b,err) \
              line per statement at a fixed memory ceiling.")
   in
-  let family_flag =
-    Arg.(
-      value & flag
-      & info [ "family" ]
-          ~doc:
-            "Serve cache misses from the variability-aware family artifact: \
-             the product line is compiled once into a shared artifact and \
-             each cold hello is instantiated by a cheap mask/replay instead \
-             of the full compose+generate pipeline. With $(b,--preload), \
-             the dialect warm-up is one family build plus six near-free \
-             instantiations.")
-  in
   let gc_space_overhead_arg =
     let doc =
       "Set the OCaml GC's space_overhead before serving (percent; the \
@@ -810,8 +782,7 @@ let serve_cmd =
       & opt (some int) None
       & info [ "gc-space-overhead" ] ~docv:"PERCENT" ~doc)
   in
-  let run listen unix_path workers max_frame preload stream family
-      gc_space_overhead =
+  let run listen unix_path workers max_frame preload stream gc_space_overhead =
     if workers < 1 then fail "--workers must be at least 1"
     else
       match resolve_address listen unix_path with
@@ -824,7 +795,6 @@ let serve_cmd =
         match Service.Server.start ~workers ~max_frame ~stream addr with
         | Error msg -> fail "%s" msg
         | Ok server ->
-          Service.Cache.use_family (Service.Server.cache server) family;
           if preload then
             List.iter
               (fun (d : Dialects.Dialect.t) ->
@@ -840,8 +810,7 @@ let serve_cmd =
             Service.Wire.pp_address
             (Service.Server.address server)
             workers
-            ((if family then ", family-backed" else "")
-            ^ if preload then ", dialects preloaded" else "");
+            (if preload then ", dialects preloaded" else "");
           let stop_now = Atomic.make false in
           let on_signal _ = Atomic.set stop_now true in
           Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -869,7 +838,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ listen_arg $ unix_arg $ workers_arg $ max_frame_arg
-       $ preload_flag $ stream_flag $ family_flag $ gc_space_overhead_arg))
+       $ preload_flag $ stream_flag $ gc_space_overhead_arg))
 
 let client_cmd =
   let digest_arg =

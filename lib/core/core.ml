@@ -26,10 +26,35 @@ let pp_error ppf = function
 
 let ( let* ) = Result.bind
 
+(* The family artifact is process-wide and built on first use: the SQL
+   product line has exactly one model/registry, so one variability-aware
+   compilation serves every configuration the process will ever see. It
+   is built once under a lock, so domains that generate concurrently
+   before anything has built it wait for one build instead of racing. *)
+let artifact = ref None
+let artifact_lock = Mutex.create ()
+
+let family () =
+  Mutex.protect artifact_lock @@ fun () ->
+  match !artifact with
+  | Some fam -> fam
+  | None ->
+    let fam =
+      Family.build ~start:Sql.Model.start_symbol Sql.Model.model
+        Sql.Model.registry
+    in
+    artifact := Some fam;
+    fam
+
+let family_stats () =
+  Option.map Family.stats (Mutex.protect artifact_lock (fun () -> !artifact))
+
 let generate ?(label = "custom") config =
+  let fam = family () in
   let* out =
-    Result.map_error (fun e -> Compose_error e) (Sql.Model.compose config)
+    Result.map_error (fun e -> Compose_error e) (Family.instantiate fam config)
   in
+  Family.time_specialize fam @@ fun () ->
   (* One interner spans scanner and parser, so the parser trusts the
      [kind_id] stamped on every token without re-hashing kind strings. *)
   let scanner = Lexing_gen.Scanner.create out.Compose.Composer.tokens in
@@ -57,51 +82,6 @@ let generate ?(label = "custom") config =
 
 let generate_dialect (d : Dialects.Dialect.t) =
   generate ~label:d.Dialects.Dialect.name d.Dialects.Dialect.config
-
-(* The family artifact is process-wide and built on first use: the SQL
-   product line has exactly one model/registry, so one variability-aware
-   compilation serves every configuration the process will ever see. *)
-let family_artifact =
-  lazy
-    (Family.build ~start:Sql.Model.start_symbol Sql.Model.model
-       Sql.Model.registry)
-
-let family () = Lazy.force family_artifact
-
-let family_stats () =
-  if Lazy.is_val family_artifact then
-    Some (Family.stats (Lazy.force family_artifact))
-  else None
-
-let generate_family ?(label = "custom") config =
-  let fam = Lazy.force family_artifact in
-  let* out =
-    Result.map_error (fun e -> Compose_error e) (Family.instantiate fam config)
-  in
-  Family.time_specialize fam @@ fun () ->
-  let scanner = Lexing_gen.Scanner.create out.Compose.Composer.tokens in
-  let factored, _ = Grammar.Factor.normalize out.Compose.Composer.grammar in
-  let* parser =
-    Result.map_error
-      (fun e -> Generation_error e)
-      (Parser_gen.Engine.generate
-         ~interner:(Lexing_gen.Scanner.interner scanner)
-         ~classify:(Family.Ilookahead.classifier factored)
-         factored)
-  in
-  Ok
-    {
-      label;
-      config;
-      grammar = out.Compose.Composer.grammar;
-      tokens = out.Compose.Composer.tokens;
-      scanner;
-      parser;
-      sequence = out.Compose.Composer.sequence;
-    }
-
-let generate_family_dialect (d : Dialects.Dialect.t) =
-  generate_family ~label:d.Dialects.Dialect.name d.Dialects.Dialect.config
 
 let scan_tokens g sql =
   Result.map_error

@@ -12,6 +12,9 @@
     description, determine the composition sequence, compose the
     sub-grammars and token files, and hand the composed grammar to the
     parser generator. The result bundles the generated scanner and parser.
+    Composition runs on the product line's family artifact ({!family}):
+    the model's fragments are compiled once per process, and each
+    configuration replays only its own fragments.
 
     [session] adds the engine: an in-memory database executing the parsed
     statements, turning a tailored parser into a tailored DBMS front-end. *)
@@ -39,33 +42,26 @@ type error =
 val pp_error : error Fmt.t
 
 val generate : ?label:string -> Feature.Config.t -> (generated, error) result
-(** Generate the parser for a configuration of {!Sql.Model.model}. *)
+(** Generate the parser for a configuration of {!Sql.Model.model}:
+    validate and compose by mask/replay over the family artifact
+    ({!Family.instantiate}), then specialize — build the scanner,
+    left-factor the grammar, and generate the engine, whose choice points
+    are classified by {!Parser_gen.Ilookahead}. The products are those of
+    composing the configuration directly ({!Sql.Model.compose}) and
+    generating from the result; the test suite keeps that cold pipeline,
+    with a string-based classifier, as its differential oracle.
+
+    Safe to call from several domains at once: the artifact is built
+    once, under a lock, by whichever call needs it first. *)
 
 val generate_dialect : Dialects.Dialect.t -> (generated, error) result
 
-(** {2 Family-based generation}
-
-    The family fast path: {!Sql.Model.model}'s fragments compiled once
-    into a process-wide variability-aware artifact ({!Family.build}, lazy,
-    shared), from which any configuration is instantiated by a cheap
-    mask/replay plus interned LL(k) classification instead of the full
-    cold pipeline. Products are behavior-identical to {!generate}'s —
-    same grammars, tokens, CSTs, errors and dispatch classifications —
-    which the differential suite enforces. *)
-
 val family : unit -> Family.t
-(** The process-wide family artifact, built on first use. *)
+(** The process-wide family artifact ({!Family.build} over
+    {!Sql.Model.model}), built on first use. *)
 
 val family_stats : unit -> Family.stats option
-(** Stats of the artifact; [None] when nothing has forced its build. *)
-
-val generate_family :
-  ?label:string -> Feature.Config.t -> (generated, error) result
-(** As {!generate}, through the family artifact: validate, mask/replay
-    ({!Family.instantiate}), then specialize (scanner, left-factoring,
-    engine generation with the interned classifier). *)
-
-val generate_family_dialect : Dialects.Dialect.t -> (generated, error) result
+(** Stats of the artifact; [None] when nothing has built it yet. *)
 
 val scan_tokens :
   generated -> string -> (Lexing_gen.Token.t array, error) result

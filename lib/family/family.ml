@@ -1,5 +1,4 @@
 module Pc = Pc
-module Ilookahead = Ilookahead
 
 type event = {
   ev_feature : int;  (* index into [names], diagram pre-order *)
@@ -22,6 +21,7 @@ type t = {
   family_tokens : Lexing_gen.Spec.set;
   size_ints : int;
   diags : Lint.Diagnostic.t list Lazy.t;
+  lock : Mutex.t;  (* guards [diags] forcing and the counters below *)
   mutable instantiations : int;
   mutable mask_ms : float;
   mutable specialize_ms : float;
@@ -135,6 +135,7 @@ let build ~start (model : Feature.Model.t) registry =
     family_tokens;
     size_ints;
     diags;
+    lock = Mutex.create ();
     instantiations = 0;
     mask_ms = 0.;
     specialize_ms = 0.;
@@ -202,8 +203,10 @@ let instantiate t config =
         in
         Error (Compose.Composer.Incoherent_grammar { problems = fatal; hints })
       else begin
-        t.instantiations <- t.instantiations + 1;
-        t.mask_ms <- t.mask_ms +. ((Unix.gettimeofday () -. t0) *. 1000.);
+        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+        Mutex.protect t.lock (fun () ->
+            t.instantiations <- t.instantiations + 1;
+            t.mask_ms <- t.mask_ms +. ms);
         Ok
           {
             Compose.Composer.grammar;
@@ -220,14 +223,15 @@ let instantiate t config =
 let time_specialize t f =
   let t0 = Unix.gettimeofday () in
   let finally () =
-    t.specialize_ms <- t.specialize_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)
+    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    Mutex.protect t.lock (fun () -> t.specialize_ms <- t.specialize_ms +. ms)
   in
   Fun.protect ~finally f
 
 let family_grammar t = t.family_grammar
 let rule_pc t lhs = Hashtbl.find_opt t.rule_pcs lhs
 let token_pc t name = Hashtbl.find_opt t.token_pcs name
-let diagnostics t = Lazy.force t.diags
+let diagnostics t = Mutex.protect t.lock (fun () -> Lazy.force t.diags)
 
 let diagnostics_for t config =
   let selected i =
@@ -264,6 +268,7 @@ type stats = {
 }
 
 let stats t =
+  Mutex.protect t.lock @@ fun () ->
   {
     features = Array.length t.names;
     fragments = Array.length t.events;

@@ -24,15 +24,18 @@
     event sequence is — it {e is} the per-config fold, minus fragment
     lookup, validation bitsets precomputed. The expensive back half
     (LL(k ≤ 2) classification) is made cheap instead of skipped:
-    {!Ilookahead} recomputes the exact per-config analysis over packed
-    integer sequences, ~25–80x faster than the string-based pass.
+    {!Parser_gen.Ilookahead} computes the exact per-config analysis over
+    packed integer sequences, ~25–80x faster than the string-based pass.
+
+    An artifact is safe to share between domains: {!instantiate},
+    {!time_specialize} and {!diagnostics} may run concurrently, and the
+    counters in {!stats} are updated under a lock.
 
     Invalid configurations (violating the model, including [requires] /
     [excludes]) are rejected by {!Feature.Config.validate} {e before} any
     masking, exactly as {!Compose.Composer.compose} rejects them. *)
 
 module Pc = Pc
-module Ilookahead = Ilookahead
 
 type t
 

@@ -201,19 +201,17 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
           all_problems
       in
       let reachable lhs = not (List.mem lhs unreachable) in
-      (* [?classify] swaps the decision oracle: the family fast path
-         injects an interned reimplementation of the same analysis. Either
-         oracle is built lazily — [~dispatch:false] never pays for it. *)
+      (* [?classify] substitutes the decision oracle (the test suite's
+         string classifier). The analysis is built lazily —
+         [~dispatch:false] never pays for it. *)
       let decide =
         match classify with
         | Some oracle ->
           fun ~lhs branches ->
             oracle ~term_id:(Interner.id_opt interner) ~n_terms ~lhs branches
         | None ->
-          let pctx =
-            lazy (Predict.make ~term_id:(Interner.id_opt interner) ~n_terms g)
-          in
-          fun ~lhs branches -> Predict.decide (Lazy.force pctx) ~lhs branches
+          let la = lazy (Ilookahead.make ~term_id ~n_terms g) in
+          fun ~lhs branches -> Ilookahead.decide (Lazy.force la) ~lhs branches
       in
       let k1_points = ref 0 and k2_points = ref 0 and ambiguous = ref 0 in
       let nt_k : (string, int) Hashtbl.t = Hashtbl.create 64 in
@@ -246,7 +244,7 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
       (* [cont] is the rest of the enclosing alternative after the term
          being compiled — the branch phrases handed to [classify] must
          extend to the end of the alternative so that
-         [Lookahead.predict lhs] (which appends FOLLOW(lhs)) covers the
+         prediction for [lhs] (which appends FOLLOW(lhs)) covers the
          complete right context of the choice. *)
       let module P = Grammar.Production in
       let rec compile_term lhs cont = function

@@ -7,8 +7,8 @@
 
     The execution strategy is {e prediction-compiled} recursive descent:
     at generation time every choice point (a rule's alternatives, a nested
-    group, an optional/repetition enter-vs-skip) is classified through
-    {!Lint.Lookahead} prediction sets. Points whose branches are LL(1)- or
+    group, an optional/repetition enter-vs-skip) is classified by the
+    interned LL(k ≤ 2) analysis {!Ilookahead}. Points whose branches are LL(1)- or
     LL(2)-disjoint become {e committed} — a dense [token id -> branch]
     table picks the only branch that can succeed — and a non-terminal all
     of whose points (transitively) commit parses on a direct dispatch
@@ -78,13 +78,14 @@ val generate :
     previous backtracking-everywhere engine). Disabling any flag only
     affects performance, never a parse result.
 
-    [classify] replaces the default {!Predict} decision oracle (built over
-    {!Lint.Lookahead}'s string-sequence sets) with a caller-supplied one —
-    the family fast path injects an interned analysis that returns the
-    same decisions an order of magnitude faster. The oracle receives the
-    interner view and the choice point exactly as {!Predict.decide} would;
-    it must be {e exact} (same decisions on the same grammar), or dispatch
-    summaries and parse behavior diverge from the per-config pipeline. *)
+    [classify] replaces the {!Ilookahead} classifier with a
+    caller-supplied decision oracle. It exists so that the test suite can
+    substitute its string-based classifier and check that both produce
+    the same parser. The oracle receives the interner view ([term_id] is
+    [None] for names the interner has never seen) and each choice point
+    exactly as {!Ilookahead.decide} would; it must be {e exact} (same
+    decisions on the same grammar), or dispatch summaries and parse
+    behavior diverge. *)
 
 (** {2 Choice-point classification} *)
 

@@ -1,0 +1,50 @@
+(** LL(k ≤ 2) choice-point classification over interned terminals.
+
+    {!Engine.generate} asks, for every choice point it compiles — a rule's
+    alternatives, a nested group, an optional/repetition enter-vs-skip —
+    whether the branches' strong-LL(k) prediction sets are pairwise
+    disjoint, and compiles the answer into a {!Predict.decision}.
+
+    This is the product line's single lookahead analysis. It computes the
+    FIRST{_k} / FOLLOW{_k} least fixpoints of [Lint.Lookahead] (the
+    string-sequence specification) over bitset planes: a set of token
+    sequences of length ≤ 2 over [n] interned terminal kinds is an epsilon
+    flag, an [n]-bit singles plane (bit [a] for the sequence [\[a\]]) and a
+    lazily materialized [n × n] pairs plane (bit [(a, c)] for [\[a; c\]]),
+    so unions, concatenations and change detection are word-parallel
+    instead of element-wise.
+
+    Exactness: the planes are a canonical representation of the string
+    sequence sets [Lint.Lookahead] manipulates, and every operation
+    ([concat_k] as plane algebra, star closure, the FIRST/FOLLOW
+    fixpoints, prediction) mirrors its counterpart set for set.
+    Least-fixpoint uniqueness makes the iteration order irrelevant. A
+    string classifier over [Lint.Lookahead] is kept in the test suite as
+    a differential oracle: every choice point of the shipped dialects and
+    of random configurations must receive the same decision and the same
+    dense tables from both.
+
+    Soundness of commitment: for a branch phrase β of rule [lhs], the
+    prediction set is FIRST{_k}(β · FOLLOW{_k}(lhs)) — a {e superset} of
+    the prediction set in any concrete parse context (strong-LL FOLLOW is
+    the union over all contexts). So lookahead outside a branch's set
+    proves that branch cannot lead to a successful parse, and disjoint
+    sets leave at most one viable branch: committing is exactly what
+    exhaustive backtracking would have chosen. *)
+
+type t
+(** Lookahead tables of one grammar, shared across all of its choice
+    points. *)
+
+val make : term_id:(string -> int) -> n_terms:int -> Grammar.Cfg.t -> t
+(** Build the k = 1 tables eagerly; the k = 2 tables are built only when
+    the first k = 1 conflict forces the escalation. [term_id] must map
+    every terminal of the grammar to its interned id (below [n_terms]);
+    the EOF sentinel is {!Lexing_gen.Interner.eof_id}. *)
+
+val decide : t -> lhs:string -> Grammar.Production.alt list -> Predict.decision
+(** Classify one choice point of rule [lhs]. Each element of the list is a
+    full branch {e phrase}: the branch's own symbols followed by the
+    continuation to the end of the enclosing alternative (the engine
+    builds these when compiling), so that prediction covers everything up
+    to FOLLOW(lhs). *)

@@ -1,23 +1,12 @@
-(** Choice-point classification: compile {!Lint.Lookahead} prediction sets
-    into dense dispatch tables.
+(** Choice-point decisions: what {!Ilookahead.decide} compiles a choice
+    point into, and what the engine dispatches on.
 
-    {!Engine.generate} asks, for every choice point it compiles — a rule's
-    alternatives, a nested group, an optional/repetition enter-vs-skip —
-    whether the branches' strong-LL(k) prediction sets are pairwise
-    disjoint. When they are, the engine emits a {e committed} dispatch
-    table (one or two tokens of lookahead pick the only branch that can
-    possibly succeed) and parses that point with a direct loop: no
-    continuation closures, no memo traffic, no derivation lists. When they
-    overlap even at k = 2, the point keeps the memoized backtracking
-    semantics ({!Fallback}).
-
-    Soundness of commitment: for a branch phrase β of rule [lhs],
-    [Lookahead.predict] returns FIRST{_k}(β · FOLLOW{_k}(lhs)) — a
-    {e superset} of the prediction set in any concrete parse context
-    (strong-LL FOLLOW is the union over all contexts). So lookahead outside
-    a branch's set proves that branch cannot lead to a successful parse,
-    and disjoint sets leave at most one viable branch: committing is
-    exactly what exhaustive backtracking would have chosen. *)
+    A {e committed} decision is a dense table in which one or two tokens
+    of lookahead pick the only branch that can possibly succeed; the
+    engine parses such a point with a direct loop — no continuation
+    closures, no memo traffic, no derivation lists. When the branches'
+    prediction sets overlap even at k = 2, the point keeps the memoized
+    backtracking semantics ({!Fallback}). *)
 
 type decision =
   | Always  (** fewer than two branches: nothing to choose *)
@@ -29,24 +18,6 @@ type decision =
           decided by the second token via the keyed row
           [row.(tid2) = branch | -1] *)
   | Fallback  (** prediction sets overlap at k = 2: keep backtracking *)
-
-type t
-(** Lookahead tables of one grammar, shared across all of its choice
-    points. k = 1 tables are computed eagerly; k = 2 tables only when the
-    first k = 1 conflict forces the escalation. *)
-
-val make :
-  term_id:(string -> int option) -> n_terms:int -> Grammar.Cfg.t -> t
-(** [term_id] maps a terminal name to its interned id ([None] for names the
-    interner has never seen — any branch predicting one is conservatively
-    uncommittable); [n_terms] bounds the dense tables. *)
-
-val decide : t -> lhs:string -> Grammar.Production.alt list -> decision
-(** Classify one choice point of rule [lhs]. Each element of the list is a
-    full branch {e phrase}: the branch's own symbols followed by the
-    continuation to the end of the enclosing alternative (the engine builds
-    these when compiling), so that [predict] covers everything up to
-    FOLLOW(lhs). *)
 
 val committed : decision -> bool
 (** [true] for [Always], [Commit1], [Commit2]. *)

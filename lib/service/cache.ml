@@ -20,7 +20,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable family : bool;
 }
 
 let create ?(capacity = 32) () =
@@ -32,13 +31,10 @@ let create ?(capacity = 32) () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    family = false;
   }
 
 let capacity t = t.cap
 let length t = Hashtbl.length t.table
-let use_family t enabled = t.family <- enabled
-let family_enabled t = t.family
 let default = create ()
 
 let stats t =
@@ -100,10 +96,7 @@ let generate ?label t config =
     Ok entry.value
   | None ->
     t.misses <- t.misses + 1;
-    let result =
-      if t.family then Core.generate_family ?label config
-      else Core.generate ?label config
-    in
+    let result = Core.generate ?label config in
     Result.iter (fun g -> insert t key g) result;
     result
 

@@ -27,15 +27,6 @@ val create : ?capacity:int -> unit -> t
 val capacity : t -> int
 val length : t -> int
 
-val use_family : t -> bool -> unit
-(** Route cache misses through {!Core.generate_family} — the process-wide
-    variability-aware artifact plus a cheap per-config mask/replay —
-    instead of the cold {!Core.generate} pipeline. Products are
-    behavior-identical either way (the differential suite enforces it);
-    only miss latency changes. Off by default. *)
-
-val family_enabled : t -> bool
-
 val default : t
 (** The process-wide shared cache ([capacity = 32]) through which the CLI
     resolves every selection, so all six shipped dialects (and repeated
@@ -61,8 +52,9 @@ val generate :
   ?label:string -> t -> Feature.Config.t -> (Core.generated, Core.error) result
 (** [generate cache config] is {!Core.generate}, memoized on
     [Digest_key.of_config config]. A hit returns the cached front-end
-    (with its original label); a miss runs the full pipeline and, on
-    success, inserts the result. *)
+    (with its original label); a miss instantiates the configuration from
+    the process-wide family artifact and, on success, inserts the
+    result. *)
 
 val generate_dialect :
   t -> Dialects.Dialect.t -> (Core.generated, Core.error) result

@@ -140,6 +140,19 @@ let test_diff =
     ~needles:[ "commonality:"; "only in tinysql"; "grammar size:" ]
     [ "diff"; "tinysql"; "scql" ]
 
+(* Every cache miss is instantiated from the family artifact: six
+   dialects, six instantiations. *)
+let test_cache_stats =
+  expect ~status:0
+    ~needles:[ "full"; "hits 6, misses 6"; "family:"; "6 instantiations" ]
+    [ "cache"; "stats" ]
+
+let test_family_flags_removed () =
+  List.iter
+    (fun args ->
+      expect ~status:124 ~needles:[ "unknown option '--family'" ] args ())
+    [ [ "serve"; "--family" ]; [ "cache"; "stats"; "--family" ] ]
+
 let test_configure_session =
   expect ~status:0
     ~stdin_text:
@@ -191,6 +204,9 @@ let suite =
     Alcotest.test_case "lint --format=json" `Quick test_lint_json;
     Alcotest.test_case "lint unknown dialect" `Quick test_lint_unknown_dialect;
     Alcotest.test_case "diff" `Quick test_diff;
+    Alcotest.test_case "cache stats" `Quick test_cache_stats;
+    Alcotest.test_case "--family flags removed" `Quick
+      test_family_flags_removed;
     Alcotest.test_case "configure session" `Quick test_configure_session;
     Alcotest.test_case "config file round-trip" `Quick test_config_file_roundtrip;
   ]

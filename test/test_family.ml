@@ -1,17 +1,20 @@
-(* Differential gate for the family-based compilation path.
+(* Differential gate for generation through the family artifact.
 
-   The family artifact compiles the product line's fragments once into a
-   variability-aware program; {!Core.generate_family} then instantiates a
-   configuration by a presence-condition mask/replay plus interned LL(k)
-   classification. Its contract is behavioral identity with the cold
-   pipeline ({!Core.generate}): same composed grammar, token set and
+   {!Core.generate} instantiates a configuration from the process-wide
+   family artifact (presence-condition mask/replay) and classifies its
+   choice points with the interned LL(k) analysis. Its contract is
+   identity with the cold pipeline kept in the test oracle
+   ({!Oracle.Cold.generate}: compose the configuration directly, classify
+   with the string-based analysis): same composed grammar, token set and
    composition sequence, the same dispatch classification, and the same
    parse results — CSTs leaf-for-leaf on acceptance, furthest-failure
    errors field-for-field on rejection — on the shipped corpora and on
-   grammar-sampled sentences. This suite enforces that contract for all
-   six shipped dialects and for a pool of random valid configurations,
-   and checks that invalid configurations are rejected by validation
-   before any masking work happens. *)
+   grammar-sampled sentences. Invalid or incoherent selections must be
+   rejected with the same error. This suite enforces that contract for
+   all six shipped dialects, for a pool of random valid configurations
+   and for unrepaired random selections, and checks that invalid
+   configurations are rejected by validation before any masking work
+   happens. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -21,14 +24,14 @@ let summary (g : Core.generated) =
   Fmt.str "%a" Parser_gen.Engine.pp_summary (Core.dispatch_summary g)
 
 let cold_generate ~label config =
-  match Core.generate ~label config with
+  match Oracle.Cold.generate ~label config with
   | Ok g -> g
   | Error e -> Alcotest.failf "cold generate %s: %a" label Core.pp_error e
 
 let family_generate ~label config =
-  match Core.generate_family ~label config with
+  match Core.generate ~label config with
   | Ok g -> g
-  | Error e -> Alcotest.failf "family generate %s: %a" label Core.pp_error e
+  | Error e -> Alcotest.failf "generate %s: %a" label Core.pp_error e
 
 (* Full structural equality of end-to-end parse results: CSTs
    leaf-for-leaf, errors (lexical or syntactic) field-for-field. *)
@@ -163,13 +166,139 @@ let test_invalid_config_rejected_before_masking () =
   | Error e ->
     Alcotest.failf "unexpected error: %a" Compose.Composer.pp_error e
   | Ok _ -> Alcotest.fail "invalid config must be rejected");
-  (match Core.generate_family invalid with
+  (match Core.generate invalid with
   | Error (Core.Compose_error (Compose.Composer.Invalid_configuration _)) -> ()
   | Error e -> Alcotest.failf "unexpected error: %a" Core.pp_error e
   | Ok _ -> Alcotest.fail "invalid config must be rejected");
   let after = (Family.stats fam).Family.instantiations in
   Alcotest.(check int)
     "rejected before masking: instantiation counter unchanged" before after
+
+(* Unrepaired random selections: tree samples closed under requires, most
+   of them violating an OR/ALT group or a constraint. Production and the
+   cold oracle must agree on every one — equal products, or equal
+   composition errors. *)
+let error_kind = function
+  | Compose.Composer.Invalid_configuration _ -> "invalid configuration"
+  | Compose.Composer.Token_conflict _ -> "token conflict"
+  | Compose.Composer.Incoherent_grammar _ -> "incoherent grammar"
+
+let test_error_parity () =
+  let configs =
+    List.sort_uniq compare
+      (List.init 40 (fun i ->
+           Feature.Config.sample Sql.Model.model ~seed:((i * 53) + 11)))
+  in
+  let kinds = Hashtbl.create 4 in
+  List.iteri
+    (fun i config ->
+      let label = Printf.sprintf "unrepaired-%d" i in
+      match (Core.generate ~label config, Oracle.Cold.generate ~label config) with
+      | Ok fam, Ok cold ->
+        Hashtbl.replace kinds "ok" ();
+        check_identical ~label ~statements:Corpus.always_reject cold fam
+      | Error (Core.Compose_error e), Error (Core.Compose_error e') ->
+        Hashtbl.replace kinds (error_kind e) ();
+        Alcotest.(check string)
+          (label ^ ": error message")
+          (Fmt.str "%a" Compose.Composer.pp_error e')
+          (Fmt.str "%a" Compose.Composer.pp_error e);
+        check_bool (label ^ ": error value") true (e = e')
+      | fam, cold ->
+        let show = function
+          | Ok _ -> "Ok"
+          | Error e -> Fmt.str "Error (%a)" Core.pp_error e
+        in
+        Alcotest.failf "%s: generate gave %s, cold gave %s" label (show fam)
+          (show cold))
+    configs;
+  List.iter
+    (fun kind -> check_bool ("drew a selection giving " ^ kind) true
+        (Hashtbl.mem kinds kind))
+    [ "ok"; "invalid configuration" ]
+
+(* Valid SQL selections always compose coherently, so token conflicts and
+   incoherent grammars need a hand-built line: two optional features
+   define the keyword GO differently, and [ext] references a rule only
+   [helper] defines. The family artifact's mask/replay must reject each
+   selection exactly as composing it directly does, hints included. *)
+let test_hand_built_errors () =
+  let open Grammar.Builder in
+  let module T = Feature.Tree in
+  let concept =
+    T.feature "root"
+      [
+        T.mandatory (T.leaf "base");
+        T.optional (T.leaf "kw_a");
+        T.optional (T.leaf "kw_b");
+        T.optional (T.leaf "ext");
+        T.optional (T.leaf "helper");
+      ]
+  in
+  let model = Feature.Model.make concept in
+  let fragment feature ?tokens rules =
+    Compose.Fragment.make ~feature ?tokens rules
+  in
+  let registry =
+    Compose.Fragment.registry
+      [
+        fragment "base"
+          ~tokens:[ ("IDENT", Lexing_gen.Spec.Class Lexing_gen.Spec.Identifier) ]
+          [ rule "s" [ [ t "IDENT" ] ] ];
+        fragment "kw_a"
+          ~tokens:[ ("GO", Lexing_gen.Spec.Keyword "GO") ]
+          [ rule "s" [ [ t "GO"; t "IDENT" ] ] ];
+        fragment "kw_b"
+          ~tokens:[ ("GO", Lexing_gen.Spec.Punct "go!") ]
+          [ rule "s" [ [ t "GO" ] ] ];
+        fragment "ext" [ rule "s" [ [ nt "more" ] ] ];
+        fragment "helper" [ rule "more" [ [ t "IDENT"; t "IDENT" ] ] ];
+      ]
+  in
+  let fam = Family.build ~start:"s" model registry in
+  let kinds = Hashtbl.create 4 in
+  List.iter
+    (fun names ->
+      let label = String.concat "+" names in
+      let config = Feature.Config.of_names names in
+      match
+        ( Family.instantiate fam config,
+          Compose.Composer.compose ~start:"s" model registry config )
+      with
+      | Ok f, Ok c ->
+        Hashtbl.replace kinds "ok" ();
+        Alcotest.(check string)
+          (label ^ ": composed grammar")
+          (Fmt.str "%a" Grammar.Cfg.pp c.Compose.Composer.grammar)
+          (Fmt.str "%a" Grammar.Cfg.pp f.Compose.Composer.grammar);
+        check_bool (label ^ ": token set") true
+          (c.Compose.Composer.tokens = f.Compose.Composer.tokens);
+        Alcotest.(check (list string))
+          (label ^ ": composition sequence")
+          c.Compose.Composer.sequence f.Compose.Composer.sequence
+      | Error e, Error e' ->
+        Hashtbl.replace kinds (error_kind e) ();
+        Alcotest.(check string)
+          (label ^ ": error message")
+          (Fmt.str "%a" Compose.Composer.pp_error e')
+          (Fmt.str "%a" Compose.Composer.pp_error e);
+        check_bool (label ^ ": error value") true (e = e')
+      | Ok _, Error e ->
+        Alcotest.failf "%s: family accepted, compose gave %a" label
+          Compose.Composer.pp_error e
+      | Error e, Ok _ ->
+        Alcotest.failf "%s: compose accepted, family gave %a" label
+          Compose.Composer.pp_error e)
+    [
+      [ "root"; "base" ];
+      [ "root"; "base"; "kw_a"; "kw_b" ];
+      [ "root"; "base"; "ext" ];
+      [ "root"; "base"; "ext"; "helper"; "kw_b" ];
+      [ "root"; "ext" ];
+    ];
+  List.iter
+    (fun kind -> check_bool ("covered: " ^ kind) true (Hashtbl.mem kinds kind))
+    [ "ok"; "invalid configuration"; "token conflict"; "incoherent grammar" ]
 
 let test_family_stats_shape () =
   ignore (family_generate ~label:"tinysql" Dialects.Dialect.tinysql.Dialects.Dialect.config);
@@ -187,6 +316,10 @@ let suite =
       test_dialects_identical;
     Alcotest.test_case "random valid configs: family identical to cold" `Slow
       test_random_configs_identical;
+    Alcotest.test_case "unrepaired random configs: same products or errors"
+      `Slow test_error_parity;
+    Alcotest.test_case "hand-built line: same composition errors" `Quick
+      test_hand_built_errors;
     Alcotest.test_case "invalid config rejected before masking" `Quick
       test_invalid_config_rejected_before_masking;
     Alcotest.test_case "family stats shape" `Quick test_family_stats_shape;

@@ -29,4 +29,5 @@ let () =
       ("printer", Test_printer.suite);
       ("cli", Test_cli.suite);
       ("family", Test_family.suite);
+      ("decisions", Test_decisions.suite);
     ]

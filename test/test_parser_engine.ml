@@ -24,15 +24,16 @@ let parse_ok p input =
 let accepts p input = Result.is_ok (parse p input)
 
 (* Arithmetic grammar with repetition and grouping. *)
-let arith =
-  gen
-    (grammar ~start:"expr"
-       [
-         rule "expr" [ [ nt "term"; star [ t "PLUS"; nt "term" ] ] ];
-         rule "term" [ [ nt "factor"; star [ t "TIMES"; nt "factor" ] ] ];
-         rule "factor"
-           [ [ t "UNSIGNED_INTEGER" ]; [ t "LPAREN"; nt "expr"; t "RPAREN" ] ];
-       ])
+let arith_g =
+  grammar ~start:"expr"
+    [
+      rule "expr" [ [ nt "term"; star [ t "PLUS"; nt "term" ] ] ];
+      rule "term" [ [ nt "factor"; star [ t "TIMES"; nt "factor" ] ] ];
+      rule "factor"
+        [ [ t "UNSIGNED_INTEGER" ]; [ t "LPAREN"; nt "expr"; t "RPAREN" ] ];
+    ]
+
+let arith = gen arith_g
 
 let test_arith_accepts () =
   List.iter
@@ -60,17 +61,18 @@ let test_cst_navigation () =
   check_bool "node_count counts leaves and nodes" true (Cst.node_count tree > 7)
 
 (* Backtracking: alternatives sharing a long prefix. *)
-let backtracking =
-  gen
-    (grammar ~start:"s"
-       [
-         rule "s"
-           [
-             [ t "IDENT"; t "PERIOD"; t "IDENT" ];
-             [ t "IDENT"; t "PERIOD"; t "TIMES" ];
-             [ t "IDENT" ];
-           ];
-       ])
+let backtracking_g =
+  grammar ~start:"s"
+    [
+      rule "s"
+        [
+          [ t "IDENT"; t "PERIOD"; t "IDENT" ];
+          [ t "IDENT"; t "PERIOD"; t "TIMES" ];
+          [ t "IDENT" ];
+        ];
+    ]
+
+let backtracking = gen backtracking_g
 
 let test_backtracking_prefix () =
   check_bool "first alternative" true (accepts backtracking "a.b");
@@ -79,8 +81,10 @@ let test_backtracking_prefix () =
   check_bool "reject" false (accepts backtracking "a.")
 
 (* Backtracking out of a greedy optional: [IDENT] IDENT. *)
-let greedy_opt =
-  gen (grammar ~start:"s" [ rule "s" [ [ opt [ t "IDENT" ]; t "IDENT" ] ] ])
+let greedy_opt_g =
+  grammar ~start:"s" [ rule "s" [ [ opt [ t "IDENT" ]; t "IDENT" ] ] ]
+
+let greedy_opt = gen greedy_opt_g
 
 let test_backtrack_into_optional () =
   check_bool "one ident: optional must yield" true (accepts greedy_opt "a");
@@ -88,35 +92,40 @@ let test_backtrack_into_optional () =
   check_bool "three rejected" false (accepts greedy_opt "a b c")
 
 (* Backtracking out of a greedy star: (IDENT)* IDENT. *)
-let greedy_star =
-  gen (grammar ~start:"s" [ rule "s" [ [ star [ t "IDENT" ]; t "IDENT" ] ] ])
+let greedy_star_g =
+  grammar ~start:"s" [ rule "s" [ [ star [ t "IDENT" ]; t "IDENT" ] ] ]
+
+let greedy_star = gen greedy_star_g
 
 let test_backtrack_into_star () =
   check_bool "single" true (accepts greedy_star "a");
   check_bool "many" true (accepts greedy_star "a b c d");
   check_bool "empty rejected" false (accepts greedy_star "")
 
+let plus_g = grammar ~start:"s" [ rule "s" [ [ plus [ t "IDENT" ] ] ] ]
+
 let test_plus_requires_one () =
-  let p = gen (grammar ~start:"s" [ rule "s" [ [ plus [ t "IDENT" ] ] ] ]) in
+  let p = gen plus_g in
   check_bool "empty rejected" false (accepts p "");
   check_bool "one" true (accepts p "a");
   check_bool "many" true (accepts p "a b c")
 
+let inline_group_g =
+  grammar ~start:"s"
+    [ rule "s" [ [ grp [ [ t "SELECT" ]; [ t "FROM" ] ]; t "IDENT" ] ] ]
+
 let test_inline_group () =
-  let p =
-    gen
-      (grammar ~start:"s"
-         [ rule "s" [ [ grp [ [ t "SELECT" ]; [ t "FROM" ] ]; t "IDENT" ] ] ])
-  in
+  let p = gen inline_group_g in
   check_bool "first branch" true (accepts p "SELECT a");
   check_bool "second branch" true (accepts p "FROM a");
   check_bool "no branch" false (accepts p "a a")
 
+(* A star of a nullable body must not loop forever. *)
+let nullable_star_g =
+  grammar ~start:"s" [ rule "s" [ [ star [ opt [ t "IDENT" ] ]; t "PLUS" ] ] ]
+
 let test_nullable_star_no_loop () =
-  (* A star of a nullable body must not loop forever. *)
-  let p =
-    gen (grammar ~start:"s" [ rule "s" [ [ star [ opt [ t "IDENT" ] ]; t "PLUS" ] ] ])
-  in
+  let p = gen nullable_star_g in
   check_bool "terminates and accepts" true (accepts p "a +");
   check_bool "terminates on empty" true (accepts p "+")
 
@@ -180,18 +189,20 @@ let test_generate_rejects_undefined () =
   | Error e -> Alcotest.failf "wrong error: %a" Engine.pp_gen_error e
   | Ok _ -> Alcotest.fail "undefined nonterminal must be rejected"
 
+let unreachable_helper_g =
+  grammar ~start:"s"
+    [ rule "s" [ [ t "IDENT" ] ]; rule "helper" [ [ t "PLUS" ] ] ]
+
 let test_generate_tolerates_unreachable () =
-  let g =
-    grammar ~start:"s" [ rule "s" [ [ t "IDENT" ] ]; rule "helper" [ [ t "PLUS" ] ] ]
-  in
-  check_bool "unreachable helper tolerated" true (Result.is_ok (Engine.generate g))
+  check_bool "unreachable helper tolerated" true
+    (Result.is_ok (Engine.generate unreachable_helper_g))
+
+let start_override_g =
+  grammar ~start:"s"
+    [ rule "s" [ [ t "SELECT"; nt "name" ] ]; rule "name" [ [ t "IDENT" ] ] ]
 
 let test_start_override () =
-  let p =
-    gen
-      (grammar ~start:"s"
-         [ rule "s" [ [ t "SELECT"; nt "name" ] ]; rule "name" [ [ t "IDENT" ] ] ])
-  in
+  let p = gen start_override_g in
   check_bool "parse from sub-rule" true
     (Result.is_ok (Engine.parse ~start:"name" p (Def_tokens.tokens "a")));
   check_bool "sub-rule rejects full input" false
@@ -211,6 +222,21 @@ let test_deep_nesting () =
 let test_long_repetition () =
   let input = String.concat " + " (List.init 2000 (fun i -> string_of_int i)) in
   check_bool "2000-term sum" true (accepts arith input)
+
+(* The hand-built grammars above that have choice points, for the
+   decision-level differential test of the lookahead analysis. *)
+let grammars =
+  [
+    ("arith", arith_g);
+    ("backtracking", backtracking_g);
+    ("greedy opt", greedy_opt_g);
+    ("greedy star", greedy_star_g);
+    ("plus", plus_g);
+    ("inline group", inline_group_g);
+    ("nullable star", nullable_star_g);
+    ("unreachable helper", unreachable_helper_g);
+    ("start override", start_override_g);
+  ]
 
 let suite =
   [
