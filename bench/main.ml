@@ -615,7 +615,7 @@ let write_e17_json rows =
         \     \"speedup_tokens_vs_memoized\": %.2f, \
          \"speedup_tokens_vs_reference\": %.2f,\n\
         \     \"committed_points\": %d, \"k1_points\": %d, \"k2_points\": \
-         %d, \"ambiguous_points\": %d,\n\
+         %d, \"ambiguous_points\": %d, \"partial_points\": %d,\n\
         \     \"committed_nonterminals\": %d, \"total_nonterminals\": %d,\n\
         \     \"coverage\": %.4f}%s\n"
         row.e17_dialect row.e17_statements row.e17_tokens row.e17_ref_sps
@@ -627,6 +627,7 @@ let write_e17_json rows =
          else 0.)
         s.Parser_gen.Engine.committed_points s.Parser_gen.Engine.k1_points
         s.Parser_gen.Engine.k2_points s.Parser_gen.Engine.ambiguous_points
+        s.Parser_gen.Engine.partial_points
         s.Parser_gen.Engine.committed_nts s.Parser_gen.Engine.total_nts
         (Parser_gen.Engine.coverage s)
         (if i = List.length rows - 1 then "" else ","))
@@ -664,7 +665,7 @@ let report_e17 ?(smoke = false) () =
       List.iter
         (fun (c : Parser_gen.Engine.nt_class) ->
           if c.Parser_gen.Engine.nt_fallbacks > 0 then
-            pf "           fallback: <%s> (%d ambiguous point(s))\n"
+            pf "           partial: <%s> (%d ambiguous point(s))\n"
               c.Parser_gen.Engine.nt_name c.Parser_gen.Engine.nt_fallbacks)
         s.Parser_gen.Engine.classes)
     rows;

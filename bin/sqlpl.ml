@@ -523,7 +523,9 @@ let lint_cmd =
               List.iter
                 (fun (c : Parser_gen.Engine.nt_class) ->
                   if c.Parser_gen.Engine.nt_fallbacks > 0 then
-                    Fmt.pr "  backtracks: <%s> (%d ambiguous point(s))@."
+                    Fmt.pr
+                      "  backtracks: <%s> (%d ambiguous point(s), on the \
+                       ambiguous lookaheads only)@."
                       c.Parser_gen.Engine.nt_name
                       c.Parser_gen.Engine.nt_fallbacks)
                 s.Parser_gen.Engine.classes);

@@ -170,62 +170,130 @@ let run_prepared s sql values =
   in
   Result.map_error (fun m -> Execution_error m) (Engine.Database.execute s.db bound)
 
-(* Split a script on semicolons at top level (string literals respected). *)
+(* Statement splitting: one state machine, shared by the whole-string and
+   the streaming splitter, that lexes exactly as far as [Scanner.scan_step]
+   must to tell a top-level [;] from one inside a string literal
+   (['...'], with [''] as two toggles), a quoted identifier (["..."]), a
+   [--] line comment or a [/* */] block comment. A statement holding
+   nothing but whitespace and comments is dropped. *)
+type split_state =
+  | Code
+  | Dash  (* ['-'] in code: a line comment if the next byte is ['-'] *)
+  | Slash  (* ['/'] in code: a block comment if the next byte is ['*'] *)
+  | Squote
+  | Dquote
+  | Line_comment
+  | Block_comment
+  | Block_star  (* ['*'] inside a block comment *)
+
+type splitter = {
+  mutable state : split_state;
+  mutable has_code : bool;
+      (* the pending statement has a byte outside whitespace and comments *)
+}
+
+(* Advance over [s.[i .. n-1]]: the index of the first top-level [;], or
+   [n] when the range ends inside the statement. The state carries over to
+   the next call, so a range may end anywhere — inside a comment opener
+   included. *)
+let split_scan sp s i n =
+  let rec go st code i =
+    if i >= n then begin
+      sp.state <- st;
+      sp.has_code <- code;
+      n
+    end
+    else
+      let c = String.unsafe_get s i in
+      match st with
+      | Code -> (
+        match c with
+        | ';' ->
+          sp.state <- Code;
+          sp.has_code <- code;
+          i
+        | '\'' -> go Squote true (i + 1)
+        | '"' -> go Dquote true (i + 1)
+        | '-' -> go Dash code (i + 1)
+        | '/' -> go Slash code (i + 1)
+        | ' ' | '\t' | '\r' | '\n' -> go Code code (i + 1)
+        | _ -> go Code true (i + 1))
+      (* a pending ['-'] or ['/'] not opening a comment was an operator:
+         reread [c] as code *)
+      | Dash -> if c = '-' then go Line_comment code (i + 1) else go Code true i
+      | Slash -> if c = '*' then go Block_comment code (i + 1) else go Code true i
+      | Squote -> go (if c = '\'' then Code else Squote) code (i + 1)
+      | Dquote -> go (if c = '"' then Code else Dquote) code (i + 1)
+      | Line_comment -> go (if c = '\n' then Code else Line_comment) code (i + 1)
+      | Block_comment ->
+        go (if c = '*' then Block_star else Block_comment) code (i + 1)
+      | Block_star ->
+        go
+          (if c = '/' then Code else if c = '*' then Block_star else Block_comment)
+          code (i + 1)
+  in
+  go sp.state sp.has_code i
+
+(* Whether the statement ending here (at a [;] or at end of input) is
+   kept; resets the flag for the next one. *)
+let split_take sp ~at_end =
+  if at_end && (sp.state = Dash || sp.state = Slash) then sp.has_code <- true;
+  let keep = sp.has_code in
+  sp.has_code <- false;
+  keep
+
 let split_statements text =
-  let buf = Buffer.create 128 in
-  let out = ref [] in
-  let in_string = ref false in
-  String.iter
-    (fun c ->
-      if c = '\'' then begin
-        in_string := not !in_string;
-        Buffer.add_char buf c
-      end
-      else if c = ';' && not !in_string then begin
-        out := Buffer.contents buf :: !out;
-        Buffer.clear buf
-      end
-      else Buffer.add_char buf c)
-    text;
-  out := Buffer.contents buf :: !out;
-  List.rev (List.filter (fun s -> String.trim s <> "") !out)
+  let n = String.length text in
+  let sp = { state = Code; has_code = false } in
+  let rec go start acc =
+    let j = split_scan sp text start n in
+    let at_end = j >= n in
+    let acc =
+      if split_take sp ~at_end then String.sub text start (j - start) :: acc
+      else acc
+    in
+    if at_end then List.rev acc else go (j + 1) acc
+  in
+  go 0 []
 
 (* Streaming view of [split_statements]: consume input in fixed-size chunks
    from [read] and fold over completed statements without ever materializing
-   the whole script. The splitting semantics are byte-for-byte those of
-   [split_statements] — top-level [;] with ['] toggling string state, blank
-   statements dropped — so a streamed script yields exactly the statement
-   list reading the whole file would. Memory stays bounded by [chunk_size]
-   plus the largest single statement (the carry-over buffer). *)
+   the whole script. The splitter state carries across chunk boundaries, so
+   a streamed script yields exactly the statement list reading the whole
+   file would. Memory stays bounded by [chunk_size] plus the largest single
+   statement (the carry-over buffer). *)
 let fold_statements ?(chunk_size = 65536) ~read f acc =
   if chunk_size <= 0 then
     invalid_arg "Core.fold_statements: chunk_size must be positive";
   let chunk = Bytes.create chunk_size in
   let buf = Buffer.create 256 in
-  let in_string = ref false in
+  let sp = { state = Code; has_code = false } in
   let acc = ref acc in
-  let flush () =
-    let s = Buffer.contents buf in
+  let emit ~at_end =
+    let stmt = Buffer.contents buf in
     Buffer.clear buf;
-    if String.trim s <> "" then acc := f !acc s
+    if split_take sp ~at_end then acc := f !acc stmt
   in
   let rec drain () =
     let n = read chunk 0 chunk_size in
     if n > 0 then begin
-      for i = 0 to n - 1 do
-        let c = Bytes.unsafe_get chunk i in
-        if c = '\'' then begin
-          in_string := not !in_string;
-          Buffer.add_char buf c
+      (* scanned in place: every byte kept is copied into [buf] before the
+         next [read] reuses [chunk] *)
+      let s = Bytes.unsafe_to_string chunk in
+      let rec go i =
+        let j = split_scan sp s i n in
+        Buffer.add_substring buf s i (j - i);
+        if j < n then begin
+          emit ~at_end:false;
+          go (j + 1)
         end
-        else if c = ';' && not !in_string then flush ()
-        else Buffer.add_char buf c
-      done;
+      in
+      go 0;
       drain ()
     end
   in
   drain ();
-  flush ();
+  emit ~at_end:true;
   !acc
 
 type stream_stats = {

@@ -146,8 +146,11 @@ val run_script : session -> string list -> (Engine.Executor.outcome list, error)
 (** Run statements in order, stopping at the first error. *)
 
 val split_statements : string -> string list
-(** Split a script on top-level semicolons (string literals respected);
-    blank statements are dropped. *)
+(** Split a script on top-level semicolons: a [;] inside a string literal,
+    a double-quoted identifier, a [--] line comment or a [/* */] block
+    comment does not split, exactly as the scanner reads them. Statements
+    holding only whitespace and comments are dropped; the others keep
+    their comments. *)
 
 val fold_statements :
   ?chunk_size:int ->

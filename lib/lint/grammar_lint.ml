@@ -163,7 +163,8 @@ let conflict_diagnostics ~k g =
             ~severity:Diagnostic.Warning ~subject:c.lhs ~witness:w
             (Printf.sprintf
                "alternatives %d and %d of <%s> stay ambiguous under 2-token \
-                lookahead '%s'; the generated parser backtracks here"
+                lookahead '%s'; the generated parser backtracks only on ambiguous \
+                lookaheads like this one and commits on the rest"
                c.alt_a c.alt_b c.lhs (witness_text w))
         | None ->
           let w = List.hd c.witnesses in

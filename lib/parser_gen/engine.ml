@@ -43,7 +43,8 @@ let bitset_union_into ~into:(dst : bitset) (src : bitset) =
    are interner ids, non-terminal occurrences index the [rules] array.
    Every choice point additionally carries its {!Predict.decision}: the
    dense LL(1)/LL(2) dispatch table when the branch prediction sets are
-   disjoint, [Fallback] when only backtracking can decide. The types live
+   disjoint, a [Partial] table (committing per lookahead) when they
+   overlap, [Fallback] without analysis. The types live
    in {!Engine_types} so {!Program} can lower the same structures to
    bytecode. *)
 type pred = Engine_types.pred = {
@@ -73,6 +74,7 @@ type summary = {
   k1_points : int;
   k2_points : int;
   ambiguous_points : int;
+  partial_points : int;
   committed_nts : int;
   total_nts : int;
   classes : nt_class list;
@@ -87,12 +89,20 @@ type t = {
   rules : (iseq * pred) array array; (* non-terminal id -> alternatives *)
   alt_dispatch : Predict.decision array; (* nt id -> rule-level decision *)
   nt_fast : bool array;
-      (* every choice point of this non-terminal's own rule is committed, so
-         its body runs on the dispatch loop — dropping into the memoized
-         engine only at references to non-[nt_fast] non-terminals *)
+      (* every choice point of this non-terminal's own rule is committed,
+         or is its rule-level choice committing per lookahead ([Partial]),
+         so its body runs on the dispatch loop — dropping into the memoized
+         engine at references to non-[nt_fast] non-terminals, and at a
+         reference whose rule-level [Partial] choice meets an ambiguous
+         lookahead *)
   nt_committed : bool array;
       (* transitively committed: this non-terminal's whole subtree parses on
-         the direct dispatch loop, no memo, no backtracking *)
+         the direct dispatch loop, no memo, no backtracking (the static
+         classification: a [Partial] point counts as ambiguous) *)
+  nt_strict : bool array;
+      (* transitively [nt_fast]: the subtree's only ambiguity is at
+         [Partial] rule entries, so one dispatch-loop run that meets no
+         ambiguous lookahead is its complete derivation set *)
   dispatch : bool;
   summary : summary;
   memoize : bool;
@@ -117,13 +127,13 @@ let coverage s =
 
 let pp_summary ppf s =
   Fmt.pf ppf
-    "%d/%d choice points committed (k=1: %d, k=2: %d), %.1f%% coverage; %d/%d \
-     non-terminals fully committed"
+    "%d/%d choice points committed (k=1: %d, k=2: %d), %.1f%% coverage; %d \
+     partial (commit per lookahead); %d/%d non-terminals fully committed"
     s.committed_points
     (s.committed_points + s.ambiguous_points)
     s.k1_points s.k2_points
     (100. *. coverage s)
-    s.committed_nts s.total_nts
+    s.partial_points s.committed_nts s.total_nts
 
 (* Every terminal occurring anywhere in the grammar, in occurrence order. *)
 let grammar_terminals (g : Grammar.Cfg.t) =
@@ -191,7 +201,7 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
       in
       (* Choice-point classification. The lookahead tables are only built
          when dispatch is on ([~dispatch:false] is exactly the previous
-         backtracking-everywhere engine, used as the E17 baseline).
+         backtracking-everywhere engine: every point [Fallback]).
          Unreachable rules are classified [Fallback] without analysis:
          their FOLLOW sets are empty, so prediction there is meaningless —
          and they are excluded from the summary for the same reason. *)
@@ -214,13 +224,21 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
           fun ~lhs branches -> Ilookahead.decide (Lazy.force la) ~lhs branches
       in
       let k1_points = ref 0 and k2_points = ref 0 and ambiguous = ref 0 in
+      let partial = ref 0 in
       let nt_k : (string, int) Hashtbl.t = Hashtbl.create 64 in
       let nt_fb : (string, int) Hashtbl.t = Hashtbl.create 64 in
+      (* points that keep a rule off the dispatch loop: an uncommitted
+         point inside a rule body, or a rule-level choice that can never
+         commit *)
+      let nt_slow : (string, unit) Hashtbl.t = Hashtbl.create 64 in
       let bump tbl lhs f =
         Hashtbl.replace tbl lhs
           (f (Option.value ~default:0 (Hashtbl.find_opt tbl lhs)))
       in
-      let classify lhs branches =
+      (* [entry]: the rule-level choice, met before the rule consumes a
+         token — the only place a [Partial] point can hand its occurrence
+         to the memoized engine without unwinding anything. *)
+      let classify ~entry lhs branches =
         match branches with
         | [] | [ _ ] -> Predict.Always
         | _ ->
@@ -234,9 +252,12 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
             | Predict.Commit2 _ ->
               incr k2_points;
               bump nt_k lhs (max 2)
-            | Predict.Fallback ->
+            | Predict.Partial _ | Predict.Fallback ->
               incr ambiguous;
-              bump nt_fb lhs (fun c -> c + 1));
+              (match d with Predict.Partial _ -> incr partial | _ -> ());
+              bump nt_fb lhs (fun c -> c + 1);
+              if not (entry && Predict.commits_somewhere d) then
+                Hashtbl.replace nt_slow lhs ());
             d
           end
           else Predict.Fallback
@@ -255,24 +276,24 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
           IOpt
             ( compile_seq lhs cont ts,
               pred_of_seq ts,
-              classify lhs [ ts @ cont; cont ] )
+              classify ~entry:false lhs [ ts @ cont; cont ] )
         | P.Star ts ->
           IStar
             ( compile_seq lhs (P.Star ts :: cont) ts,
               pred_of_seq ts,
-              classify lhs [ ts @ (P.Star ts :: cont); cont ] )
+              classify ~entry:false lhs [ ts @ (P.Star ts :: cont); cont ] )
         | P.Plus ts ->
           IPlus
             ( compile_seq lhs (P.Star ts :: cont) ts,
               pred_of_seq ts,
-              classify lhs [ ts @ (P.Star ts :: cont); cont ] )
+              classify ~entry:false lhs [ ts @ (P.Star ts :: cont); cont ] )
         | P.Group alts ->
           IGroup
             ( Array.of_list
                 (List.map
                    (fun a -> (compile_seq lhs cont a, pred_of_seq a))
                    alts),
-              classify lhs (List.map (fun a -> a @ cont) alts) )
+              classify ~entry:false lhs (List.map (fun a -> a @ cont) alts) )
       and compile_seq lhs cont ts =
         let rec go = function
           | [] -> []
@@ -291,22 +312,19 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
              g.rules)
       in
       let alt_dispatch =
-        Array.of_list (List.map (fun (r : P.t) -> classify r.lhs r.alts) g.rules)
+        Array.of_list
+          (List.map (fun (r : P.t) -> classify ~entry:true r.lhs r.alts) g.rules)
       in
-      (* A non-terminal runs on the dispatch loop only when every choice
-         point of its own rule is committed *and* every rule it references
-         (transitively) is too: greatest fixpoint, demoting on any
-         uncommitted reference. Reachability is closed under reference, so
-         committed rules never point into the unreachable (Fallback)
-         region. *)
-      let nt_fast =
-        Array.map
-          (fun name ->
-            dispatch && reachable name
-            && Option.value ~default:0 (Hashtbl.find_opt nt_fb name) = 0)
-          nt_names
+      (* A non-terminal is committed when every choice point of its own
+         rule is committed *and* every rule it references (transitively) is
+         too: greatest fixpoint, demoting on any uncommitted reference.
+         [nt_strict] is the same fixpoint over [nt_fast]. Reachability is
+         closed under reference, so neither ever points into the
+         unreachable (Fallback) region. *)
+      let own name tbl =
+        dispatch && reachable name && not (Hashtbl.mem tbl name)
       in
-      let nt_committed = Array.copy nt_fast in
+      let nt_fast = Array.map (fun name -> own name nt_slow) nt_names in
       let refs =
         Array.of_list
           (List.map
@@ -314,22 +332,25 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
                List.map (Hashtbl.find nt_ids) (P.mentioned_nonterminals r))
              g.rules)
       in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        Array.iteri
-          (fun id ok ->
-            if
-              ok
-              && List.exists
-                   (fun r -> not (Array.unsafe_get nt_committed r))
-                   refs.(id)
-            then begin
-              nt_committed.(id) <- false;
-              changed := true
-            end)
-          nt_committed
-      done;
+      let transitively ok =
+        let changed = ref true in
+        while !changed do
+          changed := false;
+          Array.iteri
+            (fun id o ->
+              if o && List.exists (fun r -> not (Array.unsafe_get ok r)) refs.(id)
+              then begin
+                ok.(id) <- false;
+                changed := true
+              end)
+            ok
+        done;
+        ok
+      in
+      let nt_committed =
+        transitively (Array.map (fun name -> own name nt_fb) nt_names)
+      in
+      let nt_strict = transitively (Array.copy nt_fast) in
       let classes =
         List.concat
           (List.mapi
@@ -354,6 +375,7 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
           k1_points = !k1_points;
           k2_points = !k2_points;
           ambiguous_points = !ambiguous;
+          partial_points = !partial;
           committed_nts =
             List.length
               (List.filter (fun (c : nt_class) -> c.nt_committed) classes);
@@ -382,6 +404,7 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
           alt_dispatch;
           nt_fast;
           nt_committed;
+          nt_strict;
           dispatch;
           summary;
           memoize;
@@ -445,25 +468,32 @@ type run_machinery = {
 
    The two engines are one mutually recursive group.
 
-   Committed dispatch loop (c_ functions): runs wherever an own-committed
-   non-terminal's choice points all commit ([nt_fast]) — one or two [tid]
-   probes select the only branch that can possibly succeed, so parsing is a
-   direct int-returning recursion: no continuation closures, no memo
-   traffic, children on the stack arena. At a reference to a non-[nt_fast]
-   non-terminal it drops into the memoized engine for that subtree and
-   tries each derivation end in priority order — backtracking stays scoped
-   to the ambiguous subtree. No expectation tracking happens on this path;
-   any failure of a dispatching run is re-derived on the pure memoized
-   path, which reproduces the backtracking engine's error exactly.
+   Committed dispatch loop (c_ functions): runs wherever a non-terminal's
+   own choice points commit ([nt_fast]) — one or two [tid] probes select
+   the only branch that can possibly succeed, so parsing is a direct
+   int-returning recursion: no continuation closures, no memo traffic,
+   children on the stack arena. The loop drops into the memoized engine
+   for one occurrence of a non-terminal — trying each derivation end in
+   priority order, so backtracking stays scoped to the ambiguous subtree —
+   at a reference to a non-[nt_fast] non-terminal, and at a reference
+   whose rule-level [Partial] choice meets an ambiguous lookahead (c_nt
+   returns [ambiguous_entry] before consuming or pushing anything). No
+   expectation tracking happens on this path; any failure of a dispatching
+   run is re-derived on the pure memoized path, which reproduces the
+   backtracking engine's error exactly.
 
    Memoized backtracking engine (p_ functions): the previous engine, with
-   two hooks active when [use_dispatch] is on — a transitively committed
-   non-terminal's complete derivation set is the single derivation the
-   dispatch loop produces, and every committed choice point (even inside
-   non-terminals that are not committed) explores only the branch its table
-   selects: branches outside the prediction set cannot take part in any
-   successful parse, whatever the context, because FOLLOW is the union over
-   all contexts. *)
+   two hooks active when [use_dispatch] is on — the complete derivation
+   set of an [nt_strict] non-terminal is the single derivation one
+   dispatch-loop run produces in [strict] mode (which gives up at the
+   first ambiguous lookahead, leaving that position to enumeration), and
+   every choice point (even inside non-terminals that are not fast)
+   explores only the branch its table selects for the lookahead, unless
+   the entry is ambiguous: branches outside the prediction set cannot take
+   part in any successful parse, whatever the context, because FOLLOW is
+   the union over all contexts. *)
+let ambiguous_entry = -2
+
 let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     ~(kind_name : int -> string) ~use_dispatch =
   let n_terms = Interner.size t.interner in
@@ -482,24 +512,25 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     Array.unsafe_set !stack !sp c;
     incr sp
   in
+  (* The branch a decision selects at [i]: [>= 0], [-1] when no branch is
+     viable, or [Predict.ambiguous] ([Fallback] is ambiguous everywhere;
+     fast rules meet [Partial] only at their rule-level choice). *)
   let select d i =
     match d with
     | Predict.Always -> 0
-    | Predict.Fallback -> -1 (* never reached inside a committed subtree *)
+    | Predict.Fallback -> Predict.ambiguous
     | Predict.Commit1 table ->
       let k = tid i in
       if k < 0 then -1 else Array.unsafe_get table k
-    | Predict.Commit2 (table, second) -> (
+    | Predict.Commit2 (table, second) | Predict.Partial (table, second) -> (
       let k1 = tid i in
       if k1 < 0 then -1
       else
         match Array.unsafe_get table k1 with
-        | -2 -> (
-          match Hashtbl.find_opt second k1 with
-          | None -> -1
-          | Some row ->
-            let k2 = tid (i + 1) in
-            if k2 < 0 then -1 else Array.unsafe_get row k2)
+        | -2 ->
+          let k2 = tid (i + 1) in
+          if k2 < 0 then -1
+          else Array.unsafe_get (Array.unsafe_get second k1) k2
         | b -> b)
   in
   (* The memo is acquired (and its O(rules × tokens) clear paid) only when
@@ -530,34 +561,49 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     let enter_strict (pred : pred) i =
       (not t.prune) || bitset_mem pred.first (tid i)
     in
+    (* Strict mode: an [nt_strict] subtree is being run as a complete
+       derivation set, so an ambiguous rule entry gives the run up
+       ([ambiguous_entry] propagates) instead of becoming a fallback
+       boundary. *)
+    let strict = ref false in
+    (* c_ functions return the end position, [-1] on failure, or
+       [ambiguous_entry] (strict mode only, past a rule's own c_nt). *)
     let rec c_seq seq si i =
     if si = Array.length seq then i
     else
       match Array.unsafe_get seq si with
-      | INonterm nid when not (Array.unsafe_get t.nt_fast nid) ->
-        (* Fallback boundary: this rule has an ambiguous point of its own,
-           so its derivations come from the memoized engine; each end
-           position is tried against the rest of this sequence in priority
-           order. The backtracking is scoped: once the rest of the sequence
-           succeeds the choice is final (should the parse fail further out,
-           the run aborts and the pure path re-derives the statement). *)
-        let name = Array.unsafe_get t.nt_names nid in
-        let rec try_ends = function
-          | [] -> -1
-          | (j, children) :: rest ->
-            let sp0 = !sp in
-            push (Cst.Node (name, children));
-            let r = c_seq seq (si + 1) j in
-            if r >= 0 then r
-            else begin
-              sp := sp0;
-              try_ends rest
-            end
+      | INonterm nid ->
+        let j =
+          if Array.unsafe_get t.nt_fast nid then c_nt nid i
+          else ambiguous_entry
         in
-        try_ends (nonterm_results nid i)
+        if j >= 0 then c_seq seq (si + 1) j
+        else if j = -1 || !strict then j
+        else begin
+          (* Fallback boundary: this occurrence's derivations come from the
+             memoized engine; each end position is tried against the rest
+             of this sequence in priority order. The backtracking is
+             scoped: once the rest of the sequence succeeds the choice is
+             final (should the parse fail further out, the run aborts and
+             the pure path re-derives the statement). *)
+          let name = Array.unsafe_get t.nt_names nid in
+          let rec try_ends = function
+            | [] -> -1
+            | (j, children) :: rest ->
+              let sp0 = !sp in
+              push (Cst.Node (name, children));
+              let r = c_seq seq (si + 1) j in
+              if r >= 0 then r
+              else begin
+                sp := sp0;
+                try_ends rest
+              end
+          in
+          try_ends (nonterm_results nid i)
+        end
       | term ->
         let j = c_term term i in
-        if j < 0 then -1 else c_seq seq (si + 1) j
+        if j < 0 then j else c_seq seq (si + 1) j
   and c_term term i =
     match term with
     | ITerm id ->
@@ -566,19 +612,19 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
         i + 1
       end
       else -1
-    | INonterm nid -> c_nt nid i
+    | INonterm nid -> c_nt nid i (* c_seq handles references itself *)
     | IOpt (s, _, d) -> if select d i = 0 then c_seq s 0 i else i
     | IStar (s, _, d) -> c_star s d i
     | IPlus (s, _, d) ->
       let j = c_seq s 0 i in
-      if j < 0 then -1 else c_star s d j
+      if j < 0 then j else c_star s d j
     | IGroup (alts, d) ->
       let b = select d i in
       if b < 0 then -1 else c_seq (fst (Array.unsafe_get alts b)) 0 i
   and c_star s d i =
     if select d i = 0 then begin
       let j = c_seq s 0 i in
-      if j < 0 then -1
+      if j < 0 then j
         (* A committed loop body cannot be nullable (its enter set would
            contain the skip set), so [j > i] always — kept as a guard. *)
       else if j > i then c_star s d j
@@ -590,13 +636,13 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     let b =
       select (Array.unsafe_get t.alt_dispatch nid) i
     in
-    if b < 0 then -1
+    if b < 0 then (if b = Predict.ambiguous then ambiguous_entry else -1)
     else
       let alt, _ = Array.unsafe_get (Array.unsafe_get t.rules nid) b in
       let j = c_seq alt 0 i in
       if j < 0 then begin
         sp := sp0;
-        -1
+        j
       end
       else begin
         let s = !stack in
@@ -639,29 +685,28 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
             | None -> try_results rest)
         in
         try_results (nonterm_results nid i)
-      | IOpt (s, pred, d) ->
-        if use_dispatch && d <> Predict.Fallback then (
-          (* Committed enter-vs-skip: the non-selected side cannot belong to
-             any successful parse, so neither it nor a backtrack into it is
-             tried. -1 (foreign token / no viable side) fails the point. *)
-          match select d i with
-          | 0 -> p_seq s 0 i acc k
-          | 1 -> k i acc
-          | _ -> None)
-        else if enter_strict pred i then (
-          match p_seq s 0 i acc k with
-          | Some _ as r -> r
-          | None -> k i acc)
-        else k i acc
+      | IOpt (s, pred, d) -> (
+        (* Committed enter-vs-skip: the non-selected side cannot belong to
+           any successful parse, so neither it nor a backtrack into it is
+           tried. -1 (foreign token / no viable side) fails the point. *)
+        match p_select d i with
+        | 0 -> p_seq s 0 i acc k
+        | 1 -> k i acc
+        | -1 -> None
+        | _ ->
+          if enter_strict pred i then (
+            match p_seq s 0 i acc k with
+            | Some _ as r -> r
+            | None -> k i acc)
+          else k i acc)
       | IStar (s, pred, d) -> p_star s pred d i acc k
       | IPlus (s, pred, d) ->
         p_seq s 0 i acc (fun j acc -> p_star s pred d j acc k)
-      | IGroup (alts, d) ->
-        if use_dispatch && d <> Predict.Fallback then (
-          match select d i with
-          | b when b >= 0 -> p_seq (fst (Array.unsafe_get alts b)) 0 i acc k
-          | _ -> None)
-        else
+      | IGroup (alts, d) -> (
+        match p_select d i with
+        | b when b >= 0 -> p_seq (fst (Array.unsafe_get alts b)) 0 i acc k
+        | -1 -> None
+        | _ ->
           let len = Array.length alts in
           let rec go a =
             if a = len then None
@@ -676,27 +721,32 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
                 go (a + 1)
               end
           in
-          go 0
+          go 0)
     and p_star s pred d i acc k =
-      if use_dispatch && d <> Predict.Fallback then (
-        (* Committed loop: each enter-vs-stop choice is decided by lookahead,
-           so a failed iteration fails the loop — no backtracking into a
-           shorter repetition. *)
-        match select d i with
-        | 0 ->
-          p_seq s 0 i acc (fun j acc2 ->
-              if j > i then p_star s pred d j acc2 k else k j acc2)
-        | 1 -> k i acc
-        | _ -> None)
-      else if enter_strict pred i then (
-        match
-          p_seq s 0 i acc (fun j acc2 ->
-              (* Guard against zero-progress iterations of a nullable body. *)
-              if j > i then p_star s pred d j acc2 k else k j acc2)
-        with
-        | Some _ as r -> r
-        | None -> k i acc)
-      else k i acc
+      match p_select d i with
+      | 0 ->
+        (* Committed loop: each enter-vs-stop choice is decided by
+           lookahead, so a failed iteration fails the loop — no
+           backtracking into a shorter repetition. *)
+        p_seq s 0 i acc (fun j acc2 ->
+            if j > i then p_star s pred d j acc2 k else k j acc2)
+      | 1 -> k i acc
+      | -1 -> None
+      | _ ->
+        if enter_strict pred i then (
+          match
+            p_seq s 0 i acc (fun j acc2 ->
+                (* Guard against zero-progress iterations of a nullable
+                   body. *)
+                if j > i then p_star s pred d j acc2 k else k j acc2)
+          with
+          | Some _ as r -> r
+          | None -> k i acc)
+        else k i acc
+    (* The memoized engine consults a decision only when dispatching; an
+       ambiguous entry (or no dispatch) keeps full backtracking with
+       FIRST-set pruning. *)
+    and p_select d i = if use_dispatch then select d i else Predict.ambiguous
     and nonterm_results nid i =
       if t.memoize && i <= n then begin
         let memo = Lazy.force memo in
@@ -711,14 +761,19 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
       end
       else compute_results nid i
     and compute_results nid i =
-      if use_dispatch && Array.unsafe_get t.nt_committed nid then begin
-        (* Committed subtree: its derivation is the unique one the dispatch
-           loop computes (every choice inside is decided by lookahead), so
-           the complete result set is that single derivation — or nothing. *)
+      if use_dispatch && Array.unsafe_get t.nt_strict nid then begin
+        (* Fast subtree: run the dispatch loop strictly. When every choice
+           on the way had one viable branch, the derivation it computes is
+           the only one that can survive into a successful parse, so the
+           complete result set is that single derivation — or nothing. An
+           ambiguous lookahead gives the attempt up, and this position is
+           enumerated instead. *)
         let sp0 = !sp in
+        let was_strict = !strict in
+        strict := true;
         let j = c_nt nid i in
-        if j < 0 then []
-        else begin
+        strict := was_strict;
+        if j >= 0 then begin
           let children =
             match Array.unsafe_get !stack (!sp - 1) with
             | Cst.Node (_, cs) -> cs
@@ -727,8 +782,12 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
           sp := sp0;
           [ (j, children) ]
         end
+        else if j = -1 then []
+        else enumerate nid i
       end
-      else begin
+      else enumerate nid i
+    and enumerate nid i =
+      begin
         (* Priority order is preserved by consing onto a reversed accumulator
            and reversing once at the end — the old [!results @ [...]] rebuilt
            the whole list per accepted candidate. The end-position membership
@@ -750,15 +809,13 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
           else expect_set i pred.first
         in
         let alts = Array.unsafe_get t.rules nid in
-        let d = Array.unsafe_get t.alt_dispatch nid in
-        (if use_dispatch && d <> Predict.Fallback && d <> Predict.Always then
-           (* Committed rule inside an uncommitted subtree (some *referenced*
-              non-terminal backtracks, but this rule's own alternatives are
-              lookahead-disjoint): only the selected alternative can yield a
-              derivation that survives into any successful parse. *)
-           let b = select d i in
-           if b >= 0 then collect (Array.unsafe_get alts b) else ()
-         else Array.iter collect alts);
+        (* Where the rule's own choice commits at this lookahead, only the
+           selected alternative can yield a derivation that survives into
+           any successful parse. *)
+        (match p_select (Array.unsafe_get t.alt_dispatch nid) i with
+        | b when b >= 0 -> collect (Array.unsafe_get alts b)
+        | -1 -> ()
+        | _ -> Array.iter collect alts);
         List.rev !results
       end
     in
@@ -794,6 +851,18 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
           expected = List.sort_uniq compare !expected;
         }
     in
+  let memo_top sid =
+    let result =
+      p_term (INonterm sid) 0 [] (fun i acc ->
+          if tid i = Interner.eof_id then
+            match acc with [ tree ] -> Some tree | _ -> None
+          else begin
+            expect_one i Interner.eof_id;
+            None
+          end)
+    in
+    match result with Some tree -> Ok tree | None -> fail_result ()
+  in
   let top sid =
     if use_dispatch && Array.unsafe_get t.nt_fast sid then begin
       sp := 0;
@@ -805,22 +874,13 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
       end
       else begin
         sp := 0;
-        (* Error payload discarded: the caller re-derives on the pure
-           path, which tracks expectations. *)
-        fail_result ()
+        (* An ambiguous start entry makes the whole statement the fallback
+           occurrence. Otherwise the error payload is discarded: the caller
+           re-derives on the pure path, which tracks expectations. *)
+        if j = ambiguous_entry then memo_top sid else fail_result ()
       end
     end
-    else
-      let result =
-        p_term (INonterm sid) 0 [] (fun i acc ->
-            if tid i = Interner.eof_id then
-              match acc with [ tree ] -> Some tree | _ -> None
-            else begin
-              expect_one i Interner.eof_id;
-              None
-            end)
-      in
-      match result with Some tree -> Ok tree | None -> fail_result ()
+    else memo_top sid
   in
   {
     rm_results = nonterm_results;

@@ -14,9 +14,11 @@
     of whose points (transitively) commit parses on a direct dispatch
     loop: no continuation closures, no memo traffic, no derivation lists,
     CST children accumulated in a reusable stack arena. Points that stay
-    ambiguous at k = 2 retain memoized backtracking with ordered
-    alternatives and FIRST-set pruning (standing in for ANTLR's syntactic
-    predicates), scoped to the enclosing non-terminal's subtree. Both
+    ambiguous at k = 2 commit {e per lookahead} ({!Predict.Partial}): the
+    lookaheads that only one branch predicts still commit, and only the
+    ambiguous ones retain memoized backtracking with ordered alternatives
+    and FIRST-set pruning (standing in for ANTLR's syntactic predicates),
+    scoped to that one occurrence of the non-terminal. Both
     paths produce identical CSTs; parse errors are always derived by the
     backtracking path (a failed dispatching parse is re-run without
     dispatch), so error positions and expected sets are those of the
@@ -97,14 +99,20 @@ type nt_class = {
   nt_k : int;  (** max lookahead its own committed points consume (0–2) *)
   nt_fallbacks : int;
       (** its own choice points that stayed ambiguous at k = 2 — exactly
-          the rules lint reports as conflicted *)
+          the rules lint reports as conflicted (partial points included) *)
 }
 
 type summary = {
   committed_points : int;  (** choice points with disjoint prediction sets *)
   k1_points : int;         (** of those, decided by one token *)
   k2_points : int;         (** of those, needing a second token *)
-  ambiguous_points : int;  (** choice points retaining backtracking *)
+  ambiguous_points : int;
+      (** choice points whose prediction sets overlap at k = 2 *)
+  partial_points : int;
+      (** of those, the points committing per lookahead
+          ({!Predict.Partial}): they backtrack only on the ambiguous
+          lookaheads. Every ambiguous point is partial when dispatch is
+          on. *)
   committed_nts : int;
   total_nts : int;         (** reachable non-terminals *)
   classes : nt_class list; (** reachable non-terminals, grammar order *)

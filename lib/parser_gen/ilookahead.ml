@@ -423,48 +423,55 @@ let try1 t sets =
     Some (Predict.Commit1 table)
   with Conflict -> None
 
-(* Exact pair map first, collapsed to a first-token table with per-token
-   second rows once disjointness is established. The collapse is
-   order-independent (each first token is visited once; second-row
-   entries have distinct keys), so hash iteration order cannot make the
-   tables diverge. *)
-let try2 t sets =
+(* The k = 2 tables: an exact pair map in which a pair claimed by two
+   branches is marked [Predict.ambiguous], collapsed to a first-token
+   table with per-token second rows. A first token all of whose pairs
+   agree (on one branch, or on ambiguity) needs no second row. Without an
+   ambiguous pair the decision is [Commit2]; otherwise it commits per
+   lookahead ([Partial]). The collapse is order-independent (each first
+   token is visited once; second-row entries have distinct keys), so hash
+   iteration order cannot make the tables diverge. *)
+let table2 t sets =
   let pairs : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let conflicted = ref false in
   let claim a c b =
     let key = (a * t.n) + c in
     match Hashtbl.find_opt pairs key with
     | None -> Hashtbl.replace pairs key b
-    | Some b' -> if b' <> b then raise Conflict
+    | Some b' ->
+      if b' <> b then begin
+        conflicted := true;
+        Hashtbl.replace pairs key Predict.ambiguous
+      end
   in
-  try
-    List.iteri
-      (fun b (set : Bset.t) ->
-        if set.Bset.eps then claim eof eof b;
-        Bset.iter_singles ~n:t.n (fun s -> claim s eof b) set;
-        Bset.iter_pairs ~n:t.n (fun a c -> claim a c b) set)
-      sets;
-    let tbl1 = Array.make t.n (-1) in
-    let by_first : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun key b ->
-        let a = key / t.n and c = key mod t.n in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt by_first a) in
-        Hashtbl.replace by_first a ((c, b) :: prev))
-      pairs;
-    let second : (int, int array) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun a entries ->
-        let branches = List.sort_uniq compare (List.map snd entries) in
-        match branches with
-        | [ b ] -> tbl1.(a) <- b
-        | _ ->
-          tbl1.(a) <- -2;
-          let row = Array.make t.n (-1) in
-          List.iter (fun (c, b) -> row.(c) <- b) entries;
-          Hashtbl.replace second a row)
-      by_first;
-    Some (Predict.Commit2 (tbl1, second))
-  with Conflict -> None
+  List.iteri
+    (fun b (set : Bset.t) ->
+      if set.Bset.eps then claim eof eof b;
+      Bset.iter_singles ~n:t.n (fun s -> claim s eof b) set;
+      Bset.iter_pairs ~n:t.n (fun a c -> claim a c b) set)
+    sets;
+  let tbl1 = Array.make t.n (-1) in
+  let by_first : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun key b ->
+      let a = key / t.n and c = key mod t.n in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt by_first a) in
+      Hashtbl.replace by_first a ((c, b) :: prev))
+    pairs;
+  let second = Array.make t.n [||] in
+  Hashtbl.iter
+    (fun a entries ->
+      let branches = List.sort_uniq compare (List.map snd entries) in
+      match branches with
+      | [ b ] -> tbl1.(a) <- b
+      | _ ->
+        tbl1.(a) <- -2;
+        let row = Array.make t.n (-1) in
+        List.iter (fun (c, b) -> row.(c) <- b) entries;
+        second.(a) <- row)
+    by_first;
+  if !conflicted then Predict.Partial (tbl1, second)
+  else Predict.Commit2 (tbl1, second)
 
 let decide t ~lhs branches =
   match branches with
@@ -473,7 +480,4 @@ let decide t ~lhs branches =
     let predicts la = List.map (fun alt -> predict la ~lhs alt) branches in
     match try1 t (predicts t.la1) with
     | Some d -> d
-    | None -> (
-      match try2 t (predicts (Lazy.force t.la2)) with
-      | Some d -> d
-      | None -> Predict.Fallback))
+    | None -> table2 t (predicts (Lazy.force t.la2)))

@@ -30,7 +30,15 @@
     the union over all contexts). So lookahead outside a branch's set
     proves that branch cannot lead to a successful parse, and disjoint
     sets leave at most one viable branch: committing is exactly what
-    exhaustive backtracking would have chosen. *)
+    exhaustive backtracking would have chosen.
+
+    The same argument holds entry by entry. When the sets overlap at
+    k = 2 the point commits {e per lookahead}
+    ({!Predict.Partial}): a lookahead claimed by exactly one branch
+    commits to it (it is the only branch that can succeed there), one
+    claimed by none fails the point, and only the lookaheads claimed by
+    two or more branches are marked {!Predict.ambiguous} and left to
+    backtracking. *)
 
 type t
 (** Lookahead tables of one grammar, shared across all of its choice
@@ -43,7 +51,9 @@ val make : term_id:(string -> int) -> n_terms:int -> Grammar.Cfg.t -> t
     the EOF sentinel is {!Lexing_gen.Interner.eof_id}. *)
 
 val decide : t -> lhs:string -> Grammar.Production.alt list -> Predict.decision
-(** Classify one choice point of rule [lhs]. Each element of the list is a
+(** Classify one choice point of rule [lhs]: [Always], [Commit1],
+    [Commit2], or [Partial] when no two-token lookahead separates every
+    pair of branches (never [Fallback]). Each element of the list is a
     full branch {e phrase}: the branch's own symbols followed by the
     continuation to the end of the enclosing alternative (the engine
     builds these when compiling), so that prediction covers everything up

@@ -1,16 +1,19 @@
 (* Lowering of the classified grammar into flat bytecode.
 
-   Every [nt_fast] non-terminal — one whose own choice points all committed —
-   is compiled to a contiguous run of integer opcodes in one shared [code]
-   array. The {!Vm} executes this with an explicit int stack: no closures,
-   no ADT matching, no boxed iterm trees on the hot path. References to
+   Every [nt_fast] non-terminal — one whose own choice points all committed,
+   or whose rule-level choice commits per lookahead — is compiled to a
+   contiguous run of integer opcodes in one shared [code] array. The {!Vm}
+   executes this with an explicit int stack: no closures, no ADT matching,
+   no boxed iterm trees on the hot path. References to
    non-fast non-terminals compile to [FB], the fallback boundary at which
    the VM calls back into the memoized engine, mirroring the committed
    dispatch loop's behaviour exactly.
 
-   Opcode layout (each opcode followed inline by its operands):
+   Opcode layout (each opcode followed inline by its operands). The program
+   starts with [CALL start; HALT] at address 0.
 
      HALT                      end of parse; accept iff lookahead is EOF
+                               (else resume the latest live choice)
      MATCH t                   consume one token of kind [t] or fail
      CALL nt                   push frame, jump to [entries.(nt)]
      RET nt                    pop frame, reduce children to a [nt] node
@@ -19,7 +22,10 @@
                                token id, jump to the selected branch address
      D2 x n a0..a(n-1)         k=2 dispatch via [t2_first.(x)] and, for
                                entries marked -2, the second-token row in
-                               [t2_second.(x)]
+                               [t2_second.(x)]; a [Partial] rule-level
+                               choice compiles to the D2 at its rule's
+                               entry, and its ambiguous (-3) entries turn
+                               the CALL that entered the rule into [FB]
      FB nt                     fallback boundary: derivations of the non-fast
                                [nt] come from the memoized engine; ends are
                                tried in priority order (a VM choice point)
@@ -32,7 +38,7 @@
 
    Dispatch tables are not copied into the code array; [D1]/[D2] reference
    the dense side tables by index, so the VM probes a flat [int array] (and,
-   for k=2 escalations only, one small [Hashtbl] row). *)
+   for k=2 escalations only, one second-token row). *)
 
 open Engine_types
 
@@ -41,7 +47,7 @@ type t = {
   entries : int array; (* nt id -> entry address, -1 for non-fast rules *)
   t1 : int array array;
   t2_first : int array array;
-  t2_second : (int, int array) Hashtbl.t array;
+  t2_second : int array array array;
   nt_names : string array; (* for the disassembler only *)
   start_entry : int; (* entries.(start), -1 when the start rule is not fast *)
 }
@@ -75,7 +81,7 @@ type emitter = {
   mutable len : int;
   mutable e_t1 : int array list; (* reversed *)
   mutable e_t1_n : int;
-  mutable e_t2 : (int array * (int, int array) Hashtbl.t) list; (* reversed *)
+  mutable e_t2 : (int array * int array array) list; (* reversed *)
   mutable e_t2_n : int;
 }
 
@@ -120,7 +126,7 @@ let emit_dispatch e decision n_branches compile_branch =
   | Predict.Commit1 table ->
     emit e op_d1;
     emit e (register_t1 e table)
-  | Predict.Commit2 (table, second) ->
+  | Predict.Commit2 (table, second) | Predict.Partial (table, second) ->
     emit e op_d2;
     emit e (register_t2 e table second)
   | Predict.Always | Predict.Fallback ->
@@ -137,14 +143,19 @@ let emit_dispatch e decision n_branches compile_branch =
   done;
   List.iter (fun at -> patch e at (here e)) !joins
 
-(* Does this sequence contain a fallback boundary at its own level? Such a
+(* Can this sequence meet a fallback boundary at its own level — an FB, or
+   a CALL whose rule-level [Partial] choice may turn it into one? Such a
    sequence brackets its body in SCOPE/COMMIT so the VM's backtracking stays
    scoped exactly as the committed loop's [try_ends] recursion does: a
    choice made by a fallback boundary is final once the rest of its
    enclosing sequence has succeeded. *)
-let seq_has_fb nt_fast (seq : iseq) =
+let seq_has_fb nt_fast alt_dispatch (seq : iseq) =
   Array.exists
-    (function INonterm nid -> not nt_fast.(nid) | _ -> false)
+    (function
+      | INonterm nid -> (
+        (not nt_fast.(nid))
+        || match alt_dispatch.(nid) with Predict.Partial _ -> true | _ -> false)
+      | _ -> false)
     seq
 
 let compile ~nt_names ~nt_fast ~(rules : (iseq * pred) array array)
@@ -159,11 +170,15 @@ let compile ~nt_names ~nt_fast ~(rules : (iseq * pred) array array)
       e_t2_n = 0;
     }
   in
-  emit e op_halt;
   let n_nts = Array.length rules in
+  (* The boot sequence: the start rule's RET returns to the HALT at 2, and
+     an FB standing in for this CALL resumes there. *)
+  emit e op_call;
+  emit e (if start >= 0 && start < n_nts then start else 0);
+  emit e op_halt;
   let entries = Array.make n_nts (-1) in
   let rec emit_seq seq =
-    let scoped = seq_has_fb nt_fast seq in
+    let scoped = seq_has_fb nt_fast alt_dispatch seq in
     if scoped then emit e op_scope;
     Array.iter emit_term seq;
     if scoped then emit e op_commit

@@ -1,7 +1,8 @@
 (** Flat bytecode programs compiled from a classified grammar.
 
     {!Engine.generate} lowers each [nt_fast] non-terminal — one whose own
-    choice points all committed under LL(1)/LL(2) prediction — into a single
+    choice points all committed under LL(1)/LL(2) prediction, or whose
+    rule-level choice commits per lookahead — into a single
     contiguous [int array] of opcodes plus dense dispatch side tables. The
     {!Vm} executes this representation with explicit integer stacks instead
     of walking the boxed {!Engine_types.iterm} trees: no closures, no ADT
@@ -24,7 +25,9 @@ val compile :
   t
 (** Lower every [nt_fast] rule. References to non-fast rules become [FB]
     fallback boundaries; the VM resolves those by calling back into the
-    memoized engine. *)
+    memoized engine. A rule-level [Partial] choice compiles to the [D2] at
+    its rule's entry, whose ambiguous entries turn the entering [CALL]
+    into the same boundary. *)
 
 val entry : t -> int -> int
 (** Entry address of a non-terminal's compiled body, [-1] when the rule was
@@ -66,7 +69,7 @@ val op_commit : int
 
 val t1 : t -> int array array
 val t2_first : t -> int array array
-val t2_second : t -> (int, int array) Hashtbl.t array
+val t2_second : t -> int array array array
 
 val nt_name : t -> int -> string
 (** CST label of a non-terminal (used by the VM when reducing). *)

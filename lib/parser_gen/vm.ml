@@ -12,6 +12,11 @@
    - [FB nt] asks the memoized engine ([fallback]) for the complete,
      priority-ordered derivation list of a non-fast non-terminal and takes
      the first end; remaining ends become a choice point.
+   - A [D2] whose table entry is ambiguous (-3) can only be a [Partial]
+     rule-level choice, the first instruction of its rule: nothing has
+     been consumed or pushed since the [CALL], so popping that frame and
+     running [FB nt] in its place is exactly the committed loop's fallback
+     boundary at the reference.
    - A choice point lives until the [COMMIT] closing the sequence that
      created it: once the rest of the enclosing sequence succeeds the choice
      is final, exactly as the engine's [try_ends] recursion whose scope ends
@@ -149,26 +154,24 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
         if k1 < 0 then -1
         else
           match Array.unsafe_get (Array.unsafe_get t2_first code.(ip + 1)) k1 with
-          | -2 -> (
-            match Hashtbl.find_opt (Array.unsafe_get t2_second code.(ip + 1)) k1 with
-            | None -> -1
-            | Some row ->
-              let k2 = tid (pos + 1) in
-              if k2 < 0 then -1 else Array.unsafe_get row k2)
+          | -2 ->
+            let k2 = tid (pos + 1) in
+            if k2 < 0 then -1
+            else
+              Array.unsafe_get
+                (Array.unsafe_get (Array.unsafe_get t2_second code.(ip + 1)) k1)
+                k2
           | b -> b
       in
-      if b < 0 then backtrack () else step (Array.unsafe_get code (ip + 3 + b)) pos
+      if b >= 0 then step (Array.unsafe_get code (ip + 3 + b)) pos
+      else if b = Predict.ambiguous then begin
+        fsp := !fsp - 2;
+        fallback_at (Array.unsafe_get a.frames !fsp) pos
+      end
+      else backtrack ()
     end
     else if op = Program.op_jmp then step (Array.unsafe_get code (ip + 1)) pos
-    else if op = Program.op_fb then begin
-      let nid = Array.unsafe_get code (ip + 1) in
-      match fallback nid pos with
-      | [] -> backtrack ()
-      | (j, children) :: rest ->
-        if rest <> [] then push_choice (ip + 2) rest;
-        if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
-        step (ip + 2) j
-    end
+    else if op = Program.op_fb then fallback_at (ip + 2) pos
     else if op = Program.op_spush then begin
       push_loop pos;
       step (ip + 1) pos
@@ -198,13 +201,26 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
     end
     else begin
       (* HALT: accept iff the remaining lookahead is EOF. The compiler
-         commits every choice before its rule returns, so no live choice
-         can exist here — a non-EOF residue rejects outright, exactly as
-         the committed loop does. *)
+         commits every choice before its rule returns, so the only live
+         choice here is an FB standing in for the boot CALL (an ambiguous
+         start entry), whose next end is tried — as the memoized engine
+         tries the start symbol's derivations in turn. Otherwise a non-EOF
+         residue rejects outright, exactly as the committed loop does. *)
       if tid pos = 0 then
         if build then Some (Array.unsafe_get a.cst (!csp - 1)) else Some dummy
-      else None
+      else backtrack ()
     end
+  (* The fallback boundary for the non-terminal whose reference ends just
+     before [resume_ip] (an [FB nt] or a [CALL nt]): ends are tried in
+     priority order, the rest kept as a choice point. *)
+  and fallback_at resume_ip pos =
+    let nid = Array.unsafe_get code (resume_ip - 1) in
+    match fallback nid pos with
+    | [] -> backtrack ()
+    | (j, children) :: rest ->
+      if rest <> [] then push_choice resume_ip rest;
+      if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
+      step resume_ip j
   and backtrack () =
     if !cp = 0 then None
     else begin
@@ -228,10 +244,8 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
         step resume_ip j
     end
   in
-  let start = Program.start_entry prog in
-  assert (start >= 0);
-  push_frame 0 (* returns to the HALT at address 0 *);
-  let result = step start 0 in
+  assert (Program.start_entry prog >= 0);
+  let result = step 0 0 (* the boot CALL *) in
   (* Drop references to derivation lists so the arena does not retain CSTs
      across parses. *)
   for k = 0 to !cp - 1 do
@@ -344,26 +358,21 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
       let k1 = Lexing_gen.Scanner.cursor_kind cursor in
       let b =
         match Array.unsafe_get (Array.unsafe_get t2_first code.(ip + 1)) k1 with
-        | -2 -> (
-          match Hashtbl.find_opt (Array.unsafe_get t2_second code.(ip + 1)) k1 with
-          | None -> -1
-          | Some row ->
-            Array.unsafe_get row (Lexing_gen.Scanner.cursor_kind2 cursor))
+        | -2 ->
+          Array.unsafe_get
+            (Array.unsafe_get (Array.unsafe_get t2_second code.(ip + 1)) k1)
+            (Lexing_gen.Scanner.cursor_kind2 cursor)
         | b -> b
       in
-      if b < 0 then backtrack () else step (Array.unsafe_get code (ip + 3 + b))
+      if b >= 0 then step (Array.unsafe_get code (ip + 3 + b))
+      else if b = Predict.ambiguous then begin
+        fsp := !fsp - 2;
+        fallback_at (Array.unsafe_get a.frames !fsp)
+      end
+      else backtrack ()
     end
     else if op = Program.op_jmp then step (Array.unsafe_get code (ip + 1))
-    else if op = Program.op_fb then begin
-      let nid = Array.unsafe_get code (ip + 1) in
-      match fallback nid (Lexing_gen.Scanner.cursor_pos cursor) with
-      | [] -> backtrack ()
-      | (j, children) :: rest ->
-        if rest <> [] then push_choice (ip + 2) rest;
-        if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
-        Lexing_gen.Scanner.cursor_seek cursor j;
-        step (ip + 2)
-    end
+    else if op = Program.op_fb then fallback_at (ip + 2)
     else if op = Program.op_spush then begin
       push_loop (Lexing_gen.Scanner.cursor_pos cursor);
       step (ip + 1)
@@ -394,11 +403,21 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
     end
     else begin
       (* HALT: accept iff the remaining lookahead is EOF — which also
-         means the fused scan has consumed the entire input. *)
+         means the fused scan has consumed the entire input. A live choice
+         (an FB standing in for the boot CALL) is resumed otherwise. *)
       if Lexing_gen.Scanner.cursor_kind cursor = 0 then
         if build then Some (Array.unsafe_get a.cst (!csp - 1)) else Some dummy
-      else None
+      else backtrack ()
     end
+  and fallback_at resume_ip =
+    let nid = Array.unsafe_get code (resume_ip - 1) in
+    match fallback nid (Lexing_gen.Scanner.cursor_pos cursor) with
+    | [] -> backtrack ()
+    | (j, children) :: rest ->
+      if rest <> [] then push_choice resume_ip rest;
+      if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
+      Lexing_gen.Scanner.cursor_seek cursor j;
+      step resume_ip
   and backtrack () =
     if !cp = 0 then None
     else begin
@@ -423,15 +442,13 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
         step resume_ip
     end
   in
-  let start = Program.start_entry prog in
-  assert (start >= 0);
-  push_frame 0 (* returns to the HALT at address 0 *);
+  assert (Program.start_entry prog >= 0);
   let finish () =
     for k = 0 to !cp - 1 do
       a.ch_ends.(k) <- []
     done
   in
-  match step start with
+  match step 0 (* the boot CALL *) with
   | result ->
     finish ();
     result

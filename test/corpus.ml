@@ -237,3 +237,91 @@ let always_reject =
     "SELECT a a a FROM t";
     "SELEC a FROM t";
   ]
+
+(* Both sides of every choice point that stays ambiguous at k = 2 in the
+   full dialect (the nine points `sqlpl lint full` names): each point is
+   met on a lookahead where one branch is viable (the parser commits) and
+   on its ambiguous lookahead (the occurrence backtracks). Comments name
+   the point and its ambiguous two-token witness. *)
+let partial_points_accept =
+  [
+    (* value_expression_primary, LPAREN LPAREN *)
+    "SELECT ((SELECT a FROM t)) FROM u";
+    "SELECT ((1) + 2) FROM t";
+    "SELECT (SELECT a FROM t) FROM u";
+    "SELECT (a + 1) * 2 FROM t";
+    "SELECT ((a)) FROM t";
+    (* set_function_specification, COUNT LPAREN *)
+    "SELECT COUNT(*) FROM t";
+    "SELECT COUNT(x) FROM t";
+    "SELECT COUNT(DISTINCT x) FROM t";
+    "SELECT SUM(x), MAX(y) FROM t GROUP BY z";
+    (* select_sublist, IDENT PERIOD *)
+    "SELECT t.* FROM t";
+    "SELECT t.c FROM t";
+    "SELECT t.c, u.* FROM t, u";
+    "SELECT c FROM t";
+    (* comparison_predicate_tail, EQUALS ANY *)
+    "SELECT a FROM t WHERE a = ANY (SELECT b FROM u)";
+    "SELECT a FROM t WHERE a < ALL (SELECT b FROM u)";
+    "SELECT a FROM t WHERE a = b";
+    "SELECT a FROM t WHERE a = (SELECT MAX(b) FROM u)";
+    (* in_predicate_value, LPAREN LPAREN *)
+    "SELECT a FROM t WHERE a IN ((1), (2))";
+    "SELECT a FROM t WHERE a IN ((SELECT b FROM u))";
+    "SELECT a FROM t WHERE a IN (1, 2)";
+    "SELECT a FROM t WHERE a IN (SELECT b FROM u)";
+    (* insert_source, VALUES LPAREN *)
+    "INSERT INTO t VALUES (1, 'x')";
+    "INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')";
+    "INSERT INTO t (a, b) SELECT a, b FROM u";
+    "INSERT INTO t DEFAULT VALUES";
+    (* predicate, ABS LPAREN *)
+    "SELECT a FROM t WHERE ABS(a) = 1";
+    "SELECT a FROM t WHERE ABS(a) BETWEEN 1 AND 2";
+    "SELECT a FROM t WHERE ABS(a) IN (1, 2)";
+    "SELECT a FROM t WHERE ABS(a) IS NULL";
+    "SELECT a FROM t WHERE a LIKE 'x%'";
+    (* boolean_primary, LPAREN ABS *)
+    "SELECT a FROM t WHERE (ABS(a)) = 1";
+    "SELECT a FROM t WHERE (ABS(a) = 1)";
+    "SELECT a FROM t WHERE (ABS(a) = 1) AND b > 2";
+    "SELECT a FROM t WHERE (a = 1 OR b = 2) AND c = 3";
+    "SELECT a FROM t WHERE NOT (a > 1)";
+    "SELECT a FROM t WHERE b";
+    (* trim_operands, ABS LPAREN *)
+    "SELECT TRIM(ABS(a) FROM b) FROM t";
+    "SELECT TRIM(ABS(a)) FROM t";
+    "SELECT TRIM(BOTH 'x' FROM a) FROM t";
+    "SELECT TRIM('x' FROM a) FROM t";
+    "SELECT TRIM(a) FROM t";
+  ]
+
+(* Errors injected on either side of the same nine points, inside the
+   construct the point chooses between. *)
+let partial_points_reject =
+  [
+    "SELECT ((SELECT a FROM t) FROM u";
+    "SELECT ((1) + ) FROM t";
+    "SELECT ((a) b) FROM t";
+    "SELECT COUNT(*, x) FROM t";
+    "SELECT COUNT(x y) FROM t";
+    "SELECT t.* . c FROM t";
+    "SELECT t. FROM t";
+    "SELECT a FROM t WHERE a = ANY (SELECT FROM u)";
+    "SELECT a FROM t WHERE a = ANY ()";
+    "SELECT a FROM t WHERE a = b b";
+    "SELECT a FROM t WHERE a IN ((1), (2)";
+    "SELECT a FROM t WHERE a IN ((1) (2))";
+    "SELECT a FROM t WHERE a IN (1 2)";
+    "INSERT INTO t VALUES (1, 'x'), (2 'y')";
+    "INSERT INTO t VALUES (1, 'x'),";
+    "INSERT INTO t SELECT a, FROM u";
+    "INSERT INTO t DEFAULT";
+    "SELECT a FROM t WHERE ABS(a) =";
+    "SELECT a FROM t WHERE ABS(a) BETWEEN 1 2";
+    "SELECT a FROM t WHERE (ABS(a) = 1";
+    "SELECT a FROM t WHERE (ABS(a)) = = 1";
+    "SELECT TRIM(BOTH 'x' a) FROM t";
+    "SELECT TRIM(ABS(a) FROM) FROM t";
+  ]

@@ -55,9 +55,11 @@ let try1 t sets =
   with Conflict -> None
 
 let try2 t sets =
-  (* Exact pair map first; collapsed to a first-token table with per-token
-     second rows only once disjointness is established. *)
+  (* Exact pair map first, a pair claimed by two branches marked
+     ambiguous; collapsed to a first-token table with per-token second
+     rows. [Commit2] when no pair is ambiguous, [Partial] otherwise. *)
   let pairs : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let conflicted = ref false in
   try
     List.iteri
       (fun b set ->
@@ -69,7 +71,11 @@ let try2 t sets =
               let key = (a * t.n_terms) + c in
               match Hashtbl.find_opt pairs key with
               | None -> Hashtbl.replace pairs key b
-              | Some b' -> if b' <> b then raise Conflict)
+              | Some b' ->
+                if b' <> b then begin
+                  conflicted := true;
+                  Hashtbl.replace pairs key Predict.ambiguous
+                end)
             | Some _ -> assert false)
           set)
       sets;
@@ -81,7 +87,7 @@ let try2 t sets =
         let prev = Option.value ~default:[] (Hashtbl.find_opt by_first a) in
         Hashtbl.replace by_first a ((c, b) :: prev))
       pairs;
-    let second : (int, int array) Hashtbl.t = Hashtbl.create 16 in
+    let second = Array.make t.n_terms [||] in
     Hashtbl.iter
       (fun a entries ->
         let branches = List.sort_uniq compare (List.map snd entries) in
@@ -91,9 +97,11 @@ let try2 t sets =
           tbl1.(a) <- -2;
           let row = Array.make t.n_terms (-1) in
           List.iter (fun (c, b) -> row.(c) <- b) entries;
-          Hashtbl.replace second a row)
+          second.(a) <- row)
       by_first;
-    Some (Predict.Commit2 (tbl1, second))
+    Some
+      (if !conflicted then Predict.Partial (tbl1, second)
+       else Predict.Commit2 (tbl1, second))
   with Conflict -> None
 
 let decide t ~lhs branches =

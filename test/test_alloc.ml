@@ -179,6 +179,45 @@ let test_scan_soa_marginal_is_free () =
     true
     (per_token < 1.0)
 
+(* A full-dialect WHERE clause of m comparisons joined by AND. Every
+   expression choice point it meets commits on its lookahead — the
+   comparison side of [boolean_primary] and [predicate], a column or a
+   literal in [value_expression_primary] — even though those points are
+   ambiguous on other lookaheads. *)
+let wide_where m =
+  let b = Buffer.create (24 * m) in
+  Buffer.add_string b "SELECT a FROM t WHERE c0 = 0";
+  for i = 1 to m do
+    Printf.bprintf b " AND c%d = %d" i i
+  done;
+  Buffer.contents b
+
+let test_partial_points_commit () =
+  (* Per-lookahead commitment keeps such statements off the memoized
+     fallback, so fused recognition stays allocation-free per token on
+     full too. Budget 0.1 w/token, as for tinysql above. *)
+  let g = front_end "full" in
+  let short = wide_where 10 and long = wide_where 100 in
+  let fused_words sql =
+    (match Core.recognize_fused g sql with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "recognize_fused %s: %a" sql Core.pp_error e);
+    measure_words (fun () ->
+        for _ = 1 to rounds do
+          ignore (Core.recognize_fused g sql)
+        done)
+    /. float_of_int rounds
+  in
+  let dt = token_count g long - token_count g short in
+  let per_token = (fused_words long -. fused_words short) /. float_of_int dt in
+  check_bool
+    (Printf.sprintf
+       "full: fused recognition of a wide WHERE allocates %.3f words per \
+        extra token (budget 0.1)"
+       per_token)
+    true
+    (per_token < 0.1)
+
 let suite =
   [
     Alcotest.test_case "recognition allocates < 2 words per marginal token"
@@ -191,4 +230,7 @@ let suite =
       test_scan_soa_marginal_is_free;
     Alcotest.test_case "fused scan+recognize is allocation-free per token"
       `Quick test_fused_marginal_is_free;
+    Alcotest.test_case
+      "full: partial points keep a wide WHERE allocation-free per token"
+      `Quick test_partial_points_commit;
   ]

@@ -7,17 +7,14 @@
    their branch phrases are exactly the engine's — for the six dialects'
    factored grammars, random valid configurations and the hand-built
    grammars of the engine tests. The decisions must be equal: the same
-   kind, the same Commit1 table, the same Commit2 first-token table and
-   second-token rows. *)
+   kind, the same Commit1 table, the same Commit2 (and Partial, with its
+   ambiguous entries) first-token table and second-token rows. *)
 
 module Predict = Parser_gen.Predict
 
-(* Commit2's rows live in a hash table, whose layout depends on insertion
-   history; compare its bindings instead. *)
 let canonical = function
-  | Predict.Commit2 (first, rows) ->
-    let rows = Hashtbl.fold (fun a row acc -> (a, row) :: acc) rows [] in
-    `Commit2 (first, List.sort compare rows)
+  | Predict.Commit2 (first, rows) -> `Commit2 (first, rows)
+  | Predict.Partial (first, rows) -> `Partial (first, rows)
   | Predict.Commit1 table -> `Commit1 table
   | Predict.Always -> `Always
   | Predict.Fallback -> `Fallback
@@ -26,6 +23,7 @@ let kind = function
   | Predict.Always -> "Always"
   | Predict.Commit1 _ -> "Commit1"
   | Predict.Commit2 _ -> "Commit2"
+  | Predict.Partial _ -> "Partial"
   | Predict.Fallback -> "Fallback"
 
 (* Generate [g] with a classifier that asks both analyses and fails on the
@@ -85,7 +83,7 @@ let test_dialects () =
       compare_product counts ~label:d.Dialects.Dialect.name
         d.Dialects.Dialect.config)
     Dialects.Dialect.all;
-  check_covers counts [ "Commit1"; "Commit2"; "Fallback" ]
+  check_covers counts [ "Commit1"; "Commit2"; "Partial" ]
 
 let test_random_configs () =
   let counts = Hashtbl.create 4 in
@@ -93,7 +91,7 @@ let test_random_configs () =
     (fun i config ->
       compare_product counts ~label:(Printf.sprintf "sample-%d" i) config)
     (Test_family.random_valid_configs ~want:20);
-  check_covers counts [ "Commit1"; "Commit2"; "Fallback" ]
+  check_covers counts [ "Commit1"; "Commit2"; "Partial" ]
 
 let test_hand_built () =
   let counts = Hashtbl.create 4 in
@@ -101,7 +99,7 @@ let test_hand_built () =
     (fun (label, g) -> compare_points ~label counts g)
     Test_parser_engine.grammars;
   Alcotest.(check bool) "compared some points" true (total counts > 0);
-  check_covers counts [ "Commit1"; "Commit2"; "Fallback" ]
+  check_covers counts [ "Commit1"; "Commit2"; "Partial" ]
 
 let suite =
   [

@@ -112,6 +112,51 @@ let test_split_statements () =
   Alcotest.(check (list string)) "drops blanks" []
     (Core.split_statements " ;;  ; ")
 
+(* The splitter reads quotes and comments the way the scanner does: a [;]
+   inside a string literal, a quoted identifier or a comment does not end
+   the statement, an apostrophe inside a comment opens no string, and a
+   piece holding only comments is blank. *)
+let test_split_comments_and_quotes () =
+  let check msg expected script =
+    Alcotest.(check (list string)) msg expected (Core.split_statements script)
+  in
+  check "apostrophe in a line comment"
+    [ "SELECT a FROM t -- don't\n"; " SELECT b FROM t" ]
+    "SELECT a FROM t -- don't\n; SELECT b FROM t";
+  check "semicolon in a line comment"
+    [ "SELECT a FROM t -- note; more\n"; " SELECT b FROM t" ]
+    "SELECT a FROM t -- note; more\n; SELECT b FROM t";
+  check "semicolon in a block comment"
+    [ "SELECT a /* x; y */ FROM t"; " SELECT b FROM t" ]
+    "SELECT a /* x; y */ FROM t; SELECT b FROM t";
+  check "apostrophe in a quoted identifier"
+    [ "SELECT \"it's\" FROM t"; " SELECT b FROM t" ]
+    "SELECT \"it's\" FROM t; SELECT b FROM t";
+  check "comment markers inside a string literal"
+    [ "SELECT '--' FROM t"; " SELECT '/*' FROM u"; " SELECT 1" ]
+    "SELECT '--' FROM t; SELECT '/*' FROM u; SELECT 1";
+  check "doubled quotes stay inside the literal"
+    [ "SELECT 'it''s; here' FROM t"; " SELECT 2" ]
+    "SELECT 'it''s; here' FROM t; SELECT 2";
+  check "minus and slash are operators" [ "SELECT 4 - 2 / 1"; " SELECT 3-" ]
+    "SELECT 4 - 2 / 1; SELECT 3-";
+  check "block comment closing with extra stars"
+    [ "SELECT a /* x **/ FROM t"; " SELECT b" ]
+    "SELECT a /* x **/ FROM t; SELECT b";
+  check "comment-only pieces are blank"
+    [ "-- header; still a comment\nSELECT 1" ]
+    "-- header; still a comment\nSELECT 1; /* trailer; */ ; -- done";
+  (* The split pieces scan and parse: the first example used to fail with
+     a lexical error at the [;]. *)
+  let g = parser_of "full" in
+  List.iter
+    (fun sql ->
+      check_bool (Printf.sprintf "parses: %s" sql) true
+        (Result.is_ok (Core.parse_cst g sql)))
+    (Core.split_statements
+       "SELECT a FROM t -- don't\n; SELECT b /* ; */ FROM t; SELECT \"it's\" \
+        FROM t")
+
 let suite =
   [
     Alcotest.test_case "E4: minimal accept/reject" `Quick test_minimal;
@@ -128,4 +173,6 @@ let suite =
     Alcotest.test_case "composition sequence exposed" `Quick
       test_composition_sequence_exposed;
     Alcotest.test_case "script splitting" `Quick test_split_statements;
+    Alcotest.test_case "script splitting skips comments and quoted names"
+      `Quick test_split_comments_and_quotes;
   ]

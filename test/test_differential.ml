@@ -109,61 +109,93 @@ let check_engines_agree ~msg a b toks =
    token arrays through [parse_tokens_vm]) and end to end over the SoA
    stream ([Core.parse_cst_vm]), which also exercises the lazy token
    materialization on CST leaves and error edges. *)
+let agree_everywhere ~name g refp memop sql =
+  (match Core.scan_tokens g sql with
+  | Error _ -> () (* lexical rejection: no token stream to disagree on *)
+  | Ok toks ->
+    check_agree ~msg:(Printf.sprintf "%s (ref vs committed): %s" name sql)
+      refp g.Core.parser toks;
+    check_engines_agree
+      ~msg:(Printf.sprintf "%s (memo vs committed): %s" name sql)
+      memop g.Core.parser toks;
+    Alcotest.check result_testable
+      (Printf.sprintf "%s (vm vs committed, tokens): %s" name sql)
+      (Parser_gen.Engine.parse_tokens g.Core.parser toks)
+      (Parser_gen.Engine.parse_tokens_vm g.Core.parser toks));
+  let strip = function
+    | Ok cst -> Ok cst
+    | Error (Core.Parse_error e) -> Error (`Parse e)
+    | Error (Core.Lex_error e) -> Error (`Lex e)
+    | Error _ -> Error `Other
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s (vm vs committed, end to end): %s" name sql)
+    true
+    (strip (Core.parse_cst g sql) = strip (Core.parse_cst_vm g sql));
+  (* The fused engine scans as it parses, so it is compared end to end
+     from the raw bytes: same CSTs, same parse errors, and the same
+     lexical errors at the same position — the corpora include
+     statements whose rejection is lexical, plus (on analytics)
+     statements that exercise the FB memoized-fallback oracle and its
+     lazy completion of the scan. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%s (fused vs vm, end to end): %s" name sql)
+    true
+    (strip (Core.parse_cst_vm g sql) = strip (Core.parse_cst_fused g sql));
+  let fused_count, fused_result = Core.parse_cst_fused_counted g sql in
+  (match Core.scan_tokens g sql with
+  | Ok toks when Result.is_ok fused_result ->
+    Alcotest.(check int)
+      (Printf.sprintf "%s (fused token count): %s" name sql)
+      (Array.length toks - 1)
+      fused_count
+  | _ -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%s (recognize agrees): %s" name sql)
+    (Result.is_ok (Core.parse_cst g sql))
+    (Result.is_ok (Core.recognize g sql));
+  Alcotest.(check bool)
+    (Printf.sprintf "%s (recognize_fused agrees): %s" name sql)
+    (Result.is_ok (Core.parse_cst g sql))
+    (Result.is_ok (Core.recognize_fused g sql))
+
 let test_four_way_agreement name () =
   let g = front_end name in
   let refp = reference_on (engine_grammar g) in
   let memop = engine_on ~dispatch:false g (engine_grammar g) in
-  List.iter
-    (fun sql ->
-      (match Core.scan_tokens g sql with
-      | Error _ -> () (* lexical rejection: no token stream to disagree on *)
-      | Ok toks ->
-        check_agree ~msg:(Printf.sprintf "%s (ref vs committed): %s" name sql)
-          refp g.Core.parser toks;
-        check_engines_agree
-          ~msg:(Printf.sprintf "%s (memo vs committed): %s" name sql)
-          memop g.Core.parser toks;
-        Alcotest.check result_testable
-          (Printf.sprintf "%s (vm vs committed, tokens): %s" name sql)
-          (Parser_gen.Engine.parse_tokens g.Core.parser toks)
-          (Parser_gen.Engine.parse_tokens_vm g.Core.parser toks));
-      let strip = function
-        | Ok cst -> Ok cst
-        | Error (Core.Parse_error e) -> Error (`Parse e)
-        | Error (Core.Lex_error e) -> Error (`Lex e)
-        | Error _ -> Error `Other
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s (vm vs committed, end to end): %s" name sql)
-        true
-        (strip (Core.parse_cst g sql) = strip (Core.parse_cst_vm g sql));
-      (* The fused engine scans as it parses, so it is compared end to end
-         from the raw bytes: same CSTs, same parse errors, and the same
-         lexical errors at the same position — the corpora include
-         statements whose rejection is lexical, plus (on analytics)
-         statements that exercise the FB memoized-fallback oracle and its
-         lazy completion of the scan. *)
-      Alcotest.(check bool)
-        (Printf.sprintf "%s (fused vs vm, end to end): %s" name sql)
-        true
-        (strip (Core.parse_cst_vm g sql) = strip (Core.parse_cst_fused g sql));
-      let fused_count, fused_result = Core.parse_cst_fused_counted g sql in
-      (match Core.scan_tokens g sql with
-      | Ok toks when Result.is_ok fused_result ->
-        Alcotest.(check int)
-          (Printf.sprintf "%s (fused token count): %s" name sql)
-          (Array.length toks - 1)
-          fused_count
-      | _ -> ());
-      Alcotest.(check bool)
-        (Printf.sprintf "%s (recognize agrees): %s" name sql)
-        (Result.is_ok (Core.parse_cst g sql))
-        (Result.is_ok (Core.recognize g sql));
-      Alcotest.(check bool)
-        (Printf.sprintf "%s (recognize_fused agrees): %s" name sql)
-        (Result.is_ok (Core.parse_cst g sql))
-        (Result.is_ok (Core.recognize_fused g sql)))
-    (corpus_for name @ sampled name)
+  List.iter (agree_everywhere ~name g refp memop) (corpus_for name @ sampled name)
+
+(* Both sides of the choice points that commit per lookahead, accepted and
+   with errors injected — by hand inside the chosen construct, and
+   mechanically (a stray [)] appended, the last word dropped) — agree
+   across every engine. On full every accepted statement must parse and
+   every hand-injected error must reject, so each side is really taken. *)
+let test_partial_points name () =
+  let g = front_end name in
+  let refp = reference_on (engine_grammar g) in
+  let memop = engine_on ~dispatch:false g (engine_grammar g) in
+  if name = "full" then begin
+    List.iter
+      (fun sql ->
+        check_bool (Printf.sprintf "full accepts: %s" sql) true
+          (Result.is_ok (Core.parse_cst g sql)))
+      Corpus.partial_points_accept;
+    List.iter
+      (fun sql ->
+        check_bool (Printf.sprintf "full rejects: %s" sql) false
+          (Result.is_ok (Core.parse_cst g sql)))
+      Corpus.partial_points_reject
+  end;
+  let drop_last_word sql =
+    match String.rindex_opt sql ' ' with
+    | Some i -> String.sub sql 0 i
+    | None -> sql
+  in
+  List.iter (agree_everywhere ~name g refp memop)
+    (Corpus.partial_points_accept @ Corpus.partial_points_reject
+    @ List.concat_map
+        (fun sql -> [ sql ^ " )"; drop_last_word sql ])
+        Corpus.partial_points_accept)
 
 (* Factoring itself: same CSTs and failure positions as the composed
    grammar, expected sets allowed to widen. *)
@@ -397,6 +429,138 @@ let test_vm_choice_backtracking () =
       ([ "A"; "B"; "B"; "B" ], false);
     ]
 
+(* Every engine on a hand-built grammar: the committed loop, the VM, fused
+   (through a scanner sharing the engine's interner), dispatch off, and
+   the reference — same CSTs, same errors, and the expected acceptance. *)
+let check_hand_built g ~tokens cases =
+  let scanner =
+    Lexing_gen.Scanner.create
+      (("LB", Lexing_gen.Spec.Punct "[")
+      :: ("RB", Lexing_gen.Spec.Punct "]")
+      :: List.map (fun k -> (k, Lexing_gen.Spec.Keyword k)) tokens)
+  in
+  let engine ?dispatch () =
+    match
+      Parser_gen.Engine.generate ?dispatch
+        ~interner:(Lexing_gen.Scanner.interner scanner)
+        g
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "generate: %a" Parser_gen.Engine.pp_gen_error e
+  in
+  let p = engine () and memop = engine ~dispatch:false () in
+  let refp = reference_on g in
+  List.iter
+    (fun (input, accepted) ->
+      let toks =
+        match Lexing_gen.Scanner.scan_tokens scanner input with
+        | Ok toks -> toks
+        | Error e ->
+          Alcotest.failf "scan %s: %a" input Lexing_gen.Scanner.pp_error e
+      in
+      let committed = Parser_gen.Engine.parse_tokens p toks in
+      check_bool (Printf.sprintf "acceptance: %s" input) accepted
+        (Result.is_ok committed);
+      Alcotest.check result_testable
+        (Printf.sprintf "reference: %s" input)
+        (Parser_gen.Reference.parse refp (Array.to_list toks))
+        committed;
+      Alcotest.check result_testable
+        (Printf.sprintf "memoized: %s" input)
+        (Parser_gen.Engine.parse_tokens memop toks)
+        committed;
+      Alcotest.check result_testable
+        (Printf.sprintf "vm: %s" input)
+        (Parser_gen.Engine.parse_tokens_vm p toks)
+        committed;
+      let fused =
+        match Parser_gen.Engine.parse_fused p ~scanner input with
+        | _, Ok cst -> Ok cst
+        | _, Error (`Parse e) -> Error e
+        | _, Error (`Lex _) -> Alcotest.failf "fused lex error: %s" input
+      in
+      Alcotest.check result_testable
+        (Printf.sprintf "fused: %s" input)
+        fused committed)
+    cases;
+  p
+
+let test_partial_point_commits_and_backtracks () =
+  (* [z]'s alternatives overlap on (A, B) and on every lookahead starting
+     with X, so its rule-level choice commits per lookahead: (A, C) and E
+     pick one alternative, and only (A, B) and X stay ambiguous. [s]
+     references [z] from a star and from a sequence, so an ambiguous
+     occurrence becomes a fallback boundary inside compiled code — with
+     two derivation ends to try on "A B B" and "X Y Y". *)
+  let open Grammar.Builder in
+  let g =
+    grammar ~start:"s"
+      [
+        rule "s"
+          [ [ t "LB"; star [ nt "z" ]; t "RB" ]; [ t "GO"; nt "z"; t "END" ] ];
+        rule "z"
+          [
+            [ t "A"; t "B" ];
+            [ t "A"; t "B"; t "B" ];
+            [ t "A"; t "C" ];
+            [ t "E" ];
+            [ t "X"; t "Y" ];
+            [ t "X"; t "Y"; t "Y" ];
+          ];
+      ]
+  in
+  let p =
+    check_hand_built g
+      ~tokens:[ "GO"; "END"; "A"; "B"; "C"; "E"; "X"; "Y" ]
+      [
+        ("GO E END", true);
+        ("GO A C END", true);
+        ("GO A B END", true);
+        ("GO A B B END", true);
+        ("GO X Y END", true);
+        ("GO X Y Y END", true);
+        ("[ A B A C E X Y ]", true);
+        ("[ A B B E X Y Y A B ]", true);
+        ("[ ]", true);
+        ("GO A END", false);
+        ("GO A B B B END", false);
+        ("GO X END", false);
+        ("GO C END", false);
+        ("[ A B B B ]", false);
+        ("[ X Y Y Y ]", false);
+        ("[ A C", false);
+      ]
+  in
+  let s = Parser_gen.Engine.summary p in
+  Alcotest.(check int) "ambiguous points" 1 s.Parser_gen.Engine.ambiguous_points;
+  Alcotest.(check int) "partial points" 1 s.Parser_gen.Engine.partial_points;
+  (* The static classification is unchanged: a partial point is an
+     ambiguous one, so neither rule counts as committed — yet both run on
+     the dispatch loop and compile to bytecode. *)
+  Alcotest.(check int) "no committed non-terminal" 0
+    s.Parser_gen.Engine.committed_nts;
+  (match Parser_gen.Engine.program p with
+  | None -> Alcotest.fail "program must be compiled"
+  | Some prog ->
+    Alcotest.(check int) "both rules compiled" 2
+      (Parser_gen.Program.compiled_nts prog));
+  (* An ambiguous start entry: the whole statement is the fallback
+     occurrence, and the VM resumes its next derivation end when the
+     first leaves input before EOF. *)
+  ignore
+    (check_hand_built
+       (grammar ~start:"s"
+          [ rule "s" [ [ t "A"; t "B" ]; [ t "A"; t "B"; t "B" ]; [ t "C" ] ] ])
+       ~tokens:[ "A"; "B"; "C" ]
+       [
+         ("A B", true);
+         ("A B B", true);
+         ("C", true);
+         ("A B B B", false);
+         ("A", false);
+         ("C C", false);
+       ])
+
 let suite =
   List.concat_map
     (fun (d : Dialects.Dialect.t) ->
@@ -408,6 +572,11 @@ let suite =
              name)
           `Quick
           (test_four_way_agreement name);
+        Alcotest.test_case
+          (Printf.sprintf
+             "%s: partial choice points agree across engines, both sides"
+             name)
+          `Quick (test_partial_points name);
         Alcotest.test_case
           (Printf.sprintf "%s: left-factoring preserves CSTs and positions"
              name)
@@ -432,4 +601,7 @@ let suite =
         test_ambiguous_falls_back;
       Alcotest.test_case "vm backtracks across fallback choice points" `Quick
         test_vm_choice_backtracking;
+      Alcotest.test_case
+        "partial choice point commits on one lookahead, backtracks on another"
+        `Quick test_partial_point_commits_and_backtracks;
     ]

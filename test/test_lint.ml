@@ -356,7 +356,13 @@ let test_dialects_dispatch_coverage () =
         check_bool
           (Printf.sprintf "%s: %.1f%% of choice points committed (floor 90%%)"
              d.Dialects.Dialect.name (100. *. coverage))
-          true (coverage >= 0.9))
+          true (coverage >= 0.9);
+        (* Every point ambiguous at k = 2 still commits per lookahead. *)
+        Alcotest.(check int)
+          (Printf.sprintf "%s: every ambiguous point is partial"
+             d.Dialects.Dialect.name)
+          s.Parser_gen.Engine.ambiguous_points
+          s.Parser_gen.Engine.partial_points)
     (all_dialects ())
 
 let test_ll2_covers_every_ll1_conflict () =

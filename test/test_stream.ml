@@ -79,6 +79,31 @@ let test_fold_matches_split () =
         expected dribbled)
     chunk_sizes
 
+(* Every chunk size from 1 to the script's length puts a boundary between
+   the two bytes of each comment opener and closer, and inside every
+   quoted span: the streamed split must still equal the whole-string one. *)
+let test_fold_matches_split_with_comments () =
+  let script =
+    "SELECT a FROM t -- don't; stop\n;\n\
+     SELECT b /* x; 'y */ FROM t;\n\
+     SELECT \"it's;\" FROM t; /* only; a comment */ ;\n\
+     SELECT 4 - 2 / 1 FROM t -- trailing"
+  in
+  let expected = Core.split_statements script in
+  check_int "four statements" 4 (List.length expected);
+  for chunk_size = 1 to String.length script do
+    let streamed =
+      List.rev
+        (Core.fold_statements ~chunk_size
+           ~read:(reader_of_string script)
+           (fun acc stmt -> stmt :: acc)
+           [])
+    in
+    Alcotest.(check (list string))
+      (Printf.sprintf "chunk %d splits identically" chunk_size)
+      expected streamed
+  done
+
 (* --- streamed parsing is whole-buffer parsing --------------------------- *)
 
 let corpus_for name =
@@ -319,6 +344,9 @@ let suite =
   [
     Alcotest.test_case "fold_statements = split_statements at any chunking"
       `Quick test_fold_matches_split;
+    Alcotest.test_case
+      "fold_statements = split_statements across comments, chunks 1..n"
+      `Quick test_fold_matches_split_with_comments;
     Alcotest.test_case
       "streamed fused parsing = whole-buffer committed parsing" `Quick
       test_stream_matches_batch;
