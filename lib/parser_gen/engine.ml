@@ -412,23 +412,9 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
           program;
         }
 
-(* The memo is a flat array indexed by [nt_id * (n_tokens + 1) + pos]. A
-   shared physical sentinel marks empty slots, so a legitimately empty
-   result list is still a hit. The array is domain-local scratch, reused
-   across parses (grown when a statement needs more slots, cleared with a
-   single [Array.fill]): steady-state parsing allocates nothing for
-   memoization. Domain-locality keeps the sharded batch path safe — each
-   worker clears and fills only its own arena. *)
-let memo_unset : (int * Cst.t list) list = [ (min_int, []) ]
-
-let memo_arena : (int * Cst.t list) list array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
-
-let acquire_memo need =
-  let arena = Domain.DLS.get memo_arena in
-  if Array.length !arena < need then arena := Array.make need memo_unset
-  else Array.fill !arena 0 need memo_unset;
-  !arena
+type derivs = Engine_types.derivs =
+  | Nil
+  | Cons of int * Cst.t list * derivs Lazy.t
 
 (* CST child arena for the committed dispatch loop: a domain-local stack of
    completed subtrees, reused across parses. A rule pushes its children as
@@ -443,13 +429,14 @@ let cst_arena : Cst.t array ref Domain.DLS.key =
    memoized backtracking engine (p_ functions) over a fixed token-id
    stream, packaged so the three drivers — [parse_ids]'s mode ladder, the
    VM's fallback boundary, and the fused scan+parse entry points — share a
-   single implementation. Each value owns a fresh memo, CST stack pointer
-   and furthest-failure tracker, i.e. it is one logical run. *)
+   single implementation. Each value owns a fresh (sparse, lazily created)
+   memo, CST stack pointer and furthest-failure tracker, i.e. it is one
+   logical run. *)
 type run_machinery = {
-  rm_results : int -> int -> (int * Cst.t list) list;
-      (* [rm_results nid i]: the complete, priority-ordered derivation set
-         (end position, children) of non-terminal [nid] at position [i] —
-         the VM's FB oracle and the committed loop's fallback boundary *)
+  rm_results : int -> int -> derivs;
+      (* [rm_results nid i]: the priority-ordered derivation stream (end
+         position, children) of non-terminal [nid] at position [i] — the
+         VM's FB oracle and the committed loop's fallback boundary *)
   rm_top : int -> (Cst.t, parse_error) result;
       (* run the whole statement from start non-terminal id [sid]: the
          committed loop when dispatching and [sid] is own-committed, the
@@ -533,10 +520,14 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
           else Array.unsafe_get (Array.unsafe_get second k1) k2
         | b -> b)
   in
-  (* The memo is acquired (and its O(rules × tokens) clear paid) only when
-     a fallback boundary is actually reached: a fully committed parse never
-     touches it. *)
-  let memo = lazy (acquire_memo (Array.length t.rules * stride)) in
+  (* The memo is sparse: one table per run, keyed by
+     [nt_id * (n_tokens + 1) + pos] and created on the first fallback, so a
+     run pays for the cells it touches and nothing else — a fully committed
+     parse allocates none, and no run allocates in proportion to
+     rules × tokens. A cell holds the head of the derivation stream; its
+     lazy tails are shared by every later consumer of the same cell. (A
+     specialised int table measured the same as the generic one.) *)
+  let memo = lazy (Hashtbl.create 64) in
     (* Furthest-failure tracking for error reporting: expected terminals are
        accumulated as a bitset and rendered back through the interner only
        when the parse actually fails. *)
@@ -588,15 +579,15 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
              the pure path re-derives the statement). *)
           let name = Array.unsafe_get t.nt_names nid in
           let rec try_ends = function
-            | [] -> -1
-            | (j, children) :: rest ->
+            | Nil -> -1
+            | Cons (j, children, rest) ->
               let sp0 = !sp in
               push (Cst.Node (name, children));
               let r = c_seq seq (si + 1) j in
               if r >= 0 then r
               else begin
                 sp := sp0;
-                try_ends rest
+                try_ends (Lazy.force rest)
               end
           in
           try_ends (nonterm_results nid i)
@@ -654,14 +645,15 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
         push (Cst.Node (Array.unsafe_get t.nt_names nid, children));
         j
       end
-    (* Memoized complete-results parsing. For each (non-terminal, position)
-       the full ordered set of derivations is computed once; since a
+    (* Memoized results parsing. For each (non-terminal, position) the
+       ordered derivations are a lazy stream computed at most once; since a
        continuation's success depends only on where a derivation ends,
        derivations are deduped by end position (first — highest-priority —
        tree wins). This keeps the full-backtracking semantics while avoiding
        the exponential re-parsing that naive backtracking exhibits on nested
        parenthesized constructs. Left recursion is rejected at generation
-       time, so the memo computation never re-enters its own key. *)
+       time, so deriving a stream (or forcing one of its tails) never
+       re-enters its own key. *)
     and p_seq seq si i acc (k : int -> Cst.t list -> Cst.t option) =
       if si = Array.length seq then k i acc
       else
@@ -678,11 +670,11 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
       | INonterm nid ->
         let name = Array.unsafe_get t.nt_names nid in
         let rec try_results = function
-          | [] -> None
-          | (j, children) :: rest -> (
+          | Nil -> None
+          | Cons (j, children, rest) -> (
             match k j (Cst.Node (name, children) :: acc) with
             | Some _ as r -> r
-            | None -> try_results rest)
+            | None -> try_results (Lazy.force rest))
         in
         try_results (nonterm_results nid i)
       | IOpt (s, pred, d) -> (
@@ -750,14 +742,13 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     and nonterm_results nid i =
       if t.memoize && i <= n then begin
         let memo = Lazy.force memo in
-        let idx = (nid * stride) + i in
-        let cached = Array.unsafe_get memo idx in
-        if cached != memo_unset then cached
-        else begin
+        let key = (nid * stride) + i in
+        match Hashtbl.find_opt memo key with
+        | Some results -> results
+        | None ->
           let results = compute_results nid i in
-          Array.unsafe_set memo idx results;
+          Hashtbl.add memo key results;
           results
-        end
       end
       else compute_results nid i
     and compute_results nid i =
@@ -780,44 +771,61 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
             | Cst.Leaf _ -> assert false
           in
           sp := sp0;
-          [ (j, children) ]
+          Cons (j, children, Engine_types.nil_tail)
         end
-        else if j = -1 then []
+        else if j = -1 then Nil
         else enumerate nid i
       end
       else enumerate nid i
     and enumerate nid i =
-      begin
-        (* Priority order is preserved by consing onto a reversed accumulator
-           and reversing once at the end — the old [!results @ [...]] rebuilt
-           the whole list per accepted candidate. The end-position membership
-           probe scans only the distinct accepted ends (almost always 0 or 1),
-           comparing unboxed ints. *)
-        let results = ref [] in
-        let rec seen j = function
-          | [] -> false
-          | (j', _) :: rest -> j = j' || seen j rest
-        in
-        let collect (s, (pred : pred)) =
-          if enter_nullable pred i then
-            ignore
-              (p_seq s 0 i [] (fun j acc ->
-                   if not (seen j !results) then
-                     results := (j, List.rev acc) :: !results;
-                   (* Refuse so the enumeration continues. *)
-                   None))
-          else expect_set i pred.first
-        in
-        let alts = Array.unsafe_get t.rules nid in
-        (* Where the rule's own choice commits at this lookahead, only the
-           selected alternative can yield a derivation that survives into
-           any successful parse. *)
-        (match p_select (Array.unsafe_get t.alt_dispatch nid) i with
-        | b when b >= 0 -> collect (Array.unsafe_get alts b)
-        | -1 -> ()
-        | _ -> Array.iter collect alts);
-        List.rev !results
-      end
+      let alts = Array.unsafe_get t.rules nid in
+      (* Where the rule's own choice commits at this lookahead, only the
+         selected alternative can yield a derivation that survives into
+         any successful parse. *)
+      match p_select (Array.unsafe_get t.alt_dispatch nid) i with
+      | b when b >= 0 -> derive alts i b (b + 1) []
+      | -1 -> Nil
+      | _ -> derive alts i 0 (Array.length alts) []
+    (* Alternatives [a .. stop - 1] of a rule at [i], lazily: alternative
+       [a] is enumerated in full (its continuation refuses every end, so
+       every end it can reach is seen), its ends not already produced by
+       an earlier alternative ([seen]) are emitted in the order found —
+       first tree per end wins — and the next alternative is derived only
+       when a consumer walks past them. A rejecting run walks every stream
+       to [Nil], so it derives exactly what the eager enumeration did, and
+       its furthest-failure report (the maximum position and the union of
+       the expectations there) does not depend on the order. *)
+    and derive alts i a stop seen =
+      if a = stop then Nil
+      else
+        let s, (pred : pred) = Array.unsafe_get alts a in
+        if enter_nullable pred i then begin
+          let seen = ref seen and fresh = ref [] in
+          let rec mem j = function
+            | [] -> false
+            | j' :: rest -> j = j' || mem j rest
+          in
+          ignore
+            (p_seq s 0 i [] (fun j acc ->
+                 if not (mem j !seen) then begin
+                   seen := j :: !seen;
+                   fresh := (j, List.rev acc) :: !fresh
+                 end;
+                 (* Refuse so the enumeration continues. *)
+                 None));
+          match !fresh with
+          | [] -> derive alts i (a + 1) stop !seen
+          | (j, children) :: earlier ->
+            let seen = !seen in
+            List.fold_left
+              (fun rest (j, children) -> Cons (j, children, Lazy.from_val rest))
+              (Cons (j, children, lazy (derive alts i (a + 1) stop seen)))
+              earlier
+        end
+        else begin
+          expect_set i pred.first;
+          derive alts i (a + 1) stop seen
+        end
     in
     let fail_result () =
       let bp = max 0 !best_pos in
@@ -889,6 +897,12 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     rm_reset = (fun () -> sp := 0);
   }
 
+(* Dispatching runs that rejected and were re-derived on the pure path,
+   counted per domain. *)
+let rerun_count : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+let pure_reruns () = !(Domain.DLS.get rerun_count)
+let count_rerun () = incr (Domain.DLS.get rerun_count)
+
 (* The shared parse driver over the machinery above. [want_vm] prefers the
    bytecode VM for the first (dispatching) run; [build] is threaded to the
    VM so recognition runs skip CST construction entirely. *)
@@ -941,7 +955,9 @@ let parse_ids ?start t ~(tids : int array) ~n
     in
     match run first_mode start_name with
     | Ok _ as ok -> ok
-    | Error _ -> run `P start_name
+    | Error _ ->
+      count_rerun ();
+      run `P start_name
 
 (* Token kinds resolved to engine ids once, at the boundary: tokens stamped
    by the shared scanner pass a physical-equality check; foreign or
@@ -1105,7 +1121,9 @@ let fused_run ~build t ~scanner input =
          completing scan can still hit a lexical error, exactly where the
          two-pass pipeline's whole-buffer scan would have. *)
       match Scanner.cursor_complete cursor with
-      | soa -> fused_reject t ~scanner soa
+      | soa ->
+        count_rerun ();
+        fused_reject t ~scanner soa
       | exception Scanner.Lex_error e -> (0, Error (`Lex e)))
     | exception Scanner.Lex_error e -> (0, Error (`Lex e))
 

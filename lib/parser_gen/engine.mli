@@ -12,7 +12,7 @@
     LL(2)-disjoint become {e committed} — a dense [token id -> branch]
     table picks the only branch that can succeed — and a non-terminal all
     of whose points (transitively) commit parses on a direct dispatch
-    loop: no continuation closures, no memo traffic, no derivation lists,
+    loop: no continuation closures, no memo traffic, no derivation streams,
     CST children accumulated in a reusable stack arena. Points that stay
     ambiguous at k = 2 commit {e per lookahead} ({!Predict.Partial}): the
     lookaheads that only one branch predicts still commit, and only the
@@ -28,9 +28,15 @@
     non-terminal of the composed grammar is compiled down to a dense
     integer id at generation time. Terminal matching is an [int] compare
     against the token's {!Lexing_gen.Token.kind_id}, FIRST-set prediction
-    is a bitset probe, rules live in an int-indexed array, and the
-    backtracking memo is a flat array indexed by
-    [nt_id * (n_tokens + 1) + pos]. String names survive only at the edges:
+    is a bitset probe, and rules live in an int-indexed array. The
+    backtracking memo is sparse: a per-run table keyed by
+    [nt_id * (n_tokens + 1) + pos], created on the first fallback and
+    holding only the cells the parse touches, each the head of a lazy
+    derivation stream ({!Engine_types.derivs}) in which a later alternative
+    is derived only when a consumer walks past every end the earlier ones
+    produced. No parse allocates in proportion to rules × tokens, and an
+    ambiguous choice whose first alternative finishes the statement never
+    derives the others. String names survive only at the edges:
     CST node labels and parse-error expected sets (rendered back through
     the interner). A generated parser is immutable and safe to share
     across domains; {!Reference} keeps the original string-keyed engine as
@@ -71,8 +77,9 @@ val generate :
     re-interned at the parse boundary.
 
     The three flags exist for ablation benchmarks and default to [true]:
-    [memoize] caches each non-terminal's complete derivation set per input
-    position (without it, nested constructs re-parse exponentially); [prune]
+    [memoize] caches each non-terminal's derivation stream per input
+    position, sharing its forced tails among consumers (without it, nested
+    constructs re-parse exponentially); [prune]
     skips alternatives whose FIRST set excludes the lookahead token;
     [dispatch] classifies choice points against LL(1)/LL(2) prediction sets
     and commits without backtracking wherever they are disjoint
@@ -167,6 +174,13 @@ val parse :
     (built by hand rather than by a scanner) are re-interned by kind. *)
 
 val accepts : ?start:string -> t -> Lexing_gen.Token.t list -> bool
+
+val pure_reruns : unit -> int
+(** How many parses in the calling domain so far had their dispatching run
+    (committed loop, VM or fused) reject and were re-derived on the pure
+    backtracking path. An accepted statement that moved this counter was
+    wrongly rejected by its dispatching run, even though its result is
+    right; the differential tests check that it does not. *)
 
 (** {2 Bytecode VM entry points}
 

@@ -49,3 +49,13 @@ let pp_parse_error ppf e =
     Lexing_gen.Token.pp_position e.pos e.found
     Fmt.(list ~sep:(any " | ") string)
     e.expected
+
+(* A non-terminal's derivations at one position, in priority order and
+   deduped by end position, as a memoized lazy stream: the oracle derives a
+   later alternative only when a consumer walks past every end the earlier
+   ones produced. *)
+type derivs =
+  | Nil
+  | Cons of int * Cst.t list * derivs Lazy.t
+
+let nil_tail = Lazy.from_val Nil

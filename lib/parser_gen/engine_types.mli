@@ -46,3 +46,21 @@ type iterm =
   | IGroup of (iseq * pred) array * Predict.decision
 
 and iseq = iterm array
+
+(** {1 Derivation streams} *)
+
+type derivs =
+  | Nil
+  | Cons of int * Cst.t list * derivs Lazy.t
+      (** [Cons (j, children, rest)]: a derivation ending at token [j]
+          (exclusive) with these CST children, then the lower-priority
+          derivations with other ends *)
+(** The derivations of one non-terminal at one position, in priority order
+    and deduped by end position (the highest-priority tree of each end),
+    as a memoized lazy stream. The memoized engine derives an alternative
+    only when a consumer walks past every end the earlier alternatives
+    produced, so forcing a tail may run the oracle; a tail once forced is
+    shared by every consumer of the same memo cell. *)
+
+val nil_tail : derivs Lazy.t
+(** The already-forced empty tail. *)

@@ -9,9 +9,12 @@
    Backtracking semantics replicate the committed dispatch loop of
    {!Engine.parse_tokens} exactly:
 
-   - [FB nt] asks the memoized engine ([fallback]) for the complete,
-     priority-ordered derivation list of a non-fast non-terminal and takes
-     the first end; remaining ends become a choice point.
+   - [FB nt] asks the memoized engine ([fallback]) for the
+     priority-ordered derivation stream of a non-fast non-terminal and
+     takes the first end; the lazy tail becomes a choice point (unless it
+     is already known to be empty). The tail is forced only when a failure
+     backtracks into it, so the oracle derives a later alternative only
+     when the parse needs it.
    - A [D2] whose table entry is ambiguous (-3) can only be a [Partial]
      rule-level choice, the first instruction of its rule: nothing has
      been consumed or pushed since the [CALL], so popping that frame and
@@ -23,7 +26,9 @@
      when the enclosing [c_seq] returns.
    - On failure the most recent live choice is resumed with its next end
      (LIFO = innermost-first, matching native-stack unwinding), restoring
-     the four stack depths saved at its creation.
+     the four stack depths saved at its creation. A choice whose tail
+     forces to [Nil] is popped and backtracking carries on with the one
+     below it.
    - A run that exhausts its choices rejects; the caller re-derives the
      statement on the pure memoized path for a byte-identical error report,
      as it already does for the committed loop.
@@ -40,7 +45,8 @@ type arena = {
   mutable scopes : int array; (* choice-stack marks *)
   mutable ch_ints : int array;
       (* 5 ints per choice: resume_ip, cst_sp, frame_sp, loop_sp, scope_sp *)
-  mutable ch_ends : (int * Cst.t list) list array; (* remaining ends *)
+  mutable ch_ends : Engine_types.derivs Lazy.t array;
+      (* remaining ends, a lazy tail of the oracle's derivation stream *)
 }
 
 let arena_key : arena Domain.DLS.key =
@@ -51,8 +57,15 @@ let arena_key : arena Domain.DLS.key =
         loops = Array.make 64 0;
         scopes = Array.make 64 0;
         ch_ints = Array.make 80 0;
-        ch_ends = Array.make 16 [];
+        ch_ends = Array.make 16 Engine_types.nil_tail;
       })
+
+(* A tail already known to be empty (the usual single derivation) needs no
+   choice point. Unforced tails are pushed as they are: deriving them is
+   the work laziness saves. *)
+let forced_nil (rest : Engine_types.derivs Lazy.t) =
+  Lazy.is_val rest
+  && match Lazy.force rest with Engine_types.Nil -> true | Cons _ -> false
 
 let grow_int (a : int array) =
   let b = Array.make (2 * Array.length a) 0 in
@@ -60,7 +73,7 @@ let grow_int (a : int array) =
   b
 
 let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
-    ~(fallback : int -> int -> (int * Cst.t list) list) =
+    ~(fallback : int -> int -> Engine_types.derivs) =
   let code = Program.code prog in
   let t1 = Program.t1 prog in
   let t2_first = Program.t2_first prog in
@@ -97,7 +110,7 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
     let base = !cp * 5 in
     if base + 5 > Array.length a.ch_ints then a.ch_ints <- grow_int a.ch_ints;
     if !cp = Array.length a.ch_ends then begin
-      let b = Array.make (2 * Array.length a.ch_ends) [] in
+      let b = Array.make (2 * Array.length a.ch_ends) Engine_types.nil_tail in
       Array.blit a.ch_ends 0 b 0 (Array.length a.ch_ends);
       a.ch_ends <- b
     end;
@@ -194,7 +207,7 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
       (* Choices opened inside the scope are final now that the sequence
          that created them has completed. *)
       for k = mark to !cp - 1 do
-        a.ch_ends.(k) <- []
+        a.ch_ends.(k) <- Engine_types.nil_tail
       done;
       if !cp > mark then cp := mark;
       step (ip + 1) pos
@@ -216,28 +229,29 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
   and fallback_at resume_ip pos =
     let nid = Array.unsafe_get code (resume_ip - 1) in
     match fallback nid pos with
-    | [] -> backtrack ()
-    | (j, children) :: rest ->
-      if rest <> [] then push_choice resume_ip rest;
+    | Nil -> backtrack ()
+    | Cons (j, children, rest) ->
+      if not (forced_nil rest) then push_choice resume_ip rest;
       if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
       step resume_ip j
   and backtrack () =
     if !cp = 0 then None
     else begin
-      let base = (!cp - 1) * 5 in
-      match a.ch_ends.(!cp - 1) with
-      | [] -> assert false (* exhausted choices are popped eagerly *)
-      | (j, children) :: rest ->
+      let top = !cp - 1 in
+      let base = top * 5 in
+      match Lazy.force a.ch_ends.(top) with
+      | Nil ->
+        (* The tail turned out empty: the choice is exhausted. *)
+        a.ch_ends.(top) <- Engine_types.nil_tail;
+        cp := top;
+        backtrack ()
+      | Cons (j, children, rest) ->
         csp := a.ch_ints.(base + 1);
         fsp := a.ch_ints.(base + 2);
         lsp := a.ch_ints.(base + 3);
         ssp := a.ch_ints.(base + 4);
         let resume_ip = a.ch_ints.(base) in
-        if rest = [] then begin
-          a.ch_ends.(!cp - 1) <- [];
-          decr cp
-        end
-        else a.ch_ends.(!cp - 1) <- rest;
+        a.ch_ends.(top) <- rest;
         if build then
           push_cst
             (Cst.Node (Program.nt_name prog code.(resume_ip - 1), children));
@@ -246,10 +260,10 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
   in
   assert (Program.start_entry prog >= 0);
   let result = step 0 0 (* the boot CALL *) in
-  (* Drop references to derivation lists so the arena does not retain CSTs
-     across parses. *)
+  (* Drop references to derivation streams so the arena does not retain
+     CSTs (or the oracle's memo, through unforced tails) across parses. *)
   for k = 0 to !cp - 1 do
-    a.ch_ends.(k) <- []
+    a.ch_ends.(k) <- Engine_types.nil_tail
   done;
   result
 
@@ -263,11 +277,12 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
    finish the scan lazily on first use.
 
    The cursor (and [fallback], which completes it) may raise
-   [Scanner.Lex_error] mid-run; the arena's choice lists are cleared before
-   the exception propagates so no CSTs are retained across parses. *)
+   [Scanner.Lex_error] mid-run; the arena's choice streams are cleared
+   before the exception propagates so no CSTs are retained across
+   parses. *)
 let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
     ~(leaf : int -> Cst.t)
-    ~(fallback : int -> int -> (int * Cst.t list) list) =
+    ~(fallback : int -> int -> Engine_types.derivs) =
   let code = Program.code prog in
   let t1 = Program.t1 prog in
   let t2_first = Program.t2_first prog in
@@ -304,7 +319,7 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
     let base = !cp * 5 in
     if base + 5 > Array.length a.ch_ints then a.ch_ints <- grow_int a.ch_ints;
     if !cp = Array.length a.ch_ends then begin
-      let b = Array.make (2 * Array.length a.ch_ends) [] in
+      let b = Array.make (2 * Array.length a.ch_ends) Engine_types.nil_tail in
       Array.blit a.ch_ends 0 b 0 (Array.length a.ch_ends);
       a.ch_ends <- b
     end;
@@ -396,7 +411,7 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
       (* Choices opened inside the scope are final now that the sequence
          that created them has completed. *)
       for k = mark to !cp - 1 do
-        a.ch_ends.(k) <- []
+        a.ch_ends.(k) <- Engine_types.nil_tail
       done;
       if !cp > mark then cp := mark;
       step (ip + 1)
@@ -412,29 +427,29 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
   and fallback_at resume_ip =
     let nid = Array.unsafe_get code (resume_ip - 1) in
     match fallback nid (Lexing_gen.Scanner.cursor_pos cursor) with
-    | [] -> backtrack ()
-    | (j, children) :: rest ->
-      if rest <> [] then push_choice resume_ip rest;
+    | Nil -> backtrack ()
+    | Cons (j, children, rest) ->
+      if not (forced_nil rest) then push_choice resume_ip rest;
       if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
       Lexing_gen.Scanner.cursor_seek cursor j;
       step resume_ip
   and backtrack () =
     if !cp = 0 then None
     else begin
-      let base = (!cp - 1) * 5 in
-      match a.ch_ends.(!cp - 1) with
-      | [] -> assert false (* exhausted choices are popped eagerly *)
-      | (j, children) :: rest ->
+      let top = !cp - 1 in
+      let base = top * 5 in
+      match Lazy.force a.ch_ends.(top) with
+      | Nil ->
+        a.ch_ends.(top) <- Engine_types.nil_tail;
+        cp := top;
+        backtrack ()
+      | Cons (j, children, rest) ->
         csp := a.ch_ints.(base + 1);
         fsp := a.ch_ints.(base + 2);
         lsp := a.ch_ints.(base + 3);
         ssp := a.ch_ints.(base + 4);
         let resume_ip = a.ch_ints.(base) in
-        if rest = [] then begin
-          a.ch_ends.(!cp - 1) <- [];
-          decr cp
-        end
-        else a.ch_ends.(!cp - 1) <- rest;
+        a.ch_ends.(top) <- rest;
         if build then
           push_cst
             (Cst.Node (Program.nt_name prog code.(resume_ip - 1), children));
@@ -445,7 +460,7 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
   assert (Program.start_entry prog >= 0);
   let finish () =
     for k = 0 to !cp - 1 do
-      a.ch_ends.(k) <- []
+      a.ch_ends.(k) <- Engine_types.nil_tail
     done
   in
   match step 0 (* the boot CALL *) with

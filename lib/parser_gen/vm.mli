@@ -10,7 +10,7 @@ val exec :
   n:int ->
   build:bool ->
   leaf:(int -> Cst.t) ->
-  fallback:(int -> int -> (int * Cst.t list) list) ->
+  fallback:(int -> int -> Engine_types.derivs) ->
   Cst.t option
 (** [exec prog ~ids ~n ~build ~leaf ~fallback] runs the program's start
     rule over the token-kind ids [ids.(0 .. n-1)] (positions [>= n] read as
@@ -21,9 +21,13 @@ val exec :
     [build] is true — recognition runs ([build = false]) never touch the CST
     stack and return a dummy node on acceptance.
 
-    [fallback nt pos] must return the priority-ordered complete derivations
+    [fallback nt pos] must return the priority-ordered derivation stream
     (end position, children) of non-terminal [nt] at [pos], as the memoized
-    engine's [nonterm_results] does.
+    engine's [nonterm_results] does. The VM takes the first end and keeps
+    the unforced tail as a choice point; the tail is forced only when a
+    later failure backtracks into it, so an alternative the oracle has not
+    yet derived is derived only if the parse needs it. A choice whose tail
+    forces to {!Engine_types.Nil} is popped and backtracking carries on.
 
     [None] means this run rejected; the caller decides whether to re-derive
     on the pure backtracking path (for error reporting). *)
@@ -33,7 +37,7 @@ val exec_fused :
   cursor:Lexing_gen.Scanner.cursor ->
   build:bool ->
   leaf:(int -> Cst.t) ->
-  fallback:(int -> int -> (int * Cst.t list) list) ->
+  fallback:(int -> int -> Engine_types.derivs) ->
   Cst.t option
 (** [exec_fused prog ~cursor ~build ~leaf ~fallback] is {!exec} with the
     scan fused into the dispatch loop: MATCH/D1/D2/HALT pull token kinds

@@ -325,3 +325,39 @@ let partial_points_reject =
     "SELECT TRIM(BOTH 'x' a) FROM t";
     "SELECT TRIM(ABS(a) FROM) FROM t";
   ]
+
+(* Statements whose ambiguous occurrence's first derivation cannot finish
+   the statement, so the fallback oracle's lazy derivation stream must be
+   forced past its first alternative. On VALUES LPAREN, [insert_source]
+   first derives [values_clause]; a following set operator leaves that
+   derivation unfinished, and only the query form (VALUES as a table value
+   constructor) parses. The set operator lies past the INSERT's own
+   sequence, so the dispatching runs reject these and the pure rerun
+   forces the tail. Accepted on full and analytics. *)
+let forced_tail_accept =
+  [
+    "INSERT INTO t VALUES (1, 'x') UNION SELECT a, b FROM u";
+    "INSERT INTO t VALUES (1, 'x'), (2, 'y') EXCEPT SELECT a, b FROM u";
+    "INSERT INTO t (a, b) VALUES (1, 'x') INTERSECT VALUES (2, 'y')";
+    "INSERT INTO t VALUES (1, 'x') UNION ALL VALUES (2, 'y'), (3, 'z')";
+    "SELECT a FROM t WHERE a IN ((SELECT b FROM u) UNION SELECT c FROM v)";
+    "SELECT ((SELECT a FROM t) UNION SELECT b FROM u) FROM v";
+  ]
+
+(* A stray [)] in each: where the first derivation ends (before the set
+   operator), and at the end. A rejecting rerun forces every tail. *)
+let forced_tail_reject =
+  [
+    "INSERT INTO t VALUES (1, 'x') ) UNION SELECT a, b FROM u";
+    "INSERT INTO t VALUES (1, 'x') UNION SELECT a, b FROM u )";
+    "INSERT INTO t VALUES (1, 'x'), (2, 'y') ) EXCEPT SELECT a, b FROM u";
+    "INSERT INTO t VALUES (1, 'x'), (2, 'y') EXCEPT SELECT a, b FROM u )";
+    "INSERT INTO t (a, b) VALUES (1, 'x') ) INTERSECT VALUES (2, 'y')";
+    "INSERT INTO t (a, b) VALUES (1, 'x') INTERSECT VALUES (2, 'y') )";
+    "INSERT INTO t VALUES (1, 'x') ) UNION ALL VALUES (2, 'y'), (3, 'z')";
+    "INSERT INTO t VALUES (1, 'x') UNION ALL VALUES (2, 'y'), (3, 'z') )";
+    "SELECT a FROM t WHERE a IN ((SELECT b FROM u) ) UNION SELECT c FROM v)";
+    "SELECT a FROM t WHERE a IN ((SELECT b FROM u) UNION SELECT c FROM v) )";
+    "SELECT ((SELECT a FROM t) ) UNION SELECT b FROM u) FROM v";
+    "SELECT ((SELECT a FROM t) UNION SELECT b FROM u) FROM v )";
+  ]

@@ -218,6 +218,61 @@ let test_partial_points_commit () =
     true
     (per_token < 0.1)
 
+(* A multi-row INSERT on full: [insert_source] is ambiguous on VALUES
+   LPAREN, so the statement goes through the memoized fallback oracle. *)
+let bulk_insert rows =
+  let b = Buffer.create (16 * rows) in
+  Buffer.add_string b "INSERT INTO t VALUES ";
+  for i = 1 to rows do
+    if i > 1 then Buffer.add_string b ", ";
+    Printf.bprintf b "(%d, 'x%d')" i i
+  done;
+  Buffer.contents b
+
+let test_fallback_memo_is_bounded () =
+  (* The first parse of a 1000-row INSERT, in a fresh domain (fresh
+     arenas), counting every word it allocates: minor + major − promoted
+     ([Gc.allocated_bytes]), because a memo sized rules × tokens would be
+     allocated in the major heap. The memo is sparse, and the oracle
+     derives [insert_source]'s query form only if [values_clause] cannot
+     finish the statement, so the parse costs a few words per token.
+     Budget 60 w/token: a memo slot per rule and position alone would be
+     140 on full. A minor collection runs first so that none falls inside
+     the measured parse (OCaml 5.1's minor-word counter drifts across
+     collections). *)
+  let g = front_end "full" in
+  let sql = bulk_insert 1000 in
+  let toks =
+    match Core.scan_tokens g sql with
+    | Ok toks -> toks
+    | Error e -> Alcotest.failf "scan: %a" Core.pp_error e
+  in
+  let first_parse_words parse =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Gc.minor ();
+           let before = Gc.allocated_bytes () in
+           let accepted = Result.is_ok (parse g.Core.parser toks) in
+           let words =
+             (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+           in
+           (accepted, words /. float_of_int (Array.length toks))))
+  in
+  List.iter
+    (fun (label, parse) ->
+      let accepted, per_token = first_parse_words parse in
+      check_bool (Printf.sprintf "%s accepts the INSERT" label) true accepted;
+      check_bool
+        (Printf.sprintf
+           "full: first %s of a 1000-row INSERT allocates %.1f words per \
+            token (budget 60)"
+           label per_token)
+        true (per_token < 60.))
+    [
+      ("parse_tokens", fun p toks -> Parser_gen.Engine.parse_tokens p toks);
+      ("parse_tokens_vm", fun p toks -> Parser_gen.Engine.parse_tokens_vm p toks);
+    ]
+
 let suite =
   [
     Alcotest.test_case "recognition allocates < 2 words per marginal token"
@@ -233,4 +288,7 @@ let suite =
     Alcotest.test_case
       "full: partial points keep a wide WHERE allocation-free per token"
       `Quick test_partial_points_commit;
+    Alcotest.test_case
+      "full: first parse of a 1000-row INSERT allocates < 60 words per token"
+      `Quick test_fallback_memo_is_bounded;
   ]

@@ -93,6 +93,19 @@ let result_testable =
       | Error e1, Error e2 -> e1 = e2
       | _ -> false)
 
+(* Where the dispatching runs' scoped backtracking suffices, an accepted
+   statement must be accepted by those runs themselves (committed loop, VM,
+   fused). A wrong rejection there would be masked by the pure rerun, which
+   still returns the right result. (Scoped backtracking does not suffice
+   everywhere: a choice is final once its enclosing sequence completes.) *)
+let check_no_rerun ~msg parses =
+  let before = Parser_gen.Engine.pure_reruns () in
+  if List.for_all Fun.id (parses ()) then
+    Alcotest.(check int)
+      (Printf.sprintf "accepted without a pure rerun: %s" msg)
+      before
+      (Parser_gen.Engine.pure_reruns ())
+
 let check_agree ~msg refp eng toks =
   Alcotest.check result_testable msg
     (Parser_gen.Reference.parse refp (Array.to_list toks))
@@ -196,6 +209,30 @@ let test_partial_points name () =
     @ List.concat_map
         (fun sql -> [ sql ^ " )"; drop_last_word sql ])
         Corpus.partial_points_accept)
+
+(* Forced tails: statements whose ambiguous occurrence's first derivation
+   cannot finish the statement, and their stray-[)] rejections. The
+   decisive token lies past the sequence enclosing the occurrence, so the
+   dispatching runs reject and the pure rerun walks the oracle's lazy
+   derivation stream past its first alternative (a rejecting rerun walks
+   every stream to its end). The hand-built grammars below force tails
+   inside the dispatching runs themselves. *)
+let test_forced_tails name () =
+  let g = front_end name in
+  let refp = reference_on (engine_grammar g) in
+  let memop = engine_on ~dispatch:false g (engine_grammar g) in
+  List.iter
+    (fun sql ->
+      check_bool (Printf.sprintf "%s accepts: %s" name sql) true
+        (Result.is_ok (Core.parse_cst g sql)))
+    Corpus.forced_tail_accept;
+  List.iter
+    (fun sql ->
+      check_bool (Printf.sprintf "%s rejects: %s" name sql) false
+        (Result.is_ok (Core.parse_cst g sql)))
+    Corpus.forced_tail_reject;
+  List.iter (agree_everywhere ~name g refp memop)
+    (Corpus.forced_tail_accept @ Corpus.forced_tail_reject)
 
 (* Factoring itself: same CSTs and failure positions as the composed
    grammar, expected sets allowed to widen. *)
@@ -432,7 +469,7 @@ let test_vm_choice_backtracking () =
 (* Every engine on a hand-built grammar: the committed loop, the VM, fused
    (through a scanner sharing the engine's interner), dispatch off, and
    the reference — same CSTs, same errors, and the expected acceptance. *)
-let check_hand_built g ~tokens cases =
+let check_hand_built ?(no_rerun = false) g ~tokens cases =
   let scanner =
     Lexing_gen.Scanner.create
       (("LB", Lexing_gen.Spec.Punct "[")
@@ -481,7 +518,15 @@ let check_hand_built g ~tokens cases =
       in
       Alcotest.check result_testable
         (Printf.sprintf "fused: %s" input)
-        fused committed)
+        fused committed;
+      if no_rerun then
+        check_no_rerun ~msg:input (fun () ->
+            [
+              Result.is_ok (Parser_gen.Engine.parse_tokens p toks);
+              Result.is_ok (Parser_gen.Engine.parse_tokens_vm p toks);
+              Result.is_ok
+                (snd (Parser_gen.Engine.parse_fused p ~scanner input));
+            ]))
     cases;
   p
 
@@ -561,6 +606,56 @@ let test_partial_point_commits_and_backtracks () =
          ("C C", false);
        ])
 
+(* The lazy derivation stream on hand-built grammars, through every
+   engine. *)
+let test_lazy_stream_tails () =
+  let open Grammar.Builder in
+  (* (a) [z] is ambiguous on (X, Y). On "GO X Y Y END" its first
+     alternative's only end fails the continuation (END expected at the
+     second Y), so the consumer forces the tail and the second alternative
+     succeeds. *)
+  ignore
+    (check_hand_built ~no_rerun:true
+       (grammar ~start:"s"
+          [
+            rule "s" [ [ t "GO"; nt "z"; t "END" ] ];
+            rule "z" [ [ t "X"; t "Y" ]; [ t "X"; t "Y"; t "Y" ] ];
+          ])
+       ~tokens:[ "GO"; "END"; "X"; "Y" ]
+       [
+         ("GO X Y END", true);
+         ("GO X Y Y END", true);
+         ("GO X Y Y Y END", false);
+         ("GO X END", false);
+       ]);
+  (* (b) [a] is ambiguous on (X, X) and [c] on (X, Q). On "GO X X Q Y END"
+     the VM takes [a]'s first end (X) and [c]'s first end (X Q), pushing a
+     choice for each with its tail unforced. END fails at Y; [c]'s tail
+     forces to [Nil] (X Q W W fails, and Q Y does not start at X), so that
+     choice is popped and backtracking carries on to [a]'s, whose second
+     end (X X) lets [c] commit to Q Y. *)
+  ignore
+    (check_hand_built ~no_rerun:true
+       (grammar ~start:"s"
+          [
+            rule "s" [ [ t "GO"; nt "a"; nt "c"; t "END" ] ];
+            rule "a" [ [ t "X" ]; [ t "X"; t "X" ] ];
+            rule "c"
+              [
+                [ t "X"; t "Q" ]; [ t "X"; t "Q"; t "W"; t "W" ]; [ t "Q"; t "Y" ];
+              ];
+          ])
+       ~tokens:[ "GO"; "END"; "X"; "Q"; "W"; "Y" ]
+       [
+         ("GO X X Q Y END", true);
+         ("GO X X Q END", true);
+         ("GO X X Q W W END", true);
+         ("GO X Q Y END", true);
+         ("GO X X Q Y Y END", false);
+         ("GO X X Q W END", false);
+         ("GO X X X END", false);
+       ])
+
 let suite =
   List.concat_map
     (fun (d : Dialects.Dialect.t) ->
@@ -604,4 +699,15 @@ let suite =
       Alcotest.test_case
         "partial choice point commits on one lookahead, backtracks on another"
         `Quick test_partial_point_commits_and_backtracks;
+    ]
+  @ List.map
+      (fun name ->
+        Alcotest.test_case
+          (Printf.sprintf "%s: forced derivation tails agree across engines"
+             name)
+          `Quick (test_forced_tails name))
+      [ "full"; "analytics" ]
+  @ [
+      Alcotest.test_case "lazy derivation tails: forced, and found empty"
+        `Quick test_lazy_stream_tails;
     ]
