@@ -355,7 +355,7 @@ let e16_row ~smoke ~domain_counts name =
   (* Baseline: the pre-interning batched pipeline — token lists through the
      string-keyed Reference engine, exactly what E15's session measured. *)
   let refp =
-    match Parser_gen.Reference.generate g.Core.grammar with
+    match Oracle.Reference.generate g.Core.grammar with
     | Ok p -> p
     | Error e -> Fmt.failwith "%a" Parser_gen.Engine.pp_gen_error e
   in
@@ -367,7 +367,7 @@ let e16_row ~smoke ~domain_counts name =
             | Ok toks ->
               ignore
                 (Sys.opaque_identity
-                   (Parser_gen.Reference.parse refp (Array.to_list toks)))
+                   (Oracle.Reference.parse refp (Array.to_list toks)))
             | Error e -> Fmt.failwith "%a" Core.pp_error e)
           statements)
   in
@@ -509,10 +509,11 @@ let report_e15_smoke () =
     (Fmt.str "%a" Service.Session.pp_stats batch.Service.Session.batch_stats)
 
 (* ------------------------------------------------------------------ *)
-(* E17 — committed LL(k) dispatch: the prediction-compiled engine vs.  *)
-(* the same engine with dispatch disabled (exactly the E16 interned    *)
-(* engine) vs. the string-path Reference, parse-only (tokens are       *)
-(* pre-scanned), plus the committed-point coverage per dialect.        *)
+(* E17 — committed LL(k) dispatch: the one production engine (the      *)
+(* bytecode VM over prediction-compiled dispatch) vs. the same         *)
+(* generator with dispatch disabled (exactly the E16 interned engine)  *)
+(* vs. the string-path Reference, parse-only (tokens are pre-scanned), *)
+(* plus the committed-point coverage per dialect.                      *)
 (* Emits BENCH_e17.json.                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -524,8 +525,8 @@ type e17_row = {
   e17_ref_tps : float;
   e17_memo_sps : float;  (* interned engine, dispatch off = E16 engine *)
   e17_memo_tps : float;
-  e17_com_sps : float;   (* committed-dispatch engine (the default) *)
-  e17_com_tps : float;
+  e17_vm_sps : float;    (* the production engine: VM + committed dispatch *)
+  e17_vm_tps : float;
   e17_summary : Parser_gen.Engine.summary;
 }
 
@@ -547,11 +548,11 @@ let e17_row ~smoke name =
   let token_total =
     List.fold_left (fun acc a -> acc + Array.length a - 1) 0 token_arrays
   in
-  (* The committed engine is the shipped parser: left-factored grammar,
-     prediction-compiled dispatch. The memoized baseline is the same
-     generator with ~dispatch:false on the *composed* grammar — exactly the
-     engine E16 measured. The reference runs the composed grammar too. *)
-  let committed = g.Core.parser in
+  (* The shipped parser runs the left-factored grammar on the VM. The
+     memoized baseline is the same generator with ~dispatch:false on the
+     *composed* grammar — exactly the engine E16 measured. The reference
+     runs the composed grammar too. *)
+  let shipped = g.Core.parser in
   let memo =
     match
       Parser_gen.Engine.generate ~dispatch:false
@@ -562,7 +563,7 @@ let e17_row ~smoke name =
     | Error e -> Fmt.failwith "%a" Parser_gen.Engine.pp_gen_error e
   in
   let refp =
-    match Parser_gen.Reference.generate g.Core.grammar with
+    match Oracle.Reference.generate g.Core.grammar with
     | Ok p -> p
     | Error e -> Fmt.failwith "%a" Parser_gen.Engine.pp_gen_error e
   in
@@ -573,13 +574,13 @@ let e17_row ~smoke name =
             ignore (Sys.opaque_identity (Parser_gen.Engine.parse_tokens p toks)))
           token_arrays)
   in
-  let com_time = engine_time committed in
+  let vm_time = engine_time shipped in
   let memo_time = engine_time memo in
   let ref_time =
     time_avg (fun () ->
         List.iter
           (fun toks ->
-            ignore (Sys.opaque_identity (Parser_gen.Reference.parse refp toks)))
+            ignore (Sys.opaque_identity (Oracle.Reference.parse refp toks)))
           token_lists)
   in
   {
@@ -590,9 +591,9 @@ let e17_row ~smoke name =
     e17_ref_tps = float token_total /. ref_time;
     e17_memo_sps = float n /. memo_time;
     e17_memo_tps = float token_total /. memo_time;
-    e17_com_sps = float n /. com_time;
-    e17_com_tps = float token_total /. com_time;
-    e17_summary = Parser_gen.Engine.summary committed;
+    e17_vm_sps = float n /. vm_time;
+    e17_vm_tps = float token_total /. vm_time;
+    e17_summary = Parser_gen.Engine.summary shipped;
   }
 
 let write_e17_json rows =
@@ -610,8 +611,7 @@ let write_e17_json rows =
          %.0f,\n\
         \     \"memoized_stmts_per_s\": %.0f, \"memoized_tokens_per_s\": \
          %.0f,\n\
-        \     \"committed_stmts_per_s\": %.0f, \"committed_tokens_per_s\": \
-         %.0f,\n\
+        \     \"vm_stmts_per_s\": %.0f, \"vm_tokens_per_s\": %.0f,\n\
         \     \"speedup_tokens_vs_memoized\": %.2f, \
          \"speedup_tokens_vs_reference\": %.2f,\n\
         \     \"committed_points\": %d, \"k1_points\": %d, \"k2_points\": \
@@ -619,11 +619,11 @@ let write_e17_json rows =
         \     \"committed_nonterminals\": %d, \"total_nonterminals\": %d,\n\
         \     \"coverage\": %.4f}%s\n"
         row.e17_dialect row.e17_statements row.e17_tokens row.e17_ref_sps
-        row.e17_ref_tps row.e17_memo_sps row.e17_memo_tps row.e17_com_sps
-        row.e17_com_tps
-        (if row.e17_memo_tps > 0. then row.e17_com_tps /. row.e17_memo_tps
+        row.e17_ref_tps row.e17_memo_sps row.e17_memo_tps row.e17_vm_sps
+        row.e17_vm_tps
+        (if row.e17_memo_tps > 0. then row.e17_vm_tps /. row.e17_memo_tps
          else 0.)
-        (if row.e17_ref_tps > 0. then row.e17_com_tps /. row.e17_ref_tps
+        (if row.e17_ref_tps > 0. then row.e17_vm_tps /. row.e17_ref_tps
          else 0.)
         s.Parser_gen.Engine.committed_points s.Parser_gen.Engine.k1_points
         s.Parser_gen.Engine.k2_points s.Parser_gen.Engine.ambiguous_points
@@ -646,13 +646,13 @@ let report_e17 ?(smoke = false) () =
   in
   let rows = List.map (e17_row ~smoke) names in
   pf "%-10s %6s %8s %13s %13s %13s %8s %9s\n" "dialect" "stmts" "tokens"
-    "ref tok/s" "memo tok/s" "commit tok/s" "vs memo" "coverage";
+    "ref tok/s" "memo tok/s" "vm tok/s" "vs memo" "coverage";
   List.iter
     (fun row ->
       pf "%-10s %6d %8d %11.0f/s %11.0f/s %11.0f/s %7.2fx %8.1f%%\n"
         row.e17_dialect row.e17_statements row.e17_tokens row.e17_ref_tps
-        row.e17_memo_tps row.e17_com_tps
-        (if row.e17_memo_tps > 0. then row.e17_com_tps /. row.e17_memo_tps
+        row.e17_memo_tps row.e17_vm_tps
+        (if row.e17_memo_tps > 0. then row.e17_vm_tps /. row.e17_memo_tps
          else 0.)
         (100. *. Parser_gen.Engine.coverage row.e17_summary))
     rows;
@@ -675,18 +675,18 @@ let report_e17 ?(smoke = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E18: bytecode VM + SoA token stream vs. the committed loop.         *)
-(* End-to-end (scan + parse), since the SoA stream's zero-allocation   *)
-(* scan is half the point. Emits BENCH_e18.json.                       *)
+(* E18: the production pipeline end to end (scan + parse): the VM over *)
+(* the SoA token stream, its CST-free recognition, and the memoized    *)
+(* baseline (materialized tokens, dispatch off). Emits BENCH_e18.json. *)
 (* ------------------------------------------------------------------ *)
 
 type e18_row = {
   e18_dialect : string;
   e18_statements : int;
   e18_tokens : int;
-  e18_com_sps : float;   (* committed loop over materialized tokens *)
-  e18_com_tps : float;
-  e18_vm_sps : float;    (* bytecode VM over the SoA stream, building CSTs *)
+  e18_memo_sps : float;  (* scan_tokens + the ~dispatch:false engine *)
+  e18_memo_tps : float;
+  e18_vm_sps : float;    (* Core.parse_cst: VM over the SoA stream *)
   e18_vm_tps : float;
   e18_rec_sps : float;   (* VM recognition: no tokens, no CST *)
   e18_rec_tps : float;
@@ -695,25 +695,33 @@ type e18_row = {
   e18_total_nts : int;
 }
 
+(* The memoized baseline end to end: the same front-end with its parser
+   generated without dispatch (no program, no committed region). *)
+let e18_memoized (g : Core.generated) =
+  match
+    Parser_gen.Engine.generate ~dispatch:false
+      ~interner:(Lexing_gen.Scanner.interner g.Core.scanner)
+      (Parser_gen.Engine.grammar g.Core.parser)
+  with
+  | Ok parser -> { g with Core.parser }
+  | Error e -> Fmt.failwith "%a" Parser_gen.Engine.pp_gen_error e
+
 let e18_row ~smoke name =
   let d, g = dialect name in
   let statements = e16_workload ~smoke g d in
   let n = List.length statements in
   let token_total = e16_token_total g statements in
-  (* End-to-end timing: every engine pays its own scan. The committed
-     baseline is exactly the shipped [Core.parse_cst] pipeline
-     (materialized token array into the dispatch loop); the VM rows run
-     [Core.parse_cst_vm] (SoA stream, lazily materialized leaves) and
-     [Core.recognize] (SoA stream, no CST — the zero-allocation path). *)
+  let memo = e18_memoized g in
+  (* End-to-end timing: every pipeline pays its own scan. *)
   let pipeline_time parse =
     time_avg (fun () ->
         List.iter
-          (fun sql -> ignore (Sys.opaque_identity (parse g sql)))
+          (fun sql -> ignore (Sys.opaque_identity (parse sql)))
           statements)
   in
-  let com_time = pipeline_time Core.parse_cst in
-  let vm_time = pipeline_time Core.parse_cst_vm in
-  let rec_time = pipeline_time Core.recognize in
+  let memo_time = pipeline_time (Core.parse_cst memo) in
+  let vm_time = pipeline_time (Core.parse_cst g) in
+  let rec_time = pipeline_time (Core.recognize g) in
   let program_size, compiled_nts =
     match Parser_gen.Engine.program g.Core.parser with
     | Some p -> (Parser_gen.Program.size p, Parser_gen.Program.compiled_nts p)
@@ -723,8 +731,8 @@ let e18_row ~smoke name =
     e18_dialect = name;
     e18_statements = n;
     e18_tokens = token_total;
-    e18_com_sps = float n /. com_time;
-    e18_com_tps = float token_total /. com_time;
+    e18_memo_sps = float n /. memo_time;
+    e18_memo_tps = float token_total /. memo_time;
     e18_vm_sps = float n /. vm_time;
     e18_vm_tps = float token_total /. vm_time;
     e18_rec_sps = float n /. rec_time;
@@ -739,27 +747,27 @@ let write_e18_json rows =
   let oc = open_out "BENCH_e18.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n  \"experiment\": \"e18\",\n";
-  p "  \"basis\": \"end-to-end (scan + parse per engine)\",\n";
+  p "  \"basis\": \"end-to-end (scan + parse per pipeline)\",\n";
   p "  \"rows\": [\n";
   List.iteri
     (fun i row ->
       p
         "    {\"dialect\": %S, \"statements\": %d, \"tokens\": %d,\n\
-        \     \"committed_stmts_per_s\": %.0f, \"committed_tokens_per_s\": \
+        \     \"memoized_stmts_per_s\": %.0f, \"memoized_tokens_per_s\": \
          %.0f,\n\
         \     \"vm_stmts_per_s\": %.0f, \"vm_tokens_per_s\": %.0f,\n\
         \     \"vm_recognize_stmts_per_s\": %.0f, \
          \"vm_recognize_tokens_per_s\": %.0f,\n\
-        \     \"speedup_vm_vs_committed\": %.2f, \
-         \"speedup_recognize_vs_committed\": %.2f,\n\
+        \     \"speedup_vm_vs_memoized\": %.2f, \
+         \"speedup_recognize_vs_memoized\": %.2f,\n\
         \     \"program_size_ints\": %d, \"compiled_nonterminals\": %d, \
          \"total_nonterminals\": %d}%s\n"
-        row.e18_dialect row.e18_statements row.e18_tokens row.e18_com_sps
-        row.e18_com_tps row.e18_vm_sps row.e18_vm_tps row.e18_rec_sps
+        row.e18_dialect row.e18_statements row.e18_tokens row.e18_memo_sps
+        row.e18_memo_tps row.e18_vm_sps row.e18_vm_tps row.e18_rec_sps
         row.e18_rec_tps
-        (if row.e18_com_tps > 0. then row.e18_vm_tps /. row.e18_com_tps
+        (if row.e18_memo_tps > 0. then row.e18_vm_tps /. row.e18_memo_tps
          else 0.)
-        (if row.e18_com_tps > 0. then row.e18_rec_tps /. row.e18_com_tps
+        (if row.e18_memo_tps > 0. then row.e18_rec_tps /. row.e18_memo_tps
          else 0.)
         row.e18_program_size row.e18_compiled_nts row.e18_total_nts
         (if i = List.length rows - 1 then "" else ","))
@@ -768,7 +776,7 @@ let write_e18_json rows =
   close_out oc
 
 let report_e18 ?(smoke = false) () =
-  pf "\n== E18: bytecode VM + SoA stream vs. committed loop (end-to-end) ==\n";
+  pf "\n== E18: the VM pipeline vs. memoized backtracking (end-to-end) ==\n";
   let names =
     if smoke then [ "embedded"; "analytics" ]
     else
@@ -778,15 +786,15 @@ let report_e18 ?(smoke = false) () =
   in
   let rows = List.map (e18_row ~smoke) names in
   pf "%-10s %6s %8s %13s %13s %13s %8s %8s %9s\n" "dialect" "stmts" "tokens"
-    "commit tok/s" "vm tok/s" "recog tok/s" "vm x" "recog x" "program";
+    "memo tok/s" "vm tok/s" "recog tok/s" "vm x" "recog x" "program";
   List.iter
     (fun row ->
       pf "%-10s %6d %8d %11.0f/s %11.0f/s %11.0f/s %7.2fx %7.2fx %6d ints\n"
-        row.e18_dialect row.e18_statements row.e18_tokens row.e18_com_tps
+        row.e18_dialect row.e18_statements row.e18_tokens row.e18_memo_tps
         row.e18_vm_tps row.e18_rec_tps
-        (if row.e18_com_tps > 0. then row.e18_vm_tps /. row.e18_com_tps
+        (if row.e18_memo_tps > 0. then row.e18_vm_tps /. row.e18_memo_tps
          else 0.)
-        (if row.e18_com_tps > 0. then row.e18_rec_tps /. row.e18_com_tps
+        (if row.e18_memo_tps > 0. then row.e18_rec_tps /. row.e18_memo_tps
          else 0.)
         row.e18_program_size)
     rows;
@@ -795,13 +803,14 @@ let report_e18 ?(smoke = false) () =
   List.iter
     (fun name ->
       let d, g = dialect name in
+      let memo = e18_memoized g in
       List.iter
         (fun sql ->
-          let a = Result.is_ok (Core.parse_cst g sql) in
-          let b = Result.is_ok (Core.parse_cst_vm g sql) in
-          let c = Result.is_ok (Core.recognize g sql) in
-          if a <> b || a <> c then
-            Fmt.failwith "engines disagree on %S (%s)" sql
+          let a = Core.parse_cst g sql in
+          if a <> Core.parse_cst memo sql
+             || Result.is_ok a <> Result.is_ok (Core.recognize g sql)
+          then
+            Fmt.failwith "pipelines disagree on %S (%s)" sql
               d.Dialects.Dialect.name)
         (e16_workload ~smoke:true g d))
     names;
@@ -814,16 +823,15 @@ let report_e18 ?(smoke = false) () =
 (* E19: the parser service under concurrent load. A real `sqlpl serve` *)
 (* daemon (8 worker domains, loopback TCP) takes batched requests from *)
 (* 8 concurrent client connections; we report wire round-trip latency  *)
-(* (p50/p99) and sustained request/statement throughput per dialect    *)
-(* and engine, and cross-check every reply byte-for-byte against the   *)
-(* in-process Session results. Emits BENCH_e19.json.                   *)
+(* (p50/p99) and sustained request/statement throughput per dialect,   *)
+(* and cross-check every reply byte-for-byte against the in-process    *)
+(* Session results. Emits BENCH_e19.json.                              *)
 (* ------------------------------------------------------------------ *)
 
 module Wire = Service.Wire
 
 type e19_row = {
   e19_dialect : string;
-  e19_engine : string;
   e19_statements : int;  (* statements per request *)
   e19_requests : int;    (* requests answered across all connections *)
   e19_p50_ms : float;
@@ -848,32 +856,26 @@ let e19_batch ~smoke name g =
   if smoke then corpus
   else Service.Sentences.sample ~count:28 ~seed:7433 g @ corpus
 
-let e19_reference ~mode ~engine g stmts =
-  let session = Service.Session.create ~engine g in
+let e19_reference ~mode g stmts =
+  let session = Service.Session.create g in
   Wire.encode_items
     (List.map
        (Service.Server.outcome_of_item mode)
        (Service.Session.parse_batch session stmts).Service.Session.items)
 
-let e19_row ~smoke ~rounds ~connections server name engine =
+let e19_row ~smoke ~rounds ~connections server name =
   let _, g = dialect name in
   let stmts = e19_batch ~smoke name g in
-  let engine_name =
-    match engine with
-    | `Committed -> "committed"
-    | `Vm -> "vm"
-    | `Fused -> "fused"
-  in
   (* The determinism gate first: one CST-mode and one recognize-mode reply
      must be byte-identical to the library rendering. *)
-  let expect_cst = e19_reference ~mode:Wire.Cst ~engine g stmts in
-  let expect_rec = e19_reference ~mode:Wire.Recognize ~engine g stmts in
+  let expect_cst = e19_reference ~mode:Wire.Cst g stmts in
+  let expect_rec = e19_reference ~mode:Wire.Recognize g stmts in
   let addr = Service.Server.address server in
   let latencies = Array.make (connections * rounds) 0.0 in
   let failures = Array.make connections None in
   let run i () =
     match
-      Service.Client.connect ~engine ~selection:(Wire.Dialect name) addr
+      Service.Client.connect ~selection:(Wire.Dialect name) addr
     with
     | Error e -> failures.(i) <- Some (Fmt.str "connect: %a" Wire.pp_error e)
     | Ok (client, _) ->
@@ -906,14 +908,13 @@ let e19_row ~smoke ~rounds ~connections server name engine =
   in
   Array.iter
     (function
-      | Some msg -> Fmt.failwith "e19 %s/%s: %s" name engine_name msg
+      | Some msg -> Fmt.failwith "e19 %s: %s" name msg
       | None -> ())
     failures;
   Array.sort compare latencies;
   let requests = connections * rounds in
   {
     e19_dialect = name;
-    e19_engine = engine_name;
     e19_statements = List.length stmts;
     e19_requests = requests;
     e19_p50_ms = 1e3 *. e19_percentile latencies 0.50;
@@ -935,12 +936,11 @@ let write_e19_json ~workers ~connections rows =
   List.iteri
     (fun i row ->
       p
-        "    {\"dialect\": %S, \"engine\": %S, \"statements\": %d, \
+        "    {\"dialect\": %S, \"engine\": \"vm\", \"statements\": %d, \
          \"requests\": %d,\n\
         \     \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"qps\": %.0f, \
          \"stmts_per_s\": %.0f, \"major_collections\": %d}%s\n"
-        row.e19_dialect row.e19_engine row.e19_statements row.e19_requests
-        row.e19_p50_ms row.e19_p99_ms row.e19_qps row.e19_sps row.e19_major
+        row.e19_dialect row.e19_statements row.e19_requests row.e19_p50_ms row.e19_p99_ms row.e19_qps row.e19_sps row.e19_major
         (if i = List.length rows - 1 then "" else ","))
     rows;
   p "  ]\n}\n";
@@ -966,23 +966,17 @@ let report_e19 ?(smoke = false) () =
     | Error msg -> Fmt.failwith "e19: %s" msg
   in
   Fun.protect ~finally:(fun () -> Service.Server.stop server) @@ fun () ->
-  let rows =
-    List.concat_map
-      (fun name ->
-        List.map (e19_row ~smoke ~rounds ~connections server name)
-          [ `Committed; `Vm; `Fused ])
-      names
-  in
+  let rows = List.map (e19_row ~smoke ~rounds ~connections server) names in
   let s = Service.Server.stats server in
   if s.Service.Server.connections < connections then
     Fmt.failwith "e19: only %d connections served" s.Service.Server.connections;
-  pf "%-10s %-9s %6s %8s %9s %9s %9s %11s\n" "dialect" "engine" "stmts"
-    "requests" "p50 ms" "p99 ms" "req/s" "stmts/s";
+  pf "%-10s %6s %8s %9s %9s %9s %11s\n" "dialect" "stmts" "requests"
+    "p50 ms" "p99 ms" "req/s" "stmts/s";
   List.iter
     (fun row ->
-      pf "%-10s %-9s %6d %8d %9.3f %9.3f %9.0f %9.0f/s\n" row.e19_dialect
-        row.e19_engine row.e19_statements row.e19_requests row.e19_p50_ms
-        row.e19_p99_ms row.e19_qps row.e19_sps)
+      pf "%-10s %6d %8d %9.3f %9.3f %9.0f %9.0f/s\n" row.e19_dialect
+        row.e19_statements row.e19_requests row.e19_p50_ms row.e19_p99_ms
+        row.e19_qps row.e19_sps)
     rows;
   pf "(every reply cross-checked byte-for-byte against Session.parse_batch)\n";
   if not smoke then begin

@@ -256,28 +256,6 @@ let parse_cmd =
     in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
   in
-  let engine_arg =
-    let doc =
-      "Parsing engine: $(b,committed) (prediction-compiled LL(k) dispatch on \
-       the normalized grammar — the default), $(b,vm) (the committed region \
-       compiled further, to flat bytecode executed over the zero-allocation \
-       struct-of-arrays token stream), $(b,fused) (the bytecode VM pulling \
-       tokens straight from the scanner — one pass over the bytes, no \
-       up-front tokenization), $(b,memo) (memoized backtracking on the \
-       composed grammar, no dispatch tables) or $(b,reference) (the \
-       executable-specification engine; single statements only). All five \
-       accept the same language and build the same trees; they differ in \
-       speed."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("committed", `Committed); ("vm", `Vm); ("fused", `Fused);
-               ("memo", `Memo); ("reference", `Reference) ])
-          `Committed
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let stdin_flag =
     Arg.(
       value & flag
@@ -293,18 +271,10 @@ let parse_cmd =
     let doc = "Chunk size for $(b,--stdin) streaming, in bytes." in
     Arg.(value & opt int 65536 & info [ "chunk-size" ] ~docv:"BYTES" ~doc)
   in
-  let run_batch g engine path domains =
+  let run_batch g path domains =
     if domains < 1 then fail "--domains must be at least 1"
     else begin
-    let session =
-      Service.Session.create
-        ~engine:
-          (match engine with
-          | `Vm -> `Vm
-          | `Fused -> `Fused
-          | _ -> `Committed)
-        g
-    in
+    let session = Service.Session.create g in
     let script = In_channel.with_open_text path In_channel.input_all in
     let batch = Service.Session.parse_script ~domains session script in
     List.iter
@@ -324,18 +294,10 @@ let parse_cmd =
         stats.Service.Session.statements
     end
   in
-  let run_stdin g engine chunk_size =
+  let run_stdin g chunk_size =
     if chunk_size < 1 then fail "--chunk-size must be at least 1"
     else begin
-      let session =
-        Service.Session.create
-          ~engine:
-            (match engine with
-            | `Vm -> `Vm
-            | `Committed | `Memo -> `Committed
-            | _ -> `Fused)
-          g
-      in
+      let session = Service.Session.create g in
       let stats =
         Service.Session.parse_stream ~chunk_size session
           ~on_item:(fun (item : Service.Session.item) ->
@@ -355,77 +317,33 @@ let parse_cmd =
           stats.Service.Session.statements
     end
   in
-  (* [memo] swaps the session's parser for one generated without dispatch
-     tables from the composed (unnormalized) grammar — exactly the previous
-     engine, and the E17 baseline. *)
-  let with_memo_engine g =
-    match
-      Parser_gen.Engine.generate ~dispatch:false
-        ~interner:(Lexing_gen.Scanner.interner g.Core.scanner)
-        g.Core.grammar
-    with
-    | Ok parser -> Ok { g with Core.parser }
-    | Error e -> Error (Fmt.str "%a" Parser_gen.Engine.pp_gen_error e)
-  in
-  let run_reference g sql =
-    match Parser_gen.Reference.generate g.Core.grammar with
-    | Error e -> fail "%s" (Fmt.str "%a" Parser_gen.Engine.pp_gen_error e)
-    | Ok refp -> (
-      match Core.scan_tokens g sql with
-      | Error e -> fail "%s" (Fmt.str "%a" Core.pp_error e)
-      | Ok toks -> (
-        match Parser_gen.Reference.parse refp (Array.to_list toks) with
-        | Ok cst ->
-          Fmt.pr "%a@." Parser_gen.Cst.pp cst;
-          `Ok ()
-        | Error e -> fail "%s" (Fmt.str "%a" Parser_gen.Engine.pp_parse_error e)))
-  in
-  let run dialect features config_file ast batch domains engine use_stdin
-      chunk_size sql =
+  let run dialect features config_file ast batch domains use_stdin chunk_size
+      sql =
     match generate_front_end dialect features config_file with
     | Error msg -> fail "%s" msg
     | Ok g -> (
-      let g =
-        match engine with `Memo -> with_memo_engine g | _ -> Ok g
-      in
-      match g with
-      | Error msg -> fail "%s" msg
-      | Ok g -> (
-        match (batch, sql) with
-        | _ when use_stdin ->
-          if engine = `Reference then
-            fail "--engine reference parses single statements only"
-          else if batch <> None || sql <> None then
-            fail "--stdin excludes --batch and SQL arguments"
-          else run_stdin g engine chunk_size
-        | Some _, _ when engine = `Reference ->
-          fail "--engine reference parses single statements only"
-        | Some path, None -> run_batch g engine path domains
-        | Some _, Some _ -> fail "--batch and a SQL argument are exclusive"
-        | None, None ->
-          fail "a SQL statement (or --batch FILE, or --stdin) is required"
-        | None, Some sql when engine = `Reference ->
-          if ast then fail "--engine reference prints the CST only"
-          else run_reference g sql
-        | None, Some sql ->
-          if ast then (
-            match Core.parse_statement g sql with
-            | Ok stmt ->
-              print_endline (Sql_ast.Sql_printer.statement stmt);
-              `Ok ()
-            | Error e -> fail "%s" (Fmt.str "%a" Core.pp_error e))
-          else (
-            let parse =
-              match engine with
-              | `Vm -> Core.parse_cst_vm
-              | `Fused -> Core.parse_cst_fused
-              | _ -> Core.parse_cst
-            in
-            match parse g sql with
-            | Ok cst ->
-              Fmt.pr "%a@." Parser_gen.Cst.pp cst;
-              `Ok ()
-            | Error e -> fail "%s" (Fmt.str "%a" Core.pp_error e))))
+      match (batch, sql) with
+      | _ when use_stdin ->
+        if batch <> None || sql <> None then
+          fail "--stdin excludes --batch and SQL arguments"
+        else run_stdin g chunk_size
+      | Some path, None -> run_batch g path domains
+      | Some _, Some _ -> fail "--batch and a SQL argument are exclusive"
+      | None, None ->
+        fail "a SQL statement (or --batch FILE, or --stdin) is required"
+      | None, Some sql -> (
+        if ast then
+          match Core.parse_statement g sql with
+          | Ok stmt ->
+            print_endline (Sql_ast.Sql_printer.statement stmt);
+            `Ok ()
+          | Error e -> fail "%s" (Fmt.str "%a" Core.pp_error e)
+        else
+          match Core.parse_cst g sql with
+          | Ok cst ->
+            Fmt.pr "%a@." Parser_gen.Cst.pp cst;
+            `Ok ()
+          | Error e -> fail "%s" (Fmt.str "%a" Core.pp_error e)))
   in
   Cmd.v
     (Cmd.info "parse"
@@ -434,8 +352,7 @@ let parse_cmd =
     Term.(
       ret
         (const run $ dialect_arg $ features_arg $ config_file_arg $ ast_flag
-        $ batch_arg $ domains_arg $ engine_arg $ stdin_flag $ chunk_size_arg
-        $ sql_arg))
+        $ batch_arg $ domains_arg $ stdin_flag $ chunk_size_arg $ sql_arg))
 
 (* --- emit --------------------------------------------------------------------- *)
 
@@ -768,7 +685,7 @@ let serve_cmd =
       & info [ "stream" ]
           ~doc:
             "Additionally accept raw streaming connections: first byte \
-             $(b,S), one $(i,<dialect> [engine]) header line, then \
+             $(b,S), one $(i,<dialect>) header line, then \
              unframed SQL bytes to EOF — answered one $(b,ok)/$(b,err) \
              line per statement at a fixed memory ceiling.")
   in
@@ -850,15 +767,6 @@ let client_cmd =
     in
     Arg.(value & opt (some string) None & info [ "digest" ] ~docv:"HEX" ~doc)
   in
-  let engine_arg =
-    let doc = "Session engine on the server: committed, vm or fused." in
-    Arg.(
-      value
-      & opt
-          (enum [ ("committed", `Committed); ("vm", `Vm); ("fused", `Fused) ])
-          `Committed
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let json_flag =
     Arg.(
       value & flag
@@ -881,7 +789,7 @@ let client_cmd =
       value & pos_all string []
       & info [] ~docv:"SQL" ~doc:"Statements to send (each one statement).")
   in
-  let run listen unix_path dialect features config_file digest engine json
+  let run listen unix_path dialect features config_file digest json
       recognize max_frame batch sqls =
     let selection =
       match digest with
@@ -909,7 +817,7 @@ let client_cmd =
       else
         let encoding = if json then Service.Wire.Json else Service.Wire.Binary in
         match
-          Service.Client.connect ~encoding ~engine ~max_frame ~selection addr
+          Service.Client.connect ~encoding ~max_frame ~selection addr
         with
         | Error e -> fail "%s" (Fmt.str "%a" Service.Wire.pp_error e)
         | Ok (client, ok) ->
@@ -954,7 +862,7 @@ let client_cmd =
     Term.(
       ret
         (const run $ listen_arg $ unix_arg $ dialect_arg $ features_arg
-       $ config_file_arg $ digest_arg $ engine_arg $ json_flag
+       $ config_file_arg $ digest_arg $ json_flag
        $ recognize_flag $ max_frame_arg $ batch_arg $ sql_arg))
 
 (* --- configure ----------------------------------------------------------------- *)

@@ -93,17 +93,18 @@ let scan_soa g sql =
     (fun e -> Lex_error e)
     (Lexing_gen.Scanner.scan_soa g.scanner sql)
 
-let parse_cst g sql =
-  let* tokens = scan_tokens g sql in
-  Result.map_error
-    (fun e -> Parse_error e)
-    (Parser_gen.Engine.parse_tokens g.parser tokens)
+(* The production path: the bytecode VM over the SoA token stream, whose
+   token records are materialized only for CST leaves and error edges. *)
+let parse_cst_counted g sql =
+  match scan_soa g sql with
+  | Error e -> (0, Error e)
+  | Ok soa ->
+    ( Lexing_gen.Scanner.soa_count soa,
+      Result.map_error
+        (fun e -> Parse_error e)
+        (Parser_gen.Engine.parse_soa g.parser ~scanner:g.scanner soa) )
 
-let parse_cst_vm g sql =
-  let* soa = scan_soa g sql in
-  Result.map_error
-    (fun e -> Parse_error e)
-    (Parser_gen.Engine.parse_soa g.parser ~scanner:g.scanner soa)
+let parse_cst g sql = snd (parse_cst_counted g sql)
 
 let recognize g sql =
   let* soa = scan_soa g sql in
@@ -111,11 +112,11 @@ let recognize g sql =
     (fun e -> Parse_error e)
     (Parser_gen.Engine.recognize_soa g.parser ~scanner:g.scanner soa)
 
-(* Fused engine: the VM pulls token kinds from a scanner cursor, so the
-   committed region of the statement is a single pass over the raw bytes.
-   The counted variant also reports the statement's token count — the
-   service layer's throughput stats need it, and on the fused path it is
-   a by-product of the run rather than a second scan. *)
+(* Fused engine, the candidate production path: the VM pulls token kinds
+   from a scanner cursor, so the committed region of the statement is a
+   single pass over the raw bytes. The counted variant also reports the
+   statement's token count; on the fused path it is a by-product of the
+   run rather than a second scan. *)
 let fused_error = function
   | `Lex e -> Lex_error e
   | `Parse e -> Parse_error e

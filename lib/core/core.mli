@@ -76,20 +76,29 @@ val scan_soa :
     See {!Lexing_gen.Scanner.scan_soa}. *)
 
 val parse_cst : generated -> string -> (Parser_gen.Cst.t, error) result
-(** Scan and parse one statement to a concrete syntax tree (committed
-    dispatch engine). *)
+(** Scan and parse one statement to a concrete syntax tree: the bytecode VM
+    over the struct-of-arrays token stream, the one production engine
+    ({!parse_statement}, {!accepts}, {!run} and the service layer all
+    parse through it). *)
 
-val parse_cst_vm : generated -> string -> (Parser_gen.Cst.t, error) result
-(** As {!parse_cst}, on the bytecode VM over the SoA token stream: same
-    CSTs, same errors, byte for byte. *)
+val parse_cst_counted :
+  generated -> string -> int * (Parser_gen.Cst.t, error) result
+(** {!parse_cst} paired with the statement's token count, excluding the
+    [EOF] sentinel (0 on a lexical error). *)
 
 val recognize : generated -> string -> (unit, error) result
 (** Accept/reject one statement on the VM without building a CST — the
     zero-allocation accept path (no token records, no tree). Errors are
     identical to {!parse_cst}'s. *)
 
+(** {2 Fused entry points}
+
+    The candidate engine: not selectable by any service or CLI option, kept
+    (and differentially tested) until it is at least as fast as
+    {!parse_cst} on every workload. *)
+
 val parse_cst_fused : generated -> string -> (Parser_gen.Cst.t, error) result
-(** As {!parse_cst_vm}, on the fused engine: the VM pulls token kinds from a
+(** As {!parse_cst}, on the fused engine: the VM pulls token kinds from a
     scanner cursor, so the committed region of the statement is a single
     pass over the raw bytes with no up-front tokenization. The token stream
     is completed lazily only when memoized fallback or error reporting needs

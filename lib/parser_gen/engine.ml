@@ -91,17 +91,17 @@ type t = {
   nt_fast : bool array;
       (* every choice point of this non-terminal's own rule is committed,
          or is its rule-level choice committing per lookahead ([Partial]),
-         so its body runs on the dispatch loop — dropping into the memoized
+         so its body compiles to bytecode — dropping into the memoized
          engine at references to non-[nt_fast] non-terminals, and at a
          reference whose rule-level [Partial] choice meets an ambiguous
          lookahead *)
   nt_committed : bool array;
       (* transitively committed: this non-terminal's whole subtree parses on
-         the direct dispatch loop, no memo, no backtracking (the static
+         committed dispatch, no memo, no backtracking (the static
          classification: a [Partial] point counts as ambiguous) *)
   nt_strict : bool array;
       (* transitively [nt_fast]: the subtree's only ambiguity is at
-         [Partial] rule entries, so one dispatch-loop run that meets no
+         [Partial] rule entries, so one strict dispatch run that meets no
          ambiguous lookahead is its complete derivation set *)
   dispatch : bool;
   summary : summary;
@@ -227,7 +227,7 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
       let partial = ref 0 in
       let nt_k : (string, int) Hashtbl.t = Hashtbl.create 64 in
       let nt_fb : (string, int) Hashtbl.t = Hashtbl.create 64 in
-      (* points that keep a rule off the dispatch loop: an uncommitted
+      (* points that keep a rule out of the bytecode: an uncommitted
          point inside a rule body, or a rule-level choice that can never
          commit *)
       let nt_slow : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -385,12 +385,10 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
       in
       let program =
         if dispatch then
-          let start_id =
-            Option.value ~default:(-1) (Hashtbl.find_opt nt_ids g.start)
-          in
+          (* defined: [Undefined_start] is fatal above *)
           Some
             (Program.compile ~nt_names ~nt_fast ~rules ~alt_dispatch
-               ~start:start_id)
+               ~start:(Hashtbl.find nt_ids g.start))
         else None
       in
       Ok
@@ -416,7 +414,7 @@ type derivs = Engine_types.derivs =
   | Nil
   | Cons of int * Cst.t list * derivs Lazy.t
 
-(* CST child arena for the committed dispatch loop: a domain-local stack of
+(* CST child arena for the strict dispatch runs: a domain-local stack of
    completed subtrees, reused across parses. A rule pushes its children as
    they complete and pops them into a [Node] when it finishes; on failure
    the saved stack mark is restored and the slots are simply abandoned. *)
@@ -425,26 +423,22 @@ let dummy_cst = Cst.Node ("", [])
 let cst_arena : Cst.t array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (Array.make 256 dummy_cst))
 
-(* One run's machinery: the committed dispatch loop (c_ functions) and the
-   memoized backtracking engine (p_ functions) over a fixed token-id
-   stream, packaged so the three drivers — [parse_ids]'s mode ladder, the
-   VM's fallback boundary, and the fused scan+parse entry points — share a
-   single implementation. Each value owns a fresh (sparse, lazily created)
+(* One run's memoized oracle over a fixed token-id stream, shared by the
+   bytecode VM's fallback boundary (two-pass and fused) and the pure
+   error-reporting rerun. Each value owns a fresh (sparse, lazily created)
    memo, CST stack pointer and furthest-failure tracker, i.e. it is one
    logical run. *)
 type run_machinery = {
   rm_results : int -> int -> derivs;
       (* [rm_results nid i]: the priority-ordered derivation stream (end
          position, children) of non-terminal [nid] at position [i] — the
-         VM's FB oracle and the committed loop's fallback boundary *)
+         VM's FB oracle *)
   rm_top : int -> (Cst.t, parse_error) result;
-      (* run the whole statement from start non-terminal id [sid]: the
-         committed loop when dispatching and [sid] is own-committed, the
-         memoized engine otherwise *)
+      (* the whole statement from start non-terminal id [sid] on the
+         memoized engine, with its furthest-failure report on rejection *)
   rm_fail : unit -> (Cst.t, parse_error) result;
-      (* the furthest-failure report accumulated so far (used directly when
-         a VM run rejects, or when the start symbol has no rule) *)
-  rm_reset : unit -> unit; (* reset the CST stack between uses *)
+      (* the furthest-failure report accumulated so far (used when the
+         start symbol has no rule) *)
 }
 
 (* Token kinds arrive as dense ids ([tids], valid for this engine's
@@ -453,32 +447,25 @@ type run_machinery = {
    without materializing [Token.t] records, and the classic path reads its
    pre-built array.
 
-   The two engines are one mutually recursive group.
+   The memoized backtracking engine (p_ functions) has two hooks active
+   when [use_dispatch] is on. Every choice point (even inside non-terminals
+   that are not fast) explores only the branch its table selects for the
+   lookahead, unless the entry is ambiguous: branches outside the
+   prediction set cannot take part in any successful parse, whatever the
+   context, because FOLLOW is the union over all contexts. And the
+   complete derivation set of an [nt_strict] non-terminal is the single
+   derivation one strict dispatch run produces.
 
-   Committed dispatch loop (c_ functions): runs wherever a non-terminal's
-   own choice points commit ([nt_fast]) — one or two [tid] probes select
-   the only branch that can possibly succeed, so parsing is a direct
-   int-returning recursion: no continuation closures, no memo traffic,
-   children on the stack arena. The loop drops into the memoized engine
-   for one occurrence of a non-terminal — trying each derivation end in
-   priority order, so backtracking stays scoped to the ambiguous subtree —
-   at a reference to a non-[nt_fast] non-terminal, and at a reference
-   whose rule-level [Partial] choice meets an ambiguous lookahead (c_nt
-   returns [ambiguous_entry] before consuming or pushing anything). No
-   expectation tracking happens on this path; any failure of a dispatching
-   run is re-derived on the pure memoized path, which reproduces the
-   backtracking engine's error exactly.
-
-   Memoized backtracking engine (p_ functions): the previous engine, with
-   two hooks active when [use_dispatch] is on — the complete derivation
-   set of an [nt_strict] non-terminal is the single derivation one
-   dispatch-loop run produces in [strict] mode (which gives up at the
-   first ambiguous lookahead, leaving that position to enumeration), and
-   every choice point (even inside non-terminals that are not fast)
-   explores only the branch its table selects for the lookahead, unless
-   the entry is ambiguous: branches outside the prediction set cannot take
-   part in any successful parse, whatever the context, because FOLLOW is
-   the union over all contexts. *)
+   The strict dispatch run (c_ functions) is private to that second hook.
+   One or two [tid] probes select the only branch that can possibly
+   succeed, so parsing is a direct int-returning recursion: no continuation
+   closures, no memo traffic, children on the stack arena. An [nt_strict]
+   subtree references only [nt_fast] rules, so the only ambiguity it can
+   meet is a rule-level [Partial] choice; that gives the run up
+   ([ambiguous_entry] propagates) and the position is enumerated instead.
+   No expectation tracking happens here: a rejecting VM run is re-derived
+   on the pure memoized path, which reproduces the backtracking engine's
+   error exactly. *)
 let ambiguous_entry = -2
 
 let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
@@ -552,49 +539,13 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     let enter_strict (pred : pred) i =
       (not t.prune) || bitset_mem pred.first (tid i)
     in
-    (* Strict mode: an [nt_strict] subtree is being run as a complete
-       derivation set, so an ambiguous rule entry gives the run up
-       ([ambiguous_entry] propagates) instead of becoming a fallback
-       boundary. *)
-    let strict = ref false in
     (* c_ functions return the end position, [-1] on failure, or
-       [ambiguous_entry] (strict mode only, past a rule's own c_nt). *)
+       [ambiguous_entry] (past a rule's own c_nt). *)
     let rec c_seq seq si i =
     if si = Array.length seq then i
     else
-      match Array.unsafe_get seq si with
-      | INonterm nid ->
-        let j =
-          if Array.unsafe_get t.nt_fast nid then c_nt nid i
-          else ambiguous_entry
-        in
-        if j >= 0 then c_seq seq (si + 1) j
-        else if j = -1 || !strict then j
-        else begin
-          (* Fallback boundary: this occurrence's derivations come from the
-             memoized engine; each end position is tried against the rest
-             of this sequence in priority order. The backtracking is
-             scoped: once the rest of the sequence succeeds the choice is
-             final (should the parse fail further out, the run aborts and
-             the pure path re-derives the statement). *)
-          let name = Array.unsafe_get t.nt_names nid in
-          let rec try_ends = function
-            | Nil -> -1
-            | Cons (j, children, rest) ->
-              let sp0 = !sp in
-              push (Cst.Node (name, children));
-              let r = c_seq seq (si + 1) j in
-              if r >= 0 then r
-              else begin
-                sp := sp0;
-                try_ends (Lazy.force rest)
-              end
-          in
-          try_ends (nonterm_results nid i)
-        end
-      | term ->
-        let j = c_term term i in
-        if j < 0 then j else c_seq seq (si + 1) j
+      let j = c_term (Array.unsafe_get seq si) i in
+      if j < 0 then j else c_seq seq (si + 1) j
   and c_term term i =
     match term with
     | ITerm id ->
@@ -603,7 +554,7 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
         i + 1
       end
       else -1
-    | INonterm nid -> c_nt nid i (* c_seq handles references itself *)
+    | INonterm nid -> c_nt nid i
     | IOpt (s, _, d) -> if select d i = 0 then c_seq s 0 i else i
     | IStar (s, _, d) -> c_star s d i
     | IPlus (s, _, d) ->
@@ -753,17 +704,14 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
       else compute_results nid i
     and compute_results nid i =
       if use_dispatch && Array.unsafe_get t.nt_strict nid then begin
-        (* Fast subtree: run the dispatch loop strictly. When every choice
+        (* Fast subtree: one strict dispatch run. When every choice
            on the way had one viable branch, the derivation it computes is
            the only one that can survive into a successful parse, so the
            complete result set is that single derivation — or nothing. An
            ambiguous lookahead gives the attempt up, and this position is
            enumerated instead. *)
         let sp0 = !sp in
-        let was_strict = !strict in
-        strict := true;
         let j = c_nt nid i in
-        strict := was_strict;
         if j >= 0 then begin
           let children =
             match Array.unsafe_get !stack (!sp - 1) with
@@ -871,31 +819,7 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     in
     match result with Some tree -> Ok tree | None -> fail_result ()
   in
-  let top sid =
-    if use_dispatch && Array.unsafe_get t.nt_fast sid then begin
-      sp := 0;
-      let j = c_nt sid 0 in
-      if j >= 0 && tid j = Interner.eof_id then begin
-        let tree = Array.unsafe_get !stack (!sp - 1) in
-        sp := 0;
-        Ok tree
-      end
-      else begin
-        sp := 0;
-        (* An ambiguous start entry makes the whole statement the fallback
-           occurrence. Otherwise the error payload is discarded: the caller
-           re-derives on the pure path, which tracks expectations. *)
-        if j = ambiguous_entry then memo_top sid else fail_result ()
-      end
-    end
-    else memo_top sid
-  in
-  {
-    rm_results = nonterm_results;
-    rm_top = top;
-    rm_fail = fail_result;
-    rm_reset = (fun () -> sp := 0);
-  }
+  { rm_results = nonterm_results; rm_top = memo_top; rm_fail = fail_result }
 
 (* Dispatching runs that rejected and were re-derived on the pure path,
    counted per domain. *)
@@ -903,61 +827,41 @@ let rerun_count : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let pure_reruns () = !(Domain.DLS.get rerun_count)
 let count_rerun () = incr (Domain.DLS.get rerun_count)
 
-(* The shared parse driver over the machinery above. [want_vm] prefers the
-   bytecode VM for the first (dispatching) run; [build] is threaded to the
-   VM so recognition runs skip CST construction entirely. *)
+(* The shared parse driver: one bytecode VM run, its FB boundaries served
+   by a dispatching oracle, and — only when that run rejects — the pure
+   memoized rerun that derives the error. [build] is threaded to the VM so
+   recognition runs skip CST construction entirely. *)
 let parse_ids ?start t ~(tids : int array) ~n
-    ~(tok : int -> Lexing_gen.Token.t) ~(kind_name : int -> string) ~want_vm
-    ~build =
-  let run mode start_name =
-    let use_dispatch = match mode with `P -> false | `C | `V _ -> true in
-    let m = machinery t ~tids ~n ~tok ~kind_name ~use_dispatch in
+    ~(tok : int -> Lexing_gen.Token.t) ~(kind_name : int -> string) ~build =
+  let start_name = Option.value ~default:t.start start in
+  let pure () =
+    let m = machinery t ~tids ~n ~tok ~kind_name ~use_dispatch:false in
     match Hashtbl.find_opt t.nt_ids start_name with
+    | Some sid -> m.rm_top sid
     | None ->
       (* No rule to enter: fail at the first token with an empty expected
          set, as the string engine did for an unknown start symbol. *)
       m.rm_fail ()
-    | Some sid -> (
-      match mode with
-      | `V prog -> (
-        (* Bytecode run. The engine's CST stack is reset because the VM's
-           fallback boundary reuses [compute_results]/[c_nt], which work on
-           it; the VM's own stacks live in {!Vm}'s arena. *)
-        m.rm_reset ();
-        match
-          Vm.exec prog ~ids:tids ~n ~build
-            ~leaf:(fun i -> Cst.Leaf (tok i))
-            ~fallback:m.rm_results
-        with
-        | Some tree -> Ok tree
-        | None ->
-          (* Error payload discarded: the caller re-derives on the pure
-             path, which tracks expectations. *)
-          m.rm_fail ())
-      | `C | `P -> m.rm_top sid)
   in
-  let start_name = Option.value ~default:t.start start in
   (* Prediction tables bake in FOLLOW sets computed for the grammar's own
-     start symbol, so an overridden entry point parses on the pure memoized
-     path. Any failure of a dispatching run is re-derived without dispatch:
-     the fast paths track no expectations, and re-running the (rare)
-     rejected statement reproduces the backtracking engine's error
-     exactly. *)
-  if not (t.dispatch && String.equal start_name t.start) then
-    run `P start_name
-  else
-    let first_mode =
-      if want_vm then
-        match t.program with
-        | Some p when Program.start_entry p >= 0 -> `V p
-        | _ -> `C
-      else `C
-    in
-    match run first_mode start_name with
-    | Ok _ as ok -> ok
-    | Error _ ->
+     start symbol, so an overridden entry point (or an engine generated
+     without dispatch, which has no program) parses on the pure memoized
+     path. A rejecting VM run is re-derived without dispatch: the VM tracks
+     no expectations, and re-running the (rare) rejected statement
+     reproduces the backtracking engine's error exactly. *)
+  match t.program with
+  | Some prog when String.equal start_name t.start -> (
+    let m = machinery t ~tids ~n ~tok ~kind_name ~use_dispatch:true in
+    match
+      Vm.exec prog ~ids:tids ~n ~build
+        ~leaf:(fun i -> Cst.Leaf (tok i))
+        ~fallback:m.rm_results
+    with
+    | Some tree -> Ok tree
+    | None ->
       count_rerun ();
-      run `P start_name
+      pure ())
+  | _ -> pure ()
 
 (* Token kinds resolved to engine ids once, at the boundary: tokens stamped
    by the shared scanner pass a physical-equality check; foreign or
@@ -977,16 +881,7 @@ let parse_tokens ?start t toks =
     ~kind_name:(fun i ->
       if i < n then toks.(i).Lexing_gen.Token.kind
       else Lexing_gen.Token.eof_kind)
-    ~want_vm:false ~build:true
-
-let parse_tokens_vm ?start t toks =
-  let n = Array.length toks in
-  parse_ids ?start t ~tids:(stamped_ids t toks) ~n
-    ~tok:(fun i -> toks.(i))
-    ~kind_name:(fun i ->
-      if i < n then toks.(i).Lexing_gen.Token.kind
-      else Lexing_gen.Token.eof_kind)
-    ~want_vm:true ~build:true
+    ~build:true
 
 module Scanner = Lexing_gen.Scanner
 
@@ -1016,7 +911,7 @@ let parse_soa ?start t ~scanner soa =
     ~kind_name:(fun i ->
       if i < n then (Lazy.force mat).(i).Lexing_gen.Token.kind
       else Lexing_gen.Token.eof_kind)
-    ~want_vm:true ~build:true
+    ~build:true
 
 let recognize_soa ?start t ~scanner soa =
   let n = Scanner.soa_count soa + 1 in
@@ -1029,7 +924,7 @@ let recognize_soa ?start t ~scanner soa =
        ~kind_name:(fun i ->
          if i < n then (Lazy.force mat).(i).Lexing_gen.Token.kind
          else Lexing_gen.Token.eof_kind)
-       ~want_vm:true ~build:false)
+       ~build:false)
 
 (* Fused scan+parse: the bytecode VM drives the scanner through a pull
    cursor, so the committed region of a statement is a single pass over the
@@ -1046,11 +941,7 @@ let recognize_soa ?start t ~scanner soa =
    completes the scan (hitting any lexical error at the same byte the
    whole-buffer scan would) before the parse error is derived. *)
 let fused_eligible t ~scanner =
-  Scanner.interner scanner == t.interner
-  &&
-  match t.program with
-  | Some p -> Program.start_entry p >= 0
-  | None -> false
+  Scanner.interner scanner == t.interner && Option.is_some t.program
 
 let fused_machinery t ~scanner soa ~use_dispatch =
   let n = Scanner.soa_count soa + 1 in
@@ -1062,7 +953,7 @@ let fused_machinery t ~scanner soa ~use_dispatch =
       else Lexing_gen.Token.eof_kind)
     ~use_dispatch
 
-(* The pure rerun for a rejected fused run: identical to the [`P] rerun the
+(* The pure rerun for a rejected fused run: identical to the one the
    two-pass driver performs, over the now-complete stream. *)
 let fused_reject t ~scanner soa =
   let m = fused_machinery t ~scanner soa ~use_dispatch:false in
@@ -1101,7 +992,6 @@ let fused_run ~build t ~scanner input =
         | None ->
           let soa = Scanner.cursor_complete cursor in
           let m = fused_machinery t ~scanner soa ~use_dispatch:true in
-          m.rm_reset ();
           oracle := Some m;
           m
       in

@@ -5,24 +5,25 @@
     grammars an LL(k) generator would reject — undefined non-terminals, left
     recursion); {!parse_tokens} runs it over a token stream, producing a CST.
 
-    The execution strategy is {e prediction-compiled} recursive descent:
-    at generation time every choice point (a rule's alternatives, a nested
-    group, an optional/repetition enter-vs-skip) is classified by the
-    interned LL(k ≤ 2) analysis {!Ilookahead}. Points whose branches are LL(1)- or
+    The execution strategy is {e prediction-compiled}: at generation time
+    every choice point (a rule's alternatives, a nested group, an
+    optional/repetition enter-vs-skip) is classified by the interned
+    LL(k ≤ 2) analysis {!Ilookahead}. Points whose branches are LL(1)- or
     LL(2)-disjoint become {e committed} — a dense [token id -> branch]
-    table picks the only branch that can succeed — and a non-terminal all
-    of whose points (transitively) commit parses on a direct dispatch
-    loop: no continuation closures, no memo traffic, no derivation streams,
-    CST children accumulated in a reusable stack arena. Points that stay
-    ambiguous at k = 2 commit {e per lookahead} ({!Predict.Partial}): the
-    lookaheads that only one branch predicts still commit, and only the
-    ambiguous ones retain memoized backtracking with ordered alternatives
-    and FIRST-set pruning (standing in for ANTLR's syntactic predicates),
-    scoped to that one occurrence of the non-terminal. Both
-    paths produce identical CSTs; parse errors are always derived by the
-    backtracking path (a failed dispatching parse is re-run without
-    dispatch), so error positions and expected sets are those of the
-    backtracking engine, exactly.
+    table picks the only branch that can succeed. Every non-terminal whose
+    own points commit is lowered to flat bytecode ({!Program}), and every
+    parse runs on one engine: the bytecode VM ({!Vm}), with no continuation
+    closures, no memo traffic and no derivation streams on its committed
+    path. Points that stay ambiguous at k = 2 commit {e per lookahead}
+    ({!Predict.Partial}): the lookaheads that only one branch predicts
+    still commit, and only the ambiguous ones hand that one occurrence of
+    the non-terminal to the memoized backtracking engine (ordered
+    alternatives and FIRST-set pruning, standing in for ANTLR's syntactic
+    predicates), whose derivations the VM tries in priority order. A start
+    rule that is not compiled is one such occurrence spanning the whole
+    statement. Parse errors are always derived by the backtracking path (a
+    rejecting VM run is re-run without dispatch), so error positions and
+    expected sets are those of the backtracking engine, exactly.
 
     The generated parser is {e interned}: every terminal kind and every
     non-terminal of the composed grammar is compiled down to a dense
@@ -39,8 +40,9 @@
     derives the others. String names survive only at the edges:
     CST node labels and parse-error expected sets (rendered back through
     the interner). A generated parser is immutable and safe to share
-    across domains; {!Reference} keeps the original string-keyed engine as
-    the executable specification the differential tests compare against. *)
+    across domains; the test suite's [Oracle.Reference] keeps the original
+    string-keyed engine as the executable specification the differential
+    tests compare against. *)
 
 type t
 
@@ -81,11 +83,12 @@ val generate :
     position, sharing its forced tails among consumers (without it, nested
     constructs re-parse exponentially); [prune]
     skips alternatives whose FIRST set excludes the lookahead token;
-    [dispatch] classifies choice points against LL(1)/LL(2) prediction sets
-    and commits without backtracking wherever they are disjoint
-    ([~dispatch:false] skips the lookahead analysis entirely and is the
-    previous backtracking-everywhere engine). Disabling any flag only
-    affects performance, never a parse result.
+    [dispatch] classifies choice points against LL(1)/LL(2) prediction sets,
+    commits without backtracking wherever they are disjoint and compiles
+    the committed region for the VM ([~dispatch:false] skips the lookahead
+    analysis entirely: no program, every parse on the memoized
+    backtracking-everywhere engine — the differential tests' baseline).
+    Disabling any flag only affects performance, never a parse result.
 
     [classify] replaces the {!Ilookahead} classifier with a
     caller-supplied decision oracle. It exists so that the test suite can
@@ -101,8 +104,8 @@ val generate :
 type nt_class = {
   nt_name : string;
   nt_committed : bool;
-      (** the whole subtree below this non-terminal parses on the committed
-          dispatch loop *)
+      (** the whole subtree below this non-terminal parses on committed
+          dispatch, with no fallback *)
   nt_k : int;  (** max lookahead its own committed points consume (0–2) *)
   nt_fallbacks : int;
       (** its own choice points that stayed ambiguous at k = 2 — exactly
@@ -158,14 +161,16 @@ val parse_tokens :
   ?start:string -> t -> Lexing_gen.Token.t array -> (Cst.t, parse_error) result
 (** [parse_tokens p tokens] parses a complete token stream (ending in [EOF])
     from the grammar's start symbol (or [start]). The whole input must be
-    consumed. This is the hot entry point: {!Lexing_gen.Scanner.scan_tokens}
-    output flows in without conversion, and tokens stamped by the shared
-    interner are trusted by id.
+    consumed. {!Lexing_gen.Scanner.scan_tokens} output flows in without
+    conversion, and tokens stamped by the shared interner are trusted by
+    id. The parse runs on the bytecode VM; an overridden [start] parses on
+    the memoized engine, since the prediction tables are computed for the
+    grammar's own start symbol.
 
     A parse failing past the last token reports the position just past that
     token's span and [EOF] as the found kind. On scanner streams this is
     the trailing [EOF] sentinel's own position; it differs from
-    {!Reference} (which clamps to the last token's start) only on
+    [Oracle.Reference] (which clamps to the last token's start) only on
     hand-built streams without the sentinel. *)
 
 val parse :
@@ -177,7 +182,7 @@ val accepts : ?start:string -> t -> Lexing_gen.Token.t list -> bool
 
 val pure_reruns : unit -> int
 (** How many parses in the calling domain so far had their dispatching run
-    (committed loop, VM or fused) reject and were re-derived on the pure
+    (the VM, two-pass or fused) reject and were re-derived on the pure
     backtracking path. An accepted statement that moved this counter was
     wrongly rejected by its dispatching run, even though its result is
     right; the differential tests check that it does not. *)
@@ -185,24 +190,19 @@ val pure_reruns : unit -> int
 (** {2 Bytecode VM entry points}
 
     At {!generate} time (unless [~dispatch:false]) the committed region of
-    the grammar is additionally lowered to flat bytecode ({!Program}),
-    executed by {!Vm} with explicit integer stacks. The VM falls back to the
-    memoized engine at references to uncommitted rules — the same boundary,
-    with the same scoped backtracking, as the committed dispatch loop — and
-    any rejecting run is re-derived on the pure backtracking path, so CSTs
-    and parse errors are byte-identical across all engines. *)
+    the grammar is lowered to flat bytecode ({!Program}), executed by {!Vm}
+    with explicit integer stacks; every entry point above and below runs
+    it. The VM falls back to the memoized engine at references to
+    uncommitted rules, at ambiguous lookaheads of a [Partial] rule entry,
+    and (through its boot [FB]) at a start rule that is not compiled; any
+    rejecting run is re-derived on the pure backtracking path, so CSTs and
+    parse errors are byte-identical across the token-array, SoA and fused
+    entry points and the [~dispatch:false] engine. *)
 
 val program : t -> Program.t option
 (** The compiled bytecode, [None] iff generated with [~dispatch:false]. The
     program is built eagerly so caching the engine (as [Service.Cache] does)
     caches the compiled program alongside the front-end. *)
-
-val parse_tokens_vm :
-  ?start:string -> t -> Lexing_gen.Token.t array -> (Cst.t, parse_error) result
-(** As {!parse_tokens}, but the first run executes on the bytecode VM when
-    the start rule is compiled (falling back to the committed loop when it
-    is not). Exists for differential testing over hand-built token streams;
-    the production VM path is {!parse_soa}. *)
 
 val parse_soa :
   ?start:string ->

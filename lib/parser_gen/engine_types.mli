@@ -1,6 +1,7 @@
 (** Error types shared by the interned {!Engine} and the string-path
-    {!Reference} engine, so the differential test suite can compare the two
-    implementations' results structurally. *)
+    reference engine the test suite keeps ([Oracle.Reference]), so the
+    differential tests can compare the two implementations' results
+    structurally. *)
 
 type gen_error =
   | Grammar_problems of Grammar.Cfg.problem list

@@ -6,11 +6,11 @@
    executes this with an explicit int stack: no closures, no ADT matching,
    no boxed iterm trees on the hot path. References to
    non-fast non-terminals compile to [FB], the fallback boundary at which
-   the VM calls back into the memoized engine, mirroring the committed
-   dispatch loop's behaviour exactly.
+   the VM calls back into the memoized engine for that one occurrence.
 
    Opcode layout (each opcode followed inline by its operands). The program
-   starts with [CALL start; HALT] at address 0.
+   starts with [CALL start; HALT] at address 0, or [FB start; HALT] when
+   the start rule is not [nt_fast], so the VM can run every grammar.
 
      HALT                      end of parse; accept iff lookahead is EOF
                                (else resume the latest live choice)
@@ -146,9 +146,8 @@ let emit_dispatch e decision n_branches compile_branch =
 (* Can this sequence meet a fallback boundary at its own level — an FB, or
    a CALL whose rule-level [Partial] choice may turn it into one? Such a
    sequence brackets its body in SCOPE/COMMIT so the VM's backtracking stays
-   scoped exactly as the committed loop's [try_ends] recursion does: a
-   choice made by a fallback boundary is final once the rest of its
-   enclosing sequence has succeeded. *)
+   scoped: a choice made by a fallback boundary is final once the rest of
+   its enclosing sequence has succeeded. *)
 let seq_has_fb nt_fast alt_dispatch (seq : iseq) =
   Array.exists
     (function
@@ -171,10 +170,12 @@ let compile ~nt_names ~nt_fast ~(rules : (iseq * pred) array array)
     }
   in
   let n_nts = Array.length rules in
-  (* The boot sequence: the start rule's RET returns to the HALT at 2, and
-     an FB standing in for this CALL resumes there. *)
-  emit e op_call;
-  emit e (if start >= 0 && start < n_nts then start else 0);
+  (* The boot sequence: [CALL start; HALT] when the start rule is compiled
+     (its RET returns to the HALT at 2, and an FB standing in for the CALL
+     resumes there), [FB start; HALT] otherwise — the whole statement is
+     then one fallback occurrence, whose ends HALT tries in turn. *)
+  emit e (if nt_fast.(start) then op_call else op_fb);
+  emit e start;
   emit e op_halt;
   let entries = Array.make n_nts (-1) in
   let rec emit_seq seq =
@@ -220,8 +221,8 @@ let compile ~nt_names ~nt_fast ~(rules : (iseq * pred) array array)
             if jump_out then [ (emit e op_jmp; emit_hole e) ] else []))
   and emit_star s d =
     (* head: D 2 [body; exit]; body: SPUSH <s> SLOOP head. [SLOOP] loops
-       only on progress, preserving the committed loop's zero-progress
-       guard for nullable bodies. *)
+       only on progress: a zero-progress iteration of a nullable body
+       exits. *)
     let head = here e in
     emit_dispatch e d 2 (fun b _jump_out ->
         if b = 0 then begin
@@ -257,7 +258,7 @@ let compile ~nt_names ~nt_fast ~(rules : (iseq * pred) array array)
     t2_first = Array.of_list (List.rev (List.map fst e.e_t2));
     t2_second = Array.of_list (List.rev (List.map snd e.e_t2));
     nt_names;
-    start_entry = (if start >= 0 && start < n_nts then entries.(start) else -1);
+    start_entry = entries.(start);
   }
 
 let compiled_nts t =

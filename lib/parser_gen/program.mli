@@ -27,15 +27,17 @@ val compile :
     fallback boundaries; the VM resolves those by calling back into the
     memoized engine. A rule-level [Partial] choice compiles to the [D2] at
     its rule's entry, whose ambiguous entries turn the entering [CALL]
-    into the same boundary. *)
+    into the same boundary. [start] must be a rule id; when that rule is
+    not [nt_fast] the program boots with [FB start], so every grammar
+    yields a runnable program. *)
 
 val entry : t -> int -> int
 (** Entry address of a non-terminal's compiled body, [-1] when the rule was
     not compiled (not [nt_fast]). *)
 
 val start_entry : t -> int
-(** [entry] of the grammar's start symbol. The VM can run a parse only when
-    this is [>= 0]. *)
+(** [entry] of the grammar's start symbol: [-1] when the start rule is not
+    compiled and the program boots through [FB start]. *)
 
 val size : t -> int
 (** Total code length in ints, a size measure for experiments. *)

@@ -6,8 +6,8 @@
    committed MATCH/CALL/RET/D1/D2 — touches only flat [int array]s: no
    closures, no [iterm] ADT matching, no memo traffic.
 
-   Backtracking semantics replicate the committed dispatch loop of
-   {!Engine.parse_tokens} exactly:
+   Backtracking semantics (the contract the memoized engine's results are
+   checked against, byte for byte, by the differential tests):
 
    - [FB nt] asks the memoized engine ([fallback]) for the
      priority-ordered derivation stream of a non-fast non-terminal and
@@ -18,20 +18,20 @@
    - A [D2] whose table entry is ambiguous (-3) can only be a [Partial]
      rule-level choice, the first instruction of its rule: nothing has
      been consumed or pushed since the [CALL], so popping that frame and
-     running [FB nt] in its place is exactly the committed loop's fallback
-     boundary at the reference.
+     running [FB nt] in its place makes the reference a fallback
+     boundary.
    - A choice point lives until the [COMMIT] closing the sequence that
      created it: once the rest of the enclosing sequence succeeds the choice
-     is final, exactly as the engine's [try_ends] recursion whose scope ends
-     when the enclosing [c_seq] returns.
+     is final. Choices outside any scope (the boot [FB] of a start rule
+     that is not compiled) stay live until [HALT].
    - On failure the most recent live choice is resumed with its next end
      (LIFO = innermost-first, matching native-stack unwinding), restoring
      the four stack depths saved at its creation. A choice whose tail
      forces to [Nil] is popped and backtracking carries on with the one
      below it.
    - A run that exhausts its choices rejects; the caller re-derives the
-     statement on the pure memoized path for a byte-identical error report,
-     as it already does for the committed loop.
+     statement on the pure memoized path for a byte-identical error
+     report.
 
    In recognition mode ([build = false]) the CST stack is untouched: the
    fully committed accept path allocates nothing per token. *)
@@ -193,7 +193,7 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
       decr lsp;
       let entered_at = Array.unsafe_get a.loops !lsp in
       (* Loop only on progress: a zero-progress iteration of a nullable
-         body exits, as the committed loop's [j > i] guard does. *)
+         body exits. *)
       if pos > entered_at then step (Array.unsafe_get code (ip + 1)) pos
       else step (ip + 2) pos
     end
@@ -215,10 +215,11 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
     else begin
       (* HALT: accept iff the remaining lookahead is EOF. The compiler
          commits every choice before its rule returns, so the only live
-         choice here is an FB standing in for the boot CALL (an ambiguous
-         start entry), whose next end is tried — as the memoized engine
-         tries the start symbol's derivations in turn. Otherwise a non-EOF
-         residue rejects outright, exactly as the committed loop does. *)
+         choice here is the boot FB (a start rule that is not compiled, or
+         an ambiguous start entry standing in for the boot CALL), whose
+         next end is tried — as the memoized engine tries the start
+         symbol's derivations in turn. Otherwise a non-EOF residue rejects
+         outright. *)
       if tid pos = 0 then
         if build then Some (Array.unsafe_get a.cst (!csp - 1)) else Some dummy
       else backtrack ()
@@ -258,8 +259,7 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
         step resume_ip j
     end
   in
-  assert (Program.start_entry prog >= 0);
-  let result = step 0 0 (* the boot CALL *) in
+  let result = step 0 0 (* the boot CALL or FB *) in
   (* Drop references to derivation streams so the arena does not retain
      CSTs (or the oracle's memo, through unforced tails) across parses. *)
   for k = 0 to !cp - 1 do
@@ -396,7 +396,7 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
       decr lsp;
       let entered_at = Array.unsafe_get a.loops !lsp in
       (* Loop only on progress: a zero-progress iteration of a nullable
-         body exits, as the committed loop's [j > i] guard does. *)
+         body exits. *)
       if Lexing_gen.Scanner.cursor_pos cursor > entered_at then
         step (Array.unsafe_get code (ip + 1))
       else step (ip + 2)
@@ -457,13 +457,12 @@ let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
         step resume_ip
     end
   in
-  assert (Program.start_entry prog >= 0);
   let finish () =
     for k = 0 to !cp - 1 do
       a.ch_ends.(k) <- Engine_types.nil_tail
     done
   in
-  match step 0 (* the boot CALL *) with
+  match step 0 (* the boot CALL or FB *) with
   | result ->
     finish ();
     result

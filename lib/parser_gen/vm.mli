@@ -1,8 +1,8 @@
 (** Executor for compiled {!Program} bytecode.
 
     One tail-recursive loop over explicit integer stacks held in per-domain
-    arenas; see the implementation header for the backtracking contract it
-    shares with the committed dispatch loop. *)
+    arenas; see the implementation header for its backtracking
+    contract. *)
 
 val exec :
   Program.t ->
@@ -15,7 +15,7 @@ val exec :
 (** [exec prog ~ids ~n ~build ~leaf ~fallback] runs the program's start
     rule over the token-kind ids [ids.(0 .. n-1)] (positions [>= n] read as
     EOF, so a trailing EOF sentinel inside or beyond the array is
-    equivalent). Requires [Program.start_entry prog >= 0].
+    equivalent).
 
     [leaf i] materializes the CST leaf for token [i]; it is only called when
     [build] is true — recognition runs ([build = false]) never touch the CST

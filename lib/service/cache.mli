@@ -7,8 +7,7 @@
     including the parser's compiled bytecode {!Parser_gen.Program}, built
     eagerly at generation time), which is immutable and safe to share
     between sessions: the parser engine keeps its memo tables per [parse]
-    call, not per parser value, so a cache hit serves committed-loop and VM
-    sessions alike.
+    call, not per parser value.
 
     The cache is a bounded LRU: each hit refreshes the entry's recency and
     inserting into a full cache evicts the least recently used entry.

@@ -56,8 +56,8 @@ let dial addr =
       (Fmt.str "%a" Wire.pp_address addr)
       (Unix.error_message err)
 
-let connect ?(encoding = Wire.Binary) ?(client = "sqlpl-client")
-    ?(engine = `Committed) ?max_frame ~selection addr =
+let connect ?(encoding = Wire.Binary) ?(client = "sqlpl-client") ?max_frame
+    ~selection addr =
   match dial addr with
   | Error e -> Error e
   | Ok fd ->
@@ -81,7 +81,7 @@ let connect ?(encoding = Wire.Binary) ?(client = "sqlpl-client")
     in
     close_on_error
       (match
-         roundtrip t (Wire.Hello { Wire.client; engine; selection })
+         roundtrip t (Wire.Hello { Wire.client; selection })
        with
       | Error _ as e -> e
       | Ok (Wire.Hello_ok ok) -> Ok (t, ok)

@@ -13,7 +13,6 @@ type t
 val connect :
   ?encoding:Wire.encoding ->
   ?client:string ->
-  ?engine:Wire.engine ->
   ?max_frame:int ->
   selection:Wire.selection ->
   Wire.address ->

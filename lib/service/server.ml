@@ -145,8 +145,8 @@ let count_error t = locked t (fun () -> t.wire_errors <- t.wire_errors + 1)
 
 (* A streaming connection opens with ['S'] (no framed protocol can: binary
    frames start [0x00], JSON ones ['{']), then one header line
-   [<dialect> [committed|vm|fused]\n], then unframed SQL bytes until the
-   client shuts down its write side. The server pipes the bytes through
+   [<dialect>\n], then unframed SQL bytes until the client shuts down its
+   write side. The server pipes the bytes through
    {!Session.parse_stream} — fixed memory ceiling, statements split at
    top-level [;] exactly like {!Core.split_statements} — answering one line
    per statement as it completes, and a final [done] line with totals. *)
@@ -186,11 +186,11 @@ let read_stream_header fd =
   in
   go ()
 
-let stream_engine_of_string = function
-  | "committed" -> Some `Committed
-  | "vm" -> Some `Vm
-  | "fused" -> Some `Fused
-  | _ -> None
+(* Headers once named the parse engine after the dialect; those three
+   words are still accepted and ignored. *)
+let legacy_engine_word = function
+  | "committed" | "vm" | "fused" -> true
+  | _ -> false
 
 let serve_stream t fd =
   let fail msg =
@@ -215,7 +215,7 @@ let serve_stream t fd =
     fail "streaming disabled (start the server with --stream)"
   else
     match read_stream_header fd with
-    | None -> fail "missing stream header line (<dialect> [engine])"
+    | None -> fail "missing stream header line (<dialect>)"
     | Some header -> (
       let parts =
         List.filter
@@ -224,18 +224,14 @@ let serve_stream t fd =
       in
       let resolved =
         match parts with
-        | [ d ] -> Ok (d, `Fused)
-        | [ d; e ] -> (
-          match stream_engine_of_string e with
-          | Some engine -> Ok (d, engine)
-          | None ->
-            Error
-              (Printf.sprintf "unknown engine %S (try committed, vm, fused)" e))
-        | _ -> Error "stream header must be: <dialect> [committed|vm|fused]"
+        | [ d ] -> Ok d
+        | [ d; e ] when legacy_engine_word e -> Ok d
+        | [ _; e ] -> Error (Printf.sprintf "unknown engine %S" e)
+        | _ -> Error "stream header must be: <dialect>"
       in
       match resolved with
       | Error msg -> fail msg
-      | Ok (name, engine) -> (
+      | Ok name -> (
         match Dialects.Dialect.find name with
         | None -> fail (Printf.sprintf "unknown dialect %S" name)
         | Some d -> (
@@ -246,7 +242,7 @@ let serve_stream t fd =
           with
           | Error e -> fail (Fmt.str "%a" Core.pp_error e)
           | Ok g -> (
-            let session = Session.create ~engine g in
+            let session = Session.create g in
             match
               Session.parse_stream session
                 ~on_item:(fun item -> write_all fd (stream_line_of_item item))
@@ -289,7 +285,7 @@ let serve_framed t fd ~first =
     match resolve_hello t hello with
     | Error e -> bail e
     | Ok g ->
-      let session = Session.create ~engine:hello.Wire.engine g in
+      let session = Session.create g in
       let ok =
         send fd (enc ())
           (Wire.Hello_ok
@@ -298,7 +294,6 @@ let serve_framed t fd ~first =
                  Digest_key.to_hex (Digest_key.of_config g.Core.config);
                label = g.Core.label;
                features = Feature.Config.cardinal g.Core.config;
-               engine = hello.Wire.engine;
              })
       in
       let rec loop () =

@@ -13,8 +13,8 @@
 
     - the first byte picks the encoding: [0x00] binary, ['{'] newline-JSON
       debug — the server answers in kind;
-    - the first frame must be a [Hello] carrying the client's engine choice
-      and configuration selection (dialect name, explicit feature list, or
+    - the first frame must be a [Hello] carrying the client's
+      configuration selection (dialect name, explicit feature list, or
       the hex digest of a front-end already resident in the cache); the
       server resolves it through the shared cache and answers [Hello_ok]
       with the canonical digest — or a structured [Error]
@@ -36,8 +36,9 @@
 
     When the server was started with [~stream:true], a connection whose
     first byte is ['S'] bypasses the framed protocol entirely: the client
-    sends one header line [<dialect> [committed|vm|fused]\n] (engine
-    defaults to [fused]) followed by raw SQL bytes until it shuts down its
+    sends one header line [<dialect>\n] (a legacy engine word
+    [committed], [vm] or [fused] after the dialect is accepted and ignored)
+    followed by raw SQL bytes until it shuts down its
     write side. The server pipes the bytes through
     {!Session.parse_stream} — statements split at top-level [;] exactly
     like {!Core.split_statements}, memory bounded by the chunk size plus

@@ -16,11 +16,8 @@ type stats = {
   furthest_error : (int * Parser_gen.Engine.parse_error) option;
 }
 
-type engine = [ `Committed | `Vm | `Fused ]
-
 type t = {
   front_end : Core.generated;
-  engine : engine;
   mutable acc_statements : int;
   mutable acc_accepted : int;
   mutable acc_tokens : int;
@@ -28,10 +25,9 @@ type t = {
   mutable acc_furthest : (int * Parser_gen.Engine.parse_error) option;
 }
 
-let create ?(engine = `Committed) front_end =
+let create front_end =
   {
     front_end;
-    engine;
     acc_statements = 0;
     acc_accepted = 0;
     acc_tokens = 0;
@@ -39,11 +35,10 @@ let create ?(engine = `Committed) front_end =
     acc_furthest = None;
   }
 
-let of_cache ?label ?engine cache config =
-  Result.map (create ?engine) (Cache.generate ?label cache config)
+let of_cache ?label cache config =
+  Result.map create (Cache.generate ?label cache config)
 
 let front_end t = t.front_end
-let engine t = t.engine
 
 type batch = {
   items : item list;
@@ -83,41 +78,12 @@ let pp_stats ppf s =
     s.statements s.accepted s.rejected s.tokens (s.elapsed *. 1e3)
     s.statements_per_second s.tokens_per_second pp_furthest s.furthest_error
 
-(* Scan and parse one statement against the pinned front-end. On the
-   committed engine the scanner's token array is threaded straight into the
-   parser and its length gives the token count, so the stream is never
-   re-walked. On the VM engine the statement goes through the
-   struct-of-arrays stream instead — no token records on the accept path —
-   which is safe under sharding because the stream arena and the VM's
-   stacks are domain-local. *)
-let parse_one engine front_end index sql =
-  let token_count, result =
-    match engine with
-    | `Committed -> (
-      match Core.scan_tokens front_end sql with
-      | Error e -> (0, Error e)
-      | Ok tokens -> (
-        (* Drop the EOF sentinel from the count. *)
-        let token_count = Array.length tokens - 1 in
-        match Parser_gen.Engine.parse_tokens front_end.Core.parser tokens with
-        | Ok cst -> (token_count, Ok cst)
-        | Error e -> (token_count, Error (Core.Parse_error e))))
-    | `Vm -> (
-      match Core.scan_soa front_end sql with
-      | Error e -> (0, Error e)
-      | Ok soa -> (
-        let token_count = Lexing_gen.Scanner.soa_count soa in
-        match
-          Parser_gen.Engine.parse_soa front_end.Core.parser
-            ~scanner:front_end.Core.scanner soa
-        with
-        | Ok cst -> (token_count, Ok cst)
-        | Error e -> (token_count, Error (Core.Parse_error e))))
-    | `Fused ->
-      (* Single pass over the bytes: the VM drives the scanner cursor, and
-         the token count falls out of the run. *)
-      Core.parse_cst_fused_counted front_end sql
-  in
+(* Scan and parse one statement against the pinned front-end
+   ({!Core.parse_cst_counted}: the VM over the struct-of-arrays stream, no
+   token records on the accept path). Safe under sharding because the
+   stream arena and the VM's stacks are domain-local. *)
+let parse_one front_end index sql =
+  let token_count, result = Core.parse_cst_counted front_end sql in
   { index; sql; token_count; result }
 
 (* Shard statements across [domains] workers. The front-end is immutable
@@ -126,12 +92,12 @@ let parse_one engine front_end index sql =
    are dealt round-robin for balance; each worker returns its own results
    and the merge reassembles original order, so the outcome is identical
    to the single-domain run. *)
-let run_sharded engine front_end domains stmts =
+let run_sharded front_end domains stmts =
   let n = Array.length stmts in
   let shard d =
     let rec go i acc =
       if i >= n then List.rev acc
-      else go (i + domains) (parse_one engine front_end i stmts.(i) :: acc)
+      else go (i + domains) (parse_one front_end i stmts.(i) :: acc)
     in
     go d []
   in
@@ -171,8 +137,8 @@ let parse_batch ?(clamp = true) ?(domains = 1) t sqls =
   let t0 = now () in
   let items =
     if shards = 1 then
-      List.init n (fun i -> parse_one t.engine t.front_end i stmts.(i))
-    else run_sharded t.engine t.front_end shards stmts
+      List.init n (fun i -> parse_one t.front_end i stmts.(i))
+    else run_sharded t.front_end shards stmts
   in
   let elapsed = now () -. t0 in
   let statements = n in
@@ -212,7 +178,7 @@ let parse_script ?clamp ?domains t script =
   parse_batch ?clamp ?domains t (Core.split_statements script)
 
 (* Streaming intake: statements are pulled from [read] in fixed-size chunks
-   and parsed one at a time on the session's engine, so an unbounded script
+   and parsed one at a time, so an unbounded script
    runs at a memory ceiling of [chunk_size] plus the largest statement —
    nothing is batched, no statement list is materialized. [on_item] sees
    each item as it completes (its [sql] is the only live copy). *)
@@ -225,7 +191,7 @@ let parse_stream ?chunk_size ?on_item t ~read =
   Core.fold_statements ?chunk_size ~read
     (fun () sql ->
       let index = !statements in
-      let item = parse_one t.engine t.front_end index sql in
+      let item = parse_one t.front_end index sql in
       incr statements;
       if Result.is_ok item.result then incr accepted;
       tokens := !tokens + item.token_count;

@@ -6,7 +6,8 @@
     returns per-statement results plus aggregate statistics (token and
     statement throughput, furthest parse-error position); the session also
     accumulates the same statistics across all batches it has run
-    ({!totals}).
+    ({!totals}). Every statement parses through {!Core.parse_cst_counted},
+    the one production engine.
 
     A batch can be sharded across OCaml 5 domains
     ([parse_batch ~domains:4]): the generated front-end is immutable after
@@ -18,29 +19,16 @@
 
 type t
 
-type engine = [ `Committed | `Vm | `Fused ]
-(** Which parse path a session's batches run on: the committed dispatch
-    loop over materialized token arrays (the default), the bytecode VM
-    over the struct-of-arrays token stream ({!Core.parse_cst_vm}'s path),
-    or the fused VM that pulls tokens straight from the scanner cursor in
-    one pass over the bytes ({!Core.parse_cst_fused}'s path). Results are
-    byte-identical on all three — the choice is a performance knob, and
-    sessions on any engine can share one {!Cache} entry because the
-    compiled {!Parser_gen.Program} is part of the cached front-end. *)
-
-val create : ?engine:engine -> Core.generated -> t
+val create : Core.generated -> t
 
 val of_cache :
   ?label:string ->
-  ?engine:engine ->
   Cache.t ->
   Feature.Config.t ->
   (t, Core.error) result
 (** Resolve the front-end through a {!Cache} and open a session on it. *)
 
 val front_end : t -> Core.generated
-
-val engine : t -> engine
 
 type item = {
   index : int;                   (** 0-based position within the batch *)
@@ -98,7 +86,7 @@ val parse_stream :
 (** Parse a streamed script: statements are pulled from [read] (a
     [Unix.read]-style function, 0 at end of input) in [chunk_size]-byte
     chunks (default 64 KiB, see {!Core.fold_statements}) and parsed one at
-    a time on the session's engine, so memory stays bounded by the chunk
+    a time, so memory stays bounded by the chunk
     size plus the largest single statement — an unbounded script runs at a
     fixed memory ceiling. Statement splitting matches
     {!Core.split_statements} byte for byte. [on_item] observes each item

@@ -74,20 +74,17 @@ let error_of_core ~query = function
       ~expected:pe.Parser_gen.Engine.expected Parse_error "parse error"
   | e -> error ~query Internal (Fmt.str "%a" Core.pp_error e)
 
-type engine = [ `Committed | `Vm | `Fused ]
-
 type selection =
   | Dialect of string
   | Features of string list
   | Digest of string
 
-type hello = { client : string; engine : engine; selection : selection }
+type hello = { client : string; selection : selection }
 
 type hello_ok = {
   digest : string;
   label : string;
   features : int;
-  engine : engine;
 }
 
 type mode = Cst | Recognize
@@ -119,12 +116,7 @@ type frame =
   | Bye
 
 let pp_frame ppf = function
-  | Hello h ->
-    Fmt.pf ppf "hello (client %S, %s)" h.client
-      (match h.engine with
-      | `Committed -> "committed"
-      | `Vm -> "vm"
-      | `Fused -> "fused")
+  | Hello h -> Fmt.pf ppf "hello (client %S)" h.client
   | Hello_ok ok -> Fmt.pf ppf "hello-ok (%s, digest %s)" ok.label ok.digest
   | Request r ->
     Fmt.pf ppf "request #%d (%d statement(s))" r.id (List.length r.statements)
@@ -182,10 +174,10 @@ let put_list put b xs =
   put_u32 b (List.length xs);
   List.iter (put b) xs
 
-let put_engine b = function
-  | `Committed -> put_u8 b 0
-  | `Vm -> put_u8 b 1
-  | `Fused -> put_u8 b 2
+(* Hello and hello-ok keep the byte that once selected the parse engine
+   (0–2), so older peers still decode: it is written as 0 and read back
+   without effect, but a value no engine ever had is still malformed. *)
+let put_legacy_engine b = put_u8 b 0
 let put_mode b = function Cst -> put_u8 b 0 | Recognize -> put_u8 b 1
 
 let put_span b (s : span) =
@@ -235,14 +227,14 @@ let put_payload b = function
     put_u8 b tag_hello;
     put_u8 b hello_version;
     put_str b h.client;
-    put_engine b h.engine;
+    put_legacy_engine b;
     put_selection b h.selection
   | Hello_ok ok ->
     put_u8 b tag_hello_ok;
     put_str b ok.digest;
     put_str b ok.label;
     put_u32 b ok.features;
-    put_engine b ok.engine
+    put_legacy_engine b
   | Request r ->
     put_u8 b tag_request;
     put_u32 b r.id;
@@ -345,12 +337,9 @@ let get_list get c what =
   need c n what;
   List.init n (fun _ -> get c what)
 
-let get_engine c what =
-  match get_u8 c what with
-  | 0 -> `Committed
-  | 1 -> `Vm
-  | 2 -> `Fused
-  | t -> fail "%s: bad engine %d" what t
+let skip_legacy_engine c what =
+  let t = get_u8 c what in
+  if t > 2 then fail "%s: bad engine %d" what t
 
 let get_mode c what =
   match get_u8 c what with
@@ -402,16 +391,16 @@ let get_payload c =
       if version <> hello_version then
         fail "unsupported hello version %d" version;
       let client = get_str c "hello client" in
-      let engine = get_engine c "hello engine" in
+      skip_legacy_engine c "hello engine";
       let selection = get_selection c in
-      Hello { client; engine; selection }
+      Hello { client; selection }
     end
     else if tag = tag_hello_ok then begin
       let digest = get_str c "hello-ok digest" in
       let label = get_str c "hello-ok label" in
       let features = get_u32 c "hello-ok features" in
-      let engine = get_engine c "hello-ok engine" in
-      Hello_ok { digest; label; features; engine }
+      skip_legacy_engine c "hello-ok engine";
+      Hello_ok { digest; label; features }
     end
     else if tag = tag_request then begin
       let id = get_u32 c "request id" in
@@ -519,8 +508,6 @@ let jarr emit xs b =
     xs;
   Buffer.add_char b ']'
 
-let jengine e =
-  jstr (match e with `Committed -> "committed" | `Vm -> "vm" | `Fused -> "fused")
 let jmode m = jstr (match m with Cst -> "cst" | Recognize -> "recognize")
 
 let jspan (s : span) b =
@@ -563,7 +550,6 @@ let encode_json frame =
         ("frame", jstr "hello");
         ("version", jint hello_version);
         ("client", jstr h.client);
-        ("engine", jengine h.engine);
         ("selection", jselection h.selection);
       ]
   | Hello_ok ok ->
@@ -573,7 +559,6 @@ let encode_json frame =
         ("digest", jstr ok.digest);
         ("label", jstr ok.label);
         ("features", jint ok.features);
-        ("engine", jengine ok.engine);
       ]
   | Request r ->
     json_fields b
@@ -776,13 +761,6 @@ let jget_strlist what = function
     List.map (function Jstr s -> s | _ -> fail "non-string in %s" what) xs
   | _ -> fail "missing or non-array %s" what
 
-let jget_engine what v =
-  match jget_str what v with
-  | "committed" -> `Committed
-  | "vm" -> `Vm
-  | "fused" -> `Fused
-  | e -> fail "bad engine %S" e
-
 let jget_span = function
   | Jobj _ as o ->
     {
@@ -840,7 +818,6 @@ let frame_of_jvalue o =
     Hello
       {
         client = jget_str "client" (jmember "client" o);
-        engine = jget_engine "engine" (jmember "engine" o);
         selection =
           (match jmember "selection" o with
           | Some s -> jget_selection s
@@ -852,7 +829,6 @@ let frame_of_jvalue o =
         digest = jget_str "digest" (jmember "digest" o);
         label = jget_str "label" (jmember "label" o);
         features = jget_int "features" (jmember "features" o);
-        engine = jget_engine "engine" (jmember "engine" o);
       }
   | "request" ->
     Request

@@ -71,21 +71,22 @@ val error_of_core : query:string -> Core.error -> error
 (** Attach the statement to a library error: lex and parse errors keep
     their span/found/expected, anything else maps to {!Internal}. *)
 
-type engine = [ `Committed | `Vm | `Fused ]
-
 type selection =
   | Dialect of string  (** a shipped dialect, by name *)
   | Features of string list  (** explicit features, closed server-side *)
   | Digest of string  (** hex digest of a front-end already resident in the
                           server's cache *)
 
-type hello = { client : string; engine : engine; selection : selection }
+type hello = { client : string; selection : selection }
+(** Both encodings still carry the engine choice older clients sent: the
+    binary hello keeps its engine byte (written 0, read without effect,
+    values above 2 rejected) and JSON ignores an ["engine"] member. The
+    same holds for {!hello_ok}. *)
 
 type hello_ok = {
   digest : string;  (** canonical config digest, hex *)
   label : string;
   features : int;
-  engine : engine;
 }
 
 type mode =

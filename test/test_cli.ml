@@ -153,6 +153,17 @@ let test_family_flags_removed () =
       expect ~status:124 ~needles:[ "unknown option '--family'" ] args ())
     [ [ "serve"; "--family" ]; [ "cache"; "stats"; "--family" ] ]
 
+(* One engine: the option that picked among parse engines is gone from
+   every command that had it. *)
+let test_engine_flag_removed () =
+  List.iter
+    (fun args ->
+      expect ~status:124 ~needles:[ "unknown option '--engine'" ] args ())
+    [
+      [ "parse"; "-d"; "full"; "--engine"; "vm"; "SELECT a FROM t" ];
+      [ "client"; "-d"; "full"; "--engine"; "fused"; "SELECT a FROM t" ];
+    ]
+
 let test_configure_session =
   expect ~status:0
     ~stdin_text:
@@ -207,6 +218,7 @@ let suite =
     Alcotest.test_case "cache stats" `Quick test_cache_stats;
     Alcotest.test_case "--family flags removed" `Quick
       test_family_flags_removed;
+    Alcotest.test_case "--engine flag removed" `Quick test_engine_flag_removed;
     Alcotest.test_case "configure session" `Quick test_configure_session;
     Alcotest.test_case "config file round-trip" `Quick test_config_file_roundtrip;
   ]

@@ -1,16 +1,16 @@
 (* Differential suite: the prediction-compiled {!Parser_gen.Engine} against
-   the string-keyed {!Parser_gen.Reference} engine it replaced.
+   the string-keyed {!Oracle.Reference} engine it replaced.
 
    The reference engine is kept as the executable specification of the
-   parsing semantics. For every shipped dialect, five engines run over the
-   shared accept/reject corpora plus a grammar-sampled corpus and must
-   produce identical outcomes end to end: the {e committed} engine (the
-   default — prediction-compiled dispatch over the left-factored grammar),
-   the {e bytecode VM} (the committed region lowered to a flat program,
-   running over the struct-of-arrays token stream), the {e fused} VM
-   (the same program pulling tokens straight from the scanner cursor —
-   compared from the raw bytes, lexical errors included), the {e memoized}
-   engine (same grammar, dispatch disabled: the pure backtracker), and the
+   parsing semantics. For every shipped dialect, the shipped parser runs
+   over the shared accept/reject corpora plus a grammar-sampled corpus on
+   every path it has, and each must produce identical outcomes: the
+   {e bytecode VM} over hand-delivered token arrays
+   ([Engine.parse_tokens]) and over the struct-of-arrays stream
+   ([Core.parse_cst], the production path), the {e fused} VM (the same
+   program pulling tokens straight from the scanner cursor — compared from
+   the raw bytes, lexical errors included), the {e memoized} engine (same
+   grammar, dispatch disabled: the pure backtracker), and the
    {e reference}. Identical means the same CST on
    acceptance (priority-ordered alternatives, greedy-but-backtrackable
    repetition) and the same furthest-failure position, found token, and
@@ -65,7 +65,7 @@ let sampled name =
 let engine_grammar (g : Core.generated) = Parser_gen.Engine.grammar g.Core.parser
 
 let reference_on ?memoize ?prune grammar =
-  match Parser_gen.Reference.generate ?memoize ?prune grammar with
+  match Oracle.Reference.generate ?memoize ?prune grammar with
   | Ok r -> r
   | Error e ->
     Alcotest.failf "reference generate: %a" Parser_gen.Engine.pp_gen_error e
@@ -94,10 +94,11 @@ let result_testable =
       | _ -> false)
 
 (* Where the dispatching runs' scoped backtracking suffices, an accepted
-   statement must be accepted by those runs themselves (committed loop, VM,
-   fused). A wrong rejection there would be masked by the pure rerun, which
-   still returns the right result. (Scoped backtracking does not suffice
-   everywhere: a choice is final once its enclosing sequence completes.) *)
+   statement must be accepted by those runs themselves (the VM, two-pass
+   and fused). A wrong rejection there would be masked by the pure rerun,
+   which still returns the right result. (Scoped backtracking does not
+   suffice everywhere: a choice is final once its enclosing sequence
+   completes.) *)
 let check_no_rerun ~msg parses =
   let before = Parser_gen.Engine.pure_reruns () in
   if List.for_all Fun.id (parses ()) then
@@ -108,7 +109,7 @@ let check_no_rerun ~msg parses =
 
 let check_agree ~msg refp eng toks =
   Alcotest.check result_testable msg
-    (Parser_gen.Reference.parse refp (Array.to_list toks))
+    (Oracle.Reference.parse refp (Array.to_list toks))
     (Parser_gen.Engine.parse_tokens eng toks)
 
 let check_engines_agree ~msg a b toks =
@@ -116,35 +117,35 @@ let check_engines_agree ~msg a b toks =
     (Parser_gen.Engine.parse_tokens a toks)
     (Parser_gen.Engine.parse_tokens b toks)
 
-(* Four-way: committed (the shipped parser) = bytecode VM = memoized (same
-   factored grammar, dispatch off) = reference (executable spec on that
-   grammar). The VM is compared twice: at the token level (hand-delivered
-   token arrays through [parse_tokens_vm]) and end to end over the SoA
-   stream ([Core.parse_cst_vm]), which also exercises the lazy token
+(* Four-way: the VM (the shipped parser) = memoized (same factored grammar,
+   dispatch off) = reference (executable spec on that grammar) = fused.
+   The VM is compared twice: at the token level (hand-delivered token
+   arrays through [parse_tokens]) and end to end over the SoA stream
+   ([Core.parse_cst]), which also exercises the lazy token
    materialization on CST leaves and error edges. *)
 let agree_everywhere ~name g refp memop sql =
-  (match Core.scan_tokens g sql with
-  | Error _ -> () (* lexical rejection: no token stream to disagree on *)
-  | Ok toks ->
-    check_agree ~msg:(Printf.sprintf "%s (ref vs committed): %s" name sql)
-      refp g.Core.parser toks;
-    check_engines_agree
-      ~msg:(Printf.sprintf "%s (memo vs committed): %s" name sql)
-      memop g.Core.parser toks;
-    Alcotest.check result_testable
-      (Printf.sprintf "%s (vm vs committed, tokens): %s" name sql)
-      (Parser_gen.Engine.parse_tokens g.Core.parser toks)
-      (Parser_gen.Engine.parse_tokens_vm g.Core.parser toks));
   let strip = function
     | Ok cst -> Ok cst
     | Error (Core.Parse_error e) -> Error (`Parse e)
     | Error (Core.Lex_error e) -> Error (`Lex e)
     | Error _ -> Error `Other
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s (vm vs committed, end to end): %s" name sql)
-    true
-    (strip (Core.parse_cst g sql) = strip (Core.parse_cst_vm g sql));
+  (match Core.scan_tokens g sql with
+  | Error _ -> () (* lexical rejection: no token stream to disagree on *)
+  | Ok toks ->
+    check_agree ~msg:(Printf.sprintf "%s (ref vs vm): %s" name sql)
+      refp g.Core.parser toks;
+    check_engines_agree
+      ~msg:(Printf.sprintf "%s (memo vs vm): %s" name sql)
+      memop g.Core.parser toks;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s (vm tokens vs vm SoA): %s" name sql)
+      true
+      (strip
+         (Result.map_error
+            (fun e -> Core.Parse_error e)
+            (Parser_gen.Engine.parse_tokens g.Core.parser toks))
+      = strip (Core.parse_cst g sql)));
   (* The fused engine scans as it parses, so it is compared end to end
      from the raw bytes: same CSTs, same parse errors, and the same
      lexical errors at the same position — the corpora include
@@ -154,7 +155,7 @@ let agree_everywhere ~name g refp memop sql =
   Alcotest.(check bool)
     (Printf.sprintf "%s (fused vs vm, end to end): %s" name sql)
     true
-    (strip (Core.parse_cst_vm g sql) = strip (Core.parse_cst_fused g sql));
+    (strip (Core.parse_cst g sql) = strip (Core.parse_cst_fused g sql));
   let fused_count, fused_result = Core.parse_cst_fused_counted g sql in
   (match Core.scan_tokens g sql with
   | Ok toks when Result.is_ok fused_result ->
@@ -245,8 +246,8 @@ let test_factoring_preserves name () =
       match Core.scan_tokens g sql with
       | Error _ -> ()
       | Ok toks -> (
-        let a = Parser_gen.Reference.parse composed (Array.to_list toks) in
-        let b = Parser_gen.Reference.parse factored (Array.to_list toks) in
+        let a = Oracle.Reference.parse composed (Array.to_list toks) in
+        let b = Oracle.Reference.parse factored (Array.to_list toks) in
         match (a, b) with
         | Ok c1, Ok c2 ->
           Alcotest.check
@@ -298,7 +299,7 @@ let test_inlined_agreement name () =
   let g = front_end name in
   let inlined, _ = Grammar.Factor.normalize ~inline:true g.Core.grammar in
   let refp = reference_on inlined in
-  let committed = engine_on g inlined in
+  let vm = engine_on g inlined in
   let memop = engine_on ~dispatch:false g inlined in
   List.iter
     (fun sql ->
@@ -306,11 +307,11 @@ let test_inlined_agreement name () =
       | Error _ -> ()
       | Ok toks ->
         check_agree
-          ~msg:(Printf.sprintf "%s inlined (ref vs committed): %s" name sql)
-          refp committed toks;
+          ~msg:(Printf.sprintf "%s inlined (ref vs vm): %s" name sql)
+          refp vm toks;
         check_engines_agree
-          ~msg:(Printf.sprintf "%s inlined (memo vs committed): %s" name sql)
-          memop committed toks)
+          ~msg:(Printf.sprintf "%s inlined (memo vs vm): %s" name sql)
+          memop vm toks)
     (corpus_for name @ sampled name)
 
 let test_reinterning_boundary () =
@@ -338,8 +339,8 @@ let test_reinterning_boundary () =
 (* Classification unit tests: lookahead strength maps to the right
    decision, and fallback rules still parse (on the memoized path). *)
 
-let build_engine g =
-  match Parser_gen.Engine.generate g with
+let build_engine ?dispatch g =
+  match Parser_gen.Engine.generate ?dispatch g with
   | Ok p -> p
   | Error e -> Alcotest.failf "generate: %a" Parser_gen.Engine.pp_gen_error e
 
@@ -363,15 +364,17 @@ let test_k2_commits () =
     (Parser_gen.Engine.accepts p [ tok "A"; tok "C" ]);
   check_bool "rejects A A" false
     (Parser_gen.Engine.accepts p [ tok "A"; tok "A" ]);
-  (* The VM compiles the same k = 2 decision into a D2 opcode probing the
-     two-level side table, and must agree token for token. *)
+  (* The VM compiles the k = 2 decision into a D2 opcode probing the
+     two-level side table, and must agree token for token with the
+     memoized engine. *)
+  let memop = build_engine ~dispatch:false g in
   List.iter
     (fun toks ->
       let arr = Array.of_list (List.map tok (toks @ [ "EOF" ])) in
       Alcotest.check result_testable
         (Printf.sprintf "vm k2: %s" (String.concat " " toks))
-        (Parser_gen.Engine.parse_tokens p arr)
-        (Parser_gen.Engine.parse_tokens_vm p arr))
+        (Parser_gen.Engine.parse_tokens memop arr)
+        (Parser_gen.Engine.parse_tokens p arr))
     [ [ "A"; "B" ]; [ "A"; "C" ]; [ "A"; "A" ]; [ "A" ]; [] ]
 
 let test_ambiguous_falls_back () =
@@ -404,15 +407,17 @@ let test_ambiguous_falls_back () =
   check_bool "rejects A B C D" false
     (Parser_gen.Engine.accepts p [ tok "A"; tok "B"; tok "C"; tok "D" ]);
   (* On the VM the references to [x]/[y] inside the uncommitted rule [s]
-     never compile; the start entry drops straight into the memoized
-     fallback and must reproduce the same results. *)
+     never compile; the program boots with [FB s], so the whole statement
+     is one memoized fallback occurrence, and must reproduce the memoized
+     engine's results. *)
+  let memop = build_engine ~dispatch:false g in
   List.iter
     (fun toks ->
       let arr = Array.of_list (List.map tok (toks @ [ "EOF" ])) in
       Alcotest.check result_testable
         (Printf.sprintf "vm fallback: %s" (String.concat " " toks))
-        (Parser_gen.Engine.parse_tokens p arr)
-        (Parser_gen.Engine.parse_tokens_vm p arr))
+        (Parser_gen.Engine.parse_tokens memop arr)
+        (Parser_gen.Engine.parse_tokens p arr))
     [
       [ "A"; "B"; "D" ];
       [ "A"; "B"; "C"; "E" ];
@@ -438,6 +443,7 @@ let test_vm_choice_backtracking () =
       ]
   in
   let p = build_engine g in
+  let memop = build_engine ~dispatch:false g in
   (match Parser_gen.Engine.program p with
   | None -> Alcotest.fail "program must be compiled"
   | Some prog ->
@@ -449,13 +455,13 @@ let test_vm_choice_backtracking () =
   List.iter
     (fun (toks, accepted) ->
       let arr = Array.of_list (List.map tok (toks @ [ "EOF" ])) in
-      let vm = Parser_gen.Engine.parse_tokens_vm p arr in
+      let vm = Parser_gen.Engine.parse_tokens p arr in
       check_bool
         (Printf.sprintf "vm acceptance: %s" (String.concat " " toks))
         accepted (Result.is_ok vm);
       Alcotest.check result_testable
         (Printf.sprintf "vm backtracking: %s" (String.concat " " toks))
-        (Parser_gen.Engine.parse_tokens p arr)
+        (Parser_gen.Engine.parse_tokens memop arr)
         vm)
     [
       ([ "A"; "B"; "B"; "C" ], true);
@@ -466,9 +472,11 @@ let test_vm_choice_backtracking () =
       ([ "A"; "B"; "B"; "B" ], false);
     ]
 
-(* Every engine on a hand-built grammar: the committed loop, the VM, fused
-   (through a scanner sharing the engine's interner), dispatch off, and
-   the reference — same CSTs, same errors, and the expected acceptance. *)
+(* Every engine on a hand-built grammar: the VM, fused (through a scanner
+   sharing the engine's interner), dispatch off, and the reference — same
+   CSTs, same errors, and the expected acceptance. With [~no_rerun], an
+   accepted statement must be accepted by the VM and fused runs
+   themselves. *)
 let check_hand_built ?(no_rerun = false) g ~tokens cases =
   let scanner =
     Lexing_gen.Scanner.create
@@ -495,21 +503,17 @@ let check_hand_built ?(no_rerun = false) g ~tokens cases =
         | Error e ->
           Alcotest.failf "scan %s: %a" input Lexing_gen.Scanner.pp_error e
       in
-      let committed = Parser_gen.Engine.parse_tokens p toks in
+      let vm = Parser_gen.Engine.parse_tokens p toks in
       check_bool (Printf.sprintf "acceptance: %s" input) accepted
-        (Result.is_ok committed);
+        (Result.is_ok vm);
       Alcotest.check result_testable
         (Printf.sprintf "reference: %s" input)
-        (Parser_gen.Reference.parse refp (Array.to_list toks))
-        committed;
+        (Oracle.Reference.parse refp (Array.to_list toks))
+        vm;
       Alcotest.check result_testable
         (Printf.sprintf "memoized: %s" input)
         (Parser_gen.Engine.parse_tokens memop toks)
-        committed;
-      Alcotest.check result_testable
-        (Printf.sprintf "vm: %s" input)
-        (Parser_gen.Engine.parse_tokens_vm p toks)
-        committed;
+        vm;
       let fused =
         match Parser_gen.Engine.parse_fused p ~scanner input with
         | _, Ok cst -> Ok cst
@@ -518,12 +522,11 @@ let check_hand_built ?(no_rerun = false) g ~tokens cases =
       in
       Alcotest.check result_testable
         (Printf.sprintf "fused: %s" input)
-        fused committed;
+        fused vm;
       if no_rerun then
         check_no_rerun ~msg:input (fun () ->
             [
               Result.is_ok (Parser_gen.Engine.parse_tokens p toks);
-              Result.is_ok (Parser_gen.Engine.parse_tokens_vm p toks);
               Result.is_ok
                 (snd (Parser_gen.Engine.parse_fused p ~scanner input));
             ]))
@@ -580,8 +583,8 @@ let test_partial_point_commits_and_backtracks () =
   Alcotest.(check int) "ambiguous points" 1 s.Parser_gen.Engine.ambiguous_points;
   Alcotest.(check int) "partial points" 1 s.Parser_gen.Engine.partial_points;
   (* The static classification is unchanged: a partial point is an
-     ambiguous one, so neither rule counts as committed — yet both run on
-     the dispatch loop and compile to bytecode. *)
+     ambiguous one, so neither rule counts as committed — yet both
+     compile to bytecode. *)
   Alcotest.(check int) "no committed non-terminal" 0
     s.Parser_gen.Engine.committed_nts;
   (match Parser_gen.Engine.program p with
@@ -591,9 +594,9 @@ let test_partial_point_commits_and_backtracks () =
       (Parser_gen.Program.compiled_nts prog));
   (* An ambiguous start entry: the whole statement is the fallback
      occurrence, and the VM resumes its next derivation end when the
-     first leaves input before EOF. *)
+     first leaves input before EOF — without a pure rerun. *)
   ignore
-    (check_hand_built
+    (check_hand_built ~no_rerun:true
        (grammar ~start:"s"
           [ rule "s" [ [ t "A"; t "B" ]; [ t "A"; t "B"; t "B" ]; [ t "C" ] ] ])
        ~tokens:[ "A"; "B"; "C" ]
@@ -605,6 +608,58 @@ let test_partial_point_commits_and_backtracks () =
          ("A", false);
          ("C C", false);
        ])
+
+(* Start rules the VM cannot compile: the program boots with [FB start],
+   and HALT tries the start rule's derivation ends in turn, as the
+   memoized engine does at the top — no pure rerun on acceptance. *)
+let test_uncompiled_start_rule () =
+  let open Grammar.Builder in
+  let compiled p =
+    match Parser_gen.Engine.program p with
+    | None -> Alcotest.fail "program must be compiled"
+    | Some prog -> Parser_gen.Program.start_entry prog >= 0
+  in
+  (* (a) an ambiguous group ending the start rule's body keeps it out of
+     the bytecode; nothing else exists to compile. On "GO X Y Y" the
+     first end (GO X Y) leaves a Y before EOF, so HALT resumes the boot
+     FB's choice and the second end is accepted. *)
+  let p =
+    check_hand_built ~no_rerun:true
+      (grammar ~start:"s"
+         [ rule "s" [ [ t "GO"; grp [ [ t "X"; t "Y" ]; [ t "X"; t "Y"; t "Y" ] ] ] ] ])
+      ~tokens:[ "GO"; "X"; "Y" ]
+      [
+        ("GO X Y", true);
+        ("GO X Y Y", true);
+        ("GO X Y Y Y", false);
+        ("GO X", false);
+        ("GO", false);
+        ("X Y", false);
+      ]
+  in
+  check_bool "group-ambiguous start rule is not compiled" false (compiled p);
+  (* (b) a rule-level choice that commits on no lookahead, over compiled
+     rules: the memoized start rule reaches [x] and [y] through their
+     strict dispatch runs. *)
+  let p =
+    check_hand_built ~no_rerun:true
+      (grammar ~start:"s"
+         [
+           rule "s" [ [ nt "x"; t "D" ]; [ nt "y"; t "E" ] ];
+           rule "x" [ [ t "A"; t "B" ] ];
+           rule "y" [ [ t "A"; t "B"; t "C" ] ];
+         ])
+      ~tokens:[ "A"; "B"; "C"; "D"; "E" ]
+      [
+        ("A B D", true);
+        ("A B C E", true);
+        ("A B C D", false);
+        ("A B E", false);
+        ("A", false);
+        ("A B D D", false);
+      ]
+  in
+  check_bool "fallback start rule is not compiled" false (compiled p)
 
 (* The lazy derivation stream on hand-built grammars, through every
    engine. *)
@@ -710,4 +765,6 @@ let suite =
   @ [
       Alcotest.test_case "lazy derivation tails: forced, and found empty"
         `Quick test_lazy_stream_tails;
+      Alcotest.test_case "uncompiled start rules boot through the fallback"
+        `Quick test_uncompiled_start_rule;
     ]

@@ -6,7 +6,7 @@
    fault draws a structured wire error (query, span, expected set attached
    where a statement is involved); and what comes over the wire is
    byte-identical to what {!Service.Session.parse_batch} returns in
-   process, for both engines, under concurrency. *)
+   process, under concurrency. *)
 
 module Wire = Service.Wire
 module Server = Service.Server
@@ -42,8 +42,8 @@ let with_server ?workers ?max_frame ?(addr = Wire.Tcp ("127.0.0.1", 0)) f =
   | Ok server ->
     Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server)
 
-let connect_exn ?encoding ?engine ~selection server =
-  match Client.connect ?encoding ?engine ~selection (Server.address server) with
+let connect_exn ?encoding ~selection server =
+  match Client.connect ?encoding ~selection (Server.address server) with
   | Ok pair -> pair
   | Error e -> Alcotest.failf "connect: %a" Wire.pp_error e
 
@@ -115,6 +115,64 @@ let test_bad_hello () =
         check_bool "bad_frame" true (e.Wire.code = Wire.Bad_frame)
       | _ -> Alcotest.fail "expected structured error for garbage hello");
       Unix.close fd;
+      assert_alive server)
+
+(* Older clients still name an engine in their hello: a binary engine byte
+   of 0, 1 or 2 (patched into the encoded frame just past the client
+   string) and a JSON ["engine"] member are ignored, and every connection
+   gets byte-identical replies; a byte above 2 draws a structured error. *)
+let test_legacy_engine_hello () =
+  with_server (fun server ->
+      let stmts = [ "SELECT a FROM t"; "SELECT a FROM"; "SELECT \x01 FROM t" ] in
+      let hello = Wire.encode (Wire.Hello { Wire.client = "old"; selection = Wire.Dialect "minimal" }) in
+      let at = 4 + 1 + 1 + 4 + String.length "old" in
+      let session enc first =
+        let fd = raw_connect server in
+        write_all fd first;
+        let reader = Wire.reader (fun b o l -> Unix.read fd b o l) in
+        let reply =
+          match Wire.read_frame reader with
+          | Ok (Some (Wire.Hello_ok _)) -> (
+            write_all fd
+              (Wire.encode_as enc
+                 (Wire.Request { Wire.id = 1; mode = Wire.Cst; statements = stmts }));
+            match Wire.read_frame reader with
+            | Ok (Some (Wire.Reply r)) -> Ok (Wire.encode_items r.Wire.items)
+            | _ -> Alcotest.fail "legacy hello: request not answered")
+          | Ok (Some (Wire.Error e)) -> Error e
+          | _ -> Alcotest.fail "legacy hello: no hello reply"
+        in
+        Unix.close fd;
+        reply
+      in
+      let with_byte b =
+        let s = Bytes.of_string hello in
+        Bytes.set s at (Char.chr b);
+        Bytes.to_string s
+      in
+      let replies =
+        List.map (fun b -> session Wire.Binary (with_byte b)) [ 0; 1; 2 ]
+        @ List.map
+            (fun engine ->
+              session Wire.Json
+                (Printf.sprintf
+                   {|{"frame":"hello","version":1,"client":"old","engine":"%s","selection":{"dialect":"minimal"}}|}
+                   engine
+                ^ "\n"))
+            [ "committed"; "vm"; "fused" ]
+      in
+      (match replies with
+      | Ok first :: rest ->
+        List.iteri
+          (fun i r ->
+            check_bool
+              (Printf.sprintf "legacy hello %d: identical reply" (i + 1))
+              true (r = Ok first))
+          rest
+      | _ -> Alcotest.fail "legacy hello rejected");
+      (match session Wire.Binary (with_byte 3) with
+      | Error e -> check_bool "engine byte 3: bad_frame" true (e.Wire.code = Wire.Bad_frame)
+      | Ok _ -> Alcotest.fail "engine byte 3 accepted");
       assert_alive server)
 
 let test_unknown_dialect_and_digest () =
@@ -190,11 +248,7 @@ let test_slow_dribbled_writes () =
       dribble
         (Wire.encode
            (Wire.Hello
-              {
-                Wire.client = "dribbler";
-                engine = `Committed;
-                selection = Wire.Dialect "minimal";
-              }));
+              { Wire.client = "dribbler"; selection = Wire.Dialect "minimal" }));
       (match Wire.read_frame reader with
       | Ok (Some (Wire.Hello_ok _)) -> ()
       | _ -> Alcotest.fail "dribbled hello not answered");
@@ -352,73 +406,70 @@ let determinism_workload =
   ]
 
 let test_concurrent_clients_deterministic () =
-  List.iter
-    (fun engine ->
-      with_server ~workers:8 (fun server ->
-          (* The in-process reference: one sequential parse per batch,
-             rendered through the exact mapping the server uses. *)
-          let session =
-            match
-              Service.Session.of_cache ~label:"minimal" ~engine
-                (Service.Cache.create ())
-                (dialect "minimal").Dialects.Dialect.config
-            with
-            | Ok s -> s
-            | Error e -> Alcotest.failf "reference session: %a" Core.pp_error e
-          in
-          let batches =
-            List.init 8 (fun i -> rotate i determinism_workload)
-          in
-          let expected =
-            List.map
-              (fun stmts ->
-                let batch = Service.Session.parse_batch session stmts in
-                Wire.encode_items
-                  (List.map
-                     (Server.outcome_of_item Wire.Cst)
-                     batch.Service.Session.items))
-              batches
-          in
-          let failures = Array.make (List.length batches) None in
-          let run i stmts want =
-            match
-              Client.connect ~engine
-                ~selection:(Wire.Dialect "minimal")
-                (Server.address server)
-            with
+  with_server ~workers:8 (fun server ->
+      (* The in-process reference: one sequential parse per batch,
+         rendered through the exact mapping the server uses. *)
+      let session =
+        match
+          Service.Session.of_cache ~label:"minimal"
+            (Service.Cache.create ())
+            (dialect "minimal").Dialects.Dialect.config
+        with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "reference session: %a" Core.pp_error e
+      in
+      let batches =
+        List.init 8 (fun i -> rotate i determinism_workload)
+      in
+      let expected =
+        List.map
+          (fun stmts ->
+            let batch = Service.Session.parse_batch session stmts in
+            Wire.encode_items
+              (List.map
+                 (Server.outcome_of_item Wire.Cst)
+                 batch.Service.Session.items))
+          batches
+      in
+      let failures = Array.make (List.length batches) None in
+      let run i stmts want =
+        match
+          Client.connect
+            ~selection:(Wire.Dialect "minimal")
+            (Server.address server)
+        with
+        | Error e ->
+          failures.(i) <- Some (Fmt.str "connect: %a" Wire.pp_error e)
+        | Ok (client, _) ->
+          (* Several requests per connection, so replies interleave
+             across the worker pool while each connection also checks
+             its own request/reply ordering. *)
+          for _round = 1 to 3 do
+            match Client.request client stmts with
             | Error e ->
-              failures.(i) <- Some (Fmt.str "connect: %a" Wire.pp_error e)
-            | Ok (client, _) ->
-              (* Several requests per connection, so replies interleave
-                 across the worker pool while each connection also checks
-                 its own request/reply ordering. *)
-              for _round = 1 to 3 do
-                match Client.request client stmts with
-                | Error e ->
-                  failures.(i) <- Some (Fmt.str "request: %a" Wire.pp_error e)
-                | Ok reply ->
-                  if not (String.equal (Wire.encode_items reply.Wire.items) want)
-                  then failures.(i) <- Some "items differ from library results"
-              done;
-              Client.close client
-          in
-          let threads =
-            List.mapi
-              (fun i (stmts, want) -> Thread.create (fun () -> run i stmts want) ())
-              (List.combine batches expected)
-          in
-          List.iter Thread.join threads;
-          Array.iteri
-            (fun i failure ->
-              match failure with
-              | Some msg -> Alcotest.failf "client %d: %s" i msg
-              | None -> ())
-            failures;
-          let s = Server.stats server in
-          check_bool "8 concurrent connections accepted" true
-            (s.Server.connections >= 8);
-          check_int "every request answered" (8 * 3) s.Server.requests))
-    [ `Committed; `Vm ]
+              failures.(i) <- Some (Fmt.str "request: %a" Wire.pp_error e)
+            | Ok reply ->
+              if not (String.equal (Wire.encode_items reply.Wire.items) want)
+              then failures.(i) <- Some "items differ from library results"
+          done;
+          Client.close client
+      in
+      let threads =
+        List.mapi
+          (fun i (stmts, want) -> Thread.create (fun () -> run i stmts want) ())
+          (List.combine batches expected)
+      in
+      List.iter Thread.join threads;
+      Array.iteri
+        (fun i failure ->
+          match failure with
+          | Some msg -> Alcotest.failf "client %d: %s" i msg
+          | None -> ())
+        failures;
+      let s = Server.stats server in
+      check_bool "8 concurrent connections accepted" true
+        (s.Server.connections >= 8);
+      check_int "every request answered" (8 * 3) s.Server.requests)
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
@@ -476,6 +527,8 @@ let test_stop_is_idempotent () =
 
 let suite =
   [
+    Alcotest.test_case "legacy engine in the hello is ignored" `Quick
+      test_legacy_engine_hello;
     Alcotest.test_case "malformed hello draws a structured error" `Quick
       test_bad_hello;
     Alcotest.test_case "unknown dialect and digest are rejected; digest \

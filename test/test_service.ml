@@ -300,32 +300,32 @@ let test_batch_domains_clamped () =
     unclamped.Service.Session.shards
 
 let test_vm_session_equivalence () =
-  (* The engine knob is a pure performance choice: a VM session (SoA stream
-     + bytecode VM) must return item-for-item identical results and token
-     counts to a committed-loop session over the same cache entry, on a
-     workload mixing accepts, rejects, lexical failures, and sampled
-     sentences — sharded and not. *)
+  (* A session parses on the VM; one pinned to the same front-end with its
+     parser generated without dispatch (the pure memoized engine, no
+     program) must return item-for-item identical results and token
+     counts, on a workload mixing accepts, rejects, lexical failures, and
+     sampled sentences — sharded and not. *)
   let cache = Service.Cache.create () in
   let config = (dialect "embedded").Dialects.Dialect.config in
-  let committed =
+  let vm =
     match Service.Session.of_cache ~label:"embedded" cache config with
     | Ok s -> s
     | Error e -> Alcotest.failf "session: %a" Core.pp_error e
   in
-  let vm =
+  let g = Service.Session.front_end vm in
+  let memoized =
     match
-      Service.Session.of_cache ~label:"embedded" ~engine:`Vm cache config
+      Parser_gen.Engine.generate ~dispatch:false
+        ~interner:(Lexing_gen.Scanner.interner g.Core.scanner)
+        (Parser_gen.Engine.grammar g.Core.parser)
     with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "vm session: %a" Core.pp_error e
+    | Ok parser -> Service.Session.create { g with Core.parser }
+    | Error e -> Alcotest.failf "memoized: %a" Parser_gen.Engine.pp_gen_error e
   in
-  check_bool "engine recorded" true (Service.Session.engine vm = `Vm);
-  check_bool "one cache entry serves both" true
-    (Service.Session.front_end committed == Service.Session.front_end vm);
   let stmts =
     Corpus.embedded_accept @ Corpus.embedded_reject @ Corpus.always_reject
     @ Service.Sentences.sample ~count:30 ~seed:77
-        (Service.Session.front_end committed)
+        (Service.Session.front_end vm)
   in
   let check_same label (bc : Service.Session.batch)
       (bv : Service.Session.batch) =
@@ -347,10 +347,10 @@ let test_vm_session_equivalence () =
       = bv.Service.Session.batch_stats.Service.Session.furthest_error)
   in
   check_same "sequential"
-    (Service.Session.parse_batch committed stmts)
+    (Service.Session.parse_batch memoized stmts)
     (Service.Session.parse_batch vm stmts);
   check_same "sharded"
-    (Service.Session.parse_batch ~clamp:false ~domains:4 committed stmts)
+    (Service.Session.parse_batch ~clamp:false ~domains:4 memoized stmts)
     (Service.Session.parse_batch ~clamp:false ~domains:4 vm stmts)
 
 let test_session_script_split () =
@@ -383,7 +383,7 @@ let suite =
       test_batch_domains_deterministic;
     Alcotest.test_case "domain requests are clamped by default" `Quick
       test_batch_domains_clamped;
-    Alcotest.test_case "VM sessions are indistinguishable from committed"
+    Alcotest.test_case "VM sessions are indistinguishable from memoized ones"
       `Quick test_vm_session_equivalence;
     Alcotest.test_case "script batches split on semicolons" `Quick
       test_session_script_split;

@@ -4,13 +4,14 @@
    over any chunk size yields exactly the statement list
    [Core.split_statements] produces on the concatenated input — chunk
    boundaries may fall inside tokens, inside quoted strings holding [;],
-   anywhere — and [Session.parse_stream] on the fused engine yields items
-   whose rendered CSTs and errors are byte-identical to a whole-buffer
-   [Session.parse_batch]. On top, the memory ceiling: streaming a script
-   many times larger must not grow the major heap's high-water mark, and
-   the server's raw streaming mode must put the same bytes on the wire
-   that {!Service.Server.stream_line_of_item} renders in process, even
-   when the client dribbles the stream one byte at a time. *)
+   anywhere — and [Session.parse_stream] yields items whose rendered CSTs
+   and errors are byte-identical to a whole-buffer [Session.parse_batch]
+   and to the fused engine's whole-statement parses. On top, the memory
+   ceiling: streaming a script many times larger must not grow the major
+   heap's high-water mark, and the server's raw streaming mode must put
+   the same bytes on the wire that {!Service.Server.stream_line_of_item}
+   renders in process, even when the client dribbles the stream one byte
+   at a time. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -138,28 +139,35 @@ let test_stream_matches_batch () =
           (corpus_for name)
       in
       let script = String.concat ";\n" stmts ^ ";" in
-      (* The whole-buffer baseline on the committed engine: the gate is
-         cross-engine as well as cross-chunking. *)
-      let batch_session = Service.Session.create ~engine:`Committed g in
-      let batch =
-        Service.Session.parse_batch batch_session
+      (* The baseline is the fused engine over each whole statement: the
+         gate is cross-engine as well as cross-chunking. *)
+      let expected =
+        List.mapi
+          (fun index sql ->
+            let token_count, result = Core.parse_cst_fused_counted g sql in
+            render_item { Service.Session.index; sql; token_count; result })
           (Core.split_statements script)
       in
-      let expected =
-        List.map render_item batch.Service.Session.items
+      let batch =
+        Service.Session.parse_batch (Service.Session.create g)
+          (Core.split_statements script)
       in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: whole-buffer batch = fused" name)
+        expected
+        (List.map render_item batch.Service.Session.items);
       List.iter
         (fun chunk_size ->
           let streamed = ref [] in
-          let stream_session = Service.Session.create ~engine:`Fused g in
+          let stream_session = Service.Session.create g in
           let stats =
             Service.Session.parse_stream ~chunk_size stream_session
               ~on_item:(fun item -> streamed := render_item item :: !streamed)
               ~read:(reader_of_string script)
           in
           Alcotest.(check (list string))
-            (Printf.sprintf "%s chunk %d: streamed fused = whole-buffer \
-                             committed" name chunk_size)
+            (Printf.sprintf "%s chunk %d: streamed = whole-buffer fused"
+               name chunk_size)
             expected
             (List.rev !streamed);
           check_int
@@ -196,7 +204,7 @@ let synthetic_reader ~bytes =
 
 let test_stream_memory_ceiling () =
   let g = front_end "tinysql" in
-  let session = Service.Session.create ~engine:`Fused g in
+  let session = Service.Session.create g in
   let run bytes =
     let stats =
       Service.Session.parse_stream ~chunk_size:65536 session
@@ -272,10 +280,10 @@ let test_raw_stream_roundtrip () =
   let script =
     "SELECT a FROM t;\nSELECT b FROM u WHERE x = 'a;b';\nBOGUS STATEMENT;"
   in
-  (* The in-process truth: same dialect, same engine, same chunked
-     splitter — collect the exact lines the server must emit. *)
+  (* The in-process truth: same dialect, same chunked splitter — collect
+     the exact lines the server must emit. *)
   let g = front_end "tinysql" in
-  let session = Service.Session.create ~engine:`Fused g in
+  let session = Service.Session.create g in
   let lines = Buffer.create 128 in
   let stats =
     Service.Session.parse_stream session
@@ -286,14 +294,19 @@ let test_raw_stream_roundtrip () =
   Buffer.add_string lines (Service.Server.stream_done_line stats);
   let expected = Buffer.contents lines in
   with_stream_server (fun server ->
-      (* A cooperative client first. *)
-      let fd = raw_connect server in
-      write_string fd "Stinysql fused\n";
-      write_string fd script;
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      Alcotest.(check string) "streamed reply (whole writes)" expected
-        (read_all fd);
-      Unix.close fd;
+      (* Cooperative clients first: the bare header, and each legacy
+         engine word (accepted and ignored), answer byte-identically. *)
+      List.iter
+        (fun header ->
+          let fd = raw_connect server in
+          write_string fd ("S" ^ header ^ "\n");
+          write_string fd script;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          Alcotest.(check string)
+            (Printf.sprintf "streamed reply (whole writes, %S)" header)
+            expected (read_all fd);
+          Unix.close fd)
+        [ "tinysql"; "tinysql committed"; "tinysql vm"; "tinysql fused" ];
       (* Then a dribbling client: header and body one byte at a time, so
          chunk boundaries fall inside the header line, inside tokens and
          inside the quoted [;]. *)
@@ -348,7 +361,7 @@ let suite =
       "fold_statements = split_statements across comments, chunks 1..n"
       `Quick test_fold_matches_split_with_comments;
     Alcotest.test_case
-      "streamed fused parsing = whole-buffer committed parsing" `Quick
+      "streamed parsing = whole-buffer parsing = fused parsing" `Quick
       test_stream_matches_batch;
     Alcotest.test_case "streaming holds a fixed memory ceiling" `Quick
       test_stream_memory_ceiling;

@@ -53,8 +53,6 @@ let gen_error =
   gen_small_list gen_string >|= fun expected ->
   { Wire.code; message; query; span; found; expected }
 
-let gen_engine = Gen.oneofl [ `Committed; `Vm ]
-
 let gen_selection =
   Gen.oneof
     [
@@ -76,14 +74,12 @@ let gen_frame =
   let open Gen in
   oneof
     [
+      map2
+        (fun client selection -> Wire.Hello { client; selection })
+        gen_string gen_selection;
       map3
-        (fun client engine selection -> Wire.Hello { client; engine; selection })
-        gen_string gen_engine gen_selection;
-      (gen_string >>= fun digest ->
-       gen_string >>= fun label ->
-       int_bound 200 >>= fun features ->
-       gen_engine >|= fun engine ->
-       Wire.Hello_ok { digest; label; features; engine });
+        (fun digest label features -> Wire.Hello_ok { digest; label; features })
+        gen_string gen_string (int_bound 200);
       map3
         (fun id mode statements -> Wire.Request { id; mode; statements })
         (int_bound 1_000_000)
@@ -268,6 +264,51 @@ let reader_reassembles_dribble () =
       | Error e -> Alcotest.failf "%a" Wire.pp_error e)
     [ Wire.Binary; Wire.Json ]
 
+(* The hello's engine byte and JSON member are what older peers send:
+   every value an engine ever had decodes to the same frame, a value none
+   had is still a structured error. Offsets: u32 length, tag, version,
+   then the client string (u32 length + bytes), then the engine byte. *)
+let legacy_engine_ignored () =
+  let hello = Wire.Hello { Wire.client = "old"; selection = Wire.Dialect "full" } in
+  let encoded = Wire.encode hello in
+  let at = 4 + 1 + 1 + 4 + String.length "old" in
+  Alcotest.(check char) "encoder writes engine byte 0" '\000' encoded.[at];
+  let with_byte b =
+    let s = Bytes.of_string encoded in
+    Bytes.set s at (Char.chr b);
+    Bytes.to_string s
+  in
+  List.iter
+    (fun b ->
+      match Wire.decode (with_byte b) with
+      | Ok f ->
+        Alcotest.(check bool) (Printf.sprintf "engine byte %d ignored" b) true
+          (f = hello)
+      | Error e -> Alcotest.failf "engine byte %d: %a" b Wire.pp_error e)
+    [ 0; 1; 2 ];
+  List.iter
+    (fun b ->
+      match Wire.decode (with_byte b) with
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "engine byte %d is a bad frame" b)
+          true (e.Wire.code = Wire.Bad_frame)
+      | Ok _ -> Alcotest.failf "engine byte %d accepted" b)
+    [ 3; 255 ];
+  List.iter
+    (fun engine ->
+      let line =
+        Printf.sprintf
+          {|{"frame":"hello","version":1,"client":"old","engine":%s,"selection":{"dialect":"full"}}|}
+          engine
+      in
+      match Wire.decode_json line with
+      | Ok f ->
+        Alcotest.(check bool) (Printf.sprintf "JSON engine %s ignored" engine)
+          true (f = hello)
+      | Error e -> Alcotest.failf "JSON engine %s: %a" engine Wire.pp_error e)
+    [ {|"committed"|}; {|"vm"|}; {|"fused"|}; {|"warp"|}; "7" ]
+
 let reader_reports_truncation () =
   let whole = Wire.encode (Wire.Ping "hello") in
   let cut = String.sub whole 0 (String.length whole - 2) in
@@ -302,4 +343,6 @@ let suite =
       reader_reassembles_dribble;
     Alcotest.test_case "reader reports mid-frame end of stream" `Quick
       reader_reports_truncation;
+    Alcotest.test_case "legacy hello engine values are ignored" `Quick
+      legacy_engine_ignored;
   ]
