@@ -94,7 +94,8 @@ let scan_soa g sql =
     (Lexing_gen.Scanner.scan_soa g.scanner sql)
 
 (* The production path: the bytecode VM over the SoA token stream, whose
-   token records are materialized only for CST leaves and error edges. *)
+   token records are materialized, a chunk at a time, only for CST leaves
+   and error edges. *)
 let parse_cst_counted g sql =
   match scan_soa g sql with
   | Error e -> (0, Error e)

@@ -471,24 +471,74 @@ let token_of_soa t soa i =
 
 let cursor_token_at c i = token_of_soa c.cur_t c.cur_soa i
 
-let tokens_of_soa t soa =
+(* Materialize tokens [lo .. hi - 1] into [dst] from slot 0: one binary
+   search finds the first token's line, then the newline index is walked
+   sequentially. *)
+let fill_tokens t soa dst lo hi =
   let _soa0, scratch = Domain.DLS.get arena in
-  (* Sequential materialization: walk the newline index with a cursor instead
-     of binary-searching per token. *)
-  let k = ref 0 in
-  Array.init (soa.count + 1) (fun i ->
-      let start = soa.starts.(i) in
-      while !k < soa.nl_count && soa.newlines.(!k) < start do incr k done;
-      let bol = if !k = 0 then 0 else soa.newlines.(!k - 1) + 1 in
-      let pos = { Token.line = !k + 1; column = start - bol + 1; offset = start } in
-      if i = soa.count then Token.eof pos
-      else
-        {
-          Token.kind = Interner.name t.interner soa.kind_ids.(i);
-          kind_id = soa.kind_ids.(i);
-          text = text_at ~scratch t soa i;
-          pos;
-        })
+  let k = ref (newlines_before soa soa.starts.(lo)) in
+  for i = lo to hi - 1 do
+    let start = soa.starts.(i) in
+    while !k < soa.nl_count && soa.newlines.(!k) < start do incr k done;
+    let bol = if !k = 0 then 0 else soa.newlines.(!k - 1) + 1 in
+    let pos = { Token.line = !k + 1; column = start - bol + 1; offset = start } in
+    Array.unsafe_set dst (i - lo)
+      (if i = soa.count then Token.eof pos
+       else
+         {
+           Token.kind = Interner.name t.interner soa.kind_ids.(i);
+           kind_id = soa.kind_ids.(i);
+           text = text_at ~scratch t soa i;
+           pos;
+         })
+  done
+
+(* The placeholder is static, so [Array.make] allocates a stream longer than
+   256 words straight in the major heap without first forcing a minor
+   collection, as a young initial element would. *)
+let tokens_of_soa t soa =
+  let all = Array.make (soa.count + 1) Token.placeholder in
+  fill_tokens t soa all 0 (soa.count + 1);
+  all
+
+(* Token view: chunks of at most 256 tokens under an outer array of one slot
+   per chunk, each chunk filled on first access. Every block stays within
+   OCaml's young-allocation limit (256 words) for streams under 65536
+   tokens, so a parse neither forces a minor collection nor leaves
+   major-to-minor pointers that promote the whole stream. *)
+let chunk_bits = 8
+let chunk_size = 1 lsl chunk_bits
+
+type view = {
+  v_t : t;
+  v_soa : soa;
+  v_chunks : Token.t array array; (* [[||]] until the chunk is filled *)
+}
+
+let view t soa =
+  {
+    v_t = t;
+    v_soa = soa;
+    v_chunks = Array.make ((soa.count + chunk_size) lsr chunk_bits) [||];
+  }
+
+let fill_chunk v c =
+  let lo = c lsl chunk_bits in
+  let hi = min (lo + chunk_size) (v.v_soa.count + 1) in
+  let chunk = Array.make (hi - lo) Token.placeholder in
+  fill_tokens v.v_t v.v_soa chunk lo hi;
+  v.v_chunks.(c) <- chunk;
+  chunk
+
+let view_token v i =
+  let c = i lsr chunk_bits in
+  let chunk = v.v_chunks.(c) in
+  let chunk = if Array.length chunk = 0 then fill_chunk v c else chunk in
+  chunk.(i land (chunk_size - 1))
+
+let view_kind v i =
+  if i <= v.v_soa.count then Interner.name v.v_t.interner v.v_soa.kind_ids.(i)
+  else Token.eof_kind
 
 let scan_tokens t input =
   Result.map (fun soa -> tokens_of_soa t soa) (scan_soa t input)

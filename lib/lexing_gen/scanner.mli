@@ -20,8 +20,13 @@
     struct-of-arrays buffer with one [(kind_id, start, stop)] triple per
     token plus a newline index, allocating nothing per token. [Token.t]
     records — text strings and line/column positions included — are
-    materialized on demand from that buffer ({!token_of_soa},
-    {!tokens_of_soa}); {!scan_tokens} is scan-then-materialize-all. *)
+    materialized on demand from that buffer: one at a time
+    ({!token_of_soa}), a chunk of at most 256 at a time through a {!view}
+    (what the parser engine reads CST leaves and error positions from), or
+    all at once ({!tokens_of_soa}); {!scan_tokens} is
+    scan-then-materialize-all. A view keeps every block it allocates within
+    OCaml's young-allocation limit of 256 words, so a long statement costs
+    no forced minor collection and its tokens are not promoted wholesale. *)
 
 type t
 
@@ -77,6 +82,23 @@ val token_of_soa : t -> soa -> int -> Token.t
 val tokens_of_soa : t -> soa -> Token.t array
 (** Materialize the whole stream (EOF token included, as the last element),
     walking the newline index sequentially. *)
+
+type view
+(** Random access to the tokens of one [soa], materialized lazily in chunks
+    of at most 256 tokens: the first access to a chunk fills it with one
+    newline binary search and a sequential walk. The view reads the [soa]
+    in place, so it is invalidated with it. *)
+
+val view : t -> soa -> view
+(** A view over a completely scanned stream; nothing is materialized yet. *)
+
+val view_token : view -> int -> Token.t
+(** Token [i] (valid for [0..count], [count] being the EOF token), equal to
+    [(tokens_of_soa t soa).(i)]. *)
+
+val view_kind : view -> int -> string
+(** The kind name of token [i], read from the interner by kind id without
+    materializing the token; {!Token.eof_kind} for [i > count]. *)
 
 val scan_tokens : t -> string -> (Token.t array, error) result
 (** Tokenize the whole input in one pass. On success the array always ends

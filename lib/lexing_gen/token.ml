@@ -16,6 +16,16 @@ let eof_id = Interner.eof_id
 let no_id = -1
 let eof pos = { kind = eof_kind; kind_id = eof_id; text = ""; pos }
 
+(* Every field is a literal, so the compiler emits this record as static
+   data: it is never in the minor heap. *)
+let placeholder =
+  {
+    kind = "";
+    kind_id = -1;
+    text = "";
+    pos = { line = 0; column = 0; offset = 0 };
+  }
+
 let pp_position ppf p = Fmt.pf ppf "%d:%d" p.line p.column
 
 let pp ppf t =

@@ -36,5 +36,12 @@ val no_id : int
 
 val eof : position -> t
 
+val placeholder : t
+(** A shared token that stands for no token (empty kind and text, id
+    {!no_id}, position [0:0]). It is static data, never in the minor heap,
+    so it can initialize an array of any size without the runtime forcing
+    a minor collection, and recognition runs use it for the CST leaves they
+    discard. *)
+
 val pp_position : position Fmt.t
 val pp : t Fmt.t

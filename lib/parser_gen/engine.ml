@@ -423,6 +423,10 @@ let dummy_cst = Cst.Node ("", [])
 let cst_arena : Cst.t array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (Array.make 256 dummy_cst))
 
+(* The one leaf every CST leaf of a recognition run shares: such runs
+   discard their trees, so they materialize no token for them. *)
+let placeholder_leaf = Cst.Leaf Lexing_gen.Token.placeholder
+
 (* One run's memoized oracle over a fixed token-id stream, shared by the
    bytecode VM's fallback boundary (two-pass and fused) and the pure
    error-reporting rerun. Each value owns a fresh (sparse, lazily created)
@@ -445,7 +449,8 @@ type run_machinery = {
    interner); the tokens themselves stay behind the [tok] accessor, touched
    only at CST leaves and error edges — which is how the SoA path parses
    without materializing [Token.t] records, and the classic path reads its
-   pre-built array.
+   pre-built array. A recognition run ([build = false]) gives its leaves
+   {!placeholder_leaf} and reads [tok] only for an error position.
 
    The memoized backtracking engine (p_ functions) has two hooks active
    when [use_dispatch] is on. Every choice point (even inside non-terminals
@@ -469,8 +474,11 @@ type run_machinery = {
 let ambiguous_entry = -2
 
 let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
-    ~(kind_name : int -> string) ~use_dispatch =
+    ~(kind_name : int -> string) ~build ~use_dispatch =
   let n_terms = Interner.size t.interner in
+  let leaf =
+    if build then fun i -> Cst.Leaf (tok i) else fun _ -> placeholder_leaf
+  in
   let tid i = if i < n then Array.unsafe_get tids i else Interner.eof_id in
   let stride = n + 1 in
   let stack = Domain.DLS.get cst_arena in
@@ -550,7 +558,7 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     match term with
     | ITerm id ->
       if i < n && tid i = id then begin
-        push (Cst.Leaf (tok i));
+        push (leaf i);
         i + 1
       end
       else -1
@@ -613,7 +621,7 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     and p_term term i acc k =
       match term with
       | ITerm id ->
-        if tid i = id && i < n then k (i + 1) (Cst.Leaf (tok i) :: acc)
+        if tid i = id && i < n then k (i + 1) (leaf i :: acc)
         else begin
           expect_one i id;
           None
@@ -835,7 +843,7 @@ let parse_ids ?start t ~(tids : int array) ~n
     ~(tok : int -> Lexing_gen.Token.t) ~(kind_name : int -> string) ~build =
   let start_name = Option.value ~default:t.start start in
   let pure () =
-    let m = machinery t ~tids ~n ~tok ~kind_name ~use_dispatch:false in
+    let m = machinery t ~tids ~n ~tok ~kind_name ~build ~use_dispatch:false in
     match Hashtbl.find_opt t.nt_ids start_name with
     | Some sid -> m.rm_top sid
     | None ->
@@ -851,7 +859,7 @@ let parse_ids ?start t ~(tids : int array) ~n
      reproduces the backtracking engine's error exactly. *)
   match t.program with
   | Some prog when String.equal start_name t.start -> (
-    let m = machinery t ~tids ~n ~tok ~kind_name ~use_dispatch:true in
+    let m = machinery t ~tids ~n ~tok ~kind_name ~build ~use_dispatch:true in
     match
       Vm.exec prog ~ids:tids ~n ~build
         ~leaf:(fun i -> Cst.Leaf (tok i))
@@ -898,33 +906,27 @@ let soa_ids t ~scanner (soa : Scanner.soa) ~n =
         let id = soa.Scanner.kind_ids.(i) in
         Interner.stamp_of t.interner ~kind:(Interner.name si id) id)
 
-let parse_soa ?start t ~scanner soa =
+(* The token accessors of a completely scanned stream: [tok] reads a
+   chunked view that materializes at most 256 tokens at a time, on first
+   access (only if a CST leaf or an error edge needs one), and [kind_name]
+   reads the interner by kind id. *)
+let soa_tokens ~scanner soa =
+  let view = Scanner.view scanner soa in
+  (Scanner.view_token view, Scanner.view_kind view)
+
+let run_soa ?start t ~scanner soa ~build =
   (* [n] counts the EOF sentinel, like the token arrays [scan_tokens]
      produces, so all engines see identical streams. *)
   let n = Scanner.soa_count soa + 1 in
-  let tids = soa_ids t ~scanner soa ~n in
-  (* Tokens are materialized lazily, in one batch, only if a CST leaf or an
-     error edge actually needs them — the recognition path never does. *)
-  let mat = lazy (Scanner.tokens_of_soa scanner soa) in
-  parse_ids ?start t ~tids ~n
-    ~tok:(fun i -> (Lazy.force mat).(i))
-    ~kind_name:(fun i ->
-      if i < n then (Lazy.force mat).(i).Lexing_gen.Token.kind
-      else Lexing_gen.Token.eof_kind)
-    ~build:true
+  let tok, kind_name = soa_tokens ~scanner soa in
+  parse_ids ?start t ~tids:(soa_ids t ~scanner soa ~n) ~n ~tok ~kind_name ~build
+
+let parse_soa ?start t ~scanner soa = run_soa ?start t ~scanner soa ~build:true
 
 let recognize_soa ?start t ~scanner soa =
-  let n = Scanner.soa_count soa + 1 in
-  let tids = soa_ids t ~scanner soa ~n in
-  let mat = lazy (Scanner.tokens_of_soa scanner soa) in
   Result.map
     (fun (_ : Cst.t) -> ())
-    (parse_ids ?start t ~tids ~n
-       ~tok:(fun i -> (Lazy.force mat).(i))
-       ~kind_name:(fun i ->
-         if i < n then (Lazy.force mat).(i).Lexing_gen.Token.kind
-         else Lexing_gen.Token.eof_kind)
-       ~build:false)
+    (run_soa ?start t ~scanner soa ~build:false)
 
 (* Fused scan+parse: the bytecode VM drives the scanner through a pull
    cursor, so the committed region of a statement is a single pass over the
@@ -943,20 +945,15 @@ let recognize_soa ?start t ~scanner soa =
 let fused_eligible t ~scanner =
   Scanner.interner scanner == t.interner && Option.is_some t.program
 
-let fused_machinery t ~scanner soa ~use_dispatch =
-  let n = Scanner.soa_count soa + 1 in
-  let mat = lazy (Scanner.tokens_of_soa scanner soa) in
-  machinery t ~tids:soa.Scanner.kind_ids ~n
-    ~tok:(fun i -> (Lazy.force mat).(i))
-    ~kind_name:(fun i ->
-      if i < n then (Lazy.force mat).(i).Lexing_gen.Token.kind
-      else Lexing_gen.Token.eof_kind)
-    ~use_dispatch
+let fused_machinery t ~scanner soa ~build ~use_dispatch =
+  let tok, kind_name = soa_tokens ~scanner soa in
+  machinery t ~tids:soa.Scanner.kind_ids ~n:(Scanner.soa_count soa + 1) ~tok
+    ~kind_name ~build ~use_dispatch
 
 (* The pure rerun for a rejected fused run: identical to the one the
    two-pass driver performs, over the now-complete stream. *)
-let fused_reject t ~scanner soa =
-  let m = fused_machinery t ~scanner soa ~use_dispatch:false in
+let fused_reject t ~scanner soa ~build =
+  let m = fused_machinery t ~scanner soa ~build ~use_dispatch:false in
   let result =
     match Hashtbl.find_opt t.nt_ids t.start with
     | None -> m.rm_fail ()
@@ -973,10 +970,7 @@ let fused_run ~build t ~scanner input =
     | Error e -> (0, Error (`Lex e))
     | Ok soa -> (
       let count = Scanner.soa_count soa in
-      let run = if build then parse_soa else fun ?start:_ t ~scanner soa ->
-        Result.map (fun () -> dummy_cst) (recognize_soa t ~scanner soa)
-      in
-      match run t ~scanner soa with
+      match run_soa t ~scanner soa ~build with
       | Ok cst -> (count, Ok cst)
       | Error e -> (count, Error (`Parse e)))
   else
@@ -991,7 +985,7 @@ let fused_run ~build t ~scanner input =
         | Some m -> m
         | None ->
           let soa = Scanner.cursor_complete cursor in
-          let m = fused_machinery t ~scanner soa ~use_dispatch:true in
+          let m = fused_machinery t ~scanner soa ~build ~use_dispatch:true in
           oracle := Some m;
           m
       in
@@ -1013,7 +1007,7 @@ let fused_run ~build t ~scanner input =
       match Scanner.cursor_complete cursor with
       | soa ->
         count_rerun ();
-        fused_reject t ~scanner soa
+        fused_reject t ~scanner soa ~build
       | exception Scanner.Lex_error e -> (0, Error (`Lex e)))
     | exception Scanner.Lex_error e -> (0, Error (`Lex e))
 

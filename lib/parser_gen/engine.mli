@@ -212,7 +212,8 @@ val parse_soa :
   (Cst.t, parse_error) result
 (** Parse a struct-of-arrays token stream in place: kind ids are read
     straight out of the scanner's arena, and [Token.t] records are
-    materialized lazily — only when a CST leaf or an error edge needs them.
+    materialized through a {!Lexing_gen.Scanner.view}, a chunk of at most
+    256 at a time — only when a CST leaf or an error edge needs them.
     [scanner] must be the scanner that produced the stream; when it shares
     the engine's interner (as under {!Core.generate}) its ids are trusted
     without re-stamping. *)
@@ -225,7 +226,9 @@ val recognize_soa :
   (unit, parse_error) result
 (** Accept/reject without building a CST. On the fully committed VM path
     this allocates nothing per token — the zero-allocation accept path the
-    SoA stream exists for. Errors are still re-derived exactly. *)
+    SoA stream exists for. Where the memoized fallback runs, its leaves
+    share one placeholder token, so no token is materialized unless the
+    statement is rejected. Errors are still re-derived exactly. *)
 
 val parse_fused :
   t ->

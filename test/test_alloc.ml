@@ -9,8 +9,8 @@
    stacks. No [Token.t] record, list cell, or CST node is built unless a
    CST leaf or an error edge demands one.
 
-   What remains is a per-{e call} constant — the result boxing, the lazy
-   materialization thunk, and the closure spine [Engine.parse_ids] builds
+   What remains is a per-{e call} constant — the result boxing, the token
+   view and its accessors, and the closure spine [Engine.parse_ids] builds
    for one run — which is independent of statement length. The tests
    therefore measure with [Gc.minor_words] over warm arenas and pin both
    axes separately:
@@ -277,6 +277,115 @@ let test_fallback_memo_is_bounded () =
       ("Core.parse_cst", fun () -> Result.is_ok (Core.parse_cst g sql));
     ]
 
+(* The ledger's bulk statement: rows of four values, ten tokens a row. *)
+let readings_insert rows =
+  let b = Buffer.create (40 * rows) in
+  Buffer.add_string b
+    "INSERT INTO readings ( nodeid , temp , light , note ) VALUES ";
+  for i = 1 to rows do
+    if i > 1 then Buffer.add_string b " , ";
+    Printf.bprintf b "( %d , %d.%02d , %d , 'n%d' )" (i mod 64) (i mod 100)
+      (i mod 97) (i * 7 mod 1024) i
+  done;
+  Buffer.contents b
+
+(* A boxed array over 256 words is allocated in the major heap, and
+   [Array.make]/[Array.init] with an initial element still in the minor heap
+   first force a minor collection; the array's stores then promote every
+   token at the next one. The token paths must pay neither on long
+   statements: over k runs, minor collections stay within what the words
+   allocated explain (one per minor heap filled, plus one per completed
+   major cycle, whose end also empties the minor heap), and on the 48-row
+   INSERT the parse paths promote under 10 words per token (31 when every
+   parse forced a collection). [scan_tokens] returns its array, so its
+   tokens are promoted at the next collection by design; only its
+   collection count is pinned. *)
+let test_no_forced_minor_collections () =
+  let g = front_end "full" in
+  List.iter
+    (fun (rows, k) ->
+      let sql = readings_insert rows in
+      let tokens = token_count g sql in
+      List.iter
+        (fun (label, run, pin_promotion) ->
+          check_bool (Printf.sprintf "%s accepts" label) true (run sql);
+          Gc.minor ();
+          let s0 = Gc.quick_stat () in
+          for _ = 1 to k do
+            ignore (run sql)
+          done;
+          let s1 = Gc.quick_stat () in
+          let minors = s1.minor_collections - s0.minor_collections in
+          let majors = s1.major_collections - s0.major_collections in
+          let words = s1.minor_words -. s0.minor_words in
+          let explained =
+            (words /. float_of_int (Gc.get ()).minor_heap_size)
+            +. float_of_int majors +. 2.
+          in
+          check_bool
+            (Printf.sprintf
+               "%s on %d tokens: %d minor collections over %d runs, within \
+                the %.1f the allocation explains"
+               label tokens minors k explained)
+            true
+            (float_of_int minors <= explained);
+          if pin_promotion && rows = 48 then begin
+            let promoted =
+              (s1.promoted_words -. s0.promoted_words)
+              /. float_of_int (k * tokens)
+            in
+            check_bool
+              (Printf.sprintf
+                 "%s promotes %.1f words per token on %d tokens (budget 10)"
+                 label promoted tokens)
+              true (promoted < 10.)
+          end)
+        [
+          ("Core.parse_cst", (fun sql -> Result.is_ok (Core.parse_cst g sql)), true);
+          ("Core.recognize", (fun sql -> Result.is_ok (Core.recognize g sql)), true);
+          ( "Core.parse_cst_fused",
+            (fun sql -> Result.is_ok (Core.parse_cst_fused g sql)),
+            true );
+          ( "Scanner.scan_tokens",
+            (fun sql ->
+              Result.is_ok (Lexing_gen.Scanner.scan_tokens g.Core.scanner sql)),
+            false );
+        ])
+    [ (48, 40); (1000, 10) ]
+
+(* The bulk INSERT runs through the fallback oracle, whose leaves would
+   each materialize a token (about 17 words with its chunk slot and text).
+   Recognition gives them a shared placeholder instead, so it allocates at
+   least 10 words per token less than building the CST (measured 32 against
+   50; under 1 apart when the leaves materialize tokens). *)
+let test_recognition_materializes_no_token () =
+  let g = front_end "full" in
+  let sql = readings_insert 48 in
+  let tokens = float_of_int (token_count g sql) in
+  let per_token run =
+    check_bool "accepted" true (run ());
+    measure_words (fun () ->
+        for _ = 1 to rounds do
+          ignore (run ())
+        done)
+    /. float_of_int rounds /. tokens
+  in
+  let parse = per_token (fun () -> Result.is_ok (Core.parse_cst g sql)) in
+  List.iter
+    (fun (label, run) ->
+      let words = per_token run in
+      check_bool
+        (Printf.sprintf
+           "%s allocates %.1f words per token, Core.parse_cst %.1f (at least \
+            10 less)"
+           label words parse)
+        true
+        (words < parse -. 10.))
+    [
+      ("Core.recognize", fun () -> Result.is_ok (Core.recognize g sql));
+      ("Core.recognize_fused", fun () -> Result.is_ok (Core.recognize_fused g sql));
+    ]
+
 let suite =
   [
     Alcotest.test_case "recognition allocates < 2 words per marginal token"
@@ -295,4 +404,9 @@ let suite =
     Alcotest.test_case
       "full: first parse of a 1000-row INSERT allocates < 60 words per token"
       `Quick test_fallback_memo_is_bounded;
+    Alcotest.test_case
+      "long statements force no minor collection and promote no stream"
+      `Quick test_no_forced_minor_collections;
+    Alcotest.test_case "fallback-heavy recognition materializes no token"
+      `Quick test_recognition_materializes_no_token;
   ]

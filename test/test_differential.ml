@@ -235,6 +235,97 @@ let test_forced_tails name () =
   List.iter (agree_everywhere ~name g refp memop)
     (Corpus.forced_tail_accept @ Corpus.forced_tail_reject)
 
+(* A multi-row INSERT as a list of one-token lexemes, so that list index =
+   token index: [rows] rows of four values, the first [minus] of them with
+   a negated third value (one token more each), which moves the statement's
+   length one token at a time. *)
+let insert_lexemes ~rows ~minus =
+  [ "INSERT"; "INTO"; "readings"; "("; "nodeid"; ","; "temp"; ",";
+    "light"; ","; "note"; ")"; "VALUES" ]
+  @ List.concat
+      (List.init rows (fun r ->
+           (if r > 0 then [ "," ] else [])
+           @ [ "("; string_of_int r; ","; Printf.sprintf "%d.25" r; "," ]
+           @ (if r < minus then [ "-" ] else [])
+           @ [ string_of_int (r * 7); ","; "'it''s'"; ")" ]))
+
+(* Lexemes joined by spaces, with a line break every ninth token so that
+   error positions carry lines and columns. *)
+let join_lexemes lexemes =
+  String.concat ""
+    (List.mapi
+       (fun i l -> if i = 0 then l else (if i mod 9 = 0 then "\n" else " ") ^ l)
+       lexemes)
+
+(* Accepted INSERTs whose token streams straddle the token view's chunk
+   edges at 256 and 512, and rejections whose furthest failure lies past
+   token 256: the production path ([Core.parse_cst], tokens read through
+   the chunked view), the memoized engine over the same view, and the
+   reference over [scan_tokens]' array must agree on every CST and on
+   byte-identical error positions. *)
+let test_chunk_edges () =
+  let g = front_end "full" in
+  let refp = reference_on (engine_grammar g) in
+  let memop = engine_on ~dispatch:false g (engine_grammar g) in
+  let three_way sql =
+    let toks =
+      match Core.scan_tokens g sql with
+      | Ok toks -> toks
+      | Error e -> Alcotest.failf "scan: %a" Core.pp_error e
+    in
+    let production =
+      match Core.parse_cst g sql with
+      | Ok cst -> Ok cst
+      | Error (Core.Parse_error e) -> Error e
+      | Error e -> Alcotest.failf "parse_cst: %a" Core.pp_error e
+    in
+    let memoized =
+      match Core.scan_soa g sql with
+      | Ok soa -> Parser_gen.Engine.parse_soa memop ~scanner:g.Core.scanner soa
+      | Error e -> Alcotest.failf "scan_soa: %a" Core.pp_error e
+    in
+    let msg what = Printf.sprintf "%s (%d tokens)" what (Array.length toks) in
+    Alcotest.check result_testable (msg "reference = production")
+      (Oracle.Reference.parse refp (Array.to_list toks))
+      production;
+    Alcotest.check result_testable (msg "memoized = production") memoized
+      production;
+    agree_everywhere ~name:"full" g refp memop sql;
+    (toks, production)
+  in
+  List.iter
+    (fun (rows, minus) ->
+      let lexemes = insert_lexemes ~rows ~minus in
+      let toks, result = three_way (join_lexemes lexemes) in
+      Alcotest.(check int) "one token per lexeme" (List.length lexemes + 1)
+        (Array.length toks);
+      check_bool
+        (Printf.sprintf "accepted (%d tokens)" (Array.length toks))
+        true (Result.is_ok result);
+      (* A stray keyword before token [j] fails the statement there, and
+         dropping the closing parenthesis fails it at EOF. *)
+      let len = List.length lexemes in
+      let stray j =
+        List.concat
+          (List.mapi (fun i l -> if i = j then [ "VALUES"; l ] else [ l ]) lexemes)
+      in
+      List.iter
+        (fun broken ->
+          let toks, result = three_way (join_lexemes broken) in
+          match result with
+          | Ok _ -> Alcotest.fail "a broken INSERT was accepted"
+          | Error e ->
+            check_bool
+              (Printf.sprintf "failure of a %d-token INSERT lies past token 256"
+                 (Array.length toks))
+              true
+              (e.Parser_gen.Engine.pos.Lexing_gen.Token.offset
+              > toks.(256).Lexing_gen.Token.pos.Lexing_gen.Token.offset))
+        (List.map stray (List.filter (fun j -> j > 256 && j < len) [ 257; 258; len - 1 ])
+        @ if len > 258 then [ List.filteri (fun i _ -> i < len - 1) lexemes ] else []))
+    [ (24, 1); (24, 2); (24, 3); (24, 4); (24, 5); (49, 8); (49, 9);
+      (49, 10); (50, 0); (50, 1) ]
+
 (* Factoring itself: same CSTs and failure positions as the composed
    grammar, expected sets allowed to widen. *)
 let test_factoring_preserves name () =
@@ -767,4 +858,7 @@ let suite =
         `Quick test_lazy_stream_tails;
       Alcotest.test_case "uncompiled start rules boot through the fallback"
         `Quick test_uncompiled_start_rule;
+      Alcotest.test_case
+        "full: INSERTs straddling token-view chunk edges agree across engines"
+        `Quick test_chunk_edges;
     ]

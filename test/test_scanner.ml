@@ -223,6 +223,66 @@ let test_soa_arena_reuse () =
       (Scanner.tokens_of_soa basic soa)
   | Error _ -> Alcotest.fail "scan 3"
 
+(* [n] tokens cycling through identifiers, string literals and quoted
+   identifiers with doubled quotes (one string spanning a line break), and
+   numbers, separated by spaces, line breaks and a multi-line block
+   comment, so that lines and columns vary across chunk edges. *)
+let long_input n =
+  let b = Buffer.create (8 * n) in
+  for i = 0 to n - 1 do
+    if i > 0 then
+      Buffer.add_string b
+        (if i mod 37 = 0 then " /* a\ncomment */ "
+         else if i mod 5 = 0 then "\n"
+         else if i mod 11 = 0 then "\n\n  "
+         else " ");
+    match i mod 6 with
+    | 0 -> Printf.bprintf b "c%d" i
+    | 1 -> Printf.bprintf b "'it''s %d'" i
+    | 2 -> Printf.bprintf b "\"Q\"\"%d\"" i
+    | 3 -> Printf.bprintf b "%d" i
+    | 4 -> Printf.bprintf b "'two\nlines %d'" i
+    | _ -> Printf.bprintf b "%d.5" i
+  done;
+  Buffer.contents b
+
+let test_view_matches_tokens_of_soa () =
+  (* Streams of 254..258 and 510..514 tokens (EOF included) put the EOF
+     token, and the last real one, on each side of a 256-token chunk
+     edge. *)
+  List.iter
+    (fun len ->
+      let input = long_input (len - 1) in
+      match Scanner.scan_soa basic input with
+      | Error e -> Alcotest.failf "scan_soa: %a" Scanner.pp_error e
+      | Ok soa ->
+        check_int "count" (len - 1) (Scanner.soa_count soa);
+        let all = Scanner.tokens_of_soa basic soa in
+        check_int "length" len (Array.length all);
+        let check_view order =
+          let v = Scanner.view basic soa in
+          List.iter
+            (fun i ->
+              let msg = Printf.sprintf "%d tokens: #%d (%s)" len i order in
+              Alcotest.(check token_testable) msg all.(i)
+                (Scanner.view_token v i);
+              Alcotest.(check token_testable) msg
+                (Scanner.token_of_soa basic soa i)
+                (Scanner.view_token v i);
+              check_string msg all.(i).Token.kind (Scanner.view_kind v i))
+            (match order with
+             | "forward" -> List.init len Fun.id
+             | _ -> List.init len (fun i -> len - 1 - i));
+          check_string "past EOF" Token.eof_kind (Scanner.view_kind v len)
+        in
+        (* Backward first: the EOF's chunk is filled before any other. *)
+        check_view "backward";
+        check_view "forward";
+        check_string "doubled quotes unescaped" "it's 1" all.(1).Token.text;
+        check_string "quoted identifier unescaped" "Q\"2" all.(2).Token.text;
+        check_bool "multi-line" true (all.(len - 1).Token.pos.Token.line > 100))
+    [ 254; 255; 256; 257; 258; 510; 511; 512; 513; 514 ]
+
 let suite =
   [
     Alcotest.test_case "keywords case-insensitive" `Quick test_keywords_case_insensitive;
@@ -250,4 +310,6 @@ let suite =
       test_soa_matches_scan_tokens;
     Alcotest.test_case "SoA errors match" `Quick test_soa_errors_match;
     Alcotest.test_case "SoA arena reuse" `Quick test_soa_arena_reuse;
+    Alcotest.test_case "chunked token view = tokens_of_soa at chunk edges"
+      `Quick test_view_matches_tokens_of_soa;
   ]
