@@ -341,7 +341,10 @@ let parse_cmd =
         else
           match Core.parse_cst g sql with
           | Ok cst ->
-            Fmt.pr "%a@." Parser_gen.Cst.pp cst;
+            let b = Buffer.create 1024 in
+            Parser_gen.Cst.render b cst;
+            Buffer.add_char b '\n';
+            Buffer.output_buffer stdout b;
             `Ok ()
           | Error e -> fail "%s" (Fmt.str "%a" Core.pp_error e)))
   in
@@ -835,7 +838,12 @@ let client_cmd =
                   match outcome with
                   | Service.Wire.Accepted { tokens; cst } ->
                     Printf.printf "#%d ok (%d tokens)\n" i tokens;
-                    Option.iter print_endline cst
+                    Option.iter
+                      (function
+                        | Service.Wire.Text text -> print_endline text
+                        | Service.Wire.Tree t ->
+                          print_endline (Parser_gen.Cst.to_string t))
+                      cst
                   | Service.Wire.Rejected e ->
                     Fmt.pr "#%d FAIL %a@." i Service.Wire.pp_error e)
                 reply.Service.Wire.items;

@@ -45,11 +45,17 @@ val node_count : t -> int
 val pp : t Fmt.t
 (** S-expression style rendering, useful in tests and debugging. *)
 
+val render : Buffer.t -> t -> unit
+(** [render b t] appends [Fmt.str "%a" pp t] to [b], computed without
+    Format and without allocating beyond [b]'s own growth. A node that
+    starts at column [col] is printed on one line iff its flat width is
+    less than [78 - col]; otherwise each child starts a new line indented
+    [min 68 (col + 2)] and [)] follows the last child. Each width check
+    stops as soon as the width reaches [78 - col], so rendering is linear
+    in the tree. [pp] is the oracle the differential tests hold this
+    to. *)
+
 val to_string : t -> string
-(** [to_string t] is byte-identical to [Fmt.str "%a" pp t], computed
-    without Format: one pass records every node's flat width, a second
-    writes the layout into a buffer. A node that starts at column [col] is
-    printed on one line iff its flat width is less than [78 - col];
-    otherwise each child starts a new line indented [min 68 (col + 2)] and
-    [)] follows the last child. [pp] is the oracle the differential tests
-    hold this to. *)
+(** [to_string t] is [render] into a fresh buffer. Callers that render
+    many trees (the service's reply frames) render into one reused buffer
+    instead. *)

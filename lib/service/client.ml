@@ -2,6 +2,7 @@ type t = {
   fd : Unix.file_descr;
   encoding : Wire.encoding;
   reader : Wire.reader;
+  out : Wire.writer;
   mutable next_id : int;
   mutable closed : bool;
 }
@@ -9,17 +10,12 @@ type t = {
 let io_error fmt =
   Printf.ksprintf (fun m -> Error (Wire.error Wire.Io m)) fmt
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      let written = Unix.write_substring fd s off (n - off) in
-      go (off + written)
-  in
-  go 0
+let write t frame =
+  Wire.encode_into t.out t.encoding frame;
+  Wire.output t.out (Unix.write t.fd)
 
 let send t frame =
-  match write_all t.fd (Wire.encode_as t.encoding frame) with
+  match write t frame with
   | () -> Ok ()
   | exception Unix.Unix_error (err, _, _) ->
     io_error "send failed: %s" (Unix.error_message err)
@@ -67,6 +63,7 @@ let connect ?(encoding = Wire.Binary) ?(client = "sqlpl-client") ?max_frame
         encoding;
         reader =
           Wire.reader ?max_frame (fun buf off len -> Unix.read fd buf off len);
+        out = Wire.writer ();
         next_id = 0;
         closed = false;
       }
@@ -118,7 +115,6 @@ let ping t payload =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (try write_all t.fd (Wire.encode_as t.encoding Wire.Bye)
-     with Unix.Unix_error _ | Sys_error _ -> ());
+    (try write t Wire.Bye with Unix.Unix_error _ | Sys_error _ -> ());
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end

@@ -64,12 +64,13 @@ let write_all fd s =
   in
   go 0
 
-(* Best-effort frame send: the peer may already be gone (mid-frame
-   disconnect tests do exactly this); a failed courtesy error must never
-   take the worker down. *)
-let send fd enc frame =
+(* Best-effort frame send through the connection's one writer: the peer
+   may already be gone (mid-frame disconnect tests do exactly this); a
+   failed courtesy error must never take the worker down. *)
+let send fd out enc frame =
   try
-    write_all fd (Wire.encode_as enc frame);
+    Wire.encode_into out enc frame;
+    Wire.output out (Unix.write fd);
     true
   with Unix.Unix_error _ | Sys_error _ -> false
 
@@ -85,7 +86,7 @@ let outcome_of_item mode (item : Session.item) =
         tokens = item.Session.token_count;
         cst =
           (match mode with
-          | Wire.Cst -> Some (Parser_gen.Cst.to_string cst)
+          | Wire.Cst -> Some (Wire.Tree cst)
           | Wire.Recognize -> None);
       }
   | Error e -> Wire.Rejected (Wire.error_of_core ~query:item.Session.sql e)
@@ -261,7 +262,8 @@ let serve_stream t fd =
    final [Error] explaining why the server is hanging up. The routing in
    [serve] consumed the connection's first byte, so it is pushed back in
    front of the {!Wire.reader}'s reads (the reader needs it: it is the
-   encoding magic). *)
+   encoding magic). Every frame the server sends is encoded into one
+   writer, kept for the whole connection. *)
 let serve_framed t fd ~first =
   let pushed_back = ref true in
   let reader =
@@ -273,9 +275,11 @@ let serve_framed t fd ~first =
         end
         else Unix.read fd buf off len)
   in
+  let out = Wire.writer () in
   let enc () = Option.value (Wire.reader_encoding reader) ~default:Wire.Binary in
+  let send frame = send fd out (enc ()) frame in
   let bail error =
-    ignore (send fd (enc ()) (Wire.Error error));
+    ignore (send (Wire.Error error));
     count_error t
   in
   match Wire.read_frame reader with
@@ -287,7 +291,7 @@ let serve_framed t fd ~first =
     | Ok g ->
       let session = Session.create g in
       let ok =
-        send fd (enc ())
+        send
           (Wire.Hello_ok
              {
                Wire.digest =
@@ -315,9 +319,8 @@ let serve_framed t fd ~first =
                         (Printexc.to_string exn)))
             in
             locked t (fun () -> t.requests <- t.requests + 1);
-            if send fd (enc ()) reply then loop ()
-          | Wire.Ping payload ->
-            if send fd (enc ()) (Wire.Pong payload) then loop ()
+            if send reply then loop ()
+          | Wire.Ping payload -> if send (Wire.Pong payload) then loop ()
           | Wire.Bye -> ()
           | Wire.Hello _ | Wire.Hello_ok _ | Wire.Reply _ | Wire.Error _
           | Wire.Pong _ ->

@@ -92,7 +92,8 @@ val outcome_of_item : Wire.mode -> Session.item -> Wire.outcome
 (** The exact library-result-to-wire mapping replies are built from —
     exposed so the determinism tests and the service bench can render
     {!Session.parse_batch} output locally and demand byte equality with
-    what came over the wire. *)
+    what came over the wire. In {!Wire.Cst} mode an accepted item carries
+    its tree ({!Wire.Tree}); the encoder renders it into the frame. *)
 
 val reply_of_batch : Wire.mode -> int -> Session.batch -> Wire.reply
 

@@ -91,8 +91,10 @@ type mode = Cst | Recognize
 
 type request = { id : int; mode : mode; statements : string list }
 
+type cst = Tree of Parser_gen.Cst.t | Text of string
+
 type outcome =
-  | Accepted of { tokens : int; cst : string option }
+  | Accepted of { tokens : int; cst : cst option }
   | Rejected of error
 
 type reply_stats = {
@@ -130,6 +132,71 @@ type encoding = Binary | Json
 
 let default_max_frame = 16 * 1024 * 1024
 
+(* --- frame writer ------------------------------------------------------- *)
+
+(* Frames are encoded into a growable byte array rather than a [Buffer.t]:
+   a frame's length prefix is only known once its payload is written, and
+   bytes can be patched in place and handed to [write] without a copy. A
+   CST carried as a [Tree] is rendered into [tree], a reused scratch
+   buffer, and copied from there exactly as a [Text] of the same bytes
+   would be, so the two encode identically. *)
+type writer = { mutable buf : bytes; mutable len : int; tree : Buffer.t }
+
+let initial_capacity = 256
+
+(* A writer or reader that held a frame this large goes back to its
+   initial capacity once the frame is done, so one outlier does not pin
+   its memory for the rest of the connection. *)
+let shrink_above = 1 lsl 20
+
+let writer () =
+  { buf = Bytes.create initial_capacity; len = 0;
+    tree = Buffer.create initial_capacity }
+
+let writer_capacity w = Bytes.length w.buf
+
+let reserve w n =
+  let need = w.len + n in
+  if need > Bytes.length w.buf then begin
+    let rec double cap = if cap >= need then cap else double (2 * cap) in
+    let bigger = Bytes.create (double (Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 bigger 0 w.len;
+    w.buf <- bigger
+  end
+
+let add_char w c =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len c;
+  w.len <- w.len + 1
+
+let add_string w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.unsafe_blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+let add_buffer w b =
+  let n = Buffer.length b in
+  reserve w n;
+  Buffer.blit b 0 w.buf w.len n;
+  w.len <- w.len + n
+
+(* [t]'s text, in the writer's scratch buffer. *)
+let rendered w t =
+  Buffer.clear w.tree;
+  Parser_gen.Cst.render w.tree t;
+  w.tree
+
+let output w write =
+  let off = ref 0 in
+  while !off < w.len do
+    off := !off + write w.buf !off (w.len - !off)
+  done;
+  if Bytes.length w.buf > shrink_above then begin
+    w.buf <- Bytes.create initial_capacity;
+    Buffer.reset w.tree
+  end
+
 (* --- binary encoding --------------------------------------------------- *)
 
 (* Frame tags. The length prefix of any legal frame begins with 0x00 (a
@@ -147,22 +214,21 @@ and tag_bye = 8
 
 let hello_version = 1
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+let put_u8 b v = add_char b (Char.unsafe_chr (v land 0xff))
 
 let put_u32 b v =
-  put_u8 b (v lsr 24);
-  put_u8 b (v lsr 16);
-  put_u8 b (v lsr 8);
-  put_u8 b v
+  reserve b 4;
+  Bytes.set_int32_be b.buf b.len (Int32.of_int v);
+  b.len <- b.len + 4
 
 let put_u64 b (v : int64) =
-  for shift = 7 downto 0 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical v (shift * 8)))
-  done
+  reserve b 8;
+  Bytes.set_int64_be b.buf b.len v;
+  b.len <- b.len + 8
 
 let put_str b s =
   put_u32 b (String.length s);
-  Buffer.add_string b s
+  add_string b s
 
 let put_opt put b = function
   | None -> put_u8 b 0
@@ -202,11 +268,18 @@ let put_error b e =
   put_opt put_str b e.found;
   put_list put_str b e.expected
 
+let put_cst b = function
+  | Text s -> put_str b s
+  | Tree t ->
+    let text = rendered b t in
+    put_u32 b (Buffer.length text);
+    add_buffer b text
+
 let put_outcome b = function
   | Accepted { tokens; cst } ->
     put_u8 b 0;
     put_u32 b tokens;
-    put_opt put_str b cst
+    put_opt put_cst b cst
   | Rejected e ->
     put_u8 b 1;
     put_error b e
@@ -260,21 +333,13 @@ let put_payload b = function
     put_str b p
   | Bye -> put_u8 b tag_bye
 
-(* The frame is built in one buffer: four placeholder bytes for the length
-   prefix, then the payload, then the prefix is patched in the single copy
-   out of the buffer. *)
-let encode frame =
-  let b = Buffer.create 256 in
+(* Four placeholder bytes for the length prefix, then the payload, then the
+   prefix is patched in place: the frame leaves the writer without a
+   copy. *)
+let put_frame b frame =
   put_u32 b 0;
   put_payload b frame;
-  let frame = Buffer.to_bytes b in
-  Bytes.set_int32_be frame 0 (Int32.of_int (Bytes.length frame - 4));
-  Bytes.unsafe_to_string frame
-
-let encode_items items =
-  let b = Buffer.create 256 in
-  put_list put_outcome b items;
-  Buffer.contents b
+  Bytes.set_int32_be b.buf 0 (Int32.of_int (b.len - 4))
 
 (* --- binary decoding --------------------------------------------------- *)
 
@@ -371,7 +436,7 @@ let get_outcome c _what =
   match get_u8 c "outcome tag" with
   | 0 ->
     let tokens = get_u32 c "outcome tokens" in
-    let cst = get_opt get_str c "outcome cst" in
+    let cst = get_opt (fun c what -> Text (get_str c what)) c "outcome cst" in
     Accepted { tokens; cst }
   | 1 -> Rejected (get_error c)
   | t -> fail "bad outcome tag %d" t
@@ -470,43 +535,44 @@ let decode ?(max_frame = default_max_frame) s =
 
 let hex_digits = "0123456789abcdef"
 
-let json_escape b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | ' ' .. '~' -> Buffer.add_char b ch
-      | c ->
-        let c = Char.code c in
-        Buffer.add_string b "\\u00";
-        Buffer.add_char b hex_digits.[c lsr 4];
-        Buffer.add_char b hex_digits.[c land 0xf])
-    s;
-  Buffer.add_char b '"'
+(* Escapes the [n] bytes that [get] reads: [String.unsafe_get s] for a
+   string, [Buffer.nth] for a rendered tree. *)
+let json_escape b get n =
+  add_char b '"';
+  for i = 0 to n - 1 do
+    match get i with
+    | '"' -> add_string b "\\\""
+    | '\\' -> add_string b "\\\\"
+    | ' ' .. '~' as ch -> add_char b ch
+    | ch ->
+      let c = Char.code ch in
+      add_string b "\\u00";
+      add_char b hex_digits.[c lsr 4];
+      add_char b hex_digits.[c land 0xf]
+  done;
+  add_char b '"'
 
 let json_fields b fields =
-  Buffer.add_char b '{';
+  add_char b '{';
   List.iteri
     (fun i (k, emit) ->
-      if i > 0 then Buffer.add_char b ',';
-      json_escape b k;
-      Buffer.add_char b ':';
+      if i > 0 then add_char b ',';
+      json_escape b (String.unsafe_get k) (String.length k);
+      add_char b ':';
       emit b)
     fields;
-  Buffer.add_char b '}'
+  add_char b '}'
 
-let jstr s b = json_escape b s
-let jint (n : int) b = Buffer.add_string b (string_of_int n)
+let jstr s b = json_escape b (String.unsafe_get s) (String.length s)
+let jint (n : int) b = add_string b (string_of_int n)
 let jarr emit xs b =
-  Buffer.add_char b '[';
+  add_char b '[';
   List.iteri
     (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
+      if i > 0 then add_char b ',';
       emit x b)
     xs;
-  Buffer.add_char b ']'
+  add_char b ']'
 
 let jmode m = jstr (match m with Cst -> "cst" | Recognize -> "recognize")
 
@@ -527,12 +593,19 @@ let jerror e b =
     @ (match e.found with None -> [] | Some f -> [ ("found", jstr f) ])
     @ [ ("expected", jarr jstr e.expected) ])
 
+let jcst cst b =
+  match cst with
+  | Text s -> jstr s b
+  | Tree t ->
+    let text = rendered b t in
+    json_escape b (Buffer.nth text) (Buffer.length text)
+
 let joutcome o b =
   match o with
   | Accepted { tokens; cst } ->
     json_fields b
       (("tokens", jint tokens)
-      :: (match cst with None -> [] | Some c -> [ ("cst", jstr c) ]))
+      :: (match cst with None -> [] | Some c -> [ ("cst", jcst c) ]))
   | Rejected e -> json_fields b [ ("error", jerror e) ]
 
 let jselection sel b =
@@ -541,8 +614,7 @@ let jselection sel b =
   | Features names -> json_fields b [ ("features", jarr jstr names) ]
   | Digest hex -> json_fields b [ ("digest", jstr hex) ]
 
-let encode_json frame =
-  let b = Buffer.create 256 in
+let json_frame b frame =
   (match frame with
   | Hello h ->
     json_fields b
@@ -589,8 +661,28 @@ let encode_json frame =
   | Ping p -> json_fields b [ ("frame", jstr "ping"); ("payload", jstr p) ]
   | Pong p -> json_fields b [ ("frame", jstr "pong"); ("payload", jstr p) ]
   | Bye -> json_fields b [ ("frame", jstr "bye") ]);
-  Buffer.add_char b '\n';
-  Buffer.contents b
+  add_char b '\n'
+
+(* --- one encoder -------------------------------------------------------- *)
+
+let encode_into w enc frame =
+  w.len <- 0;
+  match enc with Binary -> put_frame w frame | Json -> json_frame w frame
+
+let contents w = Bytes.sub_string w.buf 0 w.len
+
+let encode_as enc frame =
+  let w = writer () in
+  encode_into w enc frame;
+  contents w
+
+let encode = encode_as Binary
+let encode_json = encode_as Json
+
+let encode_items items =
+  let w = writer () in
+  put_list put_outcome w items;
+  contents w
 
 (* --- JSON decoding ------------------------------------------------------ *)
 
@@ -797,7 +889,9 @@ let jget_outcome = function
         {
           tokens = jget_int "outcome tokens" (jmember "tokens" o);
           cst =
-            Option.map (fun v -> jget_str "cst" (Some v)) (jmember "cst" o);
+            Option.map
+              (fun v -> Text (jget_str "cst" (Some v)))
+              (jmember "cst" o);
         })
   | _ -> fail "non-object outcome"
 
@@ -890,8 +984,6 @@ let decode_json ?(max_frame = default_max_frame) s =
     | frame -> Result.Ok frame
     | exception Fail m -> Result.Error (bad_frame m)
 
-let encode_as = function Binary -> encode | Json -> encode_json
-
 let decode_as ?max_frame = function
   | Binary -> decode ?max_frame
   | Json -> decode_json ?max_frame
@@ -940,12 +1032,14 @@ let refill r =
 let buffered r = Buffer.length r.buf
 
 (* Drop the first [n] buffered bytes. The common case — the frame was the
-   whole buffer — copies nothing. *)
+   whole buffer — copies nothing. A frame over [shrink_above] also gives
+   back the memory it made the buffer grow to. *)
 let consume r n =
-  if n = Buffer.length r.buf then Buffer.clear r.buf
+  let empty = if n > shrink_above then Buffer.reset else Buffer.clear in
+  if n = Buffer.length r.buf then empty r.buf
   else begin
     let rest = Buffer.sub r.buf n (Buffer.length r.buf - n) in
-    Buffer.clear r.buf;
+    empty r.buf;
     Buffer.add_string r.buf rest
   end
 

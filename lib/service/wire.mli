@@ -95,10 +95,17 @@ type mode =
 
 type request = { id : int; mode : mode; statements : string list }
 
+(** An accepted statement's tree. A reply the server builds carries the
+    [Tree], which the encoders render while they write the frame; a
+    decoded reply carries its [Text]. [Tree t] and [Text (Fmt.str "%a" Cst.pp t)]
+    encode to the same bytes in both encodings. *)
+type cst =
+  | Tree of Parser_gen.Cst.t
+  | Text of string  (** the rendering {!Parser_gen.Cst.render} produces *)
+
 type outcome =
-  | Accepted of { tokens : int; cst : string option }
-      (** [cst] is the rendered tree in {!Cst} mode, [None] in
-          {!Recognize} mode *)
+  | Accepted of { tokens : int; cst : cst option }
+      (** [cst] is the tree in {!Cst} mode, [None] in {!Recognize} mode *)
   | Rejected of error
 
 type reply_stats = {
@@ -132,12 +139,36 @@ val default_max_frame : int
 
 type encoding = Binary | Json
 
+(** A reusable frame buffer. {!encode_into} replaces its contents with one
+    frame and {!output} writes them, so a connection that keeps one writer
+    encodes every reply without allocating a buffer per frame: a [Tree]
+    is rendered once into the writer's scratch buffer and copied into the
+    frame, and no per-statement string is built. *)
+type writer
+
+val writer : unit -> writer
+
+val encode_into : writer -> encoding -> frame -> unit
+(** [encode_into w enc frame] replaces [w]'s contents with the complete
+    frame: binary with its length prefix, or one ['\n']-terminated JSON
+    line. Every other encoder below is this one into a fresh writer. *)
+
+val output : writer -> (bytes -> int -> int -> int) -> unit
+(** [output w write] hands [w]'s frame to [write] ([Unix.write]'s contract)
+    until all of it is written; exceptions from [write] propagate. A
+    writer that grew past 1 MiB then returns to its initial capacity, so
+    one outlier reply does not pin its memory for the rest of the
+    connection. *)
+
+val writer_capacity : writer -> int
+(** Bytes the writer's frame buffer currently holds room for. *)
+
 val encode : frame -> string
 (** Complete binary frame, length prefix included. *)
 
 val decode : ?max_frame:int -> string -> (frame, error) result
 (** Decode exactly one binary frame; trailing bytes are a {!Bad_frame}.
-    Total, never raises. *)
+    Total, never raises. An accepted outcome's tree decodes as [Text]. *)
 
 val encode_json : frame -> string
 (** One line of JSON, ['\n']-terminated. Every byte outside printable
@@ -160,7 +191,9 @@ val encode_items : outcome list -> string
 
     Pulls frames out of a byte stream via a [read] function with
     [Unix.read]'s contract ([read buf off len] returns [0] at end of
-    stream). The encoding is detected from the first byte. *)
+    stream). The encoding is detected from the first byte. Once a frame
+    over 1 MiB has been consumed, the receive buffer returns to its
+    initial capacity. *)
 
 type reader
 

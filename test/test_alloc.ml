@@ -386,6 +386,91 @@ let test_recognition_materializes_no_token () =
       ("Core.recognize_fused", fun () -> Result.is_ok (Core.recognize_fused g sql));
     ]
 
+(* Words allocated by [f] in the minor and the major heap, after a minor
+   collection (so that none falls inside a short span). [Gc.quick_stat]'s
+   word counts only move at collections in OCaml 5.1; [Gc.minor_words] and
+   [Gc.counters] read the live counters. *)
+let heap_words f =
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
+  (minor1 -. minor0, major1 -. major0)
+
+(* Rendering a CST into a warm buffer allocates nothing: the width checks
+   and the writers recurse directly over the child lists, with no closure,
+   no width array and no intermediate string. *)
+let test_render_is_allocation_free () =
+  let g = front_end "full" in
+  let cst =
+    match Core.parse_cst g (readings_insert 48) with
+    | Ok cst -> cst
+    | Error e -> Alcotest.failf "parse: %a" Core.pp_error e
+  in
+  let b = Buffer.create 16 in
+  Parser_gen.Cst.render b cst;
+  let minor, major =
+    heap_words (fun () ->
+        for _ = 1 to rounds do
+          Buffer.clear b;
+          Parser_gen.Cst.render b cst
+        done)
+  in
+  check_bool
+    (Printf.sprintf
+       "rendering a 48-row INSERT (%d bytes) into a warm buffer %d times \
+        allocates %.0f minor and %.0f major words (budget 0)"
+       (Buffer.length b) rounds minor major)
+    true
+    (minor = 0. && major = 0.)
+
+(* Turning a parsed batch into a reply frame, as the server does
+   ([reply_of_batch], then [encode_into] the connection's writer), renders
+   each tree into the warm writer: no major-heap allocation at all,
+   and a minor-heap cost per batch that does not grow with the reply (the
+   reply records, list cells and encoder closures). A per-statement string
+   would cost major words here (every string over 2 KiB is a major-heap
+   block) and grow with the rows. Checked on 8-statement batches of 8- and
+   64-row INSERTs, in both encodings. *)
+let test_reply_encoding_is_bounded () =
+  let g = front_end "full" in
+  let session = Service.Session.create g in
+  let out = Service.Wire.writer () in
+  List.iter
+    (fun rows ->
+      let batch =
+        Service.Session.parse_batch session (List.init 8 (fun _ -> readings_insert rows))
+      in
+      check_bool "batch accepted" true
+        (batch.Service.Session.batch_stats.Service.Session.accepted = 8);
+      List.iter
+        (fun (label, enc) ->
+          let encode () =
+            Service.Wire.encode_into out enc
+              (Service.Wire.Reply
+                 (Service.Server.reply_of_batch Service.Wire.Cst 0 batch))
+          in
+          encode ();
+          let minor, major =
+            heap_words (fun () ->
+                for _ = 1 to rounds do
+                  encode ()
+                done)
+          in
+          let per_batch = minor /. float_of_int rounds in
+          check_bool
+            (Printf.sprintf
+               "%s reply of 8 %d-row INSERTs (a %d-byte writer) allocates %.0f \
+                minor words per batch (budget 1000) and %.0f major words \
+                (budget 0)"
+               label rows (Service.Wire.writer_capacity out) per_batch major)
+            true
+            (per_batch < 1000. && major = 0.))
+        [ ("binary", Service.Wire.Binary); ("JSON", Service.Wire.Json) ])
+    [ 8; 64 ]
+
 let suite =
   [
     Alcotest.test_case "recognition allocates < 2 words per marginal token"
@@ -409,4 +494,9 @@ let suite =
       `Quick test_no_forced_minor_collections;
     Alcotest.test_case "fallback-heavy recognition materializes no token"
       `Quick test_recognition_materializes_no_token;
+    Alcotest.test_case "rendering a CST into a warm buffer allocates nothing"
+      `Quick test_render_is_allocation_free;
+    Alcotest.test_case
+      "reply encoding allocates no major words and a bounded minor cost"
+      `Quick test_reply_encoding_is_bounded;
   ]

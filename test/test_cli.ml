@@ -101,6 +101,32 @@ let test_parse_reject_syntactic =
   expect ~status:124 ~needles:[ "parse error" ]
     [ "parse"; "-d"; "minimal"; "SELECT FROM t" ]
 
+(* [parse] prints a statement's tree exactly as [Cst.pp] lays it out. *)
+let test_parse_cst () =
+  let g =
+    match Dialects.Dialect.find "full" with
+    | None -> Alcotest.fail "no full dialect"
+    | Some d -> (
+      match Core.generate_dialect d with
+      | Ok g -> g
+      | Error e -> Alcotest.failf "generate full: %a" Core.pp_error e)
+  in
+  List.iter
+    (fun sql ->
+      match (run_cli [ "parse"; "-d"; "full"; sql ], Core.parse_cst g sql) with
+      | None, _ -> ()
+      | Some (status, output), Ok cst ->
+        Alcotest.(check int) "exit status" 0 status;
+        Alcotest.(check string)
+          (Printf.sprintf "parse %S prints Cst.pp" sql)
+          (Fmt.str "%a\n" Parser_gen.Cst.pp cst)
+          output
+      | Some _, Error e -> Alcotest.failf "parse %S: %a" sql Core.pp_error e)
+    [
+      "SELECT a FROM t";
+      "SELECT a, b FROM t WHERE a = 'it''s' AND b IN (1, 2, 3) ORDER BY a";
+    ]
+
 let test_report =
   expect ~status:0
     ~needles:[ "grammar report: scql"; "statement classes" ]
@@ -207,6 +233,7 @@ let suite =
     Alcotest.test_case "parse --ast" `Quick test_parse_ast;
     Alcotest.test_case "parse reject (lexical)" `Quick test_parse_reject;
     Alcotest.test_case "parse reject (syntactic)" `Quick test_parse_reject_syntactic;
+    Alcotest.test_case "parse prints the tree as Cst.pp" `Quick test_parse_cst;
     Alcotest.test_case "report" `Quick test_report;
     Alcotest.test_case "emit" `Quick test_emit;
     Alcotest.test_case "run script" `Quick test_run_script;

@@ -1,19 +1,28 @@
-(* [Cst.to_string] against its oracle [Fmt.str "%a" Cst.pp]: the wire
+(* [Cst.render] against its oracle [Fmt.str "%a" Cst.pp]: the wire
    renderer must reproduce Format's layout byte for byte, on real parse
    trees from every shipped dialect and on seeded random trees built to
    sit on the layout rule's edges (flat width equal to the space left and
    one either side, chains past the 68-column indent cap, labels and leaf
    texts longer than the 78-column margin, leaves whose text is empty or
-   equals the kind). *)
+   equals the kind). [render] appends, so it is checked into a buffer that
+   already holds text; [to_string] is checked too. *)
 
 open Parser_gen
 
+let prefix = "earlier frame bytes\n"
+
 let check_same ~msg t =
   let want = Fmt.str "%a" Cst.pp t in
-  let got = Cst.to_string t in
-  if not (String.equal got want) then
-    Alcotest.failf "%s: to_string differs from pp@.--- pp ---@.%s@.--- to_string ---@.%s"
-      msg want got
+  let b = Buffer.create 16 in
+  Buffer.add_string b prefix;
+  Cst.render b t;
+  let got = Buffer.contents b in
+  if not (String.equal got (prefix ^ want)) then
+    Alcotest.failf
+      "%s: render differs from pp@.--- pp ---@.%s@.--- render ---@.%s" msg want
+      got;
+  if not (String.equal (Cst.to_string t) want) then
+    Alcotest.failf "%s: to_string differs from pp" msg
 
 let tok ?(text = "") kind =
   { Lexing_gen.Token.kind; kind_id = Lexing_gen.Token.no_id; text;
@@ -113,6 +122,43 @@ let test_edges () =
     done
   done
 
+(* The width check stops once the running width reaches the space left,
+   [78 - col]. Targets of flat width exactly that, and one either side,
+   built three ways so the stop falls in different places: many one-column
+   leaves (it stops between siblings), one nested chain (it stops inside a
+   grandchild), and one long leaf (it never stops early). Each sits under
+   [depth] ancestors that cannot fit, at column [min 68 (2 * depth)]: up to
+   and past the indent cap. *)
+let fit_targets w =
+  let leaves n = List.init n (fun _ -> Cst.Leaf (tok "k")) in
+  let n = max 0 ((w - 3) / 2) in
+  [
+    Cst.Node (String.make (max 0 (w - 2 - (2 * n))) 'm', leaves n);
+    Cst.Node ("a", [ Cst.Node ("b", [ Cst.Leaf (tok (String.make (max 1 (w - 8)) 'x')) ]) ]);
+    Cst.Node ("c", [ Cst.Leaf (tok ~text:(String.make (max 1 (w - 7)) 't') "K") ]);
+  ]
+
+let rec under depth t =
+  if depth = 0 then t
+  else
+    under (depth - 1)
+      (Cst.Node ("wrap", [ Cst.Leaf (tok (String.make 80 'w')); t; Cst.Leaf (tok "z") ]))
+
+let test_bounded_fit () =
+  List.iter
+    (fun depth ->
+      let space = 78 - min 68 (2 * depth) in
+      List.iter
+        (fun delta ->
+          List.iteri
+            (fun i t ->
+              check_same
+                ~msg:(Printf.sprintf "depth %d, width %d, shape %d" depth (space + delta) i)
+                (under depth t))
+            (fit_targets (space + delta)))
+        [ -1; 0; 1 ])
+    [ 0; 1; 2; 10; 33; 34; 35; 36; 40; 50 ]
+
 let test_fixed () =
   List.iter
     (fun (msg, t) -> check_same ~msg t)
@@ -140,4 +186,6 @@ let suite =
       Alcotest.test_case "seeded random trees" `Quick test_random;
       Alcotest.test_case "width = space left ± 1, past the indent cap" `Quick
         test_edges;
+      Alcotest.test_case "bounded fit check: width = 78 - col ± 1" `Quick
+        test_bounded_fit;
     ]

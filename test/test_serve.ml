@@ -362,7 +362,7 @@ let test_modes_and_json_parity () =
           List.iter2
             (fun sql item ->
               match (Core.parse_cst g sql, item) with
-              | Ok cst, Wire.Accepted { cst = Some text; _ } ->
+              | Ok cst, Wire.Accepted { cst = Some (Wire.Text text); _ } ->
                 Alcotest.(check string)
                   (Printf.sprintf "%s reply renders %S as Cst.pp" label sql)
                   (Fmt.str "%a" Parser_gen.Cst.pp cst)
@@ -378,6 +378,52 @@ let test_modes_and_json_parity () =
       | _ -> Alcotest.fail "recognize mode must omit the tree");
       Client.close binary;
       Client.close debug)
+
+(* A reply over 1 MiB sends the connection's reply buffer (and the
+   client's receive buffer) back to their initial capacity once it is
+   written (read); the small requests after it on the same connection, in
+   both encodings, must still come back rendered exactly as [Cst.pp]. *)
+let test_outlier_reply_then_small () =
+  with_server (fun server ->
+      let g =
+        match Core.generate_dialect (dialect "full") with
+        | Ok g -> g
+        | Error e -> Alcotest.failf "generate full: %a" Core.pp_error e
+      in
+      let insert rows =
+        "INSERT INTO readings ( nodeid , temp ) VALUES "
+        ^ String.concat " , "
+            (List.init rows (fun i -> Printf.sprintf "( %d , 'n%d' )" i i))
+      in
+      let big = [ insert 1200; insert 1300 ]
+      and small = [ "SELECT a FROM t"; insert 2; "SELECT FROM" ] in
+      List.iter
+        (fun encoding ->
+          let client, _ = connect_exn ~encoding ~selection:(Wire.Dialect "full") server in
+          let largest = ref 0 in
+          List.iter
+            (fun stmts ->
+              let reply = request_exn client stmts in
+              let bytes = ref 0 in
+              List.iter2
+                (fun sql item ->
+                  match (Core.parse_cst g sql, item) with
+                  | Ok cst, Wire.Accepted { cst = Some (Wire.Text text); _ } ->
+                    bytes := !bytes + String.length text;
+                    if not (String.equal (Fmt.str "%a" Parser_gen.Cst.pp cst) text)
+                    then Alcotest.failf "%S is not rendered as Cst.pp" sql
+                  | Ok _, _ -> Alcotest.failf "%S not rendered" sql
+                  | Error _, Wire.Rejected _ -> ()
+                  | Error _, _ -> Alcotest.failf "%S not rejected" sql)
+                stmts reply.Wire.items;
+              largest := max !largest !bytes)
+            [ small; big; small; small ];
+          check_bool
+            (Printf.sprintf "the outlier reply carries %d bytes of trees (over 1 MiB)"
+               !largest)
+            true (!largest > 1 lsl 20);
+          Client.close client)
+        [ Wire.Binary; Wire.Json ])
 
 (* --- concurrency determinism ------------------------------------------- *)
 
@@ -546,6 +592,8 @@ let suite =
       test_poisoned_statement_isolated;
     Alcotest.test_case "cst/recognize modes and JSON parity" `Quick
       test_modes_and_json_parity;
+    Alcotest.test_case "a reply over 1 MiB, then small ones, all render as pp"
+      `Quick test_outlier_reply_then_small;
     Alcotest.test_case "concurrent clients match the library byte-for-byte"
       `Quick test_concurrent_clients_deterministic;
     Alcotest.test_case "unix socket lifecycle and cleanup" `Quick

@@ -65,7 +65,8 @@ let gen_outcome =
   Gen.oneof
     [
       Gen.map2
-        (fun tokens cst -> Wire.Accepted { tokens; cst })
+        (fun tokens text ->
+          Wire.Accepted { tokens; cst = Option.map (fun s -> Wire.Text s) text })
         (Gen.int_bound 100_000) (Gen.option gen_string);
       Gen.map (fun e -> Wire.Rejected e) gen_error;
     ]
@@ -324,6 +325,136 @@ let reader_reports_truncation () =
   | Error e -> Alcotest.(check bool) "bad_frame" true (e.Wire.code = Wire.Bad_frame)
   | Ok _ -> Alcotest.fail "truncated stream yielded a frame"
 
+(* --- trees: rendered into the frame, decoded as text ----------------------- *)
+
+let tok ?(text = "") kind =
+  { Lexing_gen.Token.kind; kind_id = Lexing_gen.Token.no_id; text;
+    pos = { Lexing_gen.Token.line = 1; column = 1; offset = 0 } }
+
+(* Real trees from the full and analytics corpora, plus leaves whose text
+   needs JSON escaping. *)
+let sample_trees () =
+  let parse name stmts =
+    match Dialects.Dialect.find name with
+    | None -> Alcotest.failf "no dialect %s" name
+    | Some d -> (
+      match Core.generate_dialect d with
+      | Error e -> Alcotest.failf "generate %s: %a" name Core.pp_error e
+      | Ok g ->
+        List.filter_map (fun sql -> Result.to_option (Core.parse_cst g sql)) stmts)
+  in
+  let escapes =
+    Parser_gen.Cst.Node
+      ( "literals",
+        [ Parser_gen.Cst.Leaf (tok ~text:"'a \"b\" \\ c\n\000 caf\xc3\xa9'" "STRING");
+          Parser_gen.Cst.Leaf (tok ~text:(String.make 90 'x') "IDENT") ] )
+  in
+  (escapes :: parse "full" Corpus.full_accept) @ parse "analytics" Corpus.analytics_accept
+
+let reply_with cst_of trees =
+  Wire.Reply
+    {
+      Wire.id = 3;
+      items =
+        List.map (fun t -> Wire.Accepted { tokens = 9; cst = Some (cst_of t) }) trees
+        @ [ Wire.Rejected (Wire.error Wire.Parse_error "parse error");
+            Wire.Accepted { tokens = 2; cst = None } ];
+      stats = { statements = 0; accepted = 0; rejected = 1; tokens = 0; elapsed_ns = 5L };
+    }
+
+let as_text t = Wire.Text (Fmt.str "%a" Parser_gen.Cst.pp t)
+
+(* [Tree t] and [Text (Cst.pp t)] are the same bytes in both encodings and
+   in [encode_items]; decoding either gives back the [Text]. *)
+let tree_and_text_agree () =
+  let trees = sample_trees () in
+  Alcotest.(check bool) "trees parsed" true (List.length trees > 20);
+  let tree = reply_with (fun t -> Wire.Tree t) trees
+  and text = reply_with as_text trees in
+  List.iter
+    (fun enc ->
+      let encoded = Wire.encode_as enc tree in
+      Alcotest.(check string) "Tree and Text encode alike" (Wire.encode_as enc text)
+        encoded;
+      match Wire.decode_as enc encoded with
+      | Ok f -> Alcotest.(check bool) "decodes to Text = Cst.pp" true (f = text)
+      | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e)
+    [ Wire.Binary; Wire.Json ];
+  List.iter
+    (fun t ->
+      Alcotest.(check string) "encode_items"
+        (Wire.encode_items [ Wire.Accepted { tokens = 1; cst = Some (as_text t) } ])
+        (Wire.encode_items [ Wire.Accepted { tokens = 1; cst = Some (Wire.Tree t) } ]))
+    trees
+
+(* One writer reused across frames gives the bytes a fresh encoder gives,
+   whatever [write] accepts per call; after a frame over 1 MiB it returns
+   to its initial capacity and keeps encoding correctly. *)
+let writer_reuse_and_shrink () =
+  let w = Wire.writer () in
+  let initial = Wire.writer_capacity w in
+  let sent = Buffer.create 1024 in
+  let write step buf off len =
+    let n = min step len in
+    Buffer.add_subbytes sent buf off n;
+    n
+  in
+  let big = Wire.Ping (String.make (3 * 1024 * 1024 / 2) 'p') in
+  let trees = sample_trees () in
+  List.iter
+    (fun (enc, frame, step) ->
+      Wire.encode_into w enc frame;
+      Buffer.clear sent;
+      Wire.output w (write step);
+      Alcotest.(check string) "writer bytes = fresh encoding" (Wire.encode_as enc frame)
+        (Buffer.contents sent);
+      Alcotest.(check bool)
+        (Printf.sprintf "writer holds %d bytes, at most 1 MiB, after output"
+           (Wire.writer_capacity w))
+        true
+        (Wire.writer_capacity w <= 1 lsl 20))
+    [
+      (Wire.Binary, reply_with (fun t -> Wire.Tree t) trees, 7);
+      (Wire.Json, reply_with (fun t -> Wire.Tree t) trees, 65536);
+      (Wire.Binary, big, 65536);
+      (Wire.Binary, Wire.Ping "small", 1);
+      (Wire.Json, big, 100_000);
+      (Wire.Json, reply_with (fun t -> Wire.Tree t) trees, 3);
+    ];
+  Wire.encode_into w Wire.Binary big;
+  Alcotest.(check bool) "an outlier grows the writer" true
+    (Wire.writer_capacity w > 1 lsl 20);
+  Wire.output w (fun _ _ len -> len);
+  Alcotest.(check int) "and output returns it to its initial capacity" initial
+    (Wire.writer_capacity w)
+
+(* A reader that drained a frame over 1 MiB keeps reading the frames
+   behind it, whether they arrived in the same read or later. *)
+let reader_after_outlier () =
+  List.iter
+    (fun enc ->
+      let frames =
+        [ Wire.Ping (String.make (3 * 1024 * 1024 / 2) 'q'); Wire.Ping "after";
+          Wire.Pong (String.make (2 * 1024 * 1024) 'r'); Wire.Bye ]
+      in
+      let stream = String.concat "" (List.map (Wire.encode_as enc) frames) in
+      let pos = ref 0 in
+      let read buf off len =
+        let n = min (min len 50_000) (String.length stream - !pos) in
+        Bytes.blit_string stream !pos buf off n;
+        pos := !pos + n;
+        n
+      in
+      let r = Wire.reader read in
+      List.iter
+        (fun expect ->
+          match Wire.read_frame r with
+          | Ok (Some f) -> Alcotest.(check bool) "frame" true (f = expect)
+          | Ok None -> Alcotest.fail "premature end of stream"
+          | Error e -> Alcotest.failf "%a" Wire.pp_error e)
+        frames)
+    [ Wire.Binary; Wire.Json ]
+
 let suite =
   [
     to_alcotest binary_roundtrip;
@@ -345,4 +476,10 @@ let suite =
       reader_reports_truncation;
     Alcotest.test_case "legacy hello engine values are ignored" `Quick
       legacy_engine_ignored;
+    Alcotest.test_case "Tree and Text of one CST encode alike" `Quick
+      tree_and_text_agree;
+    Alcotest.test_case "a reused writer encodes like a fresh one and shrinks"
+      `Quick writer_reuse_and_shrink;
+    Alcotest.test_case "reader keeps reading after a frame over 1 MiB" `Quick
+      reader_after_outlier;
   ]
