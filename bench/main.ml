@@ -985,210 +985,6 @@ let report_e19 ?(smoke = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E20 — fused scan+parse over raw bytes. Recognition throughput of    *)
-(* the fused engine (VM pulls token kinds straight from the scanner    *)
-(* cursor, one pass over the bytes) against the two-pass VM pipeline   *)
-(* (scan_soa, then recognize_soa), anchored to a raw byte-scan         *)
-(* baseline; plus a large streamed corpus to record the fixed memory   *)
-(* ceiling. Emits BENCH_e20.json.                                      *)
-(* ------------------------------------------------------------------ *)
-
-type e20_row = {
-  e20_dialect : string;
-  e20_statements : int;
-  e20_tokens : int;
-  e20_bytes : int;
-  e20_twopass_tps : float; (* scan_soa + recognize_soa, tokens/s *)
-  e20_fused_tps : float;   (* fused cursor-driven VM, tokens/s *)
-  e20_fused_mbs : float;   (* fused engine, input MB/s *)
-  e20_major : int;         (* GC major collections during fused timing *)
-}
-
-let e20_row ~smoke name =
-  let d, g = dialect name in
-  let statements = e16_workload ~smoke g d in
-  let n = List.length statements in
-  let token_total = e16_token_total g statements in
-  let byte_total =
-    List.fold_left (fun acc sql -> acc + String.length sql) 0 statements
-  in
-  let pipeline_time recognize =
-    time_avg (fun () ->
-        List.iter
-          (fun sql -> ignore (Sys.opaque_identity (recognize g sql)))
-          statements)
-  in
-  let two_time = pipeline_time Core.recognize in
-  let gc0 = Gc.quick_stat () in
-  let fused_time = pipeline_time Core.recognize_fused in
-  let major =
-    (Gc.quick_stat ()).Gc.major_collections - gc0.Gc.major_collections
-  in
-  {
-    e20_dialect = name;
-    e20_statements = n;
-    e20_tokens = token_total;
-    e20_bytes = byte_total;
-    e20_twopass_tps = float token_total /. two_time;
-    e20_fused_tps = float token_total /. fused_time;
-    e20_fused_mbs = float byte_total /. fused_time /. 1e6;
-    e20_major = major;
-  }
-
-(* The floor every parser sits on: a branch-per-byte pass (newline count)
-   over the same statements. Fused throughput as a fraction of this rate
-   says how much of the remaining cost is parsing, not memory traffic. *)
-let e20_byte_scan_mb_per_s script =
-  let n = String.length script in
-  let t =
-    time_avg (fun () ->
-        let count = ref 0 in
-        for i = 0 to n - 1 do
-          if String.unsafe_get script i = '\n' then incr count
-        done;
-        !count)
-  in
-  float n /. t /. 1e6
-
-(* Peak resident set of this process, in KiB, from the kernel's
-   high-water mark. 0 where /proc is unavailable. *)
-let e20_vm_hwm_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-    let rec go () =
-      match input_line ic with
-      | exception End_of_file -> 0
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-          Scanf.sscanf
-            (String.sub line 6 (String.length line - 6))
-            " %d" Fun.id
-        else go ()
-    in
-    go ()
-
-type e20_stream = {
-  e20s_bytes : int;
-  e20s_chunk : int;
-  e20s_statements : int;
-  e20s_tokens : int;
-  e20s_tps : float;
-  e20s_hwm_kb : int;
-}
-
-(* Stream a fabricated corpus through [Core.recognize_stream]: the reader
-   synthesizes statements on the fly, so no input buffer exists anywhere
-   and the resident-set high-water mark reflects the parser alone. *)
-let e20_stream_run ~smoke g =
-  let stmt = "SELECT nodeid, temp FROM sensors WHERE temp > 100;\n" in
-  let slen = String.length stmt in
-  let target = if smoke then 1_000_000 else 100_000_000 in
-  let bytes = target - (target mod slen) in
-  let chunk = 65536 in
-  let remaining = ref bytes in
-  let read buf off len =
-    let len = min len !remaining in
-    if len <= 0 then 0
-    else begin
-      for i = 0 to len - 1 do
-        Bytes.unsafe_set buf (off + i) stmt.[(bytes - !remaining + i) mod slen]
-      done;
-      remaining := !remaining - len;
-      len
-    end
-  in
-  let t0 = now () in
-  let stats = Core.recognize_stream ~chunk_size:chunk g ~read in
-  let wall = now () -. t0 in
-  if stats.Core.stream_errors > 0 then
-    Fmt.failwith "e20 stream: %d statements rejected" stats.Core.stream_errors;
-  {
-    e20s_bytes = bytes;
-    e20s_chunk = chunk;
-    e20s_statements = stats.Core.stream_statements;
-    e20s_tokens = stats.Core.stream_tokens;
-    e20s_tps = float stats.Core.stream_tokens /. wall;
-    e20s_hwm_kb = e20_vm_hwm_kb ();
-  }
-
-let write_e20_json ~byte_scan rows stream =
-  let oc = open_out "BENCH_e20.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"experiment\": \"e20\",\n";
-  p "  \"basis\": \"end-to-end over raw bytes (fused scan+parse vs. \
-     two-pass VM, recognize mode)\",\n";
-  p "  \"byte_scan_mb_per_s\": %.0f,\n" byte_scan;
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i row ->
-      p
-        "    {\"dialect\": %S, \"statements\": %d, \"tokens\": %d, \
-         \"bytes\": %d,\n\
-        \     \"twopass_tokens_per_s\": %.0f, \"fused_tokens_per_s\": %.0f,\n\
-        \     \"speedup_fused_vs_twopass\": %.3f, \"fused_mb_per_s\": %.1f, \
-         \"byte_scan_ratio\": %.4f, \"major_collections\": %d}%s\n"
-        row.e20_dialect row.e20_statements row.e20_tokens row.e20_bytes
-        row.e20_twopass_tps row.e20_fused_tps
-        (if row.e20_twopass_tps > 0. then
-           row.e20_fused_tps /. row.e20_twopass_tps
-         else 0.)
-        row.e20_fused_mbs
-        (if byte_scan > 0. then row.e20_fused_mbs /. byte_scan else 0.)
-        row.e20_major
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p
-    "  \"stream\": {\"bytes\": %d, \"chunk\": %d, \"statements\": %d, \
-     \"tokens\": %d,\n\
-    \    \"tokens_per_s\": %.0f, \"max_resident_kb\": %d}\n"
-    stream.e20s_bytes stream.e20s_chunk stream.e20s_statements
-    stream.e20s_tokens stream.e20s_tps stream.e20s_hwm_kb;
-  p "}\n";
-  close_out oc
-
-let report_e20 ?(smoke = false) () =
-  pf "\n== E20: fused scan+parse over raw bytes vs. two-pass VM ==\n";
-  let names =
-    if smoke then [ "embedded"; "analytics" ]
-    else
-      List.map
-        (fun ((d : Dialects.Dialect.t), _) -> d.name)
-        generated_dialects
-  in
-  let rows = List.map (e20_row ~smoke) names in
-  let byte_scan =
-    let d, g = dialect (List.hd names) in
-    e20_byte_scan_mb_per_s (String.concat ";\n" (e16_workload ~smoke g d))
-  in
-  pf "%-10s %6s %8s %13s %13s %8s %9s %7s\n" "dialect" "stmts" "tokens"
-    "2pass tok/s" "fused tok/s" "speedup" "MB/s" "majors";
-  List.iter
-    (fun row ->
-      pf "%-10s %6d %8d %11.0f/s %11.0f/s %7.2fx %8.1f %7d\n" row.e20_dialect
-        row.e20_statements row.e20_tokens row.e20_twopass_tps row.e20_fused_tps
-        (if row.e20_twopass_tps > 0. then
-           row.e20_fused_tps /. row.e20_twopass_tps
-         else 0.)
-        row.e20_fused_mbs row.e20_major)
-    rows;
-  pf "raw byte-scan floor: %.0f MB/s\n" byte_scan;
-  let _, g = dialect "tinysql" in
-  let stream = e20_stream_run ~smoke g in
-  pf
-    "streamed %.0f MB (chunk %d): %d statements, %d tokens, %.0f tokens/s, \
-     max resident %.0f MB\n"
-    (float stream.e20s_bytes /. 1e6)
-    stream.e20s_chunk stream.e20s_statements stream.e20s_tokens stream.e20s_tps
-    (float stream.e20s_hwm_kb /. 1e3);
-  if not smoke then begin
-    write_e20_json ~byte_scan rows stream;
-    pf "(wrote BENCH_e20.json)\n"
-  end
-
-(* ------------------------------------------------------------------ *)
 (* E21 — family-based compilation. The product line's fragments are    *)
 (* compiled once into a variability-aware artifact (Family.build);     *)
 (* Core.generate instantiates each configuration from it by a          *)
@@ -1509,13 +1305,11 @@ let () =
   | Some "e18-smoke" -> report_e18 ~smoke:true ()
   | Some "e19" -> report_e19 ()
   | Some "e19-smoke" -> report_e19 ~smoke:true ()
-  | Some "e20" -> report_e20 ()
-  | Some "e20-smoke" -> report_e20 ~smoke:true ()
   | Some "e21" -> report_e21 ()
   | Some "e21-smoke" -> report_e21 ~smoke:true ()
   | Some other ->
     Fmt.failwith
-      "unknown experiment %S (try e1 e6 e7 e14 e15 e16 e17 e18 e19 e20 e21)"
+      "unknown experiment %S (try e1 e6 e7 e14 e15 e16 e17 e18 e19 e21)"
       other
   | None ->
     report_e1 ();
@@ -1528,7 +1322,6 @@ let () =
     report_e17 ();
     report_e18 ();
     report_e19 ();
-    report_e20 ();
     report_e21 ();
     pf "\n== E8-E13: timed series ==\n";
     run_benchmarks

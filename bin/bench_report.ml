@@ -265,7 +265,7 @@ let validate experiment j =
     then Ok ()
     else
       Error
-        "expected fused schema {rows: [{dialect, <engine>_tokens_per_s, \
+        "expected e20 schema {rows: [{dialect, <engine>_tokens_per_s, \
          ...}], byte_scan_mb_per_s, stream: {bytes, max_resident_kb}}"
   | "e19" ->
     if

@@ -113,31 +113,6 @@ let recognize g sql =
     (fun e -> Parse_error e)
     (Parser_gen.Engine.recognize_soa g.parser ~scanner:g.scanner soa)
 
-(* Fused engine, the candidate production path: the VM pulls token kinds
-   from a scanner cursor, so the committed region of the statement is a
-   single pass over the raw bytes. The counted variant also reports the
-   statement's token count; on the fused path it is a by-product of the
-   run rather than a second scan. *)
-let fused_error = function
-  | `Lex e -> Lex_error e
-  | `Parse e -> Parse_error e
-
-let parse_cst_fused_counted g sql =
-  let count, result =
-    Parser_gen.Engine.parse_fused g.parser ~scanner:g.scanner sql
-  in
-  (count, Result.map_error fused_error result)
-
-let parse_cst_fused g sql = snd (parse_cst_fused_counted g sql)
-
-let recognize_fused_counted g sql =
-  let count, result =
-    Parser_gen.Engine.recognize_fused g.parser ~scanner:g.scanner sql
-  in
-  (count, Result.map_error fused_error result)
-
-let recognize_fused g sql = snd (recognize_fused_counted g sql)
-
 let parse_statement g sql =
   let* cst = parse_cst g sql in
   Result.map_error (fun e -> Lowering_error e) (Lower.statement cst)
@@ -297,24 +272,6 @@ let fold_statements ?(chunk_size = 65536) ~read f acc =
   drain ();
   emit ~at_end:true;
   !acc
-
-type stream_stats = {
-  stream_statements : int;
-  stream_tokens : int;
-  stream_errors : int;
-}
-
-let recognize_stream ?chunk_size g ~read =
-  fold_statements ?chunk_size ~read
-    (fun s sql ->
-      let count, result = recognize_fused_counted g sql in
-      {
-        stream_statements = s.stream_statements + 1;
-        stream_tokens = s.stream_tokens + count;
-        stream_errors =
-          (s.stream_errors + if Result.is_ok result then 0 else 1);
-      })
-    { stream_statements = 0; stream_tokens = 0; stream_errors = 0 }
 
 let run_script s statements =
   let rec go acc = function

@@ -91,33 +91,6 @@ val recognize : generated -> string -> (unit, error) result
     zero-allocation accept path (no token records, no tree). Errors are
     identical to {!parse_cst}'s. *)
 
-(** {2 Fused entry points}
-
-    The candidate engine: not selectable by any service or CLI option, kept
-    (and differentially tested) until it is at least as fast as
-    {!parse_cst} on every workload. *)
-
-val parse_cst_fused : generated -> string -> (Parser_gen.Cst.t, error) result
-(** As {!parse_cst}, on the fused engine: the VM pulls token kinds from a
-    scanner cursor, so the committed region of the statement is a single
-    pass over the raw bytes with no up-front tokenization. The token stream
-    is completed lazily only when memoized fallback or error reporting needs
-    random access. Same CSTs, same errors, byte for byte. *)
-
-val parse_cst_fused_counted :
-  generated -> string -> int * (Parser_gen.Cst.t, error) result
-(** {!parse_cst_fused} paired with the statement's token count (0 on a
-    lexical error) — on the fused path the count is a by-product of the run,
-    not a second scan. *)
-
-val recognize_fused : generated -> string -> (unit, error) result
-(** As {!recognize}, on the fused engine: one pass over the bytes, zero
-    per-token allocation on the committed accept path. *)
-
-val recognize_fused_counted :
-  generated -> string -> int * (unit, error) result
-(** {!recognize_fused} with the statement's token count. *)
-
 val parse_statement : generated -> string -> (Sql_ast.Ast.statement, error) result
 (** Scan, parse and lower one statement. *)
 
@@ -174,18 +147,3 @@ val fold_statements :
     [split_statements] would on the concatenated input, without ever
     holding the whole script: memory is bounded by [chunk_size] plus the
     largest single statement. *)
-
-type stream_stats = {
-  stream_statements : int;
-  stream_tokens : int;
-  stream_errors : int;
-}
-
-val recognize_stream :
-  ?chunk_size:int ->
-  generated ->
-  read:(bytes -> int -> int -> int) ->
-  stream_stats
-(** Recognize every statement of a streamed script on the fused engine:
-    fixed memory ceiling, one pass over the bytes per statement. Statements
-    that fail (lexically or syntactically) are counted, not raised. *)

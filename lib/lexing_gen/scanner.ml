@@ -123,10 +123,9 @@ let arena : (soa * Buffer.t) Domain.DLS.key =
 
    Every helper below is a toplevel function taking its context explicitly
    ([t], the destination [soa], the [input] string and its length [n]) so
-   that the per-token path builds no closures. Both the whole-buffer
-   [scan_soa] and the pull [cursor] drive the same [scan_step], which scans
-   exactly one token per call — token boundaries and error reports cannot
-   drift between the two modes. *)
+   that the per-token path builds no closures. [scan_soa] calls
+   [scan_step] once per token; a lexical error raises [Lex_error], which
+   [scan_soa] turns into its [Error] result. *)
 
 (* Error positions mirror the historical scanner exactly: the line/bol
    counters as of the failure point, even when the reported offset lies
@@ -273,7 +272,7 @@ let rec line_comment_end input n j =
 
 (* Skip whitespace/comments from byte [i], then scan exactly one token into
    [soa]. Returns the byte offset just past the token, or [-1] when the
-   input ends without another token. Raises {!Lex_error} on bad input. *)
+   input ends without another token. Raises [Lex_error] on bad input. *)
 let rec scan_step t soa input n i =
   if i >= n then -1
   else
@@ -300,103 +299,25 @@ let rec scan_step t soa input n i =
         ~what:"quoted identifier"
     else scan_punct t soa input n i
 
-let reset_soa soa input =
-  soa.src <- input;
-  soa.count <- 0;
-  soa.nl_count <- 0
-
-(* [emit] keeps one slot of headroom, so the sentinel store never grows. *)
-let seal_soa soa n =
-  soa.kind_ids.(soa.count) <- Interner.eof_id;
-  soa.starts.(soa.count) <- n;
-  soa.stops.(soa.count) <- n
-
 let scan_soa t input =
   let soa, _scratch = Domain.DLS.get arena in
   let n = String.length input in
-  reset_soa soa input;
+  soa.src <- input;
+  soa.count <- 0;
+  soa.nl_count <- 0;
   let rec go i =
     let j = scan_step t soa input n i in
     if j >= 0 then go j
   in
   match go 0 with
   | () ->
-    seal_soa soa n;
+    (* [emit] keeps one slot of headroom, so the EOF sentinel store never
+       grows. *)
+    soa.kind_ids.(soa.count) <- Interner.eof_id;
+    soa.starts.(soa.count) <- n;
+    soa.stops.(soa.count) <- n;
     Ok soa
   | exception Lex_error e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Pull cursor                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* A cursor scans the same arena [soa] incrementally: every token the parser
-   pulls is appended to the shared arrays, so token indices are absolute,
-   [cursor_seek] may return to any index already produced (what memoized
-   fallback and VM backtracking need), and finishing the scan yields exactly
-   the [soa] a whole-buffer scan would have built. The fused win is skipping
-   the separate up-front pass, not the arena writes. *)
-type cursor = {
-  cur_t : t;
-  cur_src : string;
-  cur_len : int;
-  cur_soa : soa;
-  mutable cur_byte : int;  (* byte offset [scan_step] resumes at *)
-  mutable cur_pos : int;   (* the cursor's current token index *)
-  mutable cur_done : bool; (* the EOF sentinel has been written *)
-}
-
-let cursor t input =
-  let soa, _scratch = Domain.DLS.get arena in
-  reset_soa soa input;
-  {
-    cur_t = t;
-    cur_src = input;
-    cur_len = String.length input;
-    cur_soa = soa;
-    cur_byte = 0;
-    cur_pos = 0;
-    cur_done = false;
-  }
-
-(* Scan one more token into the arena, or seal the stream at end of input. *)
-let pump c =
-  let j = scan_step c.cur_t c.cur_soa c.cur_src c.cur_len c.cur_byte in
-  if j < 0 then begin
-    seal_soa c.cur_soa c.cur_len;
-    c.cur_done <- true
-  end
-  else c.cur_byte <- j
-
-let rec ensure c target =
-  if c.cur_soa.count < target && not c.cur_done then begin
-    pump c;
-    ensure c target
-  end
-
-let cursor_pos c = c.cur_pos
-let cursor_advance c = c.cur_pos <- c.cur_pos + 1
-let cursor_seek c i = c.cur_pos <- i
-let cursor_count c = c.cur_soa.count
-
-let cursor_kind c =
-  ensure c (c.cur_pos + 1);
-  let soa = c.cur_soa in
-  if c.cur_pos < soa.count then Array.unsafe_get soa.kind_ids c.cur_pos
-  else Interner.eof_id
-
-let cursor_kind2 c =
-  ensure c (c.cur_pos + 2);
-  let soa = c.cur_soa in
-  if c.cur_pos + 1 < soa.count then
-    Array.unsafe_get soa.kind_ids (c.cur_pos + 1)
-  else Interner.eof_id
-
-let rec cursor_complete c =
-  if c.cur_done then c.cur_soa
-  else begin
-    pump c;
-    cursor_complete c
-  end
 
 (* ------------------------------------------------------------------ *)
 (* On-demand materialization                                          *)
@@ -468,8 +389,6 @@ let token_of_soa t soa i =
       text = text_at t soa i;
       pos = position_at soa soa.starts.(i);
     }
-
-let cursor_token_at c i = token_of_soa c.cur_t c.cur_soa i
 
 (* Materialize tokens [lo .. hi - 1] into [dst] from slot 0: one binary
    search finds the first token's line, then the newline index is walked

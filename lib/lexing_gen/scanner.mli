@@ -44,11 +44,6 @@ type error = {
 
 val pp_error : error Fmt.t
 
-exception Lex_error of error
-(** Raised by the incremental {!cursor} operations when the input has a
-    lexical error. The whole-buffer entry points ({!scan_soa},
-    {!scan_tokens}) catch it and return [Error] instead. *)
-
 (** {1 Struct-of-arrays token stream} *)
 
 type soa = private {
@@ -105,54 +100,6 @@ val scan_tokens : t -> string -> (Token.t array, error) result
     with the [EOF] token, so the statement's token count is
     [Array.length tokens - 1]. Equivalent to {!scan_soa} followed by
     {!tokens_of_soa}. *)
-
-(** {1 Pull cursor}
-
-    A cursor scans the input incrementally, producing the next token's kind
-    id on demand so a parser can drive the scanner directly (the fused
-    execution mode of [Parser_gen.Vm]) instead of paying a separate up-front
-    tokenization pass. Every token pulled is appended to the same per-domain
-    SoA arena {!scan_soa} fills, so token indices are absolute,
-    {!cursor_seek} may return to any index already produced (memoized
-    fallback, VM backtracking), and {!cursor_complete} yields exactly the
-    [soa] a whole-buffer scan would have built. Creating a cursor
-    {b invalidates the previous [soa]/cursor of the same domain}, and the
-    pull operations raise {!Lex_error} when they hit a lexical error. *)
-
-type cursor
-
-val cursor : t -> string -> cursor
-(** Start scanning [input] from its first byte. Zero per-token allocation:
-    one cursor record per call, then only arena writes. *)
-
-val cursor_kind : cursor -> int
-(** Kind id of the token at the cursor's position, scanning it on demand;
-    [Interner.eof_id] at end of input. Raises {!Lex_error}. *)
-
-val cursor_kind2 : cursor -> int
-(** Kind id of the token {e after} the cursor's position (LL(2) lookahead);
-    [Interner.eof_id] past end of input. Raises {!Lex_error}. *)
-
-val cursor_pos : cursor -> int
-(** The cursor's current token index. *)
-
-val cursor_advance : cursor -> unit
-(** Move to the next token index (no scanning happens until the next pull). *)
-
-val cursor_seek : cursor -> int -> unit
-(** Reposition to token index [i]. Valid for any index at or below the
-    highest token scanned so far (all pulled tokens stay in the arena). *)
-
-val cursor_count : cursor -> int
-(** Number of tokens scanned so far. *)
-
-val cursor_token_at : cursor -> int -> Token.t
-(** Materialize an already-scanned token (a CST leaf or an error edge). *)
-
-val cursor_complete : cursor -> soa
-(** Finish scanning to end of input and return the completed stream —
-    identical to what {!scan_soa} on the whole input would have produced.
-    Raises {!Lex_error} if the unscanned tail has a lexical error. *)
 
 val keyword_count : t -> int
 val punct_count : t -> int

@@ -131,13 +131,15 @@ let structure_diagnostics g =
   start_diags @ undefined_diags @ unproductive_diags @ unreachable_diags
   @ duplicate_diags
 
+module Ilookahead = Parser_gen.Ilookahead
+
 let witness_text w = String.concat " " w
 
 let conflict_diagnostics ~k g =
-  let ll1 = Lookahead.conflicts ~k:1 g in
+  let ll1 = Ilookahead.conflicts ~k:1 g in
   if k <= 1 then
     List.map
-      (fun (c : Lookahead.conflict) ->
+      (fun (c : Ilookahead.conflict) ->
         let w = List.hd c.witnesses in
         Diagnostic.make ~code:"grammar/ll1-conflict"
           ~severity:Diagnostic.Warning ~subject:c.lhs ~witness:w
@@ -147,15 +149,15 @@ let conflict_diagnostics ~k g =
              c.alt_a c.alt_b c.lhs (witness_text w)))
       ll1
   else
-    let ll2 = Lookahead.conflicts ~k:2 g in
-    let persists (c : Lookahead.conflict) =
+    let ll2 = Ilookahead.conflicts ~k:2 g in
+    let persists (c : Ilookahead.conflict) =
       List.find_opt
-        (fun (c2 : Lookahead.conflict) ->
+        (fun (c2 : Ilookahead.conflict) ->
           String.equal c2.lhs c.lhs && c2.alt_a = c.alt_a && c2.alt_b = c.alt_b)
         ll2
     in
     List.map
-      (fun (c : Lookahead.conflict) ->
+      (fun (c : Ilookahead.conflict) ->
         match persists c with
         | Some c2 ->
           let w = List.hd c2.witnesses in

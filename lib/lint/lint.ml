@@ -1,5 +1,4 @@
 module Diagnostic = Diagnostic
-module Lookahead = Lookahead
 module Grammar_lint = Grammar_lint
 module Token_lint = Token_lint
 module Model_lint = Model_lint

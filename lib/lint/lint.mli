@@ -11,7 +11,6 @@
     (or run [sqlpl lint DIALECT]) and gate on {!Diagnostic.has_errors}. *)
 
 module Diagnostic : module type of Diagnostic
-module Lookahead : module type of Lookahead
 module Grammar_lint : module type of Grammar_lint
 module Token_lint : module type of Token_lint
 module Model_lint : module type of Model_lint

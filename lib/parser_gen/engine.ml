@@ -428,10 +428,9 @@ let cst_arena : Cst.t array ref Domain.DLS.key =
 let placeholder_leaf = Cst.Leaf Lexing_gen.Token.placeholder
 
 (* One run's memoized oracle over a fixed token-id stream, shared by the
-   bytecode VM's fallback boundary (two-pass and fused) and the pure
-   error-reporting rerun. Each value owns a fresh (sparse, lazily created)
-   memo, CST stack pointer and furthest-failure tracker, i.e. it is one
-   logical run. *)
+   bytecode VM's fallback boundary and the pure error-reporting rerun.
+   Each value owns a fresh (sparse, lazily created) memo, CST stack
+   pointer and furthest-failure tracker, i.e. it is one logical run. *)
 type run_machinery = {
   rm_results : int -> int -> derivs;
       (* [rm_results nid i]: the priority-ordered derivation stream (end
@@ -906,20 +905,16 @@ let soa_ids t ~scanner (soa : Scanner.soa) ~n =
         let id = soa.Scanner.kind_ids.(i) in
         Interner.stamp_of t.interner ~kind:(Interner.name si id) id)
 
-(* The token accessors of a completely scanned stream: [tok] reads a
-   chunked view that materializes at most 256 tokens at a time, on first
-   access (only if a CST leaf or an error edge needs one), and [kind_name]
-   reads the interner by kind id. *)
-let soa_tokens ~scanner soa =
-  let view = Scanner.view scanner soa in
-  (Scanner.view_token view, Scanner.view_kind view)
-
+(* Tokens are read through a chunked view that materializes at most 256
+   tokens at a time, on first access (only if a CST leaf or an error edge
+   needs one); kind names come from the interner by kind id. *)
 let run_soa ?start t ~scanner soa ~build =
   (* [n] counts the EOF sentinel, like the token arrays [scan_tokens]
      produces, so all engines see identical streams. *)
   let n = Scanner.soa_count soa + 1 in
-  let tok, kind_name = soa_tokens ~scanner soa in
-  parse_ids ?start t ~tids:(soa_ids t ~scanner soa ~n) ~n ~tok ~kind_name ~build
+  let view = Scanner.view scanner soa in
+  parse_ids ?start t ~tids:(soa_ids t ~scanner soa ~n) ~n
+    ~tok:(Scanner.view_token view) ~kind_name:(Scanner.view_kind view) ~build
 
 let parse_soa ?start t ~scanner soa = run_soa ?start t ~scanner soa ~build:true
 
@@ -927,95 +922,6 @@ let recognize_soa ?start t ~scanner soa =
   Result.map
     (fun (_ : Cst.t) -> ())
     (run_soa ?start t ~scanner soa ~build:false)
-
-(* Fused scan+parse: the bytecode VM drives the scanner through a pull
-   cursor, so the committed region of a statement is a single pass over the
-   raw bytes — no up-front tokenization. Random access (the FB oracle's
-   memoized fallback, and the pure rerun that reproduces errors) completes
-   the scan lazily on first use; because the cursor appends into the same
-   arena a whole-buffer scan fills, the completed stream is identical to
-   [scan_soa]'s and all diagnostics stay byte-identical to the two-pass
-   engines.
-
-   Lexical errors also match the two-pass pipeline exactly: acceptance
-   requires the EOF lookahead, which forces the scan to the end of input,
-   so an accepted statement is lexically clean; a rejected or failed run
-   completes the scan (hitting any lexical error at the same byte the
-   whole-buffer scan would) before the parse error is derived. *)
-let fused_eligible t ~scanner =
-  Scanner.interner scanner == t.interner && Option.is_some t.program
-
-let fused_machinery t ~scanner soa ~build ~use_dispatch =
-  let tok, kind_name = soa_tokens ~scanner soa in
-  machinery t ~tids:soa.Scanner.kind_ids ~n:(Scanner.soa_count soa + 1) ~tok
-    ~kind_name ~build ~use_dispatch
-
-(* The pure rerun for a rejected fused run: identical to the one the
-   two-pass driver performs, over the now-complete stream. *)
-let fused_reject t ~scanner soa ~build =
-  let m = fused_machinery t ~scanner soa ~build ~use_dispatch:false in
-  let result =
-    match Hashtbl.find_opt t.nt_ids t.start with
-    | None -> m.rm_fail ()
-    | Some sid -> m.rm_top sid
-  in
-  ( Scanner.soa_count soa,
-    match result with Ok cst -> Ok cst | Error e -> Error (`Parse e) )
-
-let fused_run ~build t ~scanner input =
-  if not (fused_eligible t ~scanner) then
-    (* No compiled program (dispatch off) or a foreign scanner: fall back
-       to the two-pass pipeline, same results at two-pass speed. *)
-    match Scanner.scan_soa scanner input with
-    | Error e -> (0, Error (`Lex e))
-    | Ok soa -> (
-      let count = Scanner.soa_count soa in
-      match run_soa t ~scanner soa ~build with
-      | Ok cst -> (count, Ok cst)
-      | Error e -> (count, Error (`Parse e)))
-  else
-    let prog = Option.get t.program in
-    let cursor = Scanner.cursor scanner input in
-    (* The FB oracle is built lazily, once, over the completed stream: the
-       memo must persist across FB calls within the run. *)
-    let oracle = ref None in
-    let fallback nid pos =
-      let m =
-        match !oracle with
-        | Some m -> m
-        | None ->
-          let soa = Scanner.cursor_complete cursor in
-          let m = fused_machinery t ~scanner soa ~build ~use_dispatch:true in
-          oracle := Some m;
-          m
-      in
-      m.rm_results nid pos
-    in
-    match
-      Vm.exec_fused prog ~cursor ~build
-        ~leaf:(fun i -> Cst.Leaf (Scanner.cursor_token_at cursor i))
-        ~fallback
-    with
-    | Some tree ->
-      (* Acceptance pulled the EOF lookahead, so the whole input is scanned
-         and the count is the statement's full token count. *)
-      (Scanner.cursor_count cursor, Ok tree)
-    | None -> (
-      (* A rejected run may not have scanned past the failure point; the
-         completing scan can still hit a lexical error, exactly where the
-         two-pass pipeline's whole-buffer scan would have. *)
-      match Scanner.cursor_complete cursor with
-      | soa ->
-        count_rerun ();
-        fused_reject t ~scanner soa ~build
-      | exception Scanner.Lex_error e -> (0, Error (`Lex e)))
-    | exception Scanner.Lex_error e -> (0, Error (`Lex e))
-
-let parse_fused t ~scanner input = fused_run ~build:true t ~scanner input
-
-let recognize_fused t ~scanner input =
-  let count, result = fused_run ~build:false t ~scanner input in
-  (count, Result.map (fun (_ : Cst.t) -> ()) result)
 
 let parse ?start t token_list = parse_tokens ?start t (Array.of_list token_list)
 

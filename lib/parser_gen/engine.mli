@@ -182,8 +182,8 @@ val accepts : ?start:string -> t -> Lexing_gen.Token.t list -> bool
 
 val pure_reruns : unit -> int
 (** How many parses in the calling domain so far had their dispatching run
-    (the VM, two-pass or fused) reject and were re-derived on the pure
-    backtracking path. An accepted statement that moved this counter was
+    (the VM) reject and were re-derived on the pure backtracking path. An
+    accepted statement that moved this counter was
     wrongly rejected by its dispatching run, even though its result is
     right; the differential tests check that it does not. *)
 
@@ -196,8 +196,8 @@ val pure_reruns : unit -> int
     uncommitted rules, at ambiguous lookaheads of a [Partial] rule entry,
     and (through its boot [FB]) at a start rule that is not compiled; any
     rejecting run is re-derived on the pure backtracking path, so CSTs and
-    parse errors are byte-identical across the token-array, SoA and fused
-    entry points and the [~dispatch:false] engine. *)
+    parse errors are byte-identical across the token-array and SoA entry
+    points and the [~dispatch:false] engine. *)
 
 val program : t -> Program.t option
 (** The compiled bytecode, [None] iff generated with [~dispatch:false]. The
@@ -229,33 +229,3 @@ val recognize_soa :
     SoA stream exists for. Where the memoized fallback runs, its leaves
     share one placeholder token, so no token is materialized unless the
     statement is rejected. Errors are still re-derived exactly. *)
-
-val parse_fused :
-  t ->
-  scanner:Lexing_gen.Scanner.t ->
-  string ->
-  int
-  * ( Cst.t,
-      [ `Lex of Lexing_gen.Scanner.error | `Parse of parse_error ] )
-    result
-(** Fused scan+parse from raw bytes: the bytecode VM pulls token kinds from
-    a {!Lexing_gen.Scanner.cursor}, so the committed region of the statement
-    is a single pass over the input with no up-front tokenization. The SoA
-    stream is completed lazily only when an FB opcode needs the memoized
-    fallback's random access, or when a rejection triggers the pure
-    error-reporting rerun — results and diagnostics are identical to
-    {!parse_soa} over a whole-buffer scan. Returns the statement's token
-    count (0 on lexical error) alongside the result. Requires the engine to
-    have a compiled program and [scanner] to share its interner; otherwise
-    it falls back to the two-pass pipeline. *)
-
-val recognize_fused :
-  t ->
-  scanner:Lexing_gen.Scanner.t ->
-  string ->
-  int
-  * ( unit,
-      [ `Lex of Lexing_gen.Scanner.error | `Parse of parse_error ] )
-    result
-(** {!parse_fused} without building a CST: single pass, zero per-token
-    allocation on the committed accept path. *)

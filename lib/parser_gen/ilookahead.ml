@@ -1,5 +1,5 @@
-(* The LL(k <= 2) choice-point analysis: Lint.Lookahead's FIRST_k /
-   FOLLOW_k fixpoints and prediction claim tables, computed over
+(* The LL(k <= 2) analysis: Oracle.Lookahead's FIRST_k / FOLLOW_k
+   fixpoints, prediction claim tables and conflicts, computed over
    bitset-represented sequence sets. A set of token sequences of length
    <= 2 over [n] interned terminal kinds is
 
@@ -9,7 +9,7 @@
 
    which is a canonical representation: two sets are equal exactly when
    their planes are. Every operation below mirrors its counterpart in
-   Lint.Lookahead set-theoretically — the string version's
+   Oracle.Lookahead set-theoretically — the string version's
    [take k (x @ y)] case analysis becomes plane algebra:
 
      concat_1 a b = { eps     = a.eps && b.eps
@@ -121,6 +121,16 @@ module Bset = struct
     && a.singles = b.singles
     && (if Array.length a.pairs = Array.length b.pairs then a.pairs = b.pairs
         else all_zero a.pairs && all_zero b.pairs)
+
+  let inter a b =
+    let singles = Array.map2 ( land ) a.singles b.singles in
+    let pairs =
+      if no_pairs a.pairs || no_pairs b.pairs then [||]
+      else Array.map2 ( land ) a.pairs b.pairs
+    in
+    { eps = a.eps && b.eps; singles; pairs }
+
+  let is_empty a = (not a.eps) && all_zero a.singles && all_zero a.pairs
 
   (* First token of every non-empty sequence: the singles plane plus a
      bit for every non-empty pairs row. *)
@@ -389,6 +399,12 @@ let predict la ~lhs alt =
   in
   Bset.concat ~k:la.k ~n:la.n (la.first_of alt) fol
 
+let tables ~k ~n ~tid g =
+  let env = compute_first ~k ~n ~tid g in
+  let first_of, star_of = memoized_first ~k ~n ~tid env in
+  let follow = compute_follow ~k ~n ~first_of ~star_of g in
+  { k; n; first_of; follow }
+
 type t = {
   n : int;
   la1 : tables;
@@ -396,12 +412,7 @@ type t = {
 }
 
 let make ~term_id ~n_terms (g : Grammar.Cfg.t) =
-  let tables k =
-    let env = compute_first ~k ~n:n_terms ~tid:term_id g in
-    let first_of, star_of = memoized_first ~k ~n:n_terms ~tid:term_id env in
-    let follow = compute_follow ~k ~n:n_terms ~first_of ~star_of g in
-    { k; n = n_terms; first_of; follow }
-  in
+  let tables k = tables ~k ~n:n_terms ~tid:term_id g in
   { n = n_terms; la1 = tables 1; la2 = lazy (tables 2) }
 
 exception Conflict
@@ -481,3 +492,52 @@ let decide t ~lhs branches =
     match try1 t (predicts t.la1) with
     | Some d -> d
     | None -> table2 t (predicts (Lazy.force t.la2)))
+
+type conflict = {
+  lhs : string;
+  alt_a : int;
+  alt_b : int;
+  witnesses : string list list;
+}
+
+let shortest_first a b =
+  match Int.compare (List.length a) (List.length b) with
+  | 0 -> Stdlib.compare a b
+  | n -> n
+
+(* The sequences of a set as terminal-name lists: [eps] is [[]], a single
+   [a] is [[a]], a pair [(a, c)] is [[a; c]]. *)
+let sequences ~n name (set : Bset.t) =
+  let seqs = ref (if set.Bset.eps then [ [] ] else []) in
+  Bset.iter_singles ~n (fun a -> seqs := [ name a ] :: !seqs) set;
+  Bset.iter_pairs ~n (fun a c -> seqs := [ name a; name c ] :: !seqs) set;
+  List.sort shortest_first !seqs
+
+let conflicts ~k (g : Grammar.Cfg.t) =
+  if k < 1 || k > 2 then invalid_arg "Ilookahead.conflicts: k must be 1 or 2";
+  let interner = Lexing_gen.Interner.of_names (Grammar.Cfg.terminals g) in
+  let n = Lexing_gen.Interner.size interner in
+  let name = Lexing_gen.Interner.name interner in
+  let tid t = Option.get (Lexing_gen.Interner.id_opt interner t) in
+  let la = tables ~k ~n ~tid g in
+  List.concat_map
+    (fun (r : Grammar.Production.t) ->
+      let predicted = Array.of_list (List.map (predict la ~lhs:r.lhs) r.alts) in
+      let found = ref [] in
+      Array.iteri
+        (fun i pi ->
+          for j = i + 1 to Array.length predicted - 1 do
+            let overlap = Bset.inter pi predicted.(j) in
+            if not (Bset.is_empty overlap) then
+              found :=
+                {
+                  lhs = r.lhs;
+                  alt_a = i;
+                  alt_b = j;
+                  witnesses = sequences ~n name overlap;
+                }
+                :: !found
+          done)
+        predicted;
+      List.rev !found)
+    g.rules

@@ -1,28 +1,31 @@
-(** LL(k ≤ 2) choice-point classification over interned terminals.
+(** LL(k ≤ 2) lookahead analysis over interned terminals: choice-point
+    classification and conflict reports.
 
     {!Engine.generate} asks, for every choice point it compiles — a rule's
     alternatives, a nested group, an optional/repetition enter-vs-skip —
     whether the branches' strong-LL(k) prediction sets are pairwise
     disjoint, and compiles the answer into a {!Predict.decision}.
 
-    This is the product line's single lookahead analysis. It computes the
-    FIRST{_k} / FOLLOW{_k} least fixpoints of [Lint.Lookahead] (the
-    string-sequence specification) over bitset planes: a set of token
-    sequences of length ≤ 2 over [n] interned terminal kinds is an epsilon
-    flag, an [n]-bit singles plane (bit [a] for the sequence [\[a\]]) and a
-    lazily materialized [n × n] pairs plane (bit [(a, c)] for [\[a; c\]]),
-    so unions, concatenations and change detection are word-parallel
-    instead of element-wise.
+    This is the product line's single lookahead analysis: the engine's
+    classifier and the lint's conflict report ({!conflicts}) both read it.
+    It computes the FIRST{_k} / FOLLOW{_k} least fixpoints of the string
+    sequence-set specification (the test suite's [Oracle.Lookahead]) over
+    bitset planes: a set of token sequences of length ≤ 2 over [n]
+    interned terminal kinds is an epsilon flag, an [n]-bit singles plane
+    (bit [a] for the sequence [\[a\]]) and a lazily materialized [n × n]
+    pairs plane (bit [(a, c)] for [\[a; c\]]), so unions, concatenations
+    and change detection are word-parallel instead of element-wise.
 
     Exactness: the planes are a canonical representation of the string
-    sequence sets [Lint.Lookahead] manipulates, and every operation
+    sequence sets [Oracle.Lookahead] manipulates, and every operation
     ([concat_k] as plane algebra, star closure, the FIRST/FOLLOW
     fixpoints, prediction) mirrors its counterpart set for set.
     Least-fixpoint uniqueness makes the iteration order irrelevant. A
-    string classifier over [Lint.Lookahead] is kept in the test suite as
+    string classifier over [Oracle.Lookahead] is kept in the test suite as
     a differential oracle: every choice point of the shipped dialects and
     of random configurations must receive the same decision and the same
-    dense tables from both.
+    dense tables from both, and every grammar the same {!conflicts},
+    witness for witness.
 
     Soundness of commitment: for a branch phrase β of rule [lhs], the
     prediction set is FIRST{_k}(β · FOLLOW{_k}(lhs)) — a {e superset} of
@@ -58,3 +61,28 @@ val decide : t -> lhs:string -> Grammar.Production.alt list -> Predict.decision
     continuation to the end of the enclosing alternative (the engine
     builds these when compiling), so that prediction covers everything up
     to FOLLOW(lhs). *)
+
+(** {1 Conflicts} *)
+
+type conflict = {
+  lhs : string;
+  alt_a : int;
+  alt_b : int;
+  witnesses : string list list;
+      (** token sequences (length ≤ k) predicting both alternatives,
+          shortest first, then in lexicographic order of terminal names;
+          never empty. A sequence shorter than [k] is a complete yield
+          ([\["EOF"\]] after the start symbol); [\[\]] occurs only where
+          FOLLOW{_k} is empty (an unreachable rule with a nullable
+          alternative). *)
+}
+
+val conflicts : k:int -> Grammar.Cfg.t -> conflict list
+(** All pairs of alternatives [alt_a < alt_b] of a rule whose k-token
+    prediction sets FIRST{_k}(alt · FOLLOW{_k}(lhs)) overlap, in rule
+    order and then pair order. [k] must be 1 or 2 (raises
+    [Invalid_argument] otherwise). The grammar's terminals are interned
+    afresh, so any grammar works, composed or hand-built. At [k = 1] this
+    reports exactly the pairs of {!Grammar.Analysis.ll1_conflicts}; at
+    [k = 2] a pair that disappears is resolved by one extra token of
+    lookahead. [sqlpl lint] reports its LL(k) conflicts from here. *)

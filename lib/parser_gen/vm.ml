@@ -266,206 +266,3 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
     a.ch_ends.(k) <- Engine_types.nil_tail
   done;
   result
-
-(* Fused scan+parse: the same interpreter, but MATCH/D1/D2/HALT pull the
-   token kind from a {!Lexing_gen.Scanner.cursor} instead of indexing a
-   pre-scanned array — the scanner runs exactly as far as the parse needs
-   lookahead, one pass over the input for the committed region. Every token
-   pulled lands in the cursor's arena at an absolute index, so positions
-   stored in star-loop marks and choice points seek back losslessly, and
-   [fallback] (which needs random access for the memoized engine) can
-   finish the scan lazily on first use.
-
-   The cursor (and [fallback], which completes it) may raise
-   [Scanner.Lex_error] mid-run; the arena's choice streams are cleared
-   before the exception propagates so no CSTs are retained across
-   parses. *)
-let exec_fused prog ~(cursor : Lexing_gen.Scanner.cursor) ~build
-    ~(leaf : int -> Cst.t)
-    ~(fallback : int -> int -> Engine_types.derivs) =
-  let code = Program.code prog in
-  let t1 = Program.t1 prog in
-  let t2_first = Program.t2_first prog in
-  let t2_second = Program.t2_second prog in
-  let a = Domain.DLS.get arena_key in
-  let csp = ref 0 and fsp = ref 0 and lsp = ref 0 and ssp = ref 0 in
-  let cp = ref 0 in
-  let push_cst v =
-    if !csp = Array.length a.cst then begin
-      let b = Array.make (2 * Array.length a.cst) dummy in
-      Array.blit a.cst 0 b 0 (Array.length a.cst);
-      a.cst <- b
-    end;
-    Array.unsafe_set a.cst !csp v;
-    incr csp
-  in
-  let push_frame ret_ip =
-    if !fsp + 2 > Array.length a.frames then a.frames <- grow_int a.frames;
-    Array.unsafe_set a.frames !fsp ret_ip;
-    Array.unsafe_set a.frames (!fsp + 1) !csp;
-    fsp := !fsp + 2
-  in
-  let push_loop pos =
-    if !lsp = Array.length a.loops then a.loops <- grow_int a.loops;
-    Array.unsafe_set a.loops !lsp pos;
-    incr lsp
-  in
-  let push_scope () =
-    if !ssp = Array.length a.scopes then a.scopes <- grow_int a.scopes;
-    Array.unsafe_set a.scopes !ssp !cp;
-    incr ssp
-  in
-  let push_choice resume_ip rest =
-    let base = !cp * 5 in
-    if base + 5 > Array.length a.ch_ints then a.ch_ints <- grow_int a.ch_ints;
-    if !cp = Array.length a.ch_ends then begin
-      let b = Array.make (2 * Array.length a.ch_ends) Engine_types.nil_tail in
-      Array.blit a.ch_ends 0 b 0 (Array.length a.ch_ends);
-      a.ch_ends <- b
-    end;
-    a.ch_ints.(base) <- resume_ip;
-    a.ch_ints.(base + 1) <- !csp;
-    a.ch_ints.(base + 2) <- !fsp;
-    a.ch_ints.(base + 3) <- !lsp;
-    a.ch_ints.(base + 4) <- !ssp;
-    a.ch_ends.(!cp) <- rest;
-    incr cp
-  in
-  (* The EOF sentinel id is 0 and no MATCH/dispatch entry uses id 0, so the
-     classic [pos < n] guard is subsumed by the kind comparison itself. *)
-  let rec step ip =
-    let op = Array.unsafe_get code ip in
-    if op = Program.op_match then begin
-      if Lexing_gen.Scanner.cursor_kind cursor = Array.unsafe_get code (ip + 1)
-      then begin
-        if build then push_cst (leaf (Lexing_gen.Scanner.cursor_pos cursor));
-        Lexing_gen.Scanner.cursor_advance cursor;
-        step (ip + 2)
-      end
-      else backtrack ()
-    end
-    else if op = Program.op_call then begin
-      push_frame (ip + 2);
-      step (Program.entry prog (Array.unsafe_get code (ip + 1)))
-    end
-    else if op = Program.op_ret then begin
-      fsp := !fsp - 2;
-      let ret_ip = Array.unsafe_get a.frames !fsp in
-      if build then begin
-        let mark = Array.unsafe_get a.frames (!fsp + 1) in
-        let stack = a.cst in
-        let rec collect k acc =
-          if k < mark then acc
-          else collect (k - 1) (Array.unsafe_get stack k :: acc)
-        in
-        let children = collect (!csp - 1) [] in
-        csp := mark;
-        push_cst (Cst.Node (Program.nt_name prog code.(ip + 1), children))
-      end;
-      step ret_ip
-    end
-    else if op = Program.op_d1 then begin
-      let k = Lexing_gen.Scanner.cursor_kind cursor in
-      let b = Array.unsafe_get (Array.unsafe_get t1 code.(ip + 1)) k in
-      if b < 0 then backtrack () else step (Array.unsafe_get code (ip + 3 + b))
-    end
-    else if op = Program.op_d2 then begin
-      let k1 = Lexing_gen.Scanner.cursor_kind cursor in
-      let b =
-        match Array.unsafe_get (Array.unsafe_get t2_first code.(ip + 1)) k1 with
-        | -2 ->
-          Array.unsafe_get
-            (Array.unsafe_get (Array.unsafe_get t2_second code.(ip + 1)) k1)
-            (Lexing_gen.Scanner.cursor_kind2 cursor)
-        | b -> b
-      in
-      if b >= 0 then step (Array.unsafe_get code (ip + 3 + b))
-      else if b = Predict.ambiguous then begin
-        fsp := !fsp - 2;
-        fallback_at (Array.unsafe_get a.frames !fsp)
-      end
-      else backtrack ()
-    end
-    else if op = Program.op_jmp then step (Array.unsafe_get code (ip + 1))
-    else if op = Program.op_fb then fallback_at (ip + 2)
-    else if op = Program.op_spush then begin
-      push_loop (Lexing_gen.Scanner.cursor_pos cursor);
-      step (ip + 1)
-    end
-    else if op = Program.op_sloop then begin
-      decr lsp;
-      let entered_at = Array.unsafe_get a.loops !lsp in
-      (* Loop only on progress: a zero-progress iteration of a nullable
-         body exits. *)
-      if Lexing_gen.Scanner.cursor_pos cursor > entered_at then
-        step (Array.unsafe_get code (ip + 1))
-      else step (ip + 2)
-    end
-    else if op = Program.op_scope then begin
-      push_scope ();
-      step (ip + 1)
-    end
-    else if op = Program.op_commit then begin
-      decr ssp;
-      let mark = Array.unsafe_get a.scopes !ssp in
-      (* Choices opened inside the scope are final now that the sequence
-         that created them has completed. *)
-      for k = mark to !cp - 1 do
-        a.ch_ends.(k) <- Engine_types.nil_tail
-      done;
-      if !cp > mark then cp := mark;
-      step (ip + 1)
-    end
-    else begin
-      (* HALT: accept iff the remaining lookahead is EOF — which also
-         means the fused scan has consumed the entire input. A live choice
-         (an FB standing in for the boot CALL) is resumed otherwise. *)
-      if Lexing_gen.Scanner.cursor_kind cursor = 0 then
-        if build then Some (Array.unsafe_get a.cst (!csp - 1)) else Some dummy
-      else backtrack ()
-    end
-  and fallback_at resume_ip =
-    let nid = Array.unsafe_get code (resume_ip - 1) in
-    match fallback nid (Lexing_gen.Scanner.cursor_pos cursor) with
-    | Nil -> backtrack ()
-    | Cons (j, children, rest) ->
-      if not (forced_nil rest) then push_choice resume_ip rest;
-      if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
-      Lexing_gen.Scanner.cursor_seek cursor j;
-      step resume_ip
-  and backtrack () =
-    if !cp = 0 then None
-    else begin
-      let top = !cp - 1 in
-      let base = top * 5 in
-      match Lazy.force a.ch_ends.(top) with
-      | Nil ->
-        a.ch_ends.(top) <- Engine_types.nil_tail;
-        cp := top;
-        backtrack ()
-      | Cons (j, children, rest) ->
-        csp := a.ch_ints.(base + 1);
-        fsp := a.ch_ints.(base + 2);
-        lsp := a.ch_ints.(base + 3);
-        ssp := a.ch_ints.(base + 4);
-        let resume_ip = a.ch_ints.(base) in
-        a.ch_ends.(top) <- rest;
-        if build then
-          push_cst
-            (Cst.Node (Program.nt_name prog code.(resume_ip - 1), children));
-        Lexing_gen.Scanner.cursor_seek cursor j;
-        step resume_ip
-    end
-  in
-  let finish () =
-    for k = 0 to !cp - 1 do
-      a.ch_ends.(k) <- Engine_types.nil_tail
-    done
-  in
-  match step 0 (* the boot CALL or FB *) with
-  | result ->
-    finish ();
-    result
-  | exception e ->
-    finish ();
-    raise e

@@ -31,19 +31,3 @@ val exec :
 
     [None] means this run rejected; the caller decides whether to re-derive
     on the pure backtracking path (for error reporting). *)
-
-val exec_fused :
-  Program.t ->
-  cursor:Lexing_gen.Scanner.cursor ->
-  build:bool ->
-  leaf:(int -> Cst.t) ->
-  fallback:(int -> int -> Engine_types.derivs) ->
-  Cst.t option
-(** [exec_fused prog ~cursor ~build ~leaf ~fallback] is {!exec} with the
-    scan fused into the dispatch loop: MATCH/D1/D2/HALT pull token kinds
-    from the cursor on demand instead of indexing a pre-scanned array, so
-    the input is tokenized exactly as far as the parse needs lookahead.
-    [leaf]/[fallback] receive absolute token indices into the cursor's
-    arena ([fallback] should {!Lexing_gen.Scanner.cursor_complete} the scan
-    before random access). May raise [Lexing_gen.Scanner.Lex_error] from a
-    pull; the VM arena is cleaned up before the exception escapes. *)

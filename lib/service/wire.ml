@@ -349,7 +349,7 @@ let put_frame b frame =
    triggering gigabyte allocations. [Fail] never escapes [decode]. *)
 exception Fail of string
 
-type cursor = { src : string; limit : int; mutable pos : int }
+type source = { src : string; limit : int; mutable pos : int }
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
 

@@ -1,10 +1,10 @@
-(* The string-based LL(k <= 2) classifier: Lint.Lookahead's prediction
+(* The string-based LL(k <= 2) classifier: Lookahead's prediction
    sets, over lists of terminal names, compiled into the same dense
    dispatch tables Parser_gen.Ilookahead produces. It is the executable
    specification the interned analysis is checked against, and it plugs
    into Parser_gen.Engine.generate through [?classify]. *)
 
-module LA = Lint.Lookahead
+module LA = Lookahead
 module Predict = Parser_gen.Predict
 
 type t = {

@@ -128,31 +128,21 @@ let test_recognize_beats_materialization () =
     true
     (soa_words < mat_words /. 4.)
 
-let test_fused_marginal_is_free () =
-  (* The fused cursor path end to end: scan+recognize in one pass must
-     allocate nothing per token — the cursor writes into the same arena
-     [scan_soa] uses (toplevel scan helpers, no closures per token), and
-     the VM pulls kind ids as plain ints. Budget 0.1 w/token: tighter than
-     the two-pass budget above because there is no separate scan call whose
-     boxing could amortize in. *)
+let test_recognize_marginal_is_free () =
+  (* Scan+recognize end to end over a wide statement must allocate nothing
+     per token: the scanner writes into its per-domain arena (toplevel scan
+     helpers, no closures per token), and the VM reads kind ids as plain
+     ints. Budget 0.1 w/token, twenty times tighter than the marginal
+     budget above, which also admits arena doubling from a cold start. *)
   let g = front_end "tinysql" in
   let short = wide_select 50 and long = wide_select 500 in
-  let fused_words sql =
-    (match Core.recognize_fused g sql with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "recognize_fused %s: %a" sql Core.pp_error e);
-    measure_words (fun () ->
-        for _ = 1 to rounds do
-          ignore (Core.recognize_fused g sql)
-        done)
-    /. float_of_int rounds
-  in
   let dt = token_count g long - token_count g short in
-  let per_token = (fused_words long -. fused_words short) /. float_of_int dt in
+  let per_token =
+    (recognize_words g long -. recognize_words g short) /. float_of_int dt
+  in
   check_bool
     (Printf.sprintf
-       "warm fused recognition allocates %.3f words per extra token (budget \
-        0.1)"
+       "warm scan+recognize allocates %.3f words per extra token (budget 0.1)"
        per_token)
     true
     (per_token < 0.1)
@@ -194,26 +184,18 @@ let wide_where m =
 
 let test_partial_points_commit () =
   (* Per-lookahead commitment keeps such statements off the memoized
-     fallback, so fused recognition stays allocation-free per token on
-     full too. Budget 0.1 w/token, as for tinysql above. *)
+     fallback, so recognition stays allocation-free per token on full too.
+     Budget 0.1 w/token, as for tinysql above. *)
   let g = front_end "full" in
   let short = wide_where 10 and long = wide_where 100 in
-  let fused_words sql =
-    (match Core.recognize_fused g sql with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "recognize_fused %s: %a" sql Core.pp_error e);
-    measure_words (fun () ->
-        for _ = 1 to rounds do
-          ignore (Core.recognize_fused g sql)
-        done)
-    /. float_of_int rounds
-  in
   let dt = token_count g long - token_count g short in
-  let per_token = (fused_words long -. fused_words short) /. float_of_int dt in
+  let per_token =
+    (recognize_words g long -. recognize_words g short) /. float_of_int dt
+  in
   check_bool
     (Printf.sprintf
-       "full: fused recognition of a wide WHERE allocates %.3f words per \
-        extra token (budget 0.1)"
+       "full: recognition of a wide WHERE allocates %.3f words per extra \
+        token (budget 0.1)"
        per_token)
     true
     (per_token < 0.1)
@@ -343,9 +325,6 @@ let test_no_forced_minor_collections () =
         [
           ("Core.parse_cst", (fun sql -> Result.is_ok (Core.parse_cst g sql)), true);
           ("Core.recognize", (fun sql -> Result.is_ok (Core.recognize g sql)), true);
-          ( "Core.parse_cst_fused",
-            (fun sql -> Result.is_ok (Core.parse_cst_fused g sql)),
-            true );
           ( "Scanner.scan_tokens",
             (fun sql ->
               Result.is_ok (Lexing_gen.Scanner.scan_tokens g.Core.scanner sql)),
@@ -371,20 +350,14 @@ let test_recognition_materializes_no_token () =
     /. float_of_int rounds /. tokens
   in
   let parse = per_token (fun () -> Result.is_ok (Core.parse_cst g sql)) in
-  List.iter
-    (fun (label, run) ->
-      let words = per_token run in
-      check_bool
-        (Printf.sprintf
-           "%s allocates %.1f words per token, Core.parse_cst %.1f (at least \
-            10 less)"
-           label words parse)
-        true
-        (words < parse -. 10.))
-    [
-      ("Core.recognize", fun () -> Result.is_ok (Core.recognize g sql));
-      ("Core.recognize_fused", fun () -> Result.is_ok (Core.recognize_fused g sql));
-    ]
+  let words = per_token (fun () -> Result.is_ok (Core.recognize g sql)) in
+  check_bool
+    (Printf.sprintf
+       "Core.recognize allocates %.1f words per token, Core.parse_cst %.1f (at \
+        least 10 less)"
+       words parse)
+    true
+    (words < parse -. 10.)
 
 (* Words allocated by [f] in the minor and the major heap, after a minor
    collection (so that none falls inside a short span). [Gc.quick_stat]'s
@@ -481,8 +454,8 @@ let suite =
       test_recognize_beats_materialization;
     Alcotest.test_case "warm scan_soa is allocation-free per token" `Quick
       test_scan_soa_marginal_is_free;
-    Alcotest.test_case "fused scan+recognize is allocation-free per token"
-      `Quick test_fused_marginal_is_free;
+    Alcotest.test_case "scan+recognize is allocation-free per token" `Quick
+      test_recognize_marginal_is_free;
     Alcotest.test_case
       "full: partial points keep a wide WHERE allocation-free per token"
       `Quick test_partial_points_commit;

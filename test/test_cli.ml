@@ -158,6 +158,31 @@ let test_lint_json =
     ~needles:[ "\"code\":"; "\"severity\":"; "\"witness\":" ]
     [ "lint"; "full"; "--format=json" ]
 
+(* [sqlpl lint D --format json] for every shipped dialect, byte for byte
+   against the reports checked in under [test/golden/]: a change in any
+   witness, message or severity fails here, not only a change in the
+   Error count. *)
+let test_lint_golden () =
+  List.iter
+    (fun (d : Dialects.Dialect.t) ->
+      let name = d.Dialects.Dialect.name in
+      match run_cli [ "lint"; name; "--format"; "json" ] with
+      | None -> () (* binary unavailable; skip *)
+      | Some (status, output) ->
+        let golden =
+          In_channel.with_open_bin
+            (Filename.concat "golden" (Printf.sprintf "lint_%s.jsonl" name))
+            In_channel.input_all
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "lint %s exit status" name)
+          0 status;
+        Alcotest.(check string)
+          (Printf.sprintf "lint %s --format json = golden/lint_%s.jsonl" name
+             name)
+          golden output)
+    Dialects.Dialect.all
+
 let test_lint_unknown_dialect =
   expect ~status:124 ~needles:[ "unknown dialect" ] [ "lint"; "nonsense" ]
 
@@ -240,6 +265,8 @@ let suite =
     Alcotest.test_case "lint minimal" `Quick test_lint_minimal;
     Alcotest.test_case "lint full" `Quick test_lint_full;
     Alcotest.test_case "lint --format=json" `Quick test_lint_json;
+    Alcotest.test_case "lint --format json = golden, six dialects" `Quick
+      test_lint_golden;
     Alcotest.test_case "lint unknown dialect" `Quick test_lint_unknown_dialect;
     Alcotest.test_case "diff" `Quick test_diff;
     Alcotest.test_case "cache stats" `Quick test_cache_stats;

@@ -1,14 +1,20 @@
-(* Decision-level differential test of the LL(k <= 2) analysis.
+(* Differential test of the LL(k <= 2) analysis.
 
    Parser_gen.Ilookahead is the classifier every generated parser uses;
-   Oracle.String_predict computes the same decisions from Lint.Lookahead's
-   string sequence sets. Both are run on every choice point the engine
-   compiles — reached through the [?classify] seam, so the points and
-   their branch phrases are exactly the engine's — for the six dialects'
-   factored grammars, random valid configurations and the hand-built
-   grammars of the engine tests. The decisions must be equal: the same
-   kind, the same Commit1 table, the same Commit2 (and Partial, with its
-   ambiguous entries) first-token table and second-token rows. *)
+   Oracle.String_predict computes the same decisions from
+   Oracle.Lookahead's string sequence sets. Both are run on every choice
+   point the engine compiles — reached through the [?classify] seam, so
+   the points and their branch phrases are exactly the engine's — for the
+   six dialects' factored grammars, random valid configurations and the
+   hand-built grammars of the engine tests. The decisions must be equal:
+   the same kind, the same Commit1 table, the same Commit2 (and Partial,
+   with its ambiguous entries) first-token table and second-token rows.
+
+   Ilookahead is also the lint's conflict report, so on the same sources —
+   the products both as written and factored — plus a broken grammar
+   (undefined and unreachable rules), [Ilookahead.conflicts] must equal
+   [Oracle.Lookahead.conflicts] at k = 1 and k = 2, record by record:
+   the same pairs, the same full witness lists, in the same order. *)
 
 module Predict = Parser_gen.Predict
 
@@ -57,6 +63,29 @@ let compare_points ~label ?interner counts g =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s: %a" label Parser_gen.Engine.pp_gen_error e
 
+let conflict =
+  Alcotest.testable
+    (fun ppf (lhs, a, b, witnesses) ->
+      Fmt.pf ppf "<%s> %d/%d %a" lhs a b
+        Fmt.(Dump.list (Dump.list string))
+        witnesses)
+    ( = )
+
+let compare_conflicts ~label g =
+  List.iter
+    (fun k ->
+      Alcotest.(check (list conflict))
+        (Printf.sprintf "%s: conflicts at k = %d" label k)
+        (List.map
+           (fun (c : Oracle.Lookahead.conflict) ->
+             (c.lhs, c.alt_a, c.alt_b, c.witnesses))
+           (Oracle.Lookahead.conflicts ~k g))
+        (List.map
+           (fun (c : Parser_gen.Ilookahead.conflict) ->
+             (c.lhs, c.alt_a, c.alt_b, c.witnesses))
+           (Parser_gen.Ilookahead.conflicts ~k g)))
+    [ 1; 2 ]
+
 let compare_product counts ~label config =
   match Core.generate ~label config with
   | Error e -> Alcotest.failf "generate %s: %a" label Core.pp_error e
@@ -64,7 +93,9 @@ let compare_product counts ~label config =
     let factored, _ = Grammar.Factor.normalize g.Core.grammar in
     compare_points ~label
       ~interner:(Lexing_gen.Scanner.interner g.Core.scanner)
-      counts factored
+      counts factored;
+    compare_conflicts ~label:(label ^ " as written") g.Core.grammar;
+    compare_conflicts ~label:(label ^ " factored") factored
 
 let total counts = Hashtbl.fold (fun _ n acc -> acc + n) counts 0
 
@@ -96,17 +127,23 @@ let test_random_configs () =
 let test_hand_built () =
   let counts = Hashtbl.create 4 in
   List.iter
-    (fun (label, g) -> compare_points ~label counts g)
+    (fun (label, g) ->
+      compare_points ~label counts g;
+      compare_conflicts ~label g)
     Test_parser_engine.grammars;
+  compare_conflicts ~label:"broken" Test_lint.broken_grammar;
   Alcotest.(check bool) "compared some points" true (total counts > 0);
   check_covers counts [ "Commit1"; "Commit2"; "Partial" ]
 
 let suite =
   [
-    Alcotest.test_case "six dialects: interned = string decisions" `Slow
+    Alcotest.test_case
+      "six dialects: interned = string decisions and conflicts" `Slow
       test_dialects;
-    Alcotest.test_case "random valid configs: interned = string decisions"
-      `Slow test_random_configs;
-    Alcotest.test_case "hand-built grammars: interned = string decisions"
-      `Quick test_hand_built;
+    Alcotest.test_case
+      "random valid configs: interned = string decisions and conflicts" `Slow
+      test_random_configs;
+    Alcotest.test_case
+      "hand-built grammars: interned = string decisions and conflicts" `Quick
+      test_hand_built;
   ]

@@ -7,9 +7,8 @@
    every path it has, and each must produce identical outcomes: the
    {e bytecode VM} over hand-delivered token arrays
    ([Engine.parse_tokens]) and over the struct-of-arrays stream
-   ([Core.parse_cst], the production path), the {e fused} VM (the same
-   program pulling tokens straight from the scanner cursor — compared from
-   the raw bytes, lexical errors included), the {e memoized} engine (same
+   ([Core.parse_cst], the production path, also compared from the raw
+   bytes with lexical errors included), the {e memoized} engine (same
    grammar, dispatch disabled: the pure backtracker), and the
    {e reference}. Identical means the same CST on
    acceptance (priority-ordered alternatives, greedy-but-backtrackable
@@ -93,12 +92,12 @@ let result_testable =
       | Error e1, Error e2 -> e1 = e2
       | _ -> false)
 
-(* Where the dispatching runs' scoped backtracking suffices, an accepted
-   statement must be accepted by those runs themselves (the VM, two-pass
-   and fused). A wrong rejection there would be masked by the pure rerun,
-   which still returns the right result. (Scoped backtracking does not
-   suffice everywhere: a choice is final once its enclosing sequence
-   completes.) *)
+(* Where the dispatching run's scoped backtracking suffices, an accepted
+   statement must be accepted by the VM run itself, over token arrays and
+   over the SoA stream. A wrong rejection there would be masked by the
+   pure rerun, which still returns the right result. (Scoped backtracking
+   does not suffice everywhere: a choice is final once its enclosing
+   sequence completes.) *)
 let check_no_rerun ~msg parses =
   let before = Parser_gen.Engine.pure_reruns () in
   if List.for_all Fun.id (parses ()) then
@@ -117,8 +116,8 @@ let check_engines_agree ~msg a b toks =
     (Parser_gen.Engine.parse_tokens a toks)
     (Parser_gen.Engine.parse_tokens b toks)
 
-(* Four-way: the VM (the shipped parser) = memoized (same factored grammar,
-   dispatch off) = reference (executable spec on that grammar) = fused.
+(* Three-way: the VM (the shipped parser) = memoized (same factored
+   grammar, dispatch off) = reference (executable spec on that grammar).
    The VM is compared twice: at the token level (hand-delivered token
    arrays through [parse_tokens]) and end to end over the SoA stream
    ([Core.parse_cst]), which also exercises the lazy token
@@ -146,34 +145,27 @@ let agree_everywhere ~name g refp memop sql =
             (fun e -> Core.Parse_error e)
             (Parser_gen.Engine.parse_tokens g.Core.parser toks))
       = strip (Core.parse_cst g sql)));
-  (* The fused engine scans as it parses, so it is compared end to end
-     from the raw bytes: same CSTs, same parse errors, and the same
-     lexical errors at the same position — the corpora include
-     statements whose rejection is lexical, plus (on analytics)
-     statements that exercise the FB memoized-fallback oracle and its
-     lazy completion of the scan. *)
+  (* From the raw bytes: the counted entry point returns the same CST or
+     error as [Core.parse_cst] (lexical errors included — the corpora hold
+     statements whose rejection is lexical) and counts every token the
+     scanner produced. *)
+  let count, counted = Core.parse_cst_counted g sql in
   Alcotest.(check bool)
-    (Printf.sprintf "%s (fused vs vm, end to end): %s" name sql)
+    (Printf.sprintf "%s (counted vs vm, end to end): %s" name sql)
     true
-    (strip (Core.parse_cst g sql) = strip (Core.parse_cst_fused g sql));
-  let fused_count, fused_result = Core.parse_cst_fused_counted g sql in
-  (match Core.scan_tokens g sql with
-  | Ok toks when Result.is_ok fused_result ->
-    Alcotest.(check int)
-      (Printf.sprintf "%s (fused token count): %s" name sql)
-      (Array.length toks - 1)
-      fused_count
-  | _ -> ());
+    (strip (Core.parse_cst g sql) = strip counted);
+  Alcotest.(check int)
+    (Printf.sprintf "%s (token count): %s" name sql)
+    (match Core.scan_tokens g sql with
+    | Ok toks -> Array.length toks - 1
+    | Error _ -> 0)
+    count;
   Alcotest.(check bool)
     (Printf.sprintf "%s (recognize agrees): %s" name sql)
     (Result.is_ok (Core.parse_cst g sql))
-    (Result.is_ok (Core.recognize g sql));
-  Alcotest.(check bool)
-    (Printf.sprintf "%s (recognize_fused agrees): %s" name sql)
-    (Result.is_ok (Core.parse_cst g sql))
-    (Result.is_ok (Core.recognize_fused g sql))
+    (Result.is_ok (Core.recognize g sql))
 
-let test_four_way_agreement name () =
+let test_three_way_agreement name () =
   let g = front_end name in
   let refp = reference_on (engine_grammar g) in
   let memop = engine_on ~dispatch:false g (engine_grammar g) in
@@ -563,11 +555,11 @@ let test_vm_choice_backtracking () =
       ([ "A"; "B"; "B"; "B" ], false);
     ]
 
-(* Every engine on a hand-built grammar: the VM, fused (through a scanner
-   sharing the engine's interner), dispatch off, and the reference — same
-   CSTs, same errors, and the expected acceptance. With [~no_rerun], an
-   accepted statement must be accepted by the VM and fused runs
-   themselves. *)
+(* Every engine on a hand-built grammar: the VM over token arrays and over
+   the SoA stream of a scanner sharing the engine's interner (so the
+   grammar is checked from the bytes), dispatch off, and the reference —
+   same CSTs, same errors, and the expected acceptance. With [~no_rerun],
+   an accepted statement must be accepted by both VM runs themselves. *)
 let check_hand_built ?(no_rerun = false) g ~tokens cases =
   let scanner =
     Lexing_gen.Scanner.create
@@ -605,21 +597,20 @@ let check_hand_built ?(no_rerun = false) g ~tokens cases =
         (Printf.sprintf "memoized: %s" input)
         (Parser_gen.Engine.parse_tokens memop toks)
         vm;
-      let fused =
-        match Parser_gen.Engine.parse_fused p ~scanner input with
-        | _, Ok cst -> Ok cst
-        | _, Error (`Parse e) -> Error e
-        | _, Error (`Lex _) -> Alcotest.failf "fused lex error: %s" input
+      let soa_parse () =
+        match Lexing_gen.Scanner.scan_soa scanner input with
+        | Ok soa -> Parser_gen.Engine.parse_soa p ~scanner soa
+        | Error e ->
+          Alcotest.failf "scan_soa %s: %a" input Lexing_gen.Scanner.pp_error e
       in
       Alcotest.check result_testable
-        (Printf.sprintf "fused: %s" input)
-        fused vm;
+        (Printf.sprintf "SoA from bytes: %s" input)
+        (soa_parse ()) vm;
       if no_rerun then
         check_no_rerun ~msg:input (fun () ->
             [
               Result.is_ok (Parser_gen.Engine.parse_tokens p toks);
-              Result.is_ok
-                (snd (Parser_gen.Engine.parse_fused p ~scanner input));
+              Result.is_ok (soa_parse ());
             ]))
     cases;
   p
@@ -812,7 +803,7 @@ let suite =
              "%s: committed = vm = memoized = reference (corpus + sampled)"
              name)
           `Quick
-          (test_four_way_agreement name);
+          (test_three_way_agreement name);
         Alcotest.test_case
           (Printf.sprintf
              "%s: partial choice points agree across engines, both sides"

@@ -5,7 +5,7 @@
 
 open Grammar.Builder
 module D = Lint.Diagnostic
-module LA = Lint.Lookahead
+module LA = Oracle.Lookahead
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -129,16 +129,19 @@ let test_grammar_lint_clean () =
   Alcotest.(check (list string)) "no diagnostics" []
     (codes (Lint.Grammar_lint.check g))
 
+(* A broken grammar: an undefined reference, an unproductive
+   left-recursive rule, an unreachable rule and a duplicated
+   alternative. *)
+let broken_grammar =
+  grammar ~start:"s"
+    [
+      rule "s" [ [ nt "missing"; t "A" ]; [ t "B" ]; [ t "B" ] ];
+      rule "loop" [ [ nt "loop"; t "C" ] ];
+      rule "island" [ [ t "D" ] ];
+    ]
+
 let test_grammar_lint_structure () =
-  let g =
-    grammar ~start:"s"
-      [
-        rule "s" [ [ nt "missing"; t "A" ]; [ t "B" ]; [ t "B" ] ];
-        rule "loop" [ [ nt "loop"; t "C" ] ];
-        rule "island" [ [ t "D" ] ];
-      ]
-  in
-  let diags = Lint.Grammar_lint.check g in
+  let diags = Lint.Grammar_lint.check broken_grammar in
   (match with_code "grammar/undefined-nt" diags with
    | [ d ] ->
      check_bool "undefined is error" true (d.D.severity = D.Error);

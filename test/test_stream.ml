@@ -6,9 +6,9 @@
    boundaries may fall inside tokens, inside quoted strings holding [;],
    anywhere — and [Session.parse_stream] yields items whose rendered CSTs
    and errors are byte-identical to a whole-buffer [Session.parse_batch]
-   and to the fused engine's whole-statement parses. On top, the memory
-   ceiling: streaming a script many times larger must not grow the major
-   heap's high-water mark, and the server's raw streaming mode must put
+   and to [Core.parse_cst_counted] over each whole statement. On top, the
+   memory ceiling: streaming a script many times larger must not grow the
+   major heap's high-water mark, and the server's raw streaming mode must put
    the same bytes on the wire that {!Service.Server.stream_line_of_item}
    renders in process, even when the client dribbles the stream one byte
    at a time. *)
@@ -139,12 +139,13 @@ let test_stream_matches_batch () =
           (corpus_for name)
       in
       let script = String.concat ";\n" stmts ^ ";" in
-      (* The baseline is the fused engine over each whole statement: the
-         gate is cross-engine as well as cross-chunking. *)
+      (* The baseline is [Core.parse_cst_counted] over each whole
+         statement, outside any session: the gate is cross-path as well as
+         cross-chunking. *)
       let expected =
         List.mapi
           (fun index sql ->
-            let token_count, result = Core.parse_cst_fused_counted g sql in
+            let token_count, result = Core.parse_cst_counted g sql in
             render_item { Service.Session.index; sql; token_count; result })
           (Core.split_statements script)
       in
@@ -153,7 +154,7 @@ let test_stream_matches_batch () =
           (Core.split_statements script)
       in
       Alcotest.(check (list string))
-        (Printf.sprintf "%s: whole-buffer batch = fused" name)
+        (Printf.sprintf "%s: whole-buffer batch = counted" name)
         expected
         (List.map render_item batch.Service.Session.items);
       List.iter
@@ -166,7 +167,7 @@ let test_stream_matches_batch () =
               ~read:(reader_of_string script)
           in
           Alcotest.(check (list string))
-            (Printf.sprintf "%s chunk %d: streamed = whole-buffer fused"
+            (Printf.sprintf "%s chunk %d: streamed = whole-buffer counted"
                name chunk_size)
             expected
             (List.rev !streamed);
@@ -361,7 +362,7 @@ let suite =
       "fold_statements = split_statements across comments, chunks 1..n"
       `Quick test_fold_matches_split_with_comments;
     Alcotest.test_case
-      "streamed parsing = whole-buffer parsing = fused parsing" `Quick
+      "streamed parsing = whole-buffer parsing = counted parsing" `Quick
       test_stream_matches_batch;
     Alcotest.test_case "streaming holds a fixed memory ceiling" `Quick
       test_stream_memory_ceiling;
