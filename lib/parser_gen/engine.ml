@@ -1,4 +1,3 @@
-module String_set = Grammar.Analysis.String_set
 module Interner = Lexing_gen.Interner
 
 type gen_error = Engine_types.gen_error =
@@ -171,7 +170,6 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
     match Grammar.Analysis.left_recursive g with
     | _ :: _ as nts -> Error (Left_recursion nts)
     | [] ->
-      let an = Grammar.Analysis.compute g in
       (* Extending the scanner's interner preserves its ids, so tokens it
          stamps remain trusted; terminals the token set lacks (none in a
          coherent composition) are appended. *)
@@ -192,16 +190,20 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
       in
       let nt_ids = Hashtbl.create (2 * Array.length nt_names) in
       Array.iteri (fun id name -> Hashtbl.replace nt_ids name id) nt_names;
+      (* The k = 1 tables give the pruning sets (FIRST₁ and nullability)
+         of every sequence; the k = 2 tables are only built when a choice
+         point needs them. *)
+      let la = Ilookahead.make ~term_id ~n_terms g in
       let pred_of_seq seq =
+        let nullable, ids = Ilookahead.first1 la seq in
         let first = bitset_make n_terms in
-        String_set.iter
-          (fun name -> bitset_add first (term_id name))
-          (Grammar.Analysis.seq_first an g seq);
-        { first; nullable = Grammar.Analysis.seq_nullable an g seq }
+        List.iter (bitset_add first) ids;
+        { first; nullable }
       in
-      (* Choice-point classification. The lookahead tables are only built
-         when dispatch is on ([~dispatch:false] is exactly the previous
-         backtracking-everywhere engine: every point [Fallback]).
+      (* Choice-point classification, only when dispatch is on
+         ([~dispatch:false] is exactly the previous backtracking-everywhere
+         engine: every point [Fallback], and the k = 2 tables are never
+         built).
          Unreachable rules are classified [Fallback] without analysis:
          their FOLLOW sets are empty, so prediction there is meaningless —
          and they are excluded from the summary for the same reason. *)
@@ -212,16 +214,13 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
       in
       let reachable lhs = not (List.mem lhs unreachable) in
       (* [?classify] substitutes the decision oracle (the test suite's
-         string classifier). The analysis is built lazily —
-         [~dispatch:false] never pays for it. *)
+         string classifier). *)
       let decide =
         match classify with
         | Some oracle ->
           fun ~lhs branches ->
             oracle ~term_id:(Interner.id_opt interner) ~n_terms ~lhs branches
-        | None ->
-          let la = lazy (Ilookahead.make ~term_id ~n_terms g) in
-          fun ~lhs branches -> Ilookahead.decide (Lazy.force la) ~lhs branches
+        | None -> Ilookahead.decide la
       in
       let k1_points = ref 0 and k2_points = ref 0 and ambiguous = ref 0 in
       let partial = ref 0 in

@@ -85,9 +85,11 @@ val generate :
     skips alternatives whose FIRST set excludes the lookahead token;
     [dispatch] classifies choice points against LL(1)/LL(2) prediction sets,
     commits without backtracking wherever they are disjoint and compiles
-    the committed region for the VM ([~dispatch:false] skips the lookahead
-    analysis entirely: no program, every parse on the memoized
-    backtracking-everywhere engine — the differential tests' baseline).
+    the committed region for the VM ([~dispatch:false] classifies no
+    choice point and never builds the k = 2 lookahead tables: no program,
+    every parse on the memoized backtracking-everywhere engine — the
+    differential tests' baseline; the k = 1 tables, which give the
+    pruning sets, are built either way).
     Disabling any flag only affects performance, never a parse result.
 
     [classify] replaces the {!Ilookahead} classifier with a

@@ -5,10 +5,17 @@
 
      eps      : does the set contain the empty sequence
      singles  : n-bit plane, bit [a] for sequence [a]
-     pairs    : n x n bit plane (row-major), bit [a, c] for [a; c]
+     pairs    : row-sparse n x n bit plane — row [a] is the n-bit plane
+                of the [c] with [a; c] in the set, only built for a first
+                token [a] that begins a pair (the others share [||])
+     firsts   : n-bit plane, bit [a] for every non-empty row
 
    which is a canonical representation: two sets are equal exactly when
-   their planes are. Every operation below mirrors its counterpart in
+   their planes are. Rows are immutable once stored, so unions,
+   concatenations and copies share them instead of copying n x n bits:
+   a set is the epsilon flag, two n-bit planes and an array of n row
+   pointers, small enough for the minor heap. Every operation below
+   mirrors its counterpart in
    Oracle.Lookahead set-theoretically — the string version's
    [take k (x @ y)] case analysis becomes plane algebra:
 
@@ -17,7 +24,7 @@
      concat_2 a b = { eps     = a.eps && b.eps
                     ; singles = (b.eps ? a.singles) | (a.eps ? b.singles)
                     ; pairs   = a.pairs | (a.eps ? b.pairs)
-                              | row s := heads(b)  for each single s of a }
+                              | row s |= heads(b)  for each single s of a }
 
    where heads(b) marks the first token of every non-empty sequence of
    [b]. Two algorithmic liberties are taken relative to the string
@@ -37,22 +44,53 @@ let word_bits = 63
 let eof = Lexing_gen.Interner.eof_id
 
 module Bset = struct
+  (* [eps], [singles], [firsts] and the row array of [pairs] are mutated
+     only by [grow], on a FOLLOW accumulator: a private [copy]. Every
+     other set is immutable once built and shares freely. *)
   type t = {
-    mutable eps : bool;  (* mutated only by [grow], on privately owned sets *)
+    mutable eps : bool;
     singles : int array;  (* sw words over n bits *)
-    mutable pairs : int array;
-        (* n * sw words, row-major; [||] means all-zero — the pairs plane
-           is only materialized once a set actually contains a pair, so
-           the singletons and epsilon sets that dominate the fixpoint
-           iteration stay a handful of words instead of n rows *)
+    firsts : int array;  (* sw words: bit [a] iff row [a] is non-empty *)
+    mutable pairs : int array array;
+        (* [||] until a row is built; then n rows, row [a] the sw-word
+           plane of the second tokens [c] of the pairs [(a, c)], an absent
+           row being the shared [||]. A stored row is never all-zero and
+           never written: [grow] replaces a row instead of OR-ing into
+           it. *)
   }
 
   let words n = (n + word_bits - 1) / word_bits
-  let no_pairs p = Array.length p = 0
+  let absent p = Array.length p = 0
   let all_zero p = Array.for_all (fun w -> w = 0) p
 
+  (* The index of the only bit set in [x]. *)
+  let bit_index x =
+    let rec go i x s =
+      if s = 0 then i
+      else if x land ((1 lsl s) - 1) = 0 then go (i + s) (x lsr s) (s / 2)
+      else go i x (s / 2)
+    in
+    go 0 x 32
+
+  (* [f a] for every bit [a] set in the plane [w], ascending. *)
+  let iter_bits f w =
+    for i = 0 to Array.length w - 1 do
+      let x = ref w.(i) in
+      while !x <> 0 do
+        let low = !x land - !x in
+        f ((i * word_bits) + bit_index low);
+        x := !x lxor low
+      done
+    done
+
   let empty ~k:_ ~n =
-    { eps = false; singles = Array.make (words n) 0; pairs = [||] }
+    let sw = words n in
+    {
+      eps = false;
+      singles = Array.make sw 0;
+      firsts = Array.make sw 0;
+      pairs = [||];
+    }
 
   let eps_set ~k ~n =
     let s = empty ~k ~n in
@@ -65,13 +103,16 @@ module Bset = struct
       s.singles.(a / word_bits) lor (1 lsl (a mod word_bits));
     s
 
+  (* Rows are immutable, so a copy shares them. *)
   let copy s =
-    { eps = s.eps; singles = Array.copy s.singles; pairs = Array.copy s.pairs }
+    {
+      eps = s.eps;
+      singles = Array.copy s.singles;
+      firsts = Array.copy s.firsts;
+      pairs = Array.copy s.pairs;
+    }
 
-  (* Shares planes: callers treat sets as immutable ([grow] only ever
-     targets the FOLLOW table's privately owned accumulator entries). *)
-  let with_eps s =
-    if s.eps then s else { eps = true; singles = s.singles; pairs = s.pairs }
+  let with_eps s = if s.eps then s else { s with eps = true }
 
   let or_into dst src =
     let changed = ref false in
@@ -84,131 +125,133 @@ module Bset = struct
     done;
     !changed
 
-  let union_pairs a b =
-    if no_pairs a then Array.copy b
-    else if no_pairs b then Array.copy a
-    else begin
-      let p = Array.copy a in
-      ignore (or_into p b);
-      p
-    end
+  let subset a b =
+    let rec go i = i < 0 || (a.(i) land lnot b.(i) = 0 && go (i - 1)) in
+    go (Array.length a - 1)
 
-  let union a b =
+  (* The union of two rows, sharing one of them when it already covers
+     the other. *)
+  let union_row a b =
+    if a == b || absent b then a
+    else if absent a then b
+    else if subset b a then a
+    else if subset a b then b
+    else Array.map2 ( lor ) a b
+
+  (* [p] with row [r] |= [row] for every [r] in [rows]: a fresh row array
+     ([p] may be shared), created all-absent when [p] is [[||]]. *)
+  let extend ~n p rows row_of =
+    let p = if absent p then Array.make n [||] else Array.copy p in
+    iter_bits (fun r -> p.(r) <- union_row p.(r) (row_of r)) rows;
+    p
+
+  let union_pairs ~n a b =
+    if a.pairs == b.pairs || all_zero b.firsts then a.pairs
+    else if all_zero a.firsts then b.pairs
+    else extend ~n a.pairs b.firsts (Array.get b.pairs)
+
+  let union ~n a b =
     let singles = Array.copy a.singles in
     ignore (or_into singles b.singles);
-    { eps = a.eps || b.eps; singles; pairs = union_pairs a.pairs b.pairs }
+    let firsts = Array.copy a.firsts in
+    ignore (or_into firsts b.firsts);
+    { eps = a.eps || b.eps; singles; firsts; pairs = union_pairs ~n a b }
 
   (* Union [src] into a privately owned accumulator; true when it grew —
-     the change detection driving the FOLLOW fixpoint. *)
-  let grow dst src =
+     the change detection driving the FOLLOW fixpoint. A changed row is
+     replaced (by [src]'s row or a fresh union), never written into: the
+     old row may be shared with other sets. *)
+  let grow ~n dst src =
     let c1 = or_into dst.singles src.singles in
-    let c2 =
-      if no_pairs src.pairs then false
-      else if no_pairs dst.pairs then
-        if all_zero src.pairs then false
-        else begin
-          dst.pairs <- Array.copy src.pairs;
-          true
-        end
-      else or_into dst.pairs src.pairs
-    in
+    let c2 = ref false in
+    if not (all_zero src.firsts) then begin
+      if absent dst.pairs then dst.pairs <- Array.make n [||];
+      iter_bits
+        (fun r ->
+          let cur = dst.pairs.(r) in
+          let row = union_row cur src.pairs.(r) in
+          if row != cur then begin
+            dst.pairs.(r) <- row;
+            c2 := true
+          end)
+        src.firsts;
+      ignore (or_into dst.firsts src.firsts)
+    end;
     let c3 = src.eps && not dst.eps in
     if c3 then dst.eps <- true;
-    c1 || c2 || c3
+    c1 || !c2 || c3
 
   let equal a b =
-    a.eps = b.eps
-    && a.singles = b.singles
-    && (if Array.length a.pairs = Array.length b.pairs then a.pairs = b.pairs
-        else all_zero a.pairs && all_zero b.pairs)
+    a.eps = b.eps && a.singles = b.singles && a.firsts = b.firsts
+    && (a.pairs == b.pairs
+       ||
+       let same = ref true in
+       iter_bits
+         (fun r -> if a.pairs.(r) <> b.pairs.(r) then same := false)
+         a.firsts;
+       !same)
 
-  let inter a b =
+  let inter ~n a b =
     let singles = Array.map2 ( land ) a.singles b.singles in
-    let pairs =
-      if no_pairs a.pairs || no_pairs b.pairs then [||]
-      else Array.map2 ( land ) a.pairs b.pairs
-    in
-    { eps = a.eps && b.eps; singles; pairs }
+    let both = Array.map2 ( land ) a.firsts b.firsts in
+    let firsts = Array.make (Array.length both) 0 in
+    let pairs = if all_zero both then [||] else Array.make n [||] in
+    iter_bits
+      (fun r ->
+        let row = Array.map2 ( land ) a.pairs.(r) b.pairs.(r) in
+        if not (all_zero row) then begin
+          pairs.(r) <- row;
+          firsts.(r / word_bits) <-
+            firsts.(r / word_bits) lor (1 lsl (r mod word_bits))
+        end)
+      both;
+    { eps = a.eps && b.eps; singles; firsts; pairs }
 
-  let is_empty a = (not a.eps) && all_zero a.singles && all_zero a.pairs
+  let is_empty a = (not a.eps) && all_zero a.singles && all_zero a.firsts
 
-  (* First token of every non-empty sequence: the singles plane plus a
-     bit for every non-empty pairs row. *)
-  let heads ~n a =
-    let sw = words n in
-    let h = Array.copy a.singles in
-    if not (no_pairs a.pairs) then
-      for r = 0 to n - 1 do
-        let base = r * sw in
-        let nonzero = ref false in
-        for i = base to base + sw - 1 do
-          if a.pairs.(i) <> 0 then nonzero := true
-        done;
-        if !nonzero then h.(r / word_bits) <- h.(r / word_bits) lor (1 lsl (r mod word_bits))
-      done;
-    h
+  (* First token of every non-empty sequence. *)
+  let heads a = Array.map2 ( lor ) a.singles a.firsts
 
   let concat ~k ~n a b =
     let sw = words n in
     if k = 1 then begin
       let singles = Array.copy a.singles in
       if a.eps then ignore (or_into singles b.singles);
-      { eps = a.eps && b.eps; singles; pairs = [||] }
+      { eps = a.eps && b.eps; singles; firsts = Array.make sw 0; pairs = [||] }
     end
     else begin
       let singles = if b.eps then Array.copy a.singles else Array.make sw 0 in
       if a.eps then ignore (or_into singles b.singles);
-      let res = { eps = a.eps && b.eps; singles; pairs = [||] } in
-      if not (no_pairs a.pairs) then res.pairs <- Array.copy a.pairs;
-      if a.eps && not (no_pairs b.pairs) then
-        if no_pairs res.pairs then res.pairs <- Array.copy b.pairs
-        else ignore (or_into res.pairs b.pairs);
+      let firsts = Array.copy a.firsts in
+      if a.eps then ignore (or_into firsts b.firsts);
+      let pairs = if a.eps then union_pairs ~n a b else a.pairs in
       (* every single s of a extends with the head of every non-empty
-         continuation: row s |= heads b *)
-      if Array.exists (fun w -> w <> 0) a.singles then begin
-        let h = heads ~n b in
-        if Array.exists (fun w -> w <> 0) h then begin
-          if no_pairs res.pairs then res.pairs <- Array.make (n * sw) 0;
-          let pairs = res.pairs in
-          for s = 0 to n - 1 do
-            if a.singles.(s / word_bits) land (1 lsl (s mod word_bits)) <> 0
-            then begin
-              let base = s * sw in
-              for i = 0 to sw - 1 do
-                pairs.(base + i) <- pairs.(base + i) lor h.(i)
-              done
-            end
-          done
-        end
-      end;
-      res
+         continuation: row s |= heads b, all such rows sharing the one
+         [heads b] where they were absent *)
+      let pairs =
+        if all_zero a.singles then pairs
+        else
+          let h = heads b in
+          if all_zero h then pairs
+          else begin
+            ignore (or_into firsts a.singles);
+            extend ~n pairs a.singles (fun _ -> h)
+          end
+      in
+      { eps = a.eps && b.eps; singles; firsts; pairs }
     end
 
   let star_closure ~k ~n s =
     let rec fix acc =
-      let acc' = union acc (concat ~k ~n s acc) in
+      let acc' = union ~n acc (concat ~k ~n s acc) in
       if equal acc acc' then acc else fix acc'
     in
     fix (eps_set ~k ~n)
 
-  let iter_singles ~n f a =
-    for s = 0 to n - 1 do
-      if a.singles.(s / word_bits) land (1 lsl (s mod word_bits)) <> 0 then f s
-    done
+  let iter_singles f a = iter_bits f a.singles
 
-  let iter_pairs ~n f a =
-    let sw = words n in
-    if Array.length a.pairs > 0 then
-      for r = 0 to n - 1 do
-        let base = r * sw in
-        for i = 0 to sw - 1 do
-          let w = a.pairs.(base + i) in
-          if w <> 0 then
-            for b = 0 to word_bits - 1 do
-              if w land (1 lsl b) <> 0 then f r ((i * word_bits) + b)
-            done
-        done
-      done
+  let iter_pairs f a =
+    iter_bits (fun r -> iter_bits (f r) a.pairs.(r)) a.firsts
 end
 
 let rec term_first ~k ~n ~tid env = function
@@ -226,7 +269,7 @@ let rec term_first ~k ~n ~tid env = function
     Bset.concat ~k ~n f (Bset.star_closure ~k ~n f)
   | Grammar.Production.Group alts ->
     List.fold_left
-      (fun acc a -> Bset.union acc (alt_first ~k ~n ~tid env a))
+      (fun acc a -> Bset.union ~n acc (alt_first ~k ~n ~tid env a))
       (Bset.empty ~k ~n) alts
 
 and alt_first ~k ~n ~tid env = function
@@ -258,28 +301,36 @@ let compute_first ~k ~n ~tid (g : Grammar.Cfg.t) =
         Hashtbl.add rule_of_lhs r.lhs i)
     rules;
   let dependents = Array.make nrules [] in
-  Array.iteri
-    (fun i (r : Grammar.Production.t) ->
-      let refs =
-        List.sort_uniq String.compare
-          (List.fold_left (List.fold_left term_nonterminals) [] r.alts)
-      in
-      List.iter
-        (fun nt ->
-          match Hashtbl.find_opt rule_of_lhs nt with
-          | Some j -> dependents.(j) <- i :: dependents.(j)
-          | None -> ())
-        refs)
-    rules;
+  let callees =
+    Array.mapi
+      (fun i (r : Grammar.Production.t) ->
+        let refs =
+          List.sort_uniq String.compare
+            (List.fold_left (List.fold_left term_nonterminals) [] r.alts)
+        in
+        List.filter_map
+          (fun nt ->
+            let j = Hashtbl.find_opt rule_of_lhs nt in
+            Option.iter (fun j -> dependents.(j) <- i :: dependents.(j)) j;
+            j)
+          refs)
+      rules
+  in
   Array.iteri (fun i ds -> dependents.(i) <- List.rev ds) dependents;
   let env : (string, Bset.t) Hashtbl.t = Hashtbl.create (2 * nrules) in
   let queue = Queue.create () in
   let queued = Array.make nrules false in
-  Array.iteri
-    (fun i _ ->
+  (* Seed the worklist callees first (depth-first postorder), so that a
+     rule is first computed after the rules it references, and recomputed
+     only around recursion. *)
+  let rec visit i =
+    if not queued.(i) then begin
       queued.(i) <- true;
-      Queue.add i queue)
-    rules;
+      List.iter visit callees.(i);
+      Queue.add i queue
+    end
+  in
+  Array.iteri (fun i _ -> visit i) rules;
   while not (Queue.is_empty queue) do
     let i = Queue.pop queue in
     queued.(i) <- false;
@@ -291,7 +342,7 @@ let compute_first ~k ~n ~tid (g : Grammar.Cfg.t) =
     in
     let f =
       List.fold_left
-        (fun s a -> Bset.union s (alt_first ~k ~n ~tid env a))
+        (fun s a -> Bset.union ~n s (alt_first ~k ~n ~tid env a))
         cur r.alts
     in
     if not (Bset.equal cur f) then begin
@@ -351,7 +402,7 @@ let compute_follow ~k ~n ~first_of ~star_of (g : Grammar.Cfg.t) =
       (* copy: [set] is shared (a memoized FIRST or a caller's tail) *)
       Hashtbl.replace follow nt (Bset.copy set);
       changed := true
-    | Some cur -> if Bset.grow cur set then changed := true
+    | Some cur -> if Bset.grow ~n cur set then changed := true
   in
   let rec walk_seq lhs seq cont =
     match seq with
@@ -415,6 +466,12 @@ let make ~term_id ~n_terms (g : Grammar.Cfg.t) =
   let tables k = tables ~k ~n:n_terms ~tid:term_id g in
   { n = n_terms; la1 = tables 1; la2 = lazy (tables 2) }
 
+let first1 t alt =
+  let s = t.la1.first_of alt in
+  let ids = ref [] in
+  Bset.iter_singles (fun a -> ids := a :: !ids) s;
+  (s.Bset.eps, List.rev !ids)
+
 exception Conflict
 
 (* k = 1 prediction sets hold only the empty sequence (padded to EOF)
@@ -429,7 +486,7 @@ let try1 t sets =
     List.iteri
       (fun b (set : Bset.t) ->
         if set.Bset.eps then claim eof b;
-        Bset.iter_singles ~n:t.n (fun s -> claim s b) set)
+        Bset.iter_singles (fun s -> claim s b) set)
       sets;
     Some (Predict.Commit1 table)
   with Conflict -> None
@@ -458,8 +515,8 @@ let table2 t sets =
   List.iteri
     (fun b (set : Bset.t) ->
       if set.Bset.eps then claim eof eof b;
-      Bset.iter_singles ~n:t.n (fun s -> claim s eof b) set;
-      Bset.iter_pairs ~n:t.n (fun a c -> claim a c b) set)
+      Bset.iter_singles (fun s -> claim s eof b) set;
+      Bset.iter_pairs (fun a c -> claim a c b) set)
     sets;
   let tbl1 = Array.make t.n (-1) in
   let by_first : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
@@ -507,10 +564,10 @@ let shortest_first a b =
 
 (* The sequences of a set as terminal-name lists: [eps] is [[]], a single
    [a] is [[a]], a pair [(a, c)] is [[a; c]]. *)
-let sequences ~n name (set : Bset.t) =
+let sequences name (set : Bset.t) =
   let seqs = ref (if set.Bset.eps then [ [] ] else []) in
-  Bset.iter_singles ~n (fun a -> seqs := [ name a ] :: !seqs) set;
-  Bset.iter_pairs ~n (fun a c -> seqs := [ name a; name c ] :: !seqs) set;
+  Bset.iter_singles (fun a -> seqs := [ name a ] :: !seqs) set;
+  Bset.iter_pairs (fun a c -> seqs := [ name a; name c ] :: !seqs) set;
   List.sort shortest_first !seqs
 
 let conflicts ~k (g : Grammar.Cfg.t) =
@@ -527,14 +584,14 @@ let conflicts ~k (g : Grammar.Cfg.t) =
       Array.iteri
         (fun i pi ->
           for j = i + 1 to Array.length predicted - 1 do
-            let overlap = Bset.inter pi predicted.(j) in
+            let overlap = Bset.inter ~n pi predicted.(j) in
             if not (Bset.is_empty overlap) then
               found :=
                 {
                   lhs = r.lhs;
                   alt_a = i;
                   alt_b = j;
-                  witnesses = sequences ~n name overlap;
+                  witnesses = sequences name overlap;
                 }
                 :: !found
           done)

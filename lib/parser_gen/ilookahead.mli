@@ -12,9 +12,15 @@
     sequence-set specification (the test suite's [Oracle.Lookahead]) over
     bitset planes: a set of token sequences of length ≤ 2 over [n]
     interned terminal kinds is an epsilon flag, an [n]-bit singles plane
-    (bit [a] for the sequence [\[a\]]) and a lazily materialized [n × n]
-    pairs plane (bit [(a, c)] for [\[a; c\]]), so unions, concatenations
-    and change detection are word-parallel instead of element-wise.
+    (bit [a] for the sequence [\[a\]]) and a row-sparse pairs plane — an
+    array of [n] rows, row [a] the [n]-bit plane of the [c] with
+    [\[a; c\]] in the set, built only for a first token that begins a
+    pair (every other row is one shared empty array) — so unions,
+    concatenations and change detection are word-parallel instead of
+    element-wise. Rows are immutable once stored: sets share them instead
+    of copying them, and the FOLLOW accumulation replaces a row that grows
+    instead of writing into it. A set is then a few hundred words at most,
+    allocated on the minor heap even for the largest dialect.
 
     Exactness: the planes are a canonical representation of the string
     sequence sets [Oracle.Lookahead] manipulates, and every operation
@@ -52,6 +58,12 @@ val make : term_id:(string -> int) -> n_terms:int -> Grammar.Cfg.t -> t
     the first k = 1 conflict forces the escalation. [term_id] must map
     every terminal of the grammar to its interned id (below [n_terms]);
     the EOF sentinel is {!Lexing_gen.Interner.eof_id}. *)
+
+val first1 : t -> Grammar.Production.alt -> bool * int list
+(** FIRST{_1} of a term sequence from the k = 1 tables: whether it derives
+    the empty string (is nullable), and the ids of the terminals that can
+    begin it, ascending. The generated parser's pruning sets and error
+    expected sets are built from it. *)
 
 val decide : t -> lhs:string -> Grammar.Production.alt list -> Predict.decision
 (** Classify one choice point of rule [lhs]: [Always], [Commit1],
