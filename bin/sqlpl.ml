@@ -586,49 +586,6 @@ let cache_cmd =
              hit/miss statistics")
     [ cache_stats_cmd; cache_key_cmd ]
 
-(* --- bench -------------------------------------------------------------------- *)
-
-let bench_report_cmd =
-  let dir_arg =
-    let doc =
-      "Directory holding the $(b,BENCH_*.json) artifacts (the repository \
-       root by default)."
-    in
-    Arg.(value & opt dir "." & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
-  let output_arg =
-    let doc = "Write the markdown report to $(docv) instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
-  let strict_flag =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:
-            "Fail (exit non-zero) on any schema-mismatched artifact instead \
-             of skipping it with a warning — the CI posture, where a \
-             drifted artifact is a bug, not noise.")
-  in
-  let run dir output strict =
-    match Bench_report.run ~strict ~dir ~output () with
-    | Ok () -> `Ok ()
-    | Error msg -> fail "%s" msg
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Merge every checked-in BENCH_*.json benchmark artifact into one \
-             markdown trajectory: per experiment and dialect, each measured \
-             engine's throughput, plus the cross-experiment frontier")
-    Term.(ret (const run $ dir_arg $ output_arg $ strict_flag))
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"Benchmark artifacts: the measurement runs live in bench/main \
-             (dune exec bench/main.exe -- eNN); this group reads their \
-             recorded results")
-    [ bench_report_cmd ]
-
 (* --- serve / client -------------------------------------------------------------- *)
 
 let parse_host_port s =
@@ -961,6 +918,6 @@ let () =
           [
             dialects_cmd; features_cmd; diagram_cmd; validate_cmd; grammar_cmd;
             tokens_cmd; parse_cmd; emit_cmd; report_cmd; lint_cmd; diff_cmd;
-            cache_cmd; bench_cmd; serve_cmd; client_cmd; configure_cmd;
+            cache_cmd; serve_cmd; client_cmd; configure_cmd;
             run_cmd;
           ]))

@@ -1,12 +1,6 @@
 module String_set = Set.Make (String)
 module String_map = Map.Make (String)
 
-type t = {
-  nullable : String_set.t;
-  first : String_set.t String_map.t;
-  follow : String_set.t String_map.t;
-}
-
 let lookup m nt = Option.value ~default:String_set.empty (String_map.find_opt nt m)
 
 (* Nullability of a term / sequence given the current nullable set. *)
@@ -34,169 +28,15 @@ let compute_nullable (g : Cfg.t) =
   in
   fix String_set.empty
 
-(* FIRST of a term / sequence given current per-non-terminal FIRST sets. *)
-let rec term_first nullable first = function
-  | Production.Sym (Symbol.Terminal n) -> String_set.singleton n
-  | Production.Sym (Symbol.Nonterminal n) -> lookup first n
-  | Production.Opt ts | Production.Star ts | Production.Plus ts ->
-    alt_first nullable first ts
-  | Production.Group alts ->
-    List.fold_left
-      (fun acc a -> String_set.union acc (alt_first nullable first a))
-      String_set.empty alts
-
-and alt_first nullable first = function
-  | [] -> String_set.empty
-  | term :: rest ->
-    let f = term_first nullable first term in
-    if term_nullable nullable term then
-      String_set.union f (alt_first nullable first rest)
-    else f
-
-let compute_first (g : Cfg.t) nullable =
-  let step first =
-    List.fold_left
-      (fun acc (r : Production.t) ->
-        let f =
-          List.fold_left
-            (fun s a -> String_set.union s (alt_first nullable acc a))
-            (lookup acc r.lhs) r.alts
-        in
-        String_map.add r.lhs f acc)
-      first g.rules
-  in
-  let rec fix m =
-    let m' = step m in
-    if String_map.equal String_set.equal m m' then m else fix m'
-  in
-  fix String_map.empty
-
-(* FOLLOW: walk every alternative right-to-left, threading the FIRST set and
-   nullability of the remaining suffix ("continuation"). When the suffix is
-   nullable, FOLLOW of the rule's lhs flows into the occurrence. *)
-let compute_follow (g : Cfg.t) nullable first =
-  let changed = ref true in
-  let follow = ref (String_map.singleton g.start (String_set.singleton "EOF")) in
-  let add nt set =
-    let cur = lookup !follow nt in
-    let next = String_set.union cur set in
-    if not (String_set.equal cur next) then begin
-      follow := String_map.add nt next !follow;
-      changed := true
-    end
-  in
-  (* [cont_first], [cont_nullable] describe what may follow the sequence. *)
-  let rec walk_seq lhs seq cont_first cont_nullable =
-    match seq with
-    | [] -> ()
-    | term :: rest ->
-      let rest_first = alt_first nullable first rest in
-      let rest_nullable = alt_nullable nullable rest in
-      let tf =
-        if rest_nullable then String_set.union rest_first cont_first
-        else rest_first
-      and tn = rest_nullable && cont_nullable in
-      walk_term lhs term tf tn;
-      walk_seq lhs rest cont_first cont_nullable
-  and walk_term lhs term cont_first cont_nullable =
-    match term with
-    | Production.Sym (Symbol.Terminal _) -> ()
-    | Production.Sym (Symbol.Nonterminal n) ->
-      add n cont_first;
-      if cont_nullable then add n (lookup !follow lhs)
-    | Production.Opt ts -> walk_seq lhs ts cont_first cont_nullable
-    | Production.Star ts | Production.Plus ts ->
-      (* Inside a repetition the sequence may be followed by another
-         iteration of itself. *)
-      let self_first = alt_first nullable first ts in
-      walk_seq lhs ts (String_set.union self_first cont_first) cont_nullable
-    | Production.Group alts ->
-      List.iter (fun a -> walk_seq lhs a cont_first cont_nullable) alts
-  in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (r : Production.t) ->
-        List.iter
-          (fun a -> walk_seq r.lhs a (lookup !follow r.lhs) true)
-          r.alts)
-      g.rules
-  done;
-  !follow
-
-let compute g =
-  let nullable = compute_nullable g in
-  let first = compute_first g nullable in
-  let follow = compute_follow g nullable first in
-  { nullable; first; follow }
-
-let seq_nullable t _g alt = alt_nullable t.nullable alt
-let seq_first t _g alt = alt_first t.nullable t.first alt
-let first_of_alt = seq_first
-
-type conflict = {
-  lhs : string;
-  alt_a : int;
-  alt_b : int;
-  overlap : String_set.t;
-}
-
-let pp_conflict ppf c =
-  Fmt.pf ppf "<%s>: alternatives %d and %d overlap on {%a}" c.lhs c.alt_a
-    c.alt_b
-    Fmt.(list ~sep:comma string)
-    (String_set.elements c.overlap)
-
-let pp_conflict_in (g : Cfg.t) ppf c =
-  pp_conflict ppf c;
-  match Cfg.find g c.lhs with
-  | None -> ()
-  | Some r ->
-    let side i =
-      match List.nth_opt r.Production.alts i with
-      | None -> ()
-      | Some [] -> Fmt.pf ppf "@,      #%d: (empty)" i
-      | Some alt -> Fmt.pf ppf "@,      #%d: @[<h>%a@]" i Production.pp_alt alt
-    in
-    Fmt.pf ppf "@[<v>";
-    side c.alt_a;
-    side c.alt_b;
-    Fmt.pf ppf "@]"
-
-let ll1_conflicts (g : Cfg.t) =
-  let an = compute g in
-  let predict lhs alt =
-    let f = alt_first an.nullable an.first alt in
-    if alt_nullable an.nullable alt then
-      String_set.union f (lookup an.follow lhs)
-    else f
-  in
-  List.concat_map
-    (fun (r : Production.t) ->
-      let predicted = List.map (predict r.lhs) r.alts in
-      let indexed = List.mapi (fun i p -> (i, p)) predicted in
-      List.concat_map
-        (fun (i, pi) ->
-          List.filter_map
-            (fun (j, pj) ->
-              if j <= i then None
-              else
-                let overlap = String_set.inter pi pj in
-                if String_set.is_empty overlap then None
-                else Some { lhs = r.lhs; alt_a = i; alt_b = j; overlap })
-            indexed)
-        indexed)
-    g.rules
-
 let left_recursive (g : Cfg.t) =
-  let an = compute g in
+  let nullable = compute_nullable g in
   (* Leftmost non-terminals of a sequence: heads reachable without consuming
      a terminal. *)
   let rec seq_heads acc = function
     | [] -> acc
     | term :: rest ->
       let acc = term_heads acc term in
-      if term_nullable an.nullable term then seq_heads acc rest else acc
+      if term_nullable nullable term then seq_heads acc rest else acc
   and term_heads acc = function
     | Production.Sym (Symbol.Terminal _) -> acc
     | Production.Sym (Symbol.Nonterminal n) -> String_set.add n acc

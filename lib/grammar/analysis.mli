@@ -1,56 +1,9 @@
-(** Static analysis of EBNF grammars: nullability, FIRST and FOLLOW sets,
-    LL(1) conflict detection and left-recursion detection.
+(** Static analysis of EBNF grammars: left-recursion detection.
 
-    These analyses serve two purposes in the reproduction: they drive the
-    FIRST-set pruning of the generated parsers (standing in for ANTLR's LL(k)
-    prediction), and they power the grammar reports that let a product-line
-    engineer judge whether a composed grammar is still deterministic. *)
-
-module String_set : Set.S with type elt = string
-module String_map : Map.S with type key = string
-
-type t = {
-  nullable : String_set.t;              (** non-terminals deriving epsilon *)
-  first : String_set.t String_map.t;    (** FIRST sets per non-terminal *)
-  follow : String_set.t String_map.t;   (** FOLLOW sets per non-terminal *)
-}
-
-val compute : Cfg.t -> t
-(** Fixpoint computation of all three analyses directly on the EBNF structure
-    (no desugaring to plain BNF). FOLLOW of the start symbol contains
-    ["EOF"]. *)
-
-val seq_nullable : t -> Cfg.t -> Production.alt -> bool
-(** Whether a term sequence can derive the empty string. *)
-
-val seq_first : t -> Cfg.t -> Production.alt -> String_set.t
-(** FIRST set of a term sequence. *)
-
-type conflict = {
-  lhs : string;
-  alt_a : int;        (** index of the first conflicting alternative *)
-  alt_b : int;        (** index of the second conflicting alternative *)
-  overlap : String_set.t;  (** terminals predicting both alternatives *)
-}
-
-val ll1_conflicts : Cfg.t -> conflict list
-(** Pairs of alternatives of a rule whose prediction sets (FIRST, extended
-    with FOLLOW for nullable alternatives) overlap: the places where an LL(1)
-    parser needs more lookahead or backtracking. *)
-
-val pp_conflict : conflict Fmt.t
-(** One-line rendering: rule, alternative indices and the overlapping
-    terminal set. *)
-
-val pp_conflict_in : Cfg.t -> conflict Fmt.t
-(** Grammar-aware rendering: like {!pp_conflict}, followed by the body of
-    each conflicting alternative (looked up in the grammar) so the reader
-    sees which productions compete for the overlapping terminals. *)
+    The lookahead analyses (FIRST/FOLLOW sets, LL(k) conflicts) are
+    [Parser_gen.Ilookahead]'s; the string FIRST/FOLLOW analysis they are
+    checked against lives in the test suite ([Oracle.Analysis]). *)
 
 val left_recursive : Cfg.t -> string list
 (** Non-terminals involved in (direct or indirect) left recursion, which the
     parser generator rejects — as LL(k) generators such as ANTLR do. *)
-
-val first_of_alt : t -> Cfg.t -> Production.alt -> String_set.t
-(** Alias of {!seq_first}, exported under the name used by the parser
-    engine. *)

@@ -94,7 +94,8 @@ val conflicts : k:int -> Grammar.Cfg.t -> conflict list
     prediction sets FIRST{_k}(alt · FOLLOW{_k}(lhs)) overlap, in rule
     order and then pair order. [k] must be 1 or 2 (raises
     [Invalid_argument] otherwise). The grammar's terminals are interned
-    afresh, so any grammar works, composed or hand-built. At [k = 1] this
-    reports exactly the pairs of {!Grammar.Analysis.ll1_conflicts}; at
-    [k = 2] a pair that disappears is resolved by one extra token of
-    lookahead. [sqlpl lint] reports its LL(k) conflicts from here. *)
+    afresh, so any grammar works, composed or hand-built. At [k = 1] the
+    witnesses are single terminals and the pairs are exactly the textbook
+    LL(1) conflicts (the test suite's [Oracle.Analysis]); at [k = 2] a pair
+    that disappears is resolved by one extra token of lookahead.
+    [sqlpl lint] and [sqlpl report] read their conflicts from here. *)

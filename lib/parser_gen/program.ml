@@ -69,7 +69,6 @@ let op_commit = 11
 let code t = t.code
 let entry t nt = t.entries.(nt)
 let start_entry t = t.start_entry
-let size t = Array.length t.code
 let t1 t = t.t1
 let t2_first t = t.t2_first
 let t2_second t = t.t2_second

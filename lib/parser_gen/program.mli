@@ -39,9 +39,6 @@ val start_entry : t -> int
 (** [entry] of the grammar's start symbol: [-1] when the start rule is not
     compiled and the program boots through [FB start]. *)
 
-val size : t -> int
-(** Total code length in ints, a size measure for experiments. *)
-
 val compiled_nts : t -> int
 (** Number of non-terminals with compiled bodies. *)
 

@@ -8,7 +8,7 @@ type t = {
   keyword_count : int;
   punct_count : int;
   statement_classes : string list;
-  ll1_conflicts : Grammar.Analysis.conflict list;
+  ll1_conflicts : Parser_gen.Ilookahead.conflict list;
   unreachable_rules : string list;
   contributions : (string * int * int) list;
   grammar : Grammar.Cfg.t;
@@ -39,7 +39,7 @@ let build (g : Core.generated) =
     punct_count = Lexing_gen.Scanner.punct_count scanner;
     statement_classes = statement_classes grammar;
     grammar;
-    ll1_conflicts = Grammar.Analysis.ll1_conflicts grammar;
+    ll1_conflicts = Parser_gen.Ilookahead.conflicts ~k:1 grammar;
     unreachable_rules =
       List.filter_map
         (function
@@ -62,6 +62,29 @@ let build (g : Core.generated) =
         g.Core.sequence;
   }
 
+(* One conflict: rule, alternative indices and the terminals predicting
+   both (the k = 1 witnesses), then the body of each alternative so the
+   reader sees which productions compete for them. *)
+let pp_conflict (g : Grammar.Cfg.t) ppf (c : Parser_gen.Ilookahead.conflict) =
+  Fmt.pf ppf "<%s>: alternatives %d and %d overlap on {%a}" c.lhs c.alt_a
+    c.alt_b
+    Fmt.(list ~sep:comma string)
+    (List.concat c.witnesses);
+  match Grammar.Cfg.find g c.lhs with
+  | None -> ()
+  | Some r ->
+    let side i =
+      match List.nth_opt r.Grammar.Production.alts i with
+      | None -> ()
+      | Some [] -> Fmt.pf ppf "@,      #%d: (empty)" i
+      | Some alt ->
+        Fmt.pf ppf "@,      #%d: @[<h>%a@]" i Grammar.Production.pp_alt alt
+    in
+    Fmt.pf ppf "@[<v>";
+    side c.alt_a;
+    side c.alt_b;
+    Fmt.pf ppf "@]"
+
 let pp ppf r =
   Fmt.pf ppf "== grammar report: %s ==@." r.label;
   Fmt.pf ppf "@.-- size --@.";
@@ -79,7 +102,7 @@ let pp ppf r =
   Fmt.pf ppf "LL(1) conflicts: %d (resolved by backtracking at parse time)@."
     (List.length r.ll1_conflicts);
   List.iter
-    (fun c -> Fmt.pf ppf "  %a@." (Grammar.Analysis.pp_conflict_in r.grammar) c)
+    (fun c -> Fmt.pf ppf "  %a@." (pp_conflict r.grammar) c)
     r.ll1_conflicts;
   (match r.unreachable_rules with
    | [] -> ()

@@ -17,7 +17,8 @@ type t = {
   punct_count : int;
   statement_classes : string list;
       (** the non-terminals reachable as direct [sql_statement] alternatives *)
-  ll1_conflicts : Grammar.Analysis.conflict list;
+  ll1_conflicts : Parser_gen.Ilookahead.conflict list;
+      (** {!Parser_gen.Ilookahead.conflicts} at [k = 1] *)
   unreachable_rules : string list;
   contributions : (string * int * int) list;
       (** (feature, rules contributed, tokens contributed), composition order,

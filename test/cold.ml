@@ -29,6 +29,3 @@ let generate ?(label = "custom") config =
       parser;
       sequence = out.Compose.Composer.sequence;
     }
-
-let generate_dialect (d : Dialects.Dialect.t) =
-  generate ~label:d.Dialects.Dialect.name d.Dialects.Dialect.config

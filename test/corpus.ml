@@ -1,5 +1,5 @@
 (* Shared SQL corpora: statements grouped by the features they exercise.
-   Used by the integration tests (accept/reject matrices) and the benches. *)
+   Used by the integration tests (accept/reject matrices). *)
 
 let minimal_accept =
   [

@@ -77,7 +77,7 @@ let compute_first k (g : Grammar.Cfg.t) =
 
 (* FOLLOW_k: walk every alternative threading the FIRST_k set of the full
    continuation (suffix of the alternative concatenated with FOLLOW_k of the
-   rule's left-hand side); mirrors Grammar.Analysis.compute_follow. *)
+   rule's left-hand side); mirrors Analysis.compute_follow. *)
 let compute_follow k (g : Grammar.Cfg.t) first_map =
   let changed = ref true in
   let follow =

@@ -1,7 +1,7 @@
 (** LL(k) lookahead analysis for k ≤ 2, over strings: the reference that
     [Parser_gen.Ilookahead] is checked against.
 
-    {!Grammar.Analysis} computes single-token FIRST/FOLLOW sets; this module
+    {!Analysis} computes single-token FIRST/FOLLOW sets; this module
     generalizes them to sets of token {e sequences} of length at most [k]
     (strong-LL FIRST{_k} / FOLLOW{_k}), held as plain sets of terminal-name
     lists. It is the executable specification of the production analysis:
@@ -51,5 +51,5 @@ type conflict = {
 val conflicts : k:int -> Grammar.Cfg.t -> conflict list
 (** All pairs of alternatives whose k-token prediction sets overlap. At
     [k = 1] this reports exactly the pairs of
-    {!Grammar.Analysis.ll1_conflicts}; at [k = 2] a pair that disappears is
+    {!Analysis.ll1_conflicts}; at [k = 2] a pair that disappears is
     resolved by one extra token of lookahead. *)

@@ -2,11 +2,12 @@
    match by [String.equal], prediction sets are balanced-tree string sets,
    and the memo is a polymorphic-hashed [(string * int)] hashtable. It is
    retained verbatim as the executable specification of the parsing
-   semantics — the differential test suite checks Engine against it, and
-   bench E16 uses it as the measured baseline. Keep it simple, not fast. *)
+   semantics, which the differential test suite checks Engine against;
+   its prediction sets come from the string [Analysis]. Keep it simple,
+   not fast. *)
 
-module String_set = Grammar.Analysis.String_set
-module String_map = Grammar.Analysis.String_map
+module String_set = Analysis.String_set
+module String_map = Analysis.String_map
 
 (* Internal representation: the grammar with a prediction record attached to
    every choice point, so the parser does set lookups only. *)
@@ -53,11 +54,11 @@ let generate ?(memoize = true) ?(prune = true) g =
     match Grammar.Analysis.left_recursive g with
     | _ :: _ as nts -> Error (Parser_gen.Engine_types.Left_recursion nts)
     | [] ->
-      let an = Grammar.Analysis.compute g in
+      let an = Analysis.compute g in
       let pred_of_seq seq =
         {
-          first = Grammar.Analysis.seq_first an g seq;
-          nullable = Grammar.Analysis.seq_nullable an g seq;
+          first = Analysis.seq_first an seq;
+          nullable = Analysis.seq_nullable an seq;
         }
       in
       let rec compile_term = function

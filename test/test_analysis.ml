@@ -1,7 +1,8 @@
-(* Tests for nullable/FIRST/FOLLOW, LL(1) conflicts and left recursion. *)
+(* Tests for nullable/FIRST/FOLLOW and LL(1) conflicts ([Oracle.Analysis])
+   and left recursion ([Grammar.Analysis]). *)
 
-open Grammar
 open Grammar.Builder
+module Analysis = Oracle.Analysis
 module SS = Analysis.String_set
 
 let check_bool = Alcotest.(check bool)
@@ -69,9 +70,9 @@ let test_follow_sets () =
 let test_seq_first_nullable () =
   let an = Analysis.compute expr_grammar in
   check_bool "star is nullable" true
-    (Analysis.seq_nullable an expr_grammar [ star [ t "PLUS" ] ]);
+    (Analysis.seq_nullable an [ star [ t "PLUS" ] ]);
   check_set "seq first" [ "NUM"; "LPAREN" ]
-    (Analysis.seq_first an expr_grammar [ nt "expr" ])
+    (Analysis.seq_first an [ nt "expr" ])
 
 let test_ll1_no_conflicts () =
   check_int "expression grammar is LL(1)" 0
@@ -98,14 +99,14 @@ let test_ll1_nullable_follow_conflict () =
 let test_left_recursion_direct () =
   let g = grammar ~start:"e" [ rule "e" [ [ nt "e"; t "PLUS"; t "N" ]; [ t "N" ] ] ] in
   Alcotest.(check (list string)) "e is left recursive" [ "e" ]
-    (Analysis.left_recursive g)
+    (Grammar.Analysis.left_recursive g)
 
 let test_left_recursion_indirect () =
   let g =
     grammar ~start:"a"
       [ rule "a" [ [ nt "b"; t "X" ] ]; rule "b" [ [ nt "a"; t "Y" ]; [ t "Z" ] ] ]
   in
-  let lr = Analysis.left_recursive g in
+  let lr = Grammar.Analysis.left_recursive g in
   check_bool "a detected" true (List.mem "a" lr);
   check_bool "b detected" true (List.mem "b" lr)
 
@@ -116,7 +117,7 @@ let test_left_recursion_through_nullable () =
       [ rule "a" [ [ nt "b"; nt "a"; t "X" ]; [ t "Y" ] ]; rule "b" [ [ opt [ t "Z" ] ] ] ]
   in
   check_bool "nullable prefix left recursion" true
-    (List.mem "a" (Analysis.left_recursive g))
+    (List.mem "a" (Grammar.Analysis.left_recursive g))
 
 let test_left_recursion_mutual_three_way () =
   (* a -> b -> c -> a: every member of the cycle is reported. *)
@@ -128,7 +129,7 @@ let test_left_recursion_mutual_three_way () =
         rule "c" [ [ nt "a"; t "Z" ] ];
       ]
   in
-  let lr = Analysis.left_recursive g in
+  let lr = Grammar.Analysis.left_recursive g in
   List.iter
     (fun n -> check_bool (n ^ " in three-way cycle") true (List.mem n lr))
     [ "a"; "b"; "c" ]
@@ -146,7 +147,7 @@ let test_left_recursion_epsilon_cycle () =
         rule "e" [ [ opt [ nt "e" ]; t "X" ] ];
       ]
   in
-  let lr = Analysis.left_recursive g in
+  let lr = Grammar.Analysis.left_recursive g in
   check_bool "a in epsilon cycle" true (List.mem "a" lr);
   check_bool "b in epsilon cycle" true (List.mem "b" lr);
   check_bool "e self epsilon cycle" true (List.mem "e" lr);
@@ -154,7 +155,7 @@ let test_left_recursion_epsilon_cycle () =
 
 let test_no_left_recursion () =
   Alcotest.(check (list string)) "expression grammar clean" []
-    (Analysis.left_recursive expr_grammar)
+    (Grammar.Analysis.left_recursive expr_grammar)
 
 let test_full_sql_grammar_is_analyzable () =
   (* The composed full SQL grammar: no left recursion (required by the
@@ -163,7 +164,7 @@ let test_full_sql_grammar_is_analyzable () =
   | Error _ -> Alcotest.fail "full config must compose"
   | Ok out ->
     let g = out.Compose.Composer.grammar in
-    Alcotest.(check (list string)) "no left recursion" [] (Analysis.left_recursive g);
+    Alcotest.(check (list string)) "no left recursion" [] (Grammar.Analysis.left_recursive g);
     let an = Analysis.compute g in
     let first = Analysis.String_map.find "sql_statement" an.Analysis.first in
     List.iter

@@ -158,30 +158,39 @@ let test_lint_json =
     ~needles:[ "\"code\":"; "\"severity\":"; "\"witness\":" ]
     [ "lint"; "full"; "--format=json" ]
 
-(* [sqlpl lint D --format json] for every shipped dialect, byte for byte
-   against the reports checked in under [test/golden/]: a change in any
-   witness, message or severity fails here, not only a change in the
-   Error count. *)
-let test_lint_golden () =
+(* [args d] for every shipped dialect [d], byte for byte against the
+   output checked in under [test/golden/] as [file d]: a change in any
+   line of it fails here, not only a change in the exit status. *)
+let check_golden ~args ~file () =
   List.iter
     (fun (d : Dialects.Dialect.t) ->
       let name = d.Dialects.Dialect.name in
-      match run_cli [ "lint"; name; "--format"; "json" ] with
+      let cmd = String.concat " " (args name) in
+      match run_cli (args name) with
       | None -> () (* binary unavailable; skip *)
       | Some (status, output) ->
         let golden =
           In_channel.with_open_bin
-            (Filename.concat "golden" (Printf.sprintf "lint_%s.jsonl" name))
+            (Filename.concat "golden" (file name))
             In_channel.input_all
         in
-        Alcotest.(check int)
-          (Printf.sprintf "lint %s exit status" name)
-          0 status;
+        Alcotest.(check int) (Printf.sprintf "%s exit status" cmd) 0 status;
         Alcotest.(check string)
-          (Printf.sprintf "lint %s --format json = golden/lint_%s.jsonl" name
-             name)
+          (Printf.sprintf "%s = golden/%s" cmd (file name))
           golden output)
     Dialects.Dialect.all
+
+(* Every witness, message and severity of the lint report is pinned. *)
+let test_lint_golden =
+  check_golden
+    ~args:(fun d -> [ "lint"; d; "--format"; "json" ])
+    ~file:(Printf.sprintf "lint_%s.jsonl")
+
+(* The grammar report, conflict list and alternative bodies included. *)
+let test_report_golden =
+  check_golden
+    ~args:(fun d -> [ "report"; "-d"; d ])
+    ~file:(Printf.sprintf "report_%s.txt")
 
 let test_lint_unknown_dialect =
   expect ~status:124 ~needles:[ "unknown dialect" ] [ "lint"; "nonsense" ]
@@ -260,6 +269,8 @@ let suite =
     Alcotest.test_case "parse reject (syntactic)" `Quick test_parse_reject_syntactic;
     Alcotest.test_case "parse prints the tree as Cst.pp" `Quick test_parse_cst;
     Alcotest.test_case "report" `Quick test_report;
+    Alcotest.test_case "report = golden, six dialects" `Quick
+      test_report_golden;
     Alcotest.test_case "emit" `Quick test_emit;
     Alcotest.test_case "run script" `Quick test_run_script;
     Alcotest.test_case "lint minimal" `Quick test_lint_minimal;

@@ -18,7 +18,7 @@
 
    Small random grammars check all three — decisions, conflicts, and the
    FIRST_1 / nullability [Ilookahead.first1] hands the engine against
-   [Grammar.Analysis] — on shapes the dialects do not reach. *)
+   [Oracle.Analysis] — on shapes the dialects do not reach. *)
 
 module Predict = Parser_gen.Predict
 
@@ -225,15 +225,15 @@ let lookahead_agrees g =
   let term_id name = Option.get (id_opt name) in
   let fast = Parser_gen.Ilookahead.make ~term_id ~n_terms g in
   let strings = Oracle.String_predict.classifier g in
-  let an = Grammar.Analysis.compute g in
+  let an = Oracle.Analysis.compute g in
   let first1_agrees alt =
     let nullable, ids = Parser_gen.Ilookahead.first1 fast alt in
-    nullable = Grammar.Analysis.seq_nullable an g alt
+    nullable = Oracle.Analysis.seq_nullable an alt
     && ids
        = List.sort compare
            (List.map term_id
-              (Grammar.Analysis.String_set.elements
-                 (Grammar.Analysis.seq_first an g alt)))
+              (Oracle.Analysis.String_set.elements
+                 (Oracle.Analysis.seq_first an alt)))
   in
   let points_agree (r : P.t) =
     List.iter

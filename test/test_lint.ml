@@ -87,9 +87,9 @@ let test_lookahead_k1_matches_ll1 () =
   in
   let ll1 =
     List.map
-      (fun (c : Grammar.Analysis.conflict) ->
-        (c.Grammar.Analysis.lhs, c.Grammar.Analysis.alt_a, c.Grammar.Analysis.alt_b))
-      (Grammar.Analysis.ll1_conflicts g)
+      (fun (c : Oracle.Analysis.conflict) ->
+        (c.Oracle.Analysis.lhs, c.Oracle.Analysis.alt_a, c.Oracle.Analysis.alt_b))
+      (Oracle.Analysis.ll1_conflicts g)
   in
   let lak1 = conflict_triples (LA.conflicts ~k:1 g) in
   Alcotest.(check (list (triple string int int)))
@@ -377,7 +377,7 @@ let test_ll2_covers_every_ll1_conflict () =
       | Error _ -> Alcotest.failf "%s must compose" d.Dialects.Dialect.name
       | Ok out ->
         let g = out.Compose.Composer.grammar in
-        let ll1 = Grammar.Analysis.ll1_conflicts g in
+        let ll1 = Oracle.Analysis.ll1_conflicts g in
         let diags = Lint.Grammar_lint.check ~k:2 g in
         let conflict_diags =
           List.filter
@@ -399,13 +399,13 @@ let test_ll2_covers_every_ll1_conflict () =
               true (n = 1 || n = 2))
           conflict_diags;
         List.iter
-          (fun (c : Grammar.Analysis.conflict) ->
+          (fun (c : Oracle.Analysis.conflict) ->
             check_bool
               (Printf.sprintf "%s: conflict <%s> re-found"
-                 d.Dialects.Dialect.name c.Grammar.Analysis.lhs)
+                 d.Dialects.Dialect.name c.Oracle.Analysis.lhs)
               true
               (List.exists
-                 (fun (dg : D.t) -> dg.D.subject = c.Grammar.Analysis.lhs)
+                 (fun (dg : D.t) -> dg.D.subject = c.Oracle.Analysis.lhs)
                  conflict_diags))
           ll1)
     (all_dialects ())
@@ -420,11 +420,11 @@ let test_lookahead_k1_parity_on_dialects () =
         let ll1 =
           List.sort compare
             (List.map
-               (fun (c : Grammar.Analysis.conflict) ->
-                 ( c.Grammar.Analysis.lhs,
-                   c.Grammar.Analysis.alt_a,
-                   c.Grammar.Analysis.alt_b ))
-               (Grammar.Analysis.ll1_conflicts g))
+               (fun (c : Oracle.Analysis.conflict) ->
+                 ( c.Oracle.Analysis.lhs,
+                   c.Oracle.Analysis.alt_a,
+                   c.Oracle.Analysis.alt_b ))
+               (Oracle.Analysis.ll1_conflicts g))
         in
         let lak1 = List.sort compare (conflict_triples (LA.conflicts ~k:1 g)) in
         Alcotest.(check (list (triple string int int)))
