@@ -66,6 +66,72 @@ let like_property =
        gen_like_case)
     (fun (pattern, s) -> engine_like ~pattern s = like_reference ~pattern s)
 
+(* --- LIKE matcher vs. the backtracking matcher it replaced ------------------- *)
+
+(* The engine's former matcher, kept as the reference: it backtracks over
+   every '%', so it is exponential in the number of wildcards. *)
+let like_backtracking ?escape ~pattern s =
+  let n = String.length pattern in
+  let rec tokens i =
+    if i >= n then []
+    else
+      let c = pattern.[i] in
+      match escape with
+      | Some e when c = e && i + 1 < n -> `Lit pattern.[i + 1] :: tokens (i + 2)
+      | _ ->
+        (match c with
+         | '%' -> `Any :: tokens (i + 1)
+         | '_' -> `One :: tokens (i + 1)
+         | c -> `Lit c :: tokens (i + 1))
+  in
+  let toks = Array.of_list (tokens 0) in
+  let m = String.length s in
+  let rec go ti si =
+    if ti >= Array.length toks then si = m
+    else
+      match toks.(ti) with
+      | `Lit c -> si < m && s.[si] = c && go (ti + 1) (si + 1)
+      | `One -> si < m && go (ti + 1) (si + 1)
+      | `Any ->
+        let rec try_from k = k <= m && (go (ti + 1) k || try_from (k + 1)) in
+        try_from si
+  in
+  go 0 0
+
+let gen_escaped_like_case =
+  let pchars = [| "a"; "b"; "%"; "_"; "!"; "%"; "_" |] in
+  let schars = [| "a"; "b"; "%"; "_"; "!" |] in
+  Gen.triple
+    (Gen.opt (Gen.oneofl [ '!'; '%'; 'a' ]))
+    (Gen.map (String.concat "") (Gen.list_size (Gen.int_bound 7) (Gen.oneofa pchars)))
+    (Gen.map (String.concat "") (Gen.list_size (Gen.int_bound 9) (Gen.oneofa schars)))
+
+let like_agrees_with_backtracking =
+  QCheck.Test.make ~count:2000
+    ~name:"LIKE matcher agrees with the backtracking matcher"
+    (QCheck.make
+       ~print:(fun (e, p, s) ->
+         Printf.sprintf "escape=%s pattern=%S string=%S"
+           (match e with Some c -> Printf.sprintf "%C" c | None -> "none")
+           p s)
+       gen_escaped_like_case)
+    (fun (escape, pattern, s) ->
+      Engine.Like.like ?escape ~pattern s = like_backtracking ?escape ~pattern s)
+
+(* 30 wildcards against 200 bytes: the backtracker would not finish. *)
+let test_like_many_wildcards () =
+  let s = String.make 200 'a' in
+  let pattern = String.concat "a" (List.init 30 (fun _ -> "%")) ^ "b" in
+  let t0 = Sys.time () in
+  let matched = Engine.Like.like ~pattern s in
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check bool) "no match" false matched;
+  Alcotest.(check bool) "ends in a trailing b" true
+    (Engine.Like.like ~pattern (s ^ "b"));
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.3f s (budget 0.5 s)" dt)
+    true (dt < 0.5)
+
 (* --- Bignum vs. native integers ----------------------------------------------- *)
 
 let gen_small = Gen.int_bound 1_000_000
@@ -253,9 +319,12 @@ let mutated_total =
       | Ok _ | Error _ -> true)
 
 let suite =
-  List.map to_alcotest
+  Alcotest.test_case "LIKE with 30 wildcards on 200 bytes answers at once"
+    `Quick test_like_many_wildcards
+  :: List.map to_alcotest
     [
       like_property;
+      like_agrees_with_backtracking;
       bignum_add;
       bignum_mul;
       bignum_roundtrip;
