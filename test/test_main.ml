@@ -12,6 +12,7 @@ let () =
       ("lowering", Test_lower.suite);
       ("engine", Test_engine.suite);
       ("executor", Test_executor.suite);
+      ("executor-diff", Test_executor_diff.suite);
       ("roundtrip", Test_roundtrip.suite);
       ("codegen", Test_codegen.suite);
       ("report", Test_report.suite);
