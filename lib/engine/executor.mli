@@ -1,8 +1,14 @@
 (** Query and statement execution over the catalog.
 
-    The executor is deliberately naive (nested-loop joins, full scans,
-    sort-based ORDER BY): it is the semantic substrate behind the generated
-    parsers, not a competitive query engine. *)
+    Each statement is compiled once, against the catalog, into closures,
+    and then run. Column references resolve to a (scope depth, slot) pair,
+    rows are [Value.t] arrays read straight from table storage, equi-joins
+    hash their right input, grouping and deduplication hash their keys,
+    and an uncorrelated subquery runs at most once per statement. There
+    are no indexes and no cost-based planning: tables are scanned in full
+    and ORDER BY sorts. Compiling raises nothing; errors surface when
+    evaluation reaches them, in the order of a tree walk over the
+    statement (the former interpreter, kept as the test oracle). *)
 
 type result_set = {
   columns : string list;
