@@ -1,8 +1,7 @@
-(* Workload generators for the benchmark harness.
+(* Per-dialect statement mixes for the E6 acceptance matrix.
 
-   No published corpus accompanies the paper, so workloads are synthesized:
-   per-dialect statement mixes sized so the relative measurements (tailored
-   vs. full) are stable. Deterministic — no randomness. *)
+   No published corpus accompanies the paper, so the workloads are
+   synthesized: four statements in each dialect's style. *)
 
 let minimal_queries =
   [
@@ -44,41 +43,12 @@ let analytics_queries =
     "SELECT CASE WHEN amount > 100 THEN 'big' ELSE 'small' END, CAST(amount AS INTEGER) FROM sales";
   ]
 
-let queries_for dialect_name =
-  match dialect_name with
-  | "minimal" -> minimal_queries
-  | "scql" -> scql_statements
-  | "tinysql" -> tinysql_queries
-  | "embedded" -> embedded_statements
-  | "analytics" -> analytics_queries
-  | _ ->
-    minimal_queries @ tinysql_queries @ scql_statements @ embedded_statements
-    @ analytics_queries
-
-(* A long token stream for scanner throughput (E10). *)
-let scanner_input =
-  let clause i =
-    Printf.sprintf
-      "SELECT c%d, price * %d + 1 FROM items WHERE c%d = 'v%d' AND price <= %d.%02d"
-      i i i i i (i mod 100)
-  in
-  String.concat "\n" (List.init 200 clause)
-
-(* End-to-end engine workload (E11): schema + inserts + queries. *)
-let engine_setup =
+(* The E6 columns, in order. *)
+let by_dialect =
   [
-    "CREATE TABLE readings (nodeid INTEGER, temp DECIMAL(6, 2), light INTEGER)";
-  ]
-
-let engine_inserts n =
-  List.init n (fun i ->
-      Printf.sprintf
-        "INSERT INTO readings (nodeid, temp, light) VALUES (%d, %d.%02d, %d)"
-        (i mod 16) (15 + (i mod 20)) (i mod 100) (i * 7 mod 1024))
-
-let engine_queries =
-  [
-    "SELECT nodeid, AVG(temp), MAX(light) FROM readings WHERE light > 100 GROUP BY nodeid";
-    "SELECT COUNT(*) FROM readings WHERE temp > 25";
-    "SELECT nodeid FROM readings GROUP BY nodeid HAVING AVG(light) > 200";
+    ("minimal", minimal_queries);
+    ("scql", scql_statements);
+    ("tinysql", tinysql_queries);
+    ("embedded", embedded_statements);
+    ("analytics", analytics_queries);
   ]
