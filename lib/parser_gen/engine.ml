@@ -104,8 +104,6 @@ type t = {
          ambiguous lookahead is its complete derivation set *)
   dispatch : bool;
   summary : summary;
-  memoize : bool;
-  prune : bool;
   program : Program.t option;
       (* the [nt_fast] region lowered to flat bytecode at generation time
          (so caching the engine caches the compiled program); [None] only
@@ -151,8 +149,7 @@ let grammar_terminals (g : Grammar.Cfg.t) =
     g.rules;
   List.rev !acc
 
-let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
-    ?classify g =
+let generate ?(dispatch = true) ?interner ?classify g =
   let all_problems = Grammar.Cfg.check g in
   let problems =
     (* Unreachable rules are tolerated in generated parsers (a fragment may
@@ -404,8 +401,6 @@ let generate ?(memoize = true) ?(prune = true) ?(dispatch = true) ?interner
           nt_strict;
           dispatch;
           summary;
-          memoize;
-          prune;
           program;
         }
 
@@ -538,13 +533,10 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     let expect_set i set =
       if advance_to i then bitset_union_into ~into:best_expected set
     in
-    (* With pruning disabled (ablation), every alternative is attempted. *)
     let enter_nullable (pred : pred) i =
-      (not t.prune) || pred.nullable || bitset_mem pred.first (tid i)
+      pred.nullable || bitset_mem pred.first (tid i)
     in
-    let enter_strict (pred : pred) i =
-      (not t.prune) || bitset_mem pred.first (tid i)
-    in
+    let enter_strict (pred : pred) i = bitset_mem pred.first (tid i) in
     (* c_ functions return the end position, [-1] on failure, or
        [ambiguous_entry] (past a rule's own c_nt). *)
     let rec c_seq seq si i =
@@ -697,7 +689,7 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
        FIRST-set pruning. *)
     and p_select d i = if use_dispatch then select d i else Predict.ambiguous
     and nonterm_results nid i =
-      if t.memoize && i <= n then begin
+      if i <= n then begin
         let memo = Lazy.force memo in
         let key = (nid * stride) + i in
         match Hashtbl.find_opt memo key with

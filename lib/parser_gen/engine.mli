@@ -56,8 +56,6 @@ type gen_error = Engine_types.gen_error =
 val pp_gen_error : gen_error Fmt.t
 
 val generate :
-  ?memoize:bool ->
-  ?prune:bool ->
   ?dispatch:bool ->
   ?interner:Lexing_gen.Interner.t ->
   ?classify:
@@ -78,19 +76,14 @@ val generate :
     fresh interner over the grammar's terminals is built and every token is
     re-interned at the parse boundary.
 
-    The three flags exist for ablation benchmarks and default to [true]:
-    [memoize] caches each non-terminal's derivation stream per input
-    position, sharing its forced tails among consumers (without it, nested
-    constructs re-parse exponentially); [prune]
-    skips alternatives whose FIRST set excludes the lookahead token;
-    [dispatch] classifies choice points against LL(1)/LL(2) prediction sets,
-    commits without backtracking wherever they are disjoint and compiles
-    the committed region for the VM ([~dispatch:false] classifies no
-    choice point and never builds the k = 2 lookahead tables: no program,
-    every parse on the memoized backtracking-everywhere engine — the
-    differential tests' baseline; the k = 1 tables, which give the
-    pruning sets, are built either way).
-    Disabling any flag only affects performance, never a parse result.
+    [dispatch] (default [true]) classifies choice points against
+    LL(1)/LL(2) prediction sets, commits without backtracking wherever they
+    are disjoint and compiles the committed region for the VM.
+    [~dispatch:false] classifies no choice point and never builds the k = 2
+    lookahead tables: no program, every parse on the memoized
+    backtracking-everywhere engine — the differential tests' baseline; the
+    k = 1 tables, which give the FIRST-set pruning, are built either way.
+    The flag only affects performance, never a parse result.
 
     [classify] replaces the {!Ilookahead} classifier with a
     caller-supplied decision oracle. It exists so that the test suite can

@@ -30,14 +30,12 @@ type t = {
   grammar : Grammar.Cfg.t;
   start : string;
   rules : (iseq * pred) array String_map.t;
-  memoize : bool;
-  prune : bool;
 }
 
 let grammar t = t.grammar
 let start_symbol t = t.start
 
-let generate ?(memoize = true) ?(prune = true) g =
+let generate g =
   let problems =
     (* Unreachable rules are tolerated in generated parsers (a fragment may
        define helpers only some alternatives use); undefined references and a
@@ -80,7 +78,7 @@ let generate ?(memoize = true) ?(prune = true) g =
             String_map.add r.lhs alts m)
           String_map.empty g.rules
       in
-      Ok { grammar = g; start = g.start; rules; memoize; prune }
+      Ok { grammar = g; start = g.start; rules }
 
 let parse ?start t token_list =
   let toks = Array.of_list token_list in
@@ -100,13 +98,10 @@ let parse ?start t token_list =
       best_expected := String_set.union !best_expected what
   in
   let start = Option.value ~default:t.start start in
-  (* With pruning disabled (ablation), every alternative is attempted. *)
   let enter_nullable (pred : pred) i =
-    (not t.prune) || pred.nullable || String_set.mem (kind i) pred.first
+    pred.nullable || String_set.mem (kind i) pred.first
   in
-  let enter_strict (pred : pred) i =
-    (not t.prune) || String_set.mem (kind i) pred.first
-  in
+  let enter_strict (pred : pred) i = String_set.mem (kind i) pred.first in
   (* Memoized complete-results parsing. For each (non-terminal, position) the
      full ordered set of derivations is computed once; since a continuation's
      success depends only on where a derivation ends, derivations are deduped
@@ -172,7 +167,7 @@ let parse ?start t token_list =
       | None -> k i acc)
     else k i acc
   and nonterm_results name i =
-    match (if t.memoize then Hashtbl.find_opt memo (name, i) else None) with
+    match Hashtbl.find_opt memo (name, i) with
     | Some results -> results
     | None ->
       let results = ref [] in
@@ -190,7 +185,7 @@ let parse ?start t token_list =
                       None))
              else expect i pred.first)
            alts);
-      if t.memoize then Hashtbl.add memo (name, i) !results;
+      Hashtbl.add memo (name, i) !results;
       !results
   in
   let result =

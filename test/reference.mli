@@ -5,16 +5,14 @@
     semantics: terminals match by [String.equal], prediction sets are
     balanced-tree string sets, and the memo is a polymorphic-hashed
     [(string * int)] hashtable. The differential test suite checks
-    {!Parser_gen.Engine} against this module on the conformance corpus, and
-    benches E16 and E17 measure the interned engine's speedup over it. It
+    {!Parser_gen.Engine} against this module on the conformance corpus. It
     lives in the [oracle] test library: nothing in the shipped libraries or
     the CLI runs it. Keep it simple, not fast. *)
 
 type t
 
 val generate :
-  ?memoize:bool -> ?prune:bool -> Grammar.Cfg.t ->
-  (t, Parser_gen.Engine_types.gen_error) result
+  Grammar.Cfg.t -> (t, Parser_gen.Engine_types.gen_error) result
 
 val grammar : t -> Grammar.Cfg.t
 val start_symbol : t -> string

@@ -13,10 +13,9 @@
    {e reference}. Identical means the same CST on
    acceptance (priority-ordered alternatives, greedy-but-backtrackable
    repetition) and the same furthest-failure position, found token, and
-   sorted expected set on rejection. The comparison is repeated with
-   memoization and FIRST-set pruning disabled, and with the opt-in
-   unit-rule inlining normalization, which must change performance (or tree
-   labels, for inlining) only, never acceptance.
+   sorted expected set on rejection. The comparison is repeated with the
+   opt-in unit-rule inlining normalization, which must change tree labels
+   only, never acceptance.
 
    Left-factoring is additionally checked directly: the factored grammar
    must yield the same CSTs and the same failure positions as the composed
@@ -63,15 +62,15 @@ let sampled name =
    of the composed grammar. *)
 let engine_grammar (g : Core.generated) = Parser_gen.Engine.grammar g.Core.parser
 
-let reference_on ?memoize ?prune grammar =
-  match Oracle.Reference.generate ?memoize ?prune grammar with
+let reference_on grammar =
+  match Oracle.Reference.generate grammar with
   | Ok r -> r
   | Error e ->
     Alcotest.failf "reference generate: %a" Parser_gen.Engine.pp_gen_error e
 
-let engine_on ?memoize ?prune ?dispatch (g : Core.generated) grammar =
+let engine_on ?dispatch (g : Core.generated) grammar =
   match
-    Parser_gen.Engine.generate ?memoize ?prune ?dispatch
+    Parser_gen.Engine.generate ?dispatch
       ~interner:(Lexing_gen.Scanner.interner g.Core.scanner)
       grammar
   with
@@ -352,29 +351,6 @@ let test_factoring_preserves name () =
         | _ ->
           Alcotest.failf "%s factoring changed acceptance of: %s" name sql))
     (corpus_for name @ sampled name)
-
-let test_ablation_agreement name () =
-  let g = front_end name in
-  List.iter
-    (fun (label, memoize, prune) ->
-      let refp = reference_on ~memoize ~prune (engine_grammar g) in
-      let eng = engine_on ~memoize ~prune g (engine_grammar g) in
-      List.iter
-        (fun sql ->
-          match Core.scan_tokens g sql with
-          | Error _ -> ()
-          | Ok toks ->
-            check_agree
-              ~msg:(Printf.sprintf "%s (%s): %s" name label sql)
-              refp eng toks;
-            (* The flags are pure optimizations: the ablated engine must
-               also agree with the fully optimized one on acceptance. *)
-            check_bool
-              (Printf.sprintf "%s (%s) language unchanged: %s" name label sql)
-              (Result.is_ok (Parser_gen.Engine.parse_tokens g.Core.parser toks))
-              (Result.is_ok (Parser_gen.Engine.parse_tokens eng toks)))
-        (corpus_for name))
-    [ ("no memoization", false, true); ("no pruning", true, false) ]
 
 (* The opt-in inlining normalization relabels trees, so the three engines
    are compared with all of them running the same inlined grammar. *)
@@ -814,10 +790,6 @@ let suite =
              name)
           `Quick
           (test_factoring_preserves name);
-        Alcotest.test_case
-          (Printf.sprintf "%s: ablations change nothing but speed" name)
-          `Quick
-          (test_ablation_agreement name);
         Alcotest.test_case
           (Printf.sprintf "%s: inlined grammar agrees across engines" name)
           `Quick
