@@ -1807,6 +1807,8 @@ let merge ctx (m : Ast.merge) =
       if not !matched then
         match not_matched_insert with
         | Some (columns, values) ->
+          if List.length columns <> List.length values then
+            err "MERGE INSERT arity mismatch";
           incr affected;
           let row = Array.of_list (List.map (fun d -> d ()) defaults) in
           List.iter2

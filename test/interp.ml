@@ -1298,6 +1298,8 @@ let merge catalog (m : Ast.merge) =
           let columns =
             match cols with [] -> Schema.column_names schema | cs -> cs
           in
+          if List.length columns <> List.length values then
+            err "MERGE INSERT arity mismatch";
           let row =
             Array.of_list (List.map (default_value catalog) schema.Schema.columns)
           in

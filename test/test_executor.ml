@@ -290,6 +290,23 @@ let test_merge () =
     [ [ "1"; "10" ]; [ "2"; "25" ]; [ "3"; "7" ] ]
     (rows s "SELECT sku, qty FROM inv ORDER BY sku ASC")
 
+(* A NOT MATCHED insert whose values do not match its columns, listed or
+   implied, is an execution error, as INSERT's is. *)
+let test_merge_insert_arity () =
+  let s = fresh_session () in
+  ignore (run s "CREATE TABLE m (a INTEGER, b INTEGER)");
+  ignore (run s "CREATE TABLE src (a INTEGER)");
+  ignore (run s "INSERT INTO src (a) VALUES (1)");
+  List.iter
+    (fun sql ->
+      check_bool sql true
+        (Astring_contains.contains (run_err s sql) "arity mismatch"))
+    [
+      "MERGE INTO m USING src ON m.a = src.a WHEN NOT MATCHED THEN INSERT VALUES (src.a)";
+      "MERGE INTO m USING src ON m.a = src.a WHEN NOT MATCHED THEN INSERT (a, b) VALUES (src.a)";
+    ];
+  check_rows "nothing inserted" [] (rows s "SELECT a, b FROM m")
+
 let test_alter_table () =
   let s = fresh_session () in
   setup_items s;
@@ -668,6 +685,7 @@ let cases =
     ("update/delete", test_update_delete);
     ("insert from query", test_insert_from_query);
     ("merge", test_merge);
+    ("MERGE INSERT values are arity-checked", test_merge_insert_arity);
     ("alter table", test_alter_table);
     ("transactions", test_transactions);
     ("savepoints", test_savepoints);
