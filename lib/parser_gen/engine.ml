@@ -408,23 +408,14 @@ type derivs = Engine_types.derivs =
   | Nil
   | Cons of int * Cst.t list * derivs Lazy.t
 
-(* CST child arena for the strict dispatch runs: a domain-local stack of
-   completed subtrees, reused across parses. A rule pushes its children as
-   they complete and pops them into a [Node] when it finishes; on failure
-   the saved stack mark is restored and the slots are simply abandoned. *)
-let dummy_cst = Cst.Node ("", [])
-
-let cst_arena : Cst.t array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (Array.make 256 dummy_cst))
-
 (* The one leaf every CST leaf of a recognition run shares: such runs
    discard their trees, so they materialize no token for them. *)
 let placeholder_leaf = Cst.Leaf Lexing_gen.Token.placeholder
 
 (* One run's memoized oracle over a fixed token-id stream, shared by the
    bytecode VM's fallback boundary and the pure error-reporting rerun.
-   Each value owns a fresh (sparse, lazily created) memo, CST stack
-   pointer and furthest-failure tracker, i.e. it is one logical run. *)
+   Each value owns a fresh (sparse, lazily created) memo, strict runner
+   and furthest-failure tracker, i.e. it is one logical run. *)
 type run_machinery = {
   rm_results : int -> int -> derivs;
       (* [rm_results nid i]: the priority-ordered derivation stream (end
@@ -452,20 +443,18 @@ type run_machinery = {
    prediction set cannot take part in any successful parse, whatever the
    context, because FOLLOW is the union over all contexts. And the
    complete derivation set of an [nt_strict] non-terminal is the single
-   derivation one strict dispatch run produces.
+   derivation one strict run produces.
 
-   The strict dispatch run (c_ functions) is private to that second hook.
-   One or two [tid] probes select the only branch that can possibly
-   succeed, so parsing is a direct int-returning recursion: no continuation
-   closures, no memo traffic, children on the stack arena. An [nt_strict]
-   subtree references only [nt_fast] rules, so the only ambiguity it can
-   meet is a rule-level [Partial] choice; that gives the run up
-   ([ambiguous_entry] propagates) and the position is enumerated instead.
-   No expectation tracking happens here: a rejecting VM run is re-derived
+   A strict run is {!Vm.strict}: the bytecode VM entered at the rule's
+   compiled body on its own per-domain arena, so it can run inside the
+   [FB] of the statement's VM run. Its runner is built on the first
+   strict run of this oracle and reused; a run only resets stack pointers.
+   An [nt_strict] subtree references only [nt_fast] rules, so the only
+   ambiguity it can meet is a rule-level [Partial] choice; that ends the
+   run as ambiguous and the position is enumerated instead. No
+   expectation tracking happens here: a rejecting VM run is re-derived
    on the pure memoized path, which reproduces the backtracking engine's
    error exactly. *)
-let ambiguous_entry = -2
-
 let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     ~(kind_name : int -> string) ~build ~use_dispatch =
   let n_terms = Interner.size t.interner in
@@ -474,22 +463,13 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
   in
   let tid i = if i < n then Array.unsafe_get tids i else Interner.eof_id in
   let stride = n + 1 in
-  let stack = Domain.DLS.get cst_arena in
-  let sp = ref 0 in
-  let push c =
-    let s = !stack in
-    let len = Array.length s in
-    if !sp = len then begin
-      let s' = Array.make (2 * len) dummy_cst in
-      Array.blit s 0 s' 0 len;
-      stack := s'
-    end;
-    Array.unsafe_set !stack !sp c;
-    incr sp
+  let strict =
+    lazy
+      (* [nt_strict] is all false when there is no program *)
+      (Vm.strict (Option.get t.program) ~ids:tids ~n ~build ~leaf)
   in
   (* The branch a decision selects at [i]: [>= 0], [-1] when no branch is
-     viable, or [Predict.ambiguous] ([Fallback] is ambiguous everywhere;
-     fast rules meet [Partial] only at their rule-level choice). *)
+     viable, or [Predict.ambiguous] ([Fallback] is ambiguous everywhere). *)
   let select d i =
     match d with
     | Predict.Always -> 0
@@ -537,63 +517,6 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
       pred.nullable || bitset_mem pred.first (tid i)
     in
     let enter_strict (pred : pred) i = bitset_mem pred.first (tid i) in
-    (* c_ functions return the end position, [-1] on failure, or
-       [ambiguous_entry] (past a rule's own c_nt). *)
-    let rec c_seq seq si i =
-    if si = Array.length seq then i
-    else
-      let j = c_term (Array.unsafe_get seq si) i in
-      if j < 0 then j else c_seq seq (si + 1) j
-  and c_term term i =
-    match term with
-    | ITerm id ->
-      if i < n && tid i = id then begin
-        push (leaf i);
-        i + 1
-      end
-      else -1
-    | INonterm nid -> c_nt nid i
-    | IOpt (s, _, d) -> if select d i = 0 then c_seq s 0 i else i
-    | IStar (s, _, d) -> c_star s d i
-    | IPlus (s, _, d) ->
-      let j = c_seq s 0 i in
-      if j < 0 then j else c_star s d j
-    | IGroup (alts, d) ->
-      let b = select d i in
-      if b < 0 then -1 else c_seq (fst (Array.unsafe_get alts b)) 0 i
-  and c_star s d i =
-    if select d i = 0 then begin
-      let j = c_seq s 0 i in
-      if j < 0 then j
-        (* A committed loop body cannot be nullable (its enter set would
-           contain the skip set), so [j > i] always — kept as a guard. *)
-      else if j > i then c_star s d j
-      else i
-    end
-    else i
-  and c_nt nid i =
-    let sp0 = !sp in
-    let b =
-      select (Array.unsafe_get t.alt_dispatch nid) i
-    in
-    if b < 0 then (if b = Predict.ambiguous then ambiguous_entry else -1)
-    else
-      let alt, _ = Array.unsafe_get (Array.unsafe_get t.rules nid) b in
-      let j = c_seq alt 0 i in
-      if j < 0 then begin
-        sp := sp0;
-        j
-      end
-      else begin
-        let s = !stack in
-        let rec collect k acc =
-          if k < sp0 then acc else collect (k - 1) (Array.unsafe_get s k :: acc)
-        in
-        let children = collect (!sp - 1) [] in
-        sp := sp0;
-        push (Cst.Node (Array.unsafe_get t.nt_names nid, children));
-        j
-      end
     (* Memoized results parsing. For each (non-terminal, position) the
        ordered derivations are a lazy stream computed at most once; since a
        continuation's success depends only on where a derivation ends,
@@ -603,7 +526,7 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
        parenthesized constructs. Left recursion is rejected at generation
        time, so deriving a stream (or forcing one of its tails) never
        re-enters its own key. *)
-    and p_seq seq si i acc (k : int -> Cst.t list -> Cst.t option) =
+    let rec p_seq seq si i acc (k : int -> Cst.t list -> Cst.t option) =
       if si = Array.length seq then k i acc
       else
         p_term (Array.unsafe_get seq si) i acc (fun j acc ->
@@ -702,23 +625,15 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
       else compute_results nid i
     and compute_results nid i =
       if use_dispatch && Array.unsafe_get t.nt_strict nid then begin
-        (* Fast subtree: one strict dispatch run. When every choice
-           on the way had one viable branch, the derivation it computes is
-           the only one that can survive into a successful parse, so the
-           complete result set is that single derivation — or nothing. An
-           ambiguous lookahead gives the attempt up, and this position is
-           enumerated instead. *)
-        let sp0 = !sp in
-        let j = c_nt nid i in
-        if j >= 0 then begin
-          let children =
-            match Array.unsafe_get !stack (!sp - 1) with
-            | Cst.Node (_, cs) -> cs
-            | Cst.Leaf _ -> assert false
-          in
-          sp := sp0;
-          Cons (j, children, Engine_types.nil_tail)
-        end
+        (* Fast subtree: one strict run. When every choice on the way had
+           one viable branch, the derivation it computes is the only one
+           that can survive into a successful parse, so the complete result
+           set is that single derivation — or nothing. An ambiguous
+           lookahead gives the attempt up, and this position is enumerated
+           instead. *)
+        let strict = Lazy.force strict in
+        let j = strict.Vm.run nid i in
+        if j >= 0 then Cons (j, strict.Vm.children (), Engine_types.nil_tail)
         else if j = -1 then Nil
         else enumerate nid i
       end

@@ -189,10 +189,14 @@ val pure_reruns : unit -> int
     with explicit integer stacks; every entry point above and below runs
     it. The VM falls back to the memoized engine at references to
     uncommitted rules, at ambiguous lookaheads of a [Partial] rule entry,
-    and (through its boot [FB]) at a start rule that is not compiled; any
-    rejecting run is re-derived on the pure backtracking path, so CSTs and
-    parse errors are byte-identical across the token-array and SoA entry
-    points and the [~dispatch:false] engine. *)
+    and (through its boot [FB]) at a start rule that is not compiled. The
+    memoized engine in turn runs each compiled subtree it needs
+    ([nt_strict]: every rule it reaches is compiled) on the same VM, as a
+    strict run on a second per-domain arena ({!Vm.strict}), and enumerates
+    only where that run meets an ambiguous lookahead. Any rejecting run is
+    re-derived on the pure backtracking path, so CSTs and parse errors are
+    byte-identical across the token-array and SoA entry points and the
+    [~dispatch:false] engine. *)
 
 val program : t -> Program.t option
 (** The compiled bytecode, [None] iff generated with [~dispatch:false]. The
@@ -223,4 +227,5 @@ val recognize_soa :
     this allocates nothing per token — the zero-allocation accept path the
     SoA stream exists for. Where the memoized fallback runs, its leaves
     share one placeholder token, so no token is materialized unless the
-    statement is rejected. Errors are still re-derived exactly. *)
+    statement is rejected, and its strict runs build no CST node. Errors
+    are still re-derived exactly. *)

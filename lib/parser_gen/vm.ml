@@ -6,6 +6,14 @@
    committed MATCH/CALL/RET/D1/D2 — touches only flat [int array]s: no
    closures, no [iterm] ADT matching, no memo traffic.
 
+   Two entries run the loop, each on its own per-domain arena: [exec]
+   parses a statement, and [strict] runs one [nt_strict] non-terminal for
+   the memoized oracle, from inside a running [exec]'s [FB]. A strict run
+   ends at its base frame's [RET] and gives up as ambiguous at a [-3]
+   entry, so it never reaches [FB] ([nt_strict] rules reference only
+   [nt_fast] ones): it never re-enters the oracle, and two arenas are
+   enough.
+
    Backtracking semantics (the contract the memoized engine's results are
    checked against, byte for byte, by the differential tests):
 
@@ -49,16 +57,18 @@ type arena = {
       (* remaining ends, a lazy tail of the oracle's derivation stream *)
 }
 
-let arena_key : arena Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        cst = Array.make 256 dummy;
-        frames = Array.make 128 0;
-        loops = Array.make 64 0;
-        scopes = Array.make 64 0;
-        ch_ints = Array.make 80 0;
-        ch_ends = Array.make 16 Engine_types.nil_tail;
-      })
+let new_arena () =
+  {
+    cst = Array.make 256 dummy;
+    frames = Array.make 128 0;
+    loops = Array.make 64 0;
+    scopes = Array.make 64 0;
+    ch_ints = Array.make 80 0;
+    ch_ends = Array.make 16 Engine_types.nil_tail;
+  }
+
+let arena_key : arena Domain.DLS.key = Domain.DLS.new_key new_arena
+let strict_arena_key : arena Domain.DLS.key = Domain.DLS.new_key new_arena
 
 (* A tail already known to be empty (the usual single derivation) needs no
    choice point. Unforced tails are pushed as they are: deriving them is
@@ -72,13 +82,18 @@ let grow_int (a : int array) =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
-    ~(fallback : int -> int -> Engine_types.derivs) =
+(* The interpreter over arena [a]. [run ip pos] resets the stacks and
+   steps from [ip]; a [strict] run first pushes a base frame returning to
+   the boot [HALT] (address 2). The result is the end position on
+   acceptance, [-1] on rejection, or [Predict.ambiguous] when a strict run
+   meets a [-3] entry. An accepted tree is [a.cst.(0)]: the boot reference
+   (or the strict base frame) reduces into the bottom slot. *)
+let machine prog a ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
+    ~(fallback : int -> int -> Engine_types.derivs) ~strict =
   let code = Program.code prog in
   let t1 = Program.t1 prog in
   let t2_first = Program.t2_first prog in
   let t2_second = Program.t2_second prog in
-  let a = Domain.DLS.get arena_key in
   let csp = ref 0 and fsp = ref 0 and lsp = ref 0 and ssp = ref 0 in
   let cp = ref 0 in
   let push_cst v =
@@ -178,8 +193,11 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
       in
       if b >= 0 then step (Array.unsafe_get code (ip + 3 + b)) pos
       else if b = Predict.ambiguous then begin
-        fsp := !fsp - 2;
-        fallback_at (Array.unsafe_get a.frames !fsp) pos
+        if strict then Predict.ambiguous
+        else begin
+          fsp := !fsp - 2;
+          fallback_at (Array.unsafe_get a.frames !fsp) pos
+        end
       end
       else backtrack ()
     end
@@ -213,16 +231,15 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
       step (ip + 1) pos
     end
     else begin
-      (* HALT: accept iff the remaining lookahead is EOF. The compiler
-         commits every choice before its rule returns, so the only live
-         choice here is the boot FB (a start rule that is not compiled, or
-         an ambiguous start entry standing in for the boot CALL), whose
-         next end is tried — as the memoized engine tries the start
-         symbol's derivations in turn. Otherwise a non-EOF residue rejects
+      (* HALT: a strict run ends here, whatever follows. A statement is
+         accepted iff the remaining lookahead is EOF. The compiler commits
+         every choice before its rule returns, so the only live choice
+         here is the boot FB (a start rule that is not compiled, or an
+         ambiguous start entry standing in for the boot CALL), whose next
+         end is tried — as the memoized engine tries the start symbol's
+         derivations in turn. Otherwise a non-EOF residue rejects
          outright. *)
-      if tid pos = 0 then
-        if build then Some (Array.unsafe_get a.cst (!csp - 1)) else Some dummy
-      else backtrack ()
+      if strict || tid pos = 0 then pos else backtrack ()
     end
   (* The fallback boundary for the non-terminal whose reference ends just
      before [resume_ip] (an [FB nt] or a [CALL nt]): ends are tried in
@@ -236,7 +253,7 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
       if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
       step resume_ip j
   and backtrack () =
-    if !cp = 0 then None
+    if !cp = 0 then -1
     else begin
       let top = !cp - 1 in
       let base = top * 5 in
@@ -259,10 +276,44 @@ let exec prog ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
         step resume_ip j
     end
   in
-  let result = step 0 0 (* the boot CALL or FB *) in
-  (* Drop references to derivation streams so the arena does not retain
-     CSTs (or the oracle's memo, through unforced tails) across parses. *)
-  for k = 0 to !cp - 1 do
-    a.ch_ends.(k) <- Engine_types.nil_tail
-  done;
-  result
+  fun ip pos ->
+    csp := 0;
+    fsp := 0;
+    lsp := 0;
+    ssp := 0;
+    if strict then push_frame 2;
+    let j = step ip pos in
+    (* Drop references to derivation streams so the arena does not retain
+       CSTs (or the oracle's memo, through unforced tails) across parses. *)
+    for k = 0 to !cp - 1 do
+      a.ch_ends.(k) <- Engine_types.nil_tail
+    done;
+    cp := 0;
+    j
+
+let exec prog ~ids ~n ~build ~leaf ~fallback =
+  let a = Domain.DLS.get arena_key in
+  let run = machine prog a ~ids ~n ~build ~leaf ~fallback ~strict:false in
+  let j = run 0 0 (* the boot CALL or FB *) in
+  if j < 0 then None else if build then Some a.cst.(0) else Some dummy
+
+type strict = {
+  run : int -> int -> int;
+  children : unit -> Cst.t list;
+}
+
+let strict prog ~ids ~n ~build ~leaf =
+  let a = Domain.DLS.get strict_arena_key in
+  let run =
+    machine prog a ~ids ~n ~build ~leaf ~strict:true ~fallback:(fun _ _ ->
+        (* an [nt_strict] rule references only [nt_fast] ones *)
+        assert false)
+  in
+  {
+    run = (fun nt pos -> run (Program.entry prog nt) pos);
+    children =
+      (fun () ->
+        if build then
+          match a.cst.(0) with Cst.Node (_, cs) -> cs | Cst.Leaf _ -> []
+        else []);
+  }

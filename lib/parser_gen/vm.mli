@@ -1,8 +1,9 @@
 (** Executor for compiled {!Program} bytecode.
 
     One tail-recursive loop over explicit integer stacks held in per-domain
-    arenas; see the implementation header for its backtracking
-    contract. *)
+    arenas; see the implementation header for its backtracking contract.
+    {!exec} parses a statement; {!strict} runs [nt_strict] subtrees for the
+    memoized oracle, on a second arena, inside {!exec}'s fallbacks. *)
 
 val exec :
   Program.t ->
@@ -31,3 +32,25 @@ val exec :
 
     [None] means this run rejected; the caller decides whether to re-derive
     on the pure backtracking path (for error reporting). *)
+
+type strict = {
+  run : int -> int -> int;
+      (** [run nt pos] parses the [nt_strict] non-terminal [nt] at [pos],
+          whatever follows it: the end position, [-1] on failure (a [-1]
+          dispatch entry fails the run, even before an optional phrase),
+          or {!Predict.ambiguous} at a [-3] entry, however deep. *)
+  children : unit -> Cst.t list;
+      (** the last accepted node's children ([[]] without [build]) *)
+}
+
+val strict :
+  Program.t ->
+  ids:int array ->
+  n:int ->
+  build:bool ->
+  leaf:(int -> Cst.t) ->
+  strict
+(** A strict runner over the same tokens as {!exec}, on the domain's
+    second arena. Building it allocates the interpreter's closures once;
+    a [run] only resets the stack pointers, and allocates nothing when
+    not building. *)

@@ -534,8 +534,9 @@ let test_vm_choice_backtracking () =
 (* Every engine on a hand-built grammar: the VM over token arrays and over
    the SoA stream of a scanner sharing the engine's interner (so the
    grammar is checked from the bytes), dispatch off, and the reference —
-   same CSTs, same errors, and the expected acceptance. With [~no_rerun],
-   an accepted statement must be accepted by both VM runs themselves. *)
+   same CSTs, same errors, and the expected acceptance, which recognition
+   over the SoA stream must also give. With [~no_rerun], an accepted
+   statement must be accepted by the three VM runs themselves. *)
 let check_hand_built ?(no_rerun = false) g ~tokens cases =
   let scanner =
     Lexing_gen.Scanner.create
@@ -573,20 +574,27 @@ let check_hand_built ?(no_rerun = false) g ~tokens cases =
         (Printf.sprintf "memoized: %s" input)
         (Parser_gen.Engine.parse_tokens memop toks)
         vm;
-      let soa_parse () =
+      let scanned () =
         match Lexing_gen.Scanner.scan_soa scanner input with
-        | Ok soa -> Parser_gen.Engine.parse_soa p ~scanner soa
+        | Ok soa -> soa
         | Error e ->
           Alcotest.failf "scan_soa %s: %a" input Lexing_gen.Scanner.pp_error e
+      in
+      let soa_parse () = Parser_gen.Engine.parse_soa p ~scanner (scanned ()) in
+      let recognized () =
+        Result.is_ok (Parser_gen.Engine.recognize_soa p ~scanner (scanned ()))
       in
       Alcotest.check result_testable
         (Printf.sprintf "SoA from bytes: %s" input)
         (soa_parse ()) vm;
+      check_bool (Printf.sprintf "recognition: %s" input) accepted
+        (recognized ());
       if no_rerun then
         check_no_rerun ~msg:input (fun () ->
             [
               Result.is_ok (Parser_gen.Engine.parse_tokens p toks);
               Result.is_ok (soa_parse ());
+              recognized ();
             ]))
     cases;
   p
@@ -769,6 +777,90 @@ let test_lazy_stream_tails () =
          ("GO X X X END", false);
        ])
 
+(* Strict runs on the VM, inside a running VM. [x] is ambiguous on
+   (A, P), so the statement's VM run takes [x]'s first end (A) at an FB
+   and keeps the second (A P) as a live choice. [y] is ambiguous on
+   (P, P) too, and the oracle derives it by running the strict subtree [d]
+   on the VM's second arena, 101 frames and over 300 CST slots deep (past
+   the arena's initial 128 frame ints and 256 slots). From the first end
+   that run fails on the last group of three P; backtracking into [x]'s
+   choice must then resume the outer run's own frames and CST slots,
+   intact, and the second run from the second end accepts. *)
+let test_strict_runs_inside_a_live_choice () =
+  let open Grammar.Builder in
+  let groups = String.concat " " (List.init 300 (fun _ -> "P")) in
+  ignore
+    (check_hand_built ~no_rerun:true
+       (grammar ~start:"s"
+          [
+            rule "s" [ [ t "GO"; nt "w"; t "END" ] ];
+            rule "w" [ [ nt "x"; nt "y"; t "Q" ] ];
+            rule "x" [ [ t "A" ]; [ t "A"; t "P" ] ];
+            rule "y" [ [ nt "d"; t "Z" ]; [ nt "d"; t "W" ] ];
+            rule "d" [ [ t "P"; t "P"; t "P"; nt "d" ]; [ t "E" ] ];
+          ])
+       ~tokens:[ "GO"; "END"; "Q"; "A"; "P"; "Z"; "W"; "E" ]
+       [
+         (Printf.sprintf "GO A P %s E Z Q END" groups, true);
+         (Printf.sprintf "GO A P %s E W Q END" groups, true);
+         (Printf.sprintf "GO A %s E Z Q END" groups, true);
+         (Printf.sprintf "GO A P %s E Q END" groups, false);
+         (Printf.sprintf "GO A P P %s E Z Q END" groups, false);
+       ])
+
+(* A strict run gives up at a [-3] entry however deep it meets one. [c]'s
+   rule-level choice is ambiguous on (X, Y), two CALL frames inside the
+   strict run of [a]; [s] commits nowhere, so the oracle derives it and
+   runs [a] strictly. Every (X, Y) statement must be enumerated instead:
+   [a], then [b], then [c] fall back to the memoized engine. *)
+let test_strict_run_gives_up_deep () =
+  let open Grammar.Builder in
+  ignore
+    (check_hand_built ~no_rerun:true
+       (grammar ~start:"s"
+          [
+            rule "s" [ [ nt "a"; t "D" ]; [ nt "a"; t "D"; t "D" ] ];
+            rule "a" [ [ t "L"; nt "b"; t "R" ] ];
+            rule "b" [ [ t "M"; nt "c" ] ];
+            rule "c" [ [ t "X"; t "Y" ]; [ t "X"; t "Y"; t "Y" ]; [ t "Z" ] ];
+          ])
+       ~tokens:[ "D"; "L"; "R"; "M"; "X"; "Y"; "Z" ]
+       [
+         ("L M Z R D", true);
+         ("L M X Y R D", true);
+         ("L M X Y Y R D", true);
+         ("L M X Y Y R D D", true);
+         ("L M X R D", false);
+         ("L M X Y Y Y R D", false);
+         ("L M Z R", false);
+       ])
+
+(* An optional phrase inside a strict subtree whose lookahead selects
+   neither entering nor skipping it ([-1]) fails the strict run, as it
+   fails the memoized engine. (The committed loop the VM replaced skipped
+   the phrase there.) No parse can go on from such a token, so statements
+   keep their outcome and their error. *)
+let test_strict_run_fails_at_no_branch () =
+  let open Grammar.Builder in
+  ignore
+    (check_hand_built ~no_rerun:true
+       (grammar ~start:"s"
+          [
+            rule "s" [ [ nt "a"; t "D" ]; [ nt "a"; t "D"; t "D" ] ];
+            rule "a" [ [ t "L"; t "L"; opt [ t "M" ] ] ];
+          ])
+       ~tokens:[ "D"; "L"; "M"; "Q" ]
+       [
+         ("L L D", true);
+         ("L L M D", true);
+         ("L L D D", true);
+         ("L L M D D", true);
+         ("L L Q", false);
+         ("L L Q D", false);
+         ("L L M Q", false);
+         ("L L M M D", false);
+       ])
+
 let suite =
   List.concat_map
     (fun (d : Dialects.Dialect.t) ->
@@ -821,6 +913,15 @@ let suite =
         `Quick test_lazy_stream_tails;
       Alcotest.test_case "uncompiled start rules boot through the fallback"
         `Quick test_uncompiled_start_rule;
+      Alcotest.test_case
+        "strict runs grow their own arena inside a live fallback choice"
+        `Quick test_strict_runs_inside_a_live_choice;
+      Alcotest.test_case
+        "a strict run meeting an ambiguous entry deep inside falls back"
+        `Quick test_strict_run_gives_up_deep;
+      Alcotest.test_case
+        "an optional phrase selecting no branch fails the strict run"
+        `Quick test_strict_run_fails_at_no_branch;
       Alcotest.test_case
         "full: INSERTs straddling token-view chunk edges agree across engines"
         `Quick test_chunk_edges;
