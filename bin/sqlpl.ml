@@ -649,28 +649,12 @@ let serve_cmd =
              unframed SQL bytes to EOF — answered one $(b,ok)/$(b,err) \
              line per statement at a fixed memory ceiling.")
   in
-  let gc_space_overhead_arg =
-    let doc =
-      "Set the OCaml GC's space_overhead before serving (percent; the \
-       runtime default is 120). Larger values trade resident memory for \
-       fewer major collections — a tail-latency knob for long-running \
-       service processes."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-space-overhead" ] ~docv:"PERCENT" ~doc)
-  in
-  let run listen unix_path workers max_frame preload stream gc_space_overhead =
+  let run listen unix_path workers max_frame preload stream =
     if workers < 1 then fail "--workers must be at least 1"
     else
       match resolve_address listen unix_path with
       | Error msg -> fail "%s" msg
       | Ok addr -> (
-        (match gc_space_overhead with
-        | Some pct when pct > 0 ->
-          Gc.set { (Gc.get ()) with Gc.space_overhead = pct }
-        | _ -> ());
         match Service.Server.start ~workers ~max_frame ~stream addr with
         | Error msg -> fail "%s" msg
         | Ok server ->
@@ -717,7 +701,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ listen_arg $ unix_arg $ workers_arg $ max_frame_arg
-       $ preload_flag $ stream_flag $ gc_space_overhead_arg))
+       $ preload_flag $ stream_flag))
 
 let client_cmd =
   let digest_arg =

@@ -224,6 +224,12 @@ let test_engine_flag_removed () =
       [ "client"; "-d"; "full"; "--engine"; "fused"; "SELECT a FROM t" ];
     ]
 
+(* The GC's space_overhead is the runtime's own setting
+   ([OCAMLRUNPARAM=o=N]); serve has no flag duplicating it. *)
+let test_gc_space_overhead_removed =
+  expect ~status:124 ~needles:[ "unknown option '--gc-space-overhead'" ]
+    [ "serve"; "--gc-space-overhead"; "200" ]
+
 let test_configure_session =
   expect ~status:0
     ~stdin_text:
@@ -284,6 +290,8 @@ let suite =
     Alcotest.test_case "--family flags removed" `Quick
       test_family_flags_removed;
     Alcotest.test_case "--engine flag removed" `Quick test_engine_flag_removed;
+    Alcotest.test_case "serve --gc-space-overhead removed" `Quick
+      test_gc_space_overhead_removed;
     Alcotest.test_case "configure session" `Quick test_configure_session;
     Alcotest.test_case "config file round-trip" `Quick test_config_file_roundtrip;
   ]
