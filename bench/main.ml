@@ -119,7 +119,7 @@ let report_e7_sweep () =
       (fun seed ->
         let config = repair (Feature.Config.sample Sql.Model.model ~seed) 8 in
         if Feature.Config.is_valid Sql.Model.model config then
-          match Sql.Model.compose config with
+          match Family.instantiate (Core.family ()) config with
           | Ok out -> Some (Feature.Config.cardinal config, out)
           | Error _ -> None
         else None)

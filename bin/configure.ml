@@ -169,7 +169,7 @@ let run initial =
         | Ok g -> print_string (Report.to_string g)
         | Error e -> Printf.printf "cannot generate: %s\n" (Fmt.str "%a" Core.pp_error e))
       | "grammar" -> (
-        match Sql.Model.compose !config with
+        match Family.instantiate (Core.family ()) !config with
         | Ok out -> print_string (Grammar.Printer.to_ebnf out.Compose.Composer.grammar)
         | Error e ->
           Printf.printf "cannot compose: %s\n" (Fmt.str "%a" Compose.Composer.pp_error e))

@@ -10,7 +10,6 @@
      tokens              print the composed token set
      parse SQL           parse a statement and print its CST
      parse --batch FILE  parse a whole statement batch through one session
-     emit                print generated OCaml parser source
      report              grammar report for a selection
      lint DIALECT        static-analysis diagnostics for a selection
      diff A B            commonality/variability between two dialects
@@ -357,20 +356,6 @@ let parse_cmd =
         (const run $ dialect_arg $ features_arg $ config_file_arg $ ast_flag
         $ batch_arg $ domains_arg $ stdin_flag $ chunk_size_arg $ sql_arg))
 
-(* --- emit --------------------------------------------------------------------- *)
-
-let emit_cmd =
-  let run dialect features config_file =
-    match generate_front_end dialect features config_file with
-    | Error msg -> fail "%s" msg
-    | Ok g ->
-      print_string (Core.emit_ocaml_parser g);
-      `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "emit" ~doc:"Emit standalone OCaml parser source for a selection")
-    Term.(ret (const run $ dialect_arg $ features_arg $ config_file_arg))
-
 (* --- report -------------------------------------------------------------------- *)
 
 let report_cmd =
@@ -423,10 +408,14 @@ let lint_cmd =
     match resolve_config dialect features config_file with
     | Error msg -> fail "%s" msg
     | Ok (label, config) -> (
-      match Sql.Model.compose_linted config with
+      match Family.instantiate (Core.family ()) config with
       | Error e -> fail "%s: %s" label (Fmt.str "%a" Compose.Composer.pp_error e)
       | Ok out ->
-        let diags = out.Compose.Composer.diagnostics in
+        let diags =
+          Lint.run ~model:Sql.Model.model ~config
+            ~fragments:Sql.Model.fragment_rules ~tokens:out.Compose.Composer.tokens
+            out.Compose.Composer.grammar
+        in
         (match format with
          | `Text ->
            Printf.printf "lint %s (%d features)\n" label
@@ -901,7 +890,7 @@ let () =
        (Cmd.group info
           [
             dialects_cmd; features_cmd; diagram_cmd; validate_cmd; grammar_cmd;
-            tokens_cmd; parse_cmd; emit_cmd; report_cmd; lint_cmd; diff_cmd;
+            tokens_cmd; parse_cmd; report_cmd; lint_cmd; diff_cmd;
             cache_cmd; serve_cmd; client_cmd; configure_cmd;
             run_cmd;
           ]))

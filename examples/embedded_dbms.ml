@@ -2,29 +2,27 @@
    motivation the paper belongs to).
 
    An embedded deployment should carry only the SQL it uses: this example
-   compares the footprint of every dialect's generated front-end, emits the
-   standalone OCaml parser a firmware build would vendor, and runs a small
-   device workload (configuration store + event log) on the embedded
-   dialect.
+   compares the footprint of every dialect's generated front-end and runs
+   a small device workload (configuration store + event log) on the
+   embedded dialect.
 
    Run with: dune exec examples/embedded_dbms.exe *)
 
 let () =
   print_endline "-- front-end footprint per dialect --";
-  Printf.printf "%-10s %8s %6s %7s %9s %16s\n" "dialect" "features" "rules"
-    "tokens" "keywords" "emitted source";
+  Printf.printf "%-10s %8s %6s %7s %9s\n" "dialect" "features" "rules"
+    "tokens" "keywords";
   List.iter
     (fun (d : Dialects.Dialect.t) ->
       match Core.generate_dialect d with
       | Error e -> Fmt.failwith "%a" Core.pp_error e
       | Ok g ->
         let scanner = Lexing_gen.Scanner.create g.Core.tokens in
-        Printf.printf "%-10s %8d %6d %7d %9d %13d B\n" d.name
+        Printf.printf "%-10s %8d %6d %7d %9d\n" d.name
           (Feature.Config.cardinal g.Core.config)
           (Grammar.Cfg.rule_count g.Core.grammar)
           (List.length g.Core.tokens)
-          (Lexing_gen.Scanner.keyword_count scanner)
-          (String.length (Core.emit_ocaml_parser g)))
+          (Lexing_gen.Scanner.keyword_count scanner))
     Dialects.Dialect.all;
 
   let embedded =
@@ -94,15 +92,4 @@ let () =
   (* Field diagnostics: the EXPLAIN extension describes the evaluation
      strategy without running the query. *)
   print_endline "\n-- EXPLAIN (diagnostics extension) --";
-  show "EXPLAIN SELECT seq, msg FROM events WHERE level >= 3 ORDER BY seq DESC LIMIT 3";
-
-  (* What the firmware build would vendor: a dependency-free parser module
-     generated from exactly these features. *)
-  let source = Core.emit_ocaml_parser embedded in
-  let first_lines =
-    String.concat "\n"
-      (List.filteri (fun i _ -> i < 6) (String.split_on_char '\n' source))
-  in
-  Printf.printf
-    "\n-- emitted firmware parser (first lines of %d bytes) --\n%s\n"
-    (String.length source) first_lines
+  show "EXPLAIN SELECT seq, msg FROM events WHERE level >= 3 ORDER BY seq DESC LIMIT 3"

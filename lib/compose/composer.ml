@@ -2,7 +2,6 @@ type output = {
   grammar : Grammar.Cfg.t;
   tokens : Lexing_gen.Spec.set;
   sequence : string list;
-  diagnostics : Lint.Diagnostic.t list;
 }
 
 type error =
@@ -82,59 +81,3 @@ let trace (model : Feature.Model.t) registry config =
           frag.Fragment.rules)
     (sequence model config);
   List.rev !events
-
-exception Conflict of error
-
-let compose ?lint ~start (model : Feature.Model.t) registry config =
-  match Feature.Config.validate model config with
-  | _ :: _ as violations -> Error (Invalid_configuration violations)
-  | [] -> (
-    let seq = sequence model config in
-    try
-      let rules, tokens =
-        List.fold_left
-          (fun (rules, tokens) feature_name ->
-            match Fragment.find registry feature_name with
-            | None -> (rules, tokens)
-            | Some frag ->
-              let rules = Rules.compose_rules rules frag.rules in
-              let tokens =
-                match Lexing_gen.Spec.merge tokens frag.tokens with
-                | Ok merged -> merged
-                | Error conflict ->
-                  raise (Conflict (Token_conflict { feature = feature_name; conflict }))
-              in
-              (rules, tokens))
-          ([], []) seq
-      in
-      let grammar = Grammar.Cfg.make ~start rules in
-      let fatal =
-        List.filter
-          (function
-            | Grammar.Cfg.Unreachable_rule _ -> false
-            | Grammar.Cfg.Undefined_nonterminal _ | Grammar.Cfg.Undefined_start
-              -> true)
-          (Grammar.Cfg.check grammar)
-      in
-      if fatal <> [] then
-        let hints =
-          List.filter_map
-            (function
-              | Grammar.Cfg.Undefined_nonterminal { nonterminal; _ } ->
-                Option.map
-                  (fun feat -> (nonterminal, feat))
-                  (Fragment.defining_feature registry nonterminal)
-              | Grammar.Cfg.Unreachable_rule _ | Grammar.Cfg.Undefined_start ->
-                None)
-            fatal
-        in
-        Error (Incoherent_grammar { problems = fatal; hints })
-      else
-        let out = { grammar; tokens; sequence = seq; diagnostics = [] } in
-        let out =
-          match lint with
-          | None -> out
-          | Some check -> { out with diagnostics = check out }
-        in
-        Ok out
-    with Conflict e -> Error e)

@@ -1,22 +1,23 @@
-(** Composing a configuration's fragments into a grammar and token set.
+(** What composing a configuration's fragments produces, and in which
+    order it composes them.
 
-    Given a feature model, a fragment registry and a valid configuration,
-    the composer determines the {e composition sequence} and folds the
-    composition calculus over it. The sequence is the pre-order of the
-    selected features in the diagram: a parent (base) always composes before
-    its children (extensions), and siblings compose in diagram order — which
-    is what anchors merged optional clauses in the right syntactic position
-    (e.g. [WHERE] before [GROUP BY] under Table Expression). The [requires] /
+    Composition folds the composition calculus ({!Rules}) over the
+    {e composition sequence}: the pre-order of the selected features in
+    the diagram. A parent (base) always composes before its children
+    (extensions), and siblings compose in diagram order — which is what
+    anchors merged optional clauses in the right syntactic position (e.g.
+    [WHERE] before [GROUP BY] under Table Expression). The [requires] /
     [excludes] constraints decide {e which} selections are admissible (they
-    are enforced by validation), not the order. *)
+    are enforced by validation), not the order.
+
+    The fold itself is [Family.instantiate], which replays it over the
+    product line's family artifact; this module holds its product and
+    error types, the sequence, and the per-rule {!trace}. *)
 
 type output = {
   grammar : Grammar.Cfg.t;
   tokens : Lexing_gen.Spec.set;
   sequence : string list;  (** composition sequence actually used *)
-  diagnostics : Lint.Diagnostic.t list;
-      (** findings of the [?lint] hook passed to {!compose}; [[]] when no
-          hook was given *)
 }
 
 type error =
@@ -51,22 +52,3 @@ val trace :
     paper's composition rules fired (the §3.2 narrative, mechanized). The
     configuration is assumed valid; invalid selections yield a best-effort
     trace. *)
-
-val compose :
-  ?lint:(output -> Lint.Diagnostic.t list) ->
-  start:string ->
-  Feature.Model.t ->
-  Fragment.registry ->
-  Feature.Config.t ->
-  (output, error) result
-(** Validate the configuration, determine the sequence, compose all
-    fragments. The composed grammar is checked for coherence (undefined
-    non-terminals indicate a fragment whose dependency feature is missing —
-    the error carries hints naming the features that would define them).
-
-    [?lint] is the static-analysis hook: it receives the composed output
-    (with an empty [diagnostics] field) and its findings are attached to
-    the returned [output.diagnostics]. Pass
-    [fun out -> Lint.Lint.run ~tokens:out.tokens out.grammar] (optionally
-    with the model/registry views) to certify the product at compose
-    time. *)

@@ -120,13 +120,6 @@ let parse_statement g sql =
 let accepts g sql = Result.is_ok (parse_cst g sql)
 let dispatch_summary g = Parser_gen.Engine.summary g.parser
 
-let emit_ocaml_parser g =
-  Parser_gen.Codegen.emit
-    ~module_doc:
-      (Printf.sprintf "Generated parser for the %S feature configuration."
-         g.label)
-    g.grammar
-
 type session = {
   front_end : generated;
   db : Engine.Database.t;

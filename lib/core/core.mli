@@ -47,9 +47,10 @@ val generate : ?label:string -> Feature.Config.t -> (generated, error) result
     ({!Family.instantiate}), then specialize — build the scanner,
     left-factor the grammar, and generate the engine, whose choice points
     are classified by {!Parser_gen.Ilookahead}. The products are those of
-    composing the configuration directly ({!Sql.Model.compose}) and
-    generating from the result; the test suite keeps that cold pipeline,
-    with a string-based classifier, as its differential oracle.
+    folding the configuration's fragments directly and generating from
+    the result; the test suite keeps that cold pipeline, with a
+    string-based classifier, as its differential oracle
+    ([Oracle.Cold.generate]).
 
     Safe to call from several domains at once: the artifact is built
     once, under a lock, by whichever call needs it first. *)
@@ -102,10 +103,6 @@ val dispatch_summary : generated -> Parser_gen.Engine.summary
 (** Choice-point classification of the generated parser: how much of the
     (left-factored) grammar parses on committed LL(1)/LL(2) dispatch and
     which rules still need backtracking. *)
-
-val emit_ocaml_parser : generated -> string
-(** Source text of a standalone OCaml parser for the composed grammar
-    (mirrors ANTLR's code generation). *)
 
 (** Sessions: a generated front-end bound to an in-memory database. *)
 type session

@@ -1,5 +1,3 @@
-module Pc = Pc
-
 type event = {
   ev_feature : int;  (* index into [names], diagram pre-order *)
   ev_name : string;
@@ -143,11 +141,11 @@ let build ~start (model : Feature.Model.t) registry =
 
 exception Conflict of Compose.Composer.error
 
-(* Mirrors Compose.Composer.compose step for step (minus the [?lint]
-   hook): validation first, then the fold of the composition calculus over
-   the pc-filtered event sequence, then the coherence check with
-   defining-feature hints. The fold is a replay, not a mask of the family
-   grammar — see the .mli headnote for why masking is unsound. *)
+(* The product line's one composer: validation first, then the fold of
+   the composition calculus over the pc-filtered event sequence, then the
+   coherence check with defining-feature hints. The fold is a replay, not
+   a mask of the family grammar — see the .mli headnote for why masking is
+   unsound. *)
 let instantiate t config =
   match Feature.Config.validate t.model config with
   | _ :: _ as violations ->
@@ -211,11 +209,7 @@ let instantiate t config =
           {
             Compose.Composer.grammar;
             tokens;
-            sequence =
-              List.filter
-                (fun name -> Feature.Config.mem name config)
-                (Array.to_list t.names);
-            diagnostics = [];
+            sequence = Compose.Composer.sequence t.model config;
           }
       end
     with Conflict e -> Error e)
@@ -228,9 +222,6 @@ let time_specialize t f =
   in
   Fun.protect ~finally f
 
-let family_grammar t = t.family_grammar
-let rule_pc t lhs = Hashtbl.find_opt t.rule_pcs lhs
-let token_pc t name = Hashtbl.find_opt t.token_pcs name
 let diagnostics t = Mutex.protect t.lock (fun () -> Lazy.force t.diags)
 
 let diagnostics_for t config =

@@ -1,6 +1,6 @@
 (** Family-based compilation: the whole product line as one artifact.
 
-    The per-config pipeline re-runs compose → generate → classify →
+    A per-config pipeline would re-run compose → generate → classify →
     bytecode-compile on every {!Service.Cache} miss. This module lifts the
     front half of that pipeline to the {e family}: {!build} walks the
     feature diagram once and compiles every fragment's contribution —
@@ -33,9 +33,7 @@
 
     Invalid configurations (violating the model, including [requires] /
     [excludes]) are rejected by {!Feature.Config.validate} {e before} any
-    masking, exactly as {!Compose.Composer.compose} rejects them. *)
-
-module Pc = Pc
+    masking. *)
 
 type t
 
@@ -52,24 +50,16 @@ val instantiate :
   (Compose.Composer.output, Compose.Composer.error) result
 (** Mask and replay: validate the configuration, evaluate presence
     conditions against its feature bitset, fold the composition calculus
-    over the surviving events. The result — grammar, token set,
-    composition sequence, error cases including hints — is exactly what
-    {!Compose.Composer.compose} returns for the same configuration
-    (without a [?lint] hook). *)
+    over the surviving events. This is the product line's one composer:
+    [sqlpl lint], the configurator, the paper tables and [Core.generate]
+    all compose through it. The result — grammar, token set, composition
+    sequence ({!Compose.Composer.sequence}), error cases including hints —
+    equals the direct fold of the configuration's fragments, which the
+    test suite keeps as its reference ([Oracle.Cold.compose]). *)
 
 val time_specialize : t -> (unit -> 'a) -> 'a
 (** Run the downstream specialization step (scanner build, left-factoring,
     engine generation) under the artifact's specialize-time counter. *)
-
-val family_grammar : t -> Grammar.Cfg.t
-(** The 150% grammar: every fragment composed, all features on. *)
-
-val rule_pc : t -> string -> Pc.t option
-(** Presence condition of a non-terminal: the features whose fragments
-    contribute rules for it. *)
-
-val token_pc : t -> string -> Pc.t option
-(** Presence condition of a token-spec entry. *)
 
 val diagnostics : t -> Lint.Diagnostic.t list
 (** Family-wide lint: the grammar/token/model analyses run {e once} over
@@ -82,7 +72,8 @@ val diagnostics_for : t -> Feature.Config.t -> Lint.Diagnostic.t list
     the config's bitset. This is the lifted-analysis view — an
     over-approximation of the per-config lint (witnesses may mention
     artifacts of other features); the authoritative per-product gate
-    remains [compose_linted]. *)
+    remains {!Lint.run} over the product {!instantiate} returns, as
+    [sqlpl lint] runs it. *)
 
 type stats = {
   features : int;  (** features in the model *)

@@ -10,8 +10,8 @@
     placed {e after} the prefix (where a single token commits).
 
     Both passes are applied to the {e composed} grammar, between
-    {!Compose.Composer.compose} and {!Parser_gen.Engine.generate}; the
-    original grammar is kept for reports, printing and code emission.
+    composition ([Family.instantiate]) and {!Parser_gen.Engine.generate};
+    the original grammar is kept for reports, printing and lint.
 
     {b CST preservation.} Left-factoring is exactly CST-preserving: only
     runs of {e adjacent} alternatives whose common prefix consists of plain

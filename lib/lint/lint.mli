@@ -6,9 +6,10 @@
     {!Diagnostic.t} values; {!pp_report} and {!to_json_lines} render it for
     humans and machines.
 
-    The intended use is failing at compose time rather than in a user's
-    hot path: wire {!run} into {!Compose.Composer.compose}'s [?lint] hook
-    (or run [sqlpl lint DIALECT]) and gate on {!Diagnostic.has_errors}. *)
+    The intended use is failing before a product ships rather than in a
+    user's hot path: run {!run} over the product that
+    [Family.instantiate] composes (as [sqlpl lint DIALECT] does) and gate
+    on {!Diagnostic.has_errors}. *)
 
 module Diagnostic : module type of Diagnostic
 module Grammar_lint : module type of Grammar_lint

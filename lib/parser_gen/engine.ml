@@ -102,7 +102,6 @@ type t = {
       (* transitively [nt_fast]: the subtree's only ambiguity is at
          [Partial] rule entries, so one strict dispatch run that meets no
          ambiguous lookahead is its complete derivation set *)
-  dispatch : bool;
   summary : summary;
   program : Program.t option;
       (* the [nt_fast] region lowered to flat bytecode at generation time
@@ -114,7 +113,6 @@ let grammar t = t.grammar
 let start_symbol t = t.start
 let interner t = t.interner
 let summary t = t.summary
-let dispatch_enabled t = t.dispatch
 let program t = t.program
 
 let coverage s =
@@ -399,7 +397,6 @@ let generate ?(dispatch = true) ?interner ?classify g =
           nt_fast;
           nt_committed;
           nt_strict;
-          dispatch;
           summary;
           program;
         }

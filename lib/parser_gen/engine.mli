@@ -134,8 +134,6 @@ val coverage : summary -> float
 
 val pp_summary : summary Fmt.t
 
-val dispatch_enabled : t -> bool
-
 val grammar : t -> Grammar.Cfg.t
 val start_symbol : t -> string
 

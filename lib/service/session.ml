@@ -46,8 +46,6 @@ type batch = {
   shards : int;
 }
 
-let dispatch_summary t = Parser_gen.Engine.summary t.front_end.Core.parser
-
 let further (a : (int * Parser_gen.Engine.parse_error) option) b =
   match (a, b) with
   | None, x | x, None -> x

@@ -70,9 +70,9 @@ val parse_batch : ?clamp:bool -> ?domains:int -> t -> string list -> batch
 
     By default a request exceeding [Domain.recommended_domain_count ()] is
     clamped to it with a warning on stderr — oversharding only adds spawn
-    and contention cost. [~clamp:false] restores the unclamped behavior
-    (used by the benchmark harness to measure that collapse honestly);
-    [shards] in the result records what actually ran. *)
+    and contention cost. [~clamp:false] restores the unclamped behavior,
+    so that tests can shard a batch on a single-core host; [shards] in the
+    result records what actually ran. *)
 
 val parse_script : ?clamp:bool -> ?domains:int -> t -> string -> batch
 (** [parse_batch] over {!Core.split_statements} of a script. *)
@@ -93,11 +93,6 @@ val parse_stream :
     as it completes; the item (and its [sql]) is not retained afterwards.
     [furthest_error] indexes statements in stream order. Statistics
     accumulate into {!totals} like any batch. *)
-
-val dispatch_summary : t -> Parser_gen.Engine.summary
-(** Choice-point classification of the pinned front-end's parser (see
-    {!Parser_gen.Engine.summary}): how much of each batch parses on
-    committed dispatch rather than backtracking. *)
 
 val totals : t -> stats
 (** Statistics accumulated over every batch run in this session. *)

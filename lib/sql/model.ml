@@ -59,14 +59,5 @@ let fragment_rules =
     (fun (f : Compose.Fragment.t) -> (f.Compose.Fragment.feature, f.Compose.Fragment.rules))
     (Compose.Fragment.fragments registry)
 
-let compose ?lint config =
-  Compose.Composer.compose ?lint ~start:start_symbol model registry config
-
-let lint_hook config (out : Compose.Composer.output) =
-  Lint.run ~model ~config ~fragments:fragment_rules
-    ~tokens:out.Compose.Composer.tokens out.Compose.Composer.grammar
-
-let compose_linted config = compose ~lint:(lint_hook config) config
-
 let close config = Feature.Config.close model config
 let validate config = Feature.Config.validate model config

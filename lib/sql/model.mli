@@ -36,20 +36,7 @@ val stats : stats
 
 val fragment_rules : (string * Grammar.Production.t list) list
 (** [(feature, rules)] view of {!registry} in the dependency-free shape the
-    lint subsystem consumes ({!Lint.Model_lint.fragments}). *)
-
-val compose :
-  ?lint:(Compose.Composer.output -> Lint.Diagnostic.t list) ->
-  Feature.Config.t -> (Compose.Composer.output, Compose.Composer.error) result
-(** Compose a configuration of {!model} into a grammar and token set,
-    optionally running a static-analysis hook over the result (see
-    {!Compose.Composer.compose}). *)
-
-val compose_linted :
-  Feature.Config.t -> (Compose.Composer.output, Compose.Composer.error) result
-(** {!compose} with the full lint pass attached: grammar, token-set and
-    feature-model analyses over all three artifact layers; findings land in
-    [output.diagnostics]. *)
+    lint subsystem consumes ([Lint.Model_lint.fragments]). *)
 
 val close : Feature.Config.t -> Feature.Config.t
 (** Close a seed selection under parents, mandatory children and

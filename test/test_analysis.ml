@@ -160,7 +160,9 @@ let test_no_left_recursion () =
 let test_full_sql_grammar_is_analyzable () =
   (* The composed full SQL grammar: no left recursion (required by the
      generator) and FIRST of the start covers all statement openers. *)
-  match Sql.Model.compose (Feature.Config.full Sql.Model.model) with
+  match
+    Family.instantiate (Core.family ()) (Feature.Config.full Sql.Model.model)
+  with
   | Error _ -> Alcotest.fail "full config must compose"
   | Ok out ->
     let g = out.Compose.Composer.grammar in

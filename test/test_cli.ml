@@ -132,8 +132,9 @@ let test_report =
     ~needles:[ "grammar report: scql"; "statement classes" ]
     [ "report"; "-d"; "scql" ]
 
+(* The PEG source emitter is deleted: [emit] is no command. *)
 let test_emit =
-  expect ~status:0 ~needles:[ "let parse tokens"; "p_query_specification" ]
+  expect ~status:124 ~needles:[ "unknown command 'emit'" ]
     [ "emit"; "-d"; "minimal" ]
 
 let test_run_script =
@@ -260,6 +261,58 @@ let test_config_file_roundtrip () =
      | _ -> Alcotest.fail "validate from file failed");
     Sys.remove file
 
+(* [s] cut at every occurrence of [sep]. *)
+let split_on_string sep s =
+  let n = String.length sep and len = String.length s in
+  let rec go start i acc =
+    if i + n > len then List.rev (String.sub s start (len - start) :: acc)
+    else if String.sub s i n = sep then
+      go (i + n) (i + n) (String.sub s start (i - start) :: acc)
+    else go start (i + 1) acc
+  in
+  go 0 0 []
+
+(* The configurator's [grammar] prints the product [sqlpl grammar] prints
+   for the same saved selection: the EBNF without the trailing
+   [-- N rules] summary line. *)
+let test_configure_grammar () =
+  match binary with
+  | None -> ()
+  | Some _ ->
+    let file = Filename.temp_file "sqlpl_features" ".txt" in
+    let session =
+      match
+        run_cli
+          ~stdin_text:
+            (Printf.sprintf "add Where\nadd Equals\nsave %s\ngrammar\nquit\n"
+               file)
+          [ "configure" ]
+      with
+      | Some (0, out) -> out
+      | _ -> Alcotest.fail "configure session failed"
+    in
+    let body =
+      match run_cli [ "grammar"; "-c"; file ] with
+      | Some (0, out) -> (
+        match List.rev (split_on_string "\n-- " out) with
+        | _summary :: (_ :: _ as rev_body) ->
+          String.concat "\n-- " (List.rev rev_body)
+        | _ -> Alcotest.fail "grammar: no summary line")
+      | _ -> Alcotest.fail "grammar -c failed"
+    in
+    Sys.remove file;
+    (* Replies follow each [configure> ] prompt; the one after [save]'s
+       reply is [grammar]'s. *)
+    let rec after_save = function
+      | saved :: reply :: _ when String.starts_with ~prefix:"saved " saved ->
+        reply
+      | _ :: rest -> after_save rest
+      | [] -> Alcotest.fail "configure: no reply after save"
+    in
+    let printed = after_save (split_on_string "configure> " session) in
+    check_bool "grammar is non-empty" true (String.length body > 0);
+    Alcotest.(check string) "configure grammar = sqlpl grammar -c" body printed
+
 let suite =
   [
     Alcotest.test_case "dialects" `Quick test_dialects;
@@ -294,4 +347,6 @@ let suite =
       test_gc_space_overhead_removed;
     Alcotest.test_case "configure session" `Quick test_configure_session;
     Alcotest.test_case "config file round-trip" `Quick test_config_file_roundtrip;
+    Alcotest.test_case "configure grammar = sqlpl grammar -c" `Quick
+      test_configure_grammar;
   ]

@@ -183,9 +183,13 @@ let test_sequence_is_preorder () =
   check_int "sequence covers selection" (Feature.Config.cardinal config)
     (List.length seq)
 
+(* Product-level cases run on the production composer: the family
+   artifact's mask/replay. *)
+let compose config = Family.instantiate (Core.family ()) config
+
 let test_compose_invalid_config_rejected () =
   let config = Feature.Config.of_names [ "Where" ] in
-  match Sql.Model.compose config with
+  match compose config with
   | Error (Compose.Composer.Invalid_configuration _) -> ()
   | Error e -> Alcotest.failf "unexpected error: %a" Compose.Composer.pp_error e
   | Ok _ -> Alcotest.fail "invalid config must be rejected"
@@ -195,7 +199,7 @@ let test_compose_minimal_grammar_exact () =
      selected syntax: SELECT with optional quantifier, one column, one table,
      optional equality WHERE. *)
   let out =
-    match Sql.Model.compose Dialects.Dialect.minimal_select.Dialects.Dialect.config with
+    match compose Dialects.Dialect.minimal_select.Dialects.Dialect.config with
     | Ok out -> out
     | Error e -> Alcotest.failf "compose: %a" Compose.Composer.pp_error e
   in
@@ -225,7 +229,7 @@ let test_compose_minimal_grammar_exact () =
 let test_compose_monotone_tokens () =
   (* Selecting more features never removes tokens. *)
   let tokens_of d =
-    match Sql.Model.compose d.Dialects.Dialect.config with
+    match compose d.Dialects.Dialect.config with
     | Ok out -> List.map fst out.Compose.Composer.tokens
     | Error e -> Alcotest.failf "compose: %a" Compose.Composer.pp_error e
   in
@@ -242,7 +246,7 @@ let test_composed_grammar_well_formed_for_samples () =
     match Feature.Config.validate Sql.Model.model config with
     | _ :: _ -> () (* sampling can trip an excludes-free model only; skip *)
     | [] -> (
-      match Sql.Model.compose config with
+      match compose config with
       | Error e ->
         Alcotest.failf "seed %d: %a" seed Compose.Composer.pp_error e
       | Ok out -> (

@@ -263,7 +263,7 @@ let test_hand_built_errors () =
       let config = Feature.Config.of_names names in
       match
         ( Family.instantiate fam config,
-          Compose.Composer.compose ~start:"s" model registry config )
+          Oracle.Cold.compose ~start:"s" model registry config )
       with
       | Ok f, Ok c ->
         Hashtbl.replace kinds "ok" ();

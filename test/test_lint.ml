@@ -321,6 +321,18 @@ let test_broken_selection_has_error_witness () =
 
 (* --- Product-line gates ----------------------------------------------- *)
 
+(* The product [sqlpl lint] certifies: composed by the family artifact,
+   then linted over its grammar, token set and feature selection. *)
+let compose config = Family.instantiate (Core.family ()) config
+
+let lint_product config =
+  Result.map
+    (fun (out : Compose.Composer.output) ->
+      Lint.run ~model:Sql.Model.model ~config
+        ~fragments:Sql.Model.fragment_rules ~tokens:out.Compose.Composer.tokens
+        out.Compose.Composer.grammar)
+    (compose config)
+
 let all_dialects () =
   let ds = Dialects.Dialect.all in
   check_int "six shipped dialects" 6 (List.length ds);
@@ -329,10 +341,9 @@ let all_dialects () =
 let test_dialects_lint_clean_at_error () =
   List.iter
     (fun (d : Dialects.Dialect.t) ->
-      match Sql.Model.compose_linted d.Dialects.Dialect.config with
+      match lint_product d.Dialects.Dialect.config with
       | Error _ -> Alcotest.failf "%s must compose" d.Dialects.Dialect.name
-      | Ok out ->
-        let diags = out.Compose.Composer.diagnostics in
+      | Ok diags ->
         check_bool
           (Printf.sprintf "%s has lint output" d.Dialects.Dialect.name)
           true (diags <> []);
@@ -373,7 +384,7 @@ let test_ll2_covers_every_ll1_conflict () =
      diagnostic carrying a concrete 1-2 token witness sequence. *)
   List.iter
     (fun (d : Dialects.Dialect.t) ->
-      match Sql.Model.compose d.Dialects.Dialect.config with
+      match compose d.Dialects.Dialect.config with
       | Error _ -> Alcotest.failf "%s must compose" d.Dialects.Dialect.name
       | Ok out ->
         let g = out.Compose.Composer.grammar in
@@ -413,7 +424,7 @@ let test_ll2_covers_every_ll1_conflict () =
 let test_lookahead_k1_parity_on_dialects () =
   List.iter
     (fun (d : Dialects.Dialect.t) ->
-      match Sql.Model.compose d.Dialects.Dialect.config with
+      match compose d.Dialects.Dialect.config with
       | Error _ -> Alcotest.failf "%s must compose" d.Dialects.Dialect.name
       | Ok out ->
         let g = out.Compose.Composer.grammar in
@@ -434,10 +445,9 @@ let test_lookahead_k1_parity_on_dialects () =
     (all_dialects ())
 
 let test_run_combines_layers () =
-  match Sql.Model.compose_linted (Feature.Config.full Sql.Model.model) with
+  match lint_product (Feature.Config.full Sql.Model.model) with
   | Error _ -> Alcotest.fail "full config must compose"
-  | Ok out ->
-    let diags = out.Compose.Composer.diagnostics in
+  | Ok diags ->
     let prefixes = [ "grammar/"; "token/"; "model/" ] in
     List.iter
       (fun p ->

@@ -14,7 +14,6 @@ let () =
       ("executor", Test_executor.suite);
       ("executor-diff", Test_executor_diff.suite);
       ("roundtrip", Test_roundtrip.suite);
-      ("codegen", Test_codegen.suite);
       ("report", Test_report.suite);
       ("lint", Test_lint.suite);
       ("service", Test_service.suite);
