@@ -100,7 +100,7 @@ let remove_feature config name =
   (Feature.Config.of_names kept, !removed)
 
 let try_sql config sql =
-  match Core.generate ~label:"configurator" config with
+  match Service.Cache.generate ~label:"configurator" Service.Cache.default config with
   | Error e -> Printf.printf "cannot generate: %s\n" (Fmt.str "%a" Core.pp_error e)
   | Ok g -> (
     match Core.parse_statement g sql with
@@ -165,7 +165,7 @@ let run initial =
         | violations ->
           List.iter (fun s -> Printf.printf "%s\n" s) (suggestions !config violations))
       | "report" -> (
-        match Core.generate ~label:"configurator" !config with
+        match Service.Cache.generate ~label:"configurator" Service.Cache.default !config with
         | Ok g -> print_string (Report.to_string g)
         | Error e -> Printf.printf "cannot generate: %s\n" (Fmt.str "%a" Core.pp_error e))
       | "grammar" -> (

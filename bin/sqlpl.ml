@@ -298,7 +298,8 @@ let parse_cmd =
     else begin
       let session = Service.Session.create g in
       let stats =
-        Service.Session.parse_stream ~chunk_size session
+        Service.Session.parse_stream ~chunk_size
+          ~parse:Core.parse_cst_counted session
           ~on_item:(fun (item : Service.Session.item) ->
             match item.Service.Session.result with
             | Ok _ ->
@@ -408,13 +409,25 @@ let lint_cmd =
     match resolve_config dialect features config_file with
     | Error msg -> fail "%s" msg
     | Ok (label, config) -> (
-      match Family.instantiate (Core.family ()) config with
+      (* The product comes from the cache, composed once; a product that
+         composes but does not generate is still linted, from its
+         composition, without the dispatch lines. *)
+      let product =
+        match Service.Cache.generate ~label Service.Cache.default config with
+        | Ok g -> Ok (g.Core.grammar, g.Core.tokens, Some g)
+        | Error (Core.Compose_error e) -> Error e
+        | Error _ ->
+          Result.map
+            (fun (out : Compose.Composer.output) ->
+              (out.grammar, out.tokens, None))
+            (Family.instantiate (Core.family ()) config)
+      in
+      match product with
       | Error e -> fail "%s: %s" label (Fmt.str "%a" Compose.Composer.pp_error e)
-      | Ok out ->
+      | Ok (grammar, tokens, generated) ->
         let diags =
           Lint.run ~model:Sql.Model.model ~config
-            ~fragments:Sql.Model.fragment_rules ~tokens:out.Compose.Composer.tokens
-            out.Compose.Composer.grammar
+            ~fragments:Sql.Model.fragment_rules ~tokens grammar
         in
         (match format with
          | `Text ->
@@ -424,9 +437,9 @@ let lint_cmd =
            (* Where the generated parser will actually backtrack: the
               dispatch summary of the parser production builds, naming
               the rules whose conflicts force fallback. *)
-           (match Core.generate ~label config with
-            | Error _ -> ()
-            | Ok g ->
+           (match generated with
+            | None -> ()
+            | Some g ->
               let s = Core.dispatch_summary g in
               Fmt.pr "dispatch: %a@." Parser_gen.Engine.pp_summary s;
               List.iter

@@ -107,11 +107,16 @@ let parse_cst_counted g sql =
 
 let parse_cst g sql = snd (parse_cst_counted g sql)
 
-let recognize g sql =
-  let* soa = scan_soa g sql in
-  Result.map_error
-    (fun e -> Parse_error e)
-    (Parser_gen.Engine.recognize_soa g.parser ~scanner:g.scanner soa)
+let recognize_counted g sql =
+  match scan_soa g sql with
+  | Error e -> (0, Error e)
+  | Ok soa ->
+    ( Lexing_gen.Scanner.soa_count soa,
+      Result.map_error
+        (fun e -> Parse_error e)
+        (Parser_gen.Engine.recognize_soa g.parser ~scanner:g.scanner soa) )
+
+let recognize g sql = snd (recognize_counted g sql)
 
 let parse_statement g sql =
   let* cst = parse_cst g sql in

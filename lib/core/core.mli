@@ -92,6 +92,10 @@ val recognize : generated -> string -> (unit, error) result
     zero-allocation accept path (no token records, no tree). Errors are
     identical to {!parse_cst}'s. *)
 
+val recognize_counted : generated -> string -> int * (unit, error) result
+(** {!recognize} paired with the statement's token count, as
+    {!parse_cst_counted} pairs it. *)
+
 val parse_statement : generated -> string -> (Sql_ast.Ast.statement, error) result
 (** Scan, parse and lower one statement. *)
 

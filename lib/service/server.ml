@@ -4,7 +4,11 @@
    [Session.parse_batch ~domains], lifted from statements to connections.
    Everything the domains share (the front-end cache, counters, the live
    connection set) sits behind one mutex; the generated front-ends
-   themselves are immutable and are parsed on lock-free. *)
+   themselves are immutable and are parsed on lock-free. A reply is
+   written as its request is parsed: each statement's outcome goes into
+   the connection's writer before the next statement is parsed, so a
+   worker holds at most one tree, and recognize requests and raw streams
+   build none. *)
 
 type stats = {
   connections : int;
@@ -64,12 +68,11 @@ let write_all fd s =
   in
   go 0
 
-(* Best-effort frame send through the connection's one writer: the peer
+(* Best-effort write of the frame in the connection's one writer: the peer
    may already be gone (mid-frame disconnect tests do exactly this); a
    failed courtesy error must never take the worker down. *)
-let send fd out enc frame =
+let flush fd out =
   try
-    Wire.encode_into out enc frame;
     Wire.output out (Unix.write fd);
     true
   with Unix.Unix_error _ | Sys_error _ -> false
@@ -78,33 +81,37 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* --- per-connection protocol ------------------------------------------- *)
 
-let outcome_of_item mode (item : Session.item) =
+let outcome_of (item : _ Session.parsed) cst =
   match item.Session.result with
-  | Ok cst ->
-    Wire.Accepted
-      {
-        tokens = item.Session.token_count;
-        cst =
-          (match mode with
-          | Wire.Cst -> Some (Wire.Tree cst)
-          | Wire.Recognize -> None);
-      }
+  | Ok x -> Wire.Accepted { tokens = item.Session.token_count; cst = cst x }
   | Error e -> Wire.Rejected (Wire.error_of_core ~query:item.Session.sql e)
 
-let reply_of_batch mode id (batch : Session.batch) =
-  let s = batch.Session.batch_stats in
+let outcome_of_item mode item =
+  outcome_of item (fun t ->
+      match mode with Wire.Cst -> Some (Wire.Tree t) | Wire.Recognize -> None)
+
+let reply_stats (s : Session.stats) =
   {
-    Wire.id;
-    items = List.map (outcome_of_item mode) batch.Session.items;
-    stats =
-      {
-        Wire.statements = s.Session.statements;
-        accepted = s.Session.accepted;
-        rejected = s.Session.rejected;
-        tokens = s.Session.tokens;
-        elapsed_ns = Int64.of_float (s.Session.elapsed *. 1e9);
-      };
+    Wire.statements = s.Session.statements;
+    accepted = s.Session.accepted;
+    rejected = s.Session.rejected;
+    tokens = s.Session.tokens;
+    elapsed_ns = Int64.of_float (s.Session.elapsed *. 1e9);
   }
+
+(* Each statement is parsed and its outcome written into [out] before the
+   next is parsed: a tree is rendered into the frame and dropped, and a
+   recognized statement never builds one. *)
+let reply_into session out enc (r : Wire.request) =
+  Wire.encode_reply_into out enc ~id:r.Wire.id (fun emit ->
+      reply_stats
+        (match r.Wire.mode with
+        | Wire.Cst ->
+          Session.each session ~parse:Core.parse_cst_counted r.Wire.statements
+            (fun item -> emit (outcome_of_item Wire.Cst item))
+        | Wire.Recognize ->
+          Session.each session ~parse:Core.recognize_counted r.Wire.statements
+            (fun item -> emit (outcome_of item (fun () -> None)))))
 
 let resolve_hello t (h : Wire.hello) =
   let generate label config =
@@ -152,7 +159,7 @@ let count_error t = locked t (fun () -> t.wire_errors <- t.wire_errors + 1)
    top-level [;] exactly like {!Core.split_statements} — answering one line
    per statement as it completes, and a final [done] line with totals. *)
 
-let stream_line_of_item (item : Session.item) =
+let stream_line_of_item (item : _ Session.parsed) =
   match item.Session.result with
   | Ok _ -> Printf.sprintf "ok %d\n" item.Session.token_count
   | Error e ->
@@ -166,6 +173,13 @@ let stream_line_of_item (item : Session.item) =
 let stream_done_line (s : Session.stats) =
   Printf.sprintf "done %d %d %d\n" s.Session.statements s.Session.tokens
     s.Session.rejected
+
+(* The raw stream's lines need only a verdict and a token count, so its
+   statements are recognized: no tree is built. *)
+let stream_lines session ~read ~write =
+  Session.parse_stream session ~parse:Core.recognize_counted
+    ~on_item:(fun item -> write (stream_line_of_item item))
+    ~read
 
 (* The header is read byte-wise: reading in chunks could swallow the first
    bytes of the SQL body. *)
@@ -245,9 +259,9 @@ let serve_stream t fd =
           | Ok g -> (
             let session = Session.create g in
             match
-              Session.parse_stream session
-                ~on_item:(fun item -> write_all fd (stream_line_of_item item))
+              stream_lines session
                 ~read:(fun buf off len -> Unix.read fd buf off len)
+                ~write:(write_all fd)
             with
             | stats ->
               locked t (fun () -> t.requests <- t.requests + 1);
@@ -277,7 +291,10 @@ let serve_framed t fd ~first =
   in
   let out = Wire.writer () in
   let enc () = Option.value (Wire.reader_encoding reader) ~default:Wire.Binary in
-  let send frame = send fd out (enc ()) frame in
+  let send frame =
+    Wire.encode_into out (enc ()) frame;
+    flush fd out
+  in
   let bail error =
     ignore (send (Wire.Error error));
     count_error t
@@ -307,19 +324,19 @@ let serve_framed t fd ~first =
         | Ok (Some frame) -> (
           match frame with
           | Wire.Request r ->
-            let reply =
-              match Session.parse_batch session r.Wire.statements with
-              | batch -> Wire.Reply (reply_of_batch r.Wire.mode r.Wire.id batch)
-              | exception exn ->
-                (* A poisoned statement must poison its request only. *)
-                count_error t;
-                Wire.Error
-                  (Wire.error Wire.Internal
-                     (Printf.sprintf "request %d failed: %s" r.Wire.id
-                        (Printexc.to_string exn)))
-            in
+            (match reply_into session out (enc ()) r with
+            | () -> ()
+            | exception exn ->
+              (* A poisoned statement must poison its request only: the
+                 error frame replaces the partial reply in the writer. *)
+              count_error t;
+              Wire.encode_into out (enc ())
+                (Wire.Error
+                   (Wire.error Wire.Internal
+                      (Printf.sprintf "request %d failed: %s" r.Wire.id
+                         (Printexc.to_string exn)))));
             locked t (fun () -> t.requests <- t.requests + 1);
-            if send reply then loop ()
+            if flush fd out then loop ()
           | Wire.Ping payload -> if send (Wire.Pong payload) then loop ()
           | Wire.Bye -> ()
           | Wire.Hello _ | Wire.Hello_ok _ | Wire.Reply _ | Wire.Error _

@@ -20,12 +20,17 @@
       with the canonical digest — or a structured [Error]
       ([unknown_dialect], [invalid_config], [unknown_digest], [bad_hello])
       and closes;
-    - each [Request] runs the whole statement batch through one
-      {!Session.parse_batch} on the pinned front-end and answers a [Reply]
-      whose items are byte-identical to the library results: accepted
-      statements carry token counts (and the rendered CST in [cst] mode),
-      rejected ones a wire error with the query text, span, found token and
-      decoded expected set attached;
+    - each [Request] is answered by one [Reply] ({!reply_into}): its
+      statements are parsed one at a time through {!Session.each} on the
+      pinned front-end, and each outcome is written into the reply frame
+      before the next statement is parsed — in [cst] mode the tree is
+      rendered into the frame and dropped, in [recognize] mode none is
+      built. The items are byte-identical to the library results:
+      accepted statements carry token counts (and the rendered CST in
+      [cst] mode), rejected ones a wire error with the query text, span,
+      found token and decoded expected set attached. A statement that
+      raises discards the partial reply and draws one [Internal] error
+      frame; the connection goes on serving;
     - [Ping] answers [Pong]; [Bye] or end-of-stream closes. A malformed or
       oversized frame draws a best-effort structured [Error] before the
       close. No client behavior — disconnects mid-frame, dribbled writes,
@@ -40,7 +45,8 @@
     [committed], [vm] or [fused] after the dialect is accepted and ignored)
     followed by raw SQL bytes until it shuts down its
     write side. The server pipes the bytes through
-    {!Session.parse_stream} — statements split at top-level [;] exactly
+    {!Session.parse_stream} on the recognizer, so no tree is built —
+    statements split at top-level [;] exactly
     like {!Core.split_statements}, memory bounded by the chunk size plus
     the largest statement — answering one [ok <tokens>] or
     [err <message>] line per statement as it completes, then a final
@@ -95,9 +101,26 @@ val outcome_of_item : Wire.mode -> Session.item -> Wire.outcome
     what came over the wire. In {!Wire.Cst} mode an accepted item carries
     its tree ({!Wire.Tree}); the encoder renders it into the frame. *)
 
-val reply_of_batch : Wire.mode -> int -> Session.batch -> Wire.reply
+val reply_into : Session.t -> Wire.writer -> Wire.encoding -> Wire.request -> unit
+(** [reply_into session w enc request] replaces [w]'s contents with the
+    [Reply] frame the daemon sends for [request]: {!Session.each} feeds
+    {!Wire.encode_reply_into}, so each statement's outcome is encoded
+    before the next statement is parsed. Items map as {!outcome_of_item};
+    [Recognize] requests run {!Core.recognize_counted} and build no tree.
+    The stats' [elapsed_ns] is parse time only. An exception from a
+    statement propagates, leaving a partial frame in [w]. *)
 
-val stream_line_of_item : Session.item -> string
+val stream_lines :
+  Session.t ->
+  read:(bytes -> int -> int -> int) ->
+  write:(string -> unit) ->
+  Session.stats
+(** The raw streaming mode's body: {!Session.parse_stream} over [read] on
+    the recognizer (no tree is built), writing each statement's
+    {!stream_line_of_item} as it completes. The [done] line is left to
+    the caller. *)
+
+val stream_line_of_item : _ Session.parsed -> string
 (** The exact per-statement line of the raw streaming mode
     ([ok <tokens>\n] / [err <flattened message>\n]) — exposed so tests can
     render {!Session.parse_stream} output locally and demand byte equality

@@ -1,9 +1,11 @@
-type item = {
+type 'a parsed = {
   index : int;
   sql : string;
   token_count : int;
-  result : (Parser_gen.Cst.t, Core.error) result;
+  result : ('a, Core.error) result;
 }
+
+type item = Parser_gen.Cst.t parsed
 
 type stats = {
   statements : int;
@@ -16,24 +18,22 @@ type stats = {
   furthest_error : (int * Parser_gen.Engine.parse_error) option;
 }
 
-type t = {
-  front_end : Core.generated;
-  mutable acc_statements : int;
-  mutable acc_accepted : int;
-  mutable acc_tokens : int;
-  mutable acc_elapsed : float;
-  mutable acc_furthest : (int * Parser_gen.Engine.parse_error) option;
+(* Running counts of a batch, a stream or a session's whole life: the one
+   place items become statistics. *)
+type tally = {
+  mutable n_statements : int;
+  mutable n_accepted : int;
+  mutable n_tokens : int;
+  mutable spent : float;
+  mutable furthest : (int * Parser_gen.Engine.parse_error) option;
 }
 
-let create front_end =
-  {
-    front_end;
-    acc_statements = 0;
-    acc_accepted = 0;
-    acc_tokens = 0;
-    acc_elapsed = 0.;
-    acc_furthest = None;
-  }
+type t = { front_end : Core.generated; totals : tally }
+
+let tally () =
+  { n_statements = 0; n_accepted = 0; n_tokens = 0; spent = 0.; furthest = None }
+
+let create front_end = { front_end; totals = tally () }
 
 let of_cache ?label cache config =
   Result.map create (Cache.generate ?label cache config)
@@ -55,9 +55,45 @@ let further (a : (int * Parser_gen.Engine.parse_error) option) b =
     then b
     else a
 
-let rates ~statements ~tokens elapsed =
-  if elapsed > 1e-9 then (float statements /. elapsed, float tokens /. elapsed)
-  else (0., 0.)
+let count tally (item : _ parsed) =
+  tally.n_statements <- tally.n_statements + 1;
+  tally.n_tokens <- tally.n_tokens + item.token_count;
+  match item.result with
+  | Ok _ -> tally.n_accepted <- tally.n_accepted + 1
+  | Error (Core.Parse_error e) ->
+    tally.furthest <- further tally.furthest (Some (item.index, e))
+  | Error _ -> ()
+
+let stats_of tally =
+  let statements = tally.n_statements and tokens = tally.n_tokens in
+  let elapsed = tally.spent in
+  let statements_per_second, tokens_per_second =
+    if elapsed > 1e-9 then (float statements /. elapsed, float tokens /. elapsed)
+    else (0., 0.)
+  in
+  {
+    statements;
+    accepted = tally.n_accepted;
+    rejected = statements - tally.n_accepted;
+    tokens;
+    elapsed;
+    statements_per_second;
+    tokens_per_second;
+    furthest_error = tally.furthest;
+  }
+
+(* A finished batch or stream: its statistics, also added to the
+   session's totals. *)
+let close t tally =
+  let totals = t.totals in
+  totals.n_statements <- totals.n_statements + tally.n_statements;
+  totals.n_accepted <- totals.n_accepted + tally.n_accepted;
+  totals.n_tokens <- totals.n_tokens + tally.n_tokens;
+  totals.spent <- totals.spent +. tally.spent;
+  totals.furthest <- further totals.furthest tally.furthest;
+  stats_of tally
+
+let totals t = stats_of t.totals
 
 (* Wall-clock timing: [Sys.time] reports processor time, which misstates
    throughput and sums over workers when the batch is sharded across
@@ -76,13 +112,30 @@ let pp_stats ppf s =
     s.statements s.accepted s.rejected s.tokens (s.elapsed *. 1e3)
     s.statements_per_second s.tokens_per_second pp_furthest s.furthest_error
 
-(* Scan and parse one statement against the pinned front-end
-   ({!Core.parse_cst_counted}: the VM over the struct-of-arrays stream, no
-   token records on the accept path). Safe under sharding because the
-   stream arena and the VM's stacks are domain-local. *)
-let parse_one front_end index sql =
-  let token_count, result = Core.parse_cst_counted front_end sql in
+(* Scan and parse one statement against the pinned front-end. [parse] is
+   {!Core.parse_cst_counted} (the VM over the struct-of-arrays stream, no
+   token records on the accept path) or {!Core.recognize_counted} (no
+   tree at all). Safe under sharding because the stream arena and the
+   VM's stacks are domain-local. *)
+let parse_one parse front_end index sql =
+  let token_count, result = parse front_end sql in
   { index; sql; token_count; result }
+
+(* The one sequential path: each statement is parsed, timed and counted,
+   then handed to [f] before the next is parsed, so nothing of it need
+   outlive [f]. [elapsed] sums the parse spans only; whatever [f] does
+   (rendering, writing) is not counted. *)
+let iter_source t ~parse source f =
+  let tally = tally () in
+  source (fun sql ->
+      let t0 = now () in
+      let item = parse_one parse t.front_end tally.n_statements sql in
+      tally.spent <- tally.spent +. (now () -. t0);
+      count tally item;
+      f item);
+  close t tally
+
+let each t ~parse sqls f = iter_source t ~parse (fun k -> List.iter k sqls) f
 
 (* Shard statements across [domains] workers. The front-end is immutable
    after generation (interner, scanner tables and compiled rules are never
@@ -95,7 +148,9 @@ let run_sharded front_end domains stmts =
   let shard d =
     let rec go i acc =
       if i >= n then List.rev acc
-      else go (i + domains) (parse_one front_end i stmts.(i) :: acc)
+      else
+        go (i + domains)
+          (parse_one Core.parse_cst_counted front_end i stmts.(i) :: acc)
     in
     go d []
   in
@@ -105,17 +160,14 @@ let run_sharded front_end domains stmts =
   let mine = shard 0 in
   let shards = mine :: List.map Domain.join workers in
   let out = Array.make n None in
-  List.iter
-    (List.iter (fun (it : item) -> out.(it.index) <- Some (it)))
-    shards;
+  List.iter (List.iter (fun (it : item) -> out.(it.index) <- Some it)) shards;
   Array.to_list
     (Array.map
        (function Some it -> it | None -> assert false (* every index dealt *))
        out)
 
 let parse_batch ?(clamp = true) ?(domains = 1) t sqls =
-  let stmts = Array.of_list sqls in
-  let n = Array.length stmts in
+  let n = List.length sqls in
   (* Oversharding a small host is strictly counterproductive (E16 recorded
      a 0.04x collapse at 4 domains on 1 core): unless the caller opts out,
      the requested shard count is clamped to what the runtime recommends. *)
@@ -132,45 +184,21 @@ let parse_batch ?(clamp = true) ?(domains = 1) t sqls =
     else domains
   in
   let shards = if domains <= 1 || n < 2 then 1 else min domains n in
-  let t0 = now () in
-  let items =
-    if shards = 1 then
-      List.init n (fun i -> parse_one t.front_end i stmts.(i))
-    else run_sharded t.front_end shards stmts
-  in
-  let elapsed = now () -. t0 in
-  let statements = n in
-  let accepted =
-    List.length (List.filter (fun i -> Result.is_ok i.result) items)
-  in
-  let tokens = List.fold_left (fun acc i -> acc + i.token_count) 0 items in
-  let furthest_error =
-    List.fold_left
-      (fun acc i ->
-        match i.result with
-        | Error (Core.Parse_error e) -> further acc (Some (i.index, e))
-        | _ -> acc)
-      None items
-  in
-  let statements_per_second, tokens_per_second = rates ~statements ~tokens elapsed in
-  let batch_stats =
-    {
-      statements;
-      accepted;
-      rejected = statements - accepted;
-      tokens;
-      elapsed;
-      statements_per_second;
-      tokens_per_second;
-      furthest_error;
-    }
-  in
-  t.acc_statements <- t.acc_statements + statements;
-  t.acc_accepted <- t.acc_accepted + accepted;
-  t.acc_tokens <- t.acc_tokens + tokens;
-  t.acc_elapsed <- t.acc_elapsed +. elapsed;
-  t.acc_furthest <- further t.acc_furthest furthest_error;
-  { items; batch_stats; shards }
+  if shards = 1 then begin
+    let items = ref [] in
+    let batch_stats =
+      each t ~parse:Core.parse_cst_counted sqls (fun it -> items := it :: !items)
+    in
+    { items = List.rev !items; batch_stats; shards }
+  end
+  else begin
+    let t0 = now () in
+    let items = run_sharded t.front_end shards (Array.of_list sqls) in
+    let tally = tally () in
+    tally.spent <- now () -. t0;
+    List.iter (count tally) items;
+    { items; batch_stats = close t tally; shards }
+  end
 
 let parse_script ?clamp ?domains t script =
   parse_batch ?clamp ?domains t (Core.split_statements script)
@@ -180,60 +208,7 @@ let parse_script ?clamp ?domains t script =
    runs at a memory ceiling of [chunk_size] plus the largest statement —
    nothing is batched, no statement list is materialized. [on_item] sees
    each item as it completes (its [sql] is the only live copy). *)
-let parse_stream ?chunk_size ?on_item t ~read =
-  let t0 = now () in
-  let statements = ref 0 in
-  let accepted = ref 0 in
-  let tokens = ref 0 in
-  let furthest = ref None in
-  Core.fold_statements ?chunk_size ~read
-    (fun () sql ->
-      let index = !statements in
-      let item = parse_one t.front_end index sql in
-      incr statements;
-      if Result.is_ok item.result then incr accepted;
-      tokens := !tokens + item.token_count;
-      (match item.result with
-      | Error (Core.Parse_error e) ->
-        furthest := further !furthest (Some (index, e))
-      | _ -> ());
-      match on_item with None -> () | Some f -> f item)
-    ();
-  let elapsed = now () -. t0 in
-  let statements = !statements and accepted = !accepted and tokens = !tokens in
-  let statements_per_second, tokens_per_second =
-    rates ~statements ~tokens elapsed
-  in
-  let stats =
-    {
-      statements;
-      accepted;
-      rejected = statements - accepted;
-      tokens;
-      elapsed;
-      statements_per_second;
-      tokens_per_second;
-      furthest_error = !furthest;
-    }
-  in
-  t.acc_statements <- t.acc_statements + statements;
-  t.acc_accepted <- t.acc_accepted + accepted;
-  t.acc_tokens <- t.acc_tokens + tokens;
-  t.acc_elapsed <- t.acc_elapsed +. elapsed;
-  t.acc_furthest <- further t.acc_furthest !furthest;
-  stats
-
-let totals t =
-  let statements_per_second, tokens_per_second =
-    rates ~statements:t.acc_statements ~tokens:t.acc_tokens t.acc_elapsed
-  in
-  {
-    statements = t.acc_statements;
-    accepted = t.acc_accepted;
-    rejected = t.acc_statements - t.acc_accepted;
-    tokens = t.acc_tokens;
-    elapsed = t.acc_elapsed;
-    statements_per_second;
-    tokens_per_second;
-    furthest_error = t.acc_furthest;
-  }
+let parse_stream ?chunk_size ~parse ?(on_item = ignore) t ~read =
+  iter_source t ~parse
+    (fun k -> Core.fold_statements ?chunk_size ~read (fun () sql -> k sql) ())
+    on_item

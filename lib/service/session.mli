@@ -6,8 +6,12 @@
     returns per-statement results plus aggregate statistics (token and
     statement throughput, furthest parse-error position); the session also
     accumulates the same statistics across all batches it has run
-    ({!totals}). Every statement parses through {!Core.parse_cst_counted},
-    the one production engine.
+    ({!totals}). Every statement parses on the one production engine,
+    through {!Core.parse_cst_counted} or, when only a verdict and a token
+    count are wanted, {!Core.recognize_counted}. {!each} is the one
+    sequential path: it hands each statement's item to a callback before
+    parsing the next, so a caller that consumes items as they come (the
+    daemon rendering replies) never holds more than one tree.
 
     A batch can be sharded across OCaml 5 domains
     ([parse_batch ~domains:4]): the generated front-end is immutable after
@@ -30,12 +34,16 @@ val of_cache :
 
 val front_end : t -> Core.generated
 
-type item = {
+type 'a parsed = {
   index : int;                   (** 0-based position within the batch *)
   sql : string;
   token_count : int;             (** 0 when scanning failed *)
-  result : (Parser_gen.Cst.t, Core.error) result;
+  result : ('a, Core.error) result;
 }
+(** One statement's outcome: its tree, or [()] when it was only
+    recognized. *)
+
+type item = Parser_gen.Cst.t parsed
 
 type stats = {
   statements : int;
@@ -43,7 +51,9 @@ type stats = {
   rejected : int;
   tokens : int;                  (** tokens scanned over accepted+rejected,
                                      excluding the EOF sentinel *)
-  elapsed : float;               (** seconds of wall-clock time *)
+  elapsed : float;
+      (** seconds of wall-clock time spent parsing: the sum of the
+          statements' parse spans, or the sharded wall time *)
   statements_per_second : float; (** 0 when [elapsed] is unmeasurably small *)
   tokens_per_second : float;
   furthest_error : (int * Parser_gen.Engine.parse_error) option;
@@ -59,9 +69,22 @@ type batch = {
   shards : int;  (** domains the batch actually ran on, after clamping *)
 }
 
+val each :
+  t ->
+  parse:(Core.generated -> string -> int * ('a, Core.error) result) ->
+  string list ->
+  ('a parsed -> unit) ->
+  stats
+(** [each t ~parse stmts f] scans and parses the statements one at a time
+    with [parse] ({!Core.parse_cst_counted}, or {!Core.recognize_counted}
+    when no tree is wanted) and hands each item to [f] before the next
+    statement is parsed, so no item need outlive its call. Failures don't
+    stop the run; they are recorded per item and aggregated. [elapsed] sums
+    the statements' parse spans: time spent in [f] is not counted. The
+    statistics accumulate into {!totals}. *)
+
 val parse_batch : ?clamp:bool -> ?domains:int -> t -> string list -> batch
-(** Scan and parse each statement with the pinned front-end. Failures don't
-    stop the batch; they are recorded per item and aggregated.
+(** {!each} with {!Core.parse_cst_counted}, collecting the items.
 
     [domains] (default [1]) shards the statements round-robin across that
     many domains ([Domain.spawn] workers, capped at the batch size). Items
@@ -79,11 +102,12 @@ val parse_script : ?clamp:bool -> ?domains:int -> t -> string -> batch
 
 val parse_stream :
   ?chunk_size:int ->
-  ?on_item:(item -> unit) ->
+  parse:(Core.generated -> string -> int * ('a, Core.error) result) ->
+  ?on_item:('a parsed -> unit) ->
   t ->
   read:(bytes -> int -> int -> int) ->
   stats
-(** Parse a streamed script: statements are pulled from [read] (a
+(** {!each} over a streamed script: statements are pulled from [read] (a
     [Unix.read]-style function, 0 at end of input) in [chunk_size]-byte
     chunks (default 64 KiB, see {!Core.fold_statements}) and parsed one at
     a time, so memory stays bounded by the chunk
@@ -91,8 +115,7 @@ val parse_stream :
     fixed memory ceiling. Statement splitting matches
     {!Core.split_statements} byte for byte. [on_item] observes each item
     as it completes; the item (and its [sql]) is not retained afterwards.
-    [furthest_error] indexes statements in stream order. Statistics
-    accumulate into {!totals} like any batch. *)
+    [furthest_error] indexes statements in stream order. *)
 
 val totals : t -> stats
 (** Statistics accumulated over every batch run in this session. *)

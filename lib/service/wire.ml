@@ -284,6 +284,32 @@ let put_outcome b = function
     put_u8 b 1;
     put_error b e
 
+(* A reply's items are written as [produce] yields them, each (a [Tree]
+   rendered) before [produce] goes on; the item count is patched in once
+   [produce] returns the stats, which follow the items. *)
+let put_reply b id produce =
+  put_u8 b tag_reply;
+  put_u32 b id;
+  let count_at = b.len in
+  put_u32 b 0;
+  let count = ref 0 in
+  let stats =
+    produce (fun o ->
+        incr count;
+        put_outcome b o)
+  in
+  Bytes.set_int32_be b.buf count_at (Int32.of_int !count);
+  put_u32 b stats.statements;
+  put_u32 b stats.accepted;
+  put_u32 b stats.rejected;
+  put_u32 b stats.tokens;
+  put_u64 b stats.elapsed_ns
+
+(* A built reply as a producer. *)
+let items_of r emit =
+  List.iter emit r.items;
+  r.stats
+
 let put_selection b = function
   | Dialect name ->
     put_u8 b 0;
@@ -313,15 +339,7 @@ let put_payload b = function
     put_u32 b r.id;
     put_mode b r.mode;
     put_list put_str b r.statements
-  | Reply r ->
-    put_u8 b tag_reply;
-    put_u32 b r.id;
-    put_list put_outcome b r.items;
-    put_u32 b r.stats.statements;
-    put_u32 b r.stats.accepted;
-    put_u32 b r.stats.rejected;
-    put_u32 b r.stats.tokens;
-    put_u64 b r.stats.elapsed_ns
+  | Reply r -> put_reply b r.id (items_of r)
   | Error e ->
     put_u8 b tag_error;
     put_error b e
@@ -336,9 +354,9 @@ let put_payload b = function
 (* Four placeholder bytes for the length prefix, then the payload, then the
    prefix is patched in place: the frame leaves the writer without a
    copy. *)
-let put_frame b frame =
+let put_frame b put =
   put_u32 b 0;
-  put_payload b frame;
+  put b;
   Bytes.set_int32_be b.buf 0 (Int32.of_int (b.len - 4))
 
 (* --- binary decoding --------------------------------------------------- *)
@@ -608,6 +626,35 @@ let joutcome o b =
       :: (match cst with None -> [] | Some c -> [ ("cst", jcst c) ]))
   | Rejected e -> json_fields b [ ("error", jerror e) ]
 
+(* [put_reply]'s JSON twin: the ["items"] array is written as [produce]
+   yields them, and the ["stats"] member after it. *)
+let json_reply b id produce =
+  let stats = ref None in
+  let items b =
+    add_char b '[';
+    let first = ref true in
+    stats :=
+      Some
+        (produce (fun o ->
+             if not !first then add_char b ',';
+             first := false;
+             joutcome o b));
+    add_char b ']'
+  in
+  let jstats b =
+    let s = Option.get !stats in
+    json_fields b
+      [
+        ("statements", jint s.statements);
+        ("accepted", jint s.accepted);
+        ("rejected", jint s.rejected);
+        ("tokens", jint s.tokens);
+        ("elapsed_ns", jstr (Int64.to_string s.elapsed_ns));
+      ]
+  in
+  json_fields b
+    [ ("frame", jstr "reply"); ("id", jint id); ("items", items); ("stats", jstats) ]
+
 let jselection sel b =
   match sel with
   | Dialect name -> json_fields b [ ("dialect", jstr name) ]
@@ -640,23 +687,7 @@ let json_frame b frame =
         ("mode", jmode r.mode);
         ("statements", jarr jstr r.statements);
       ]
-  | Reply r ->
-    json_fields b
-      [
-        ("frame", jstr "reply");
-        ("id", jint r.id);
-        ("items", jarr joutcome r.items);
-        ( "stats",
-          fun b ->
-            json_fields b
-              [
-                ("statements", jint r.stats.statements);
-                ("accepted", jint r.stats.accepted);
-                ("rejected", jint r.stats.rejected);
-                ("tokens", jint r.stats.tokens);
-                ("elapsed_ns", jstr (Int64.to_string r.stats.elapsed_ns));
-              ] );
-      ]
+  | Reply r -> json_reply b r.id (items_of r)
   | Error e -> json_fields b [ ("frame", jstr "error"); ("error", jerror e) ]
   | Ping p -> json_fields b [ ("frame", jstr "ping"); ("payload", jstr p) ]
   | Pong p -> json_fields b [ ("frame", jstr "pong"); ("payload", jstr p) ]
@@ -667,7 +698,17 @@ let json_frame b frame =
 
 let encode_into w enc frame =
   w.len <- 0;
-  match enc with Binary -> put_frame w frame | Json -> json_frame w frame
+  match enc with
+  | Binary -> put_frame w (fun b -> put_payload b frame)
+  | Json -> json_frame w frame
+
+let encode_reply_into w enc ~id produce =
+  w.len <- 0;
+  match enc with
+  | Binary -> put_frame w (fun b -> put_reply b id produce)
+  | Json ->
+    json_reply w id produce;
+    add_char w '\n'
 
 let contents w = Bytes.sub_string w.buf 0 w.len
 

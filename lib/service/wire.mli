@@ -114,8 +114,9 @@ type reply_stats = {
   rejected : int;
   tokens : int;
   elapsed_ns : int64;
-      (** server-side wall time spent parsing the batch; rendering the
-          CSTs and encoding the reply come after and are not included *)
+      (** server-side wall time spent parsing: the sum of the
+          statements' parse spans. Each tree is rendered into the reply
+          between two spans, and that rendering is not included *)
 }
 
 type reply = { id : int; items : outcome list; stats : reply_stats }
@@ -152,6 +153,22 @@ val encode_into : writer -> encoding -> frame -> unit
 (** [encode_into w enc frame] replaces [w]'s contents with the complete
     frame: binary with its length prefix, or one ['\n']-terminated JSON
     line. Every other encoder below is this one into a fresh writer. *)
+
+val encode_reply_into :
+  writer ->
+  encoding ->
+  id:int ->
+  ((outcome -> unit) -> reply_stats) ->
+  unit
+(** [encode_reply_into w enc ~id produce] replaces [w]'s contents with a
+    complete [Reply] frame. [produce emit] yields the items through
+    [emit], which encodes each one (rendering a [Tree]) before it returns,
+    and then returns the stats, which both encodings write after the items.
+    A producer that parses a statement, emits its outcome and drops it
+    before parsing the next never holds more than one tree. [encode_into w
+    enc (Reply r)] is this encoder over [r.items]. An exception from
+    [produce] propagates and leaves [w] holding part of a frame, which the
+    next encode into [w] replaces. *)
 
 val output : writer -> (bytes -> int -> int -> int) -> unit
 (** [output w write] hands [w]'s frame to [write] ([Unix.write]'s contract)

@@ -409,14 +409,15 @@ let test_render_is_allocation_free () =
     true
     (minor = 0. && major = 0.)
 
-(* Turning a parsed batch into a reply frame, as the server does
-   ([reply_of_batch], then [encode_into] the connection's writer), renders
-   each tree into the warm writer: no major-heap allocation at all,
-   and a minor-heap cost per batch that does not grow with the reply (the
-   reply records, list cells and encoder closures). A per-statement string
-   would cost major words here (every string over 2 KiB is a major-heap
-   block) and grow with the rows. Checked on 8-statement batches of 8- and
-   64-row INSERTs, in both encodings. *)
+(* Encoding a reply frame as the server does ([Wire.encode_reply_into] into
+   the connection's writer, each item mapped by [outcome_of_item] as the
+   producer yields it) renders each tree into the warm writer: no
+   major-heap allocation at all, and a minor-heap cost per batch that does
+   not grow with the reply (the outcome records and encoder closures). A
+   per-statement string would cost major words here (every string over
+   2 KiB is a major-heap block) and grow with the rows. The trees are
+   parsed beforehand, so only the encoding is measured. Checked on
+   8-statement batches of 8- and 64-row INSERTs, in both encodings. *)
 let test_reply_encoding_is_bounded () =
   let g = front_end "full" in
   let session = Service.Session.create g in
@@ -426,14 +427,26 @@ let test_reply_encoding_is_bounded () =
       let batch =
         Service.Session.parse_batch session (List.init 8 (fun _ -> readings_insert rows))
       in
-      check_bool "batch accepted" true
-        (batch.Service.Session.batch_stats.Service.Session.accepted = 8);
+      let s = batch.Service.Session.batch_stats in
+      check_bool "batch accepted" true (s.Service.Session.accepted = 8);
+      let stats =
+        {
+          Service.Wire.statements = s.Service.Session.statements;
+          accepted = s.Service.Session.accepted;
+          rejected = s.Service.Session.rejected;
+          tokens = s.Service.Session.tokens;
+          elapsed_ns = 0L;
+        }
+      in
       List.iter
         (fun (label, enc) ->
           let encode () =
-            Service.Wire.encode_into out enc
-              (Service.Wire.Reply
-                 (Service.Server.reply_of_batch Service.Wire.Cst 0 batch))
+            Service.Wire.encode_reply_into out enc ~id:0 (fun emit ->
+                List.iter
+                  (fun item ->
+                    emit (Service.Server.outcome_of_item Service.Wire.Cst item))
+                  batch.Service.Session.items;
+                stats)
           in
           encode ();
           let minor, major =
@@ -553,6 +566,59 @@ let test_executor_allocates_half () =
         (compiled <= interpreted /. 2. && compiled <= budget))
     executor_shapes
 
+(* The daemon answers a recognize-mode request, and each statement of a
+   raw stream, with the recognizer: no tree is built, so a statement costs
+   nothing per token there, as for [Core.recognize] itself. Budget
+   0.1 words per extra token from a 500- to a 2000-item projection (both
+   over 2 KiB, so the stream's statement buffer grows past the minor heap
+   for either). Measured 0.004 on both; 79 when the trees are built. *)
+let reader_of_string s =
+  let pos = ref 0 in
+  fun buf off len ->
+    let n = min len (String.length s - !pos) in
+    Bytes.blit_string s !pos buf off n;
+    pos := !pos + n;
+    n
+
+let test_daemon_recognition_builds_no_tree () =
+  let g = front_end "tinysql" in
+  let session = Service.Session.create g in
+  let out = Service.Wire.writer () in
+  let short = wide_select 500 and long = wide_select 2000 in
+  let dt = token_count g long - token_count g short in
+  List.iter
+    (fun (label, run) ->
+      let words sql =
+        run sql;
+        measure_words (fun () ->
+            for _ = 1 to rounds do
+              run sql
+            done)
+        /. float_of_int rounds
+      in
+      let per_token = (words long -. words short) /. float_of_int dt in
+      check_bool
+        (Printf.sprintf
+           "%s allocates %.3f words per extra token from 500 to 2000 items \
+            (budget 0.1)"
+           label per_token)
+        true (per_token < 0.1))
+    [
+      ( "a recognize-mode request",
+        fun sql ->
+          Service.Server.reply_into session out Service.Wire.Binary
+            { Service.Wire.id = 0; mode = Service.Wire.Recognize;
+              statements = [ sql ] } );
+      ( "a raw-stream statement",
+        fun sql ->
+          let s =
+            Service.Server.stream_lines session ~read:(reader_of_string sql)
+              ~write:ignore
+          in
+          if s.Service.Session.accepted <> 1 then
+            Alcotest.failf "stream rejected %s" sql );
+    ]
+
 let suite =
   [
     Alcotest.test_case "per-statement overhead is bounded" `Quick
@@ -588,4 +654,7 @@ let suite =
       `Quick test_executor_allocates_half;
     Alcotest.test_case "full: strict runs recognize rows allocation-free"
       `Quick test_strict_runs_recognize_free;
+    Alcotest.test_case
+      "daemon recognize requests and raw streams build no tree"
+      `Quick test_daemon_recognition_builds_no_tree;
   ]

@@ -425,6 +425,68 @@ let test_outlier_reply_then_small () =
           Client.close client)
         [ Wire.Binary; Wire.Json ])
 
+(* The daemon writes each reply as it parses the request. Every reply,
+   on six dialects' corpora with their rejected statements, in both modes
+   and both encodings, must equal the one built from the whole batch
+   parsed first ([Session.parse_batch] + [outcome_of_item]): the same
+   items by [encode_items] and the same stats, but for the time. *)
+let corpus = function
+  | "minimal" -> Corpus.minimal_accept @ Corpus.minimal_reject
+  | "scql" -> Corpus.scql_accept @ Corpus.scql_reject
+  | "tinysql" -> Corpus.tinysql_accept @ Corpus.tinysql_reject
+  | "embedded" -> Corpus.embedded_accept @ Corpus.embedded_reject
+  | "analytics" -> Corpus.analytics_accept @ Corpus.analytics_reject
+  | _ -> Corpus.full_accept @ Corpus.always_reject
+
+let test_streamed_replies_equal_batches () =
+  with_server (fun server ->
+      List.iter
+        (fun (d : Dialects.Dialect.t) ->
+          let stmts = corpus d.Dialects.Dialect.name in
+          let session =
+            match Service.Cache.generate_dialect shared_cache d with
+            | Ok g -> Service.Session.create g
+            | Error e -> Alcotest.failf "generate %s: %a" d.name Core.pp_error e
+          in
+          let batch = Service.Session.parse_batch session stmts in
+          let want = batch.Service.Session.batch_stats in
+          check_bool
+            (Printf.sprintf "%s: the corpus has accepted and rejected statements"
+               d.name)
+            true
+            (want.Service.Session.accepted > 0 && want.Service.Session.rejected > 0);
+          List.iter
+            (fun encoding ->
+              let client, _ =
+                connect_exn ~encoding ~selection:(Wire.Dialect d.name) server
+              in
+              List.iter
+                (fun (mode, mode_name) ->
+                  let label =
+                    Printf.sprintf "%s %s %s" d.name mode_name
+                      (match encoding with Wire.Binary -> "binary" | Wire.Json -> "JSON")
+                  in
+                  let reply = request_exn ~mode client stmts in
+                  Alcotest.(check string)
+                    (label ^ ": items = the batch's")
+                    (Wire.encode_items
+                       (List.map (Server.outcome_of_item mode)
+                          batch.Service.Session.items))
+                    (Wire.encode_items reply.Wire.items);
+                  let got = reply.Wire.stats in
+                  List.iter
+                    (fun (field, w, g) -> check_int (label ^ ": " ^ field) w g)
+                    [
+                      ("statements", want.Service.Session.statements, got.Wire.statements);
+                      ("accepted", want.Service.Session.accepted, got.Wire.accepted);
+                      ("rejected", want.Service.Session.rejected, got.Wire.rejected);
+                      ("tokens", want.Service.Session.tokens, got.Wire.tokens);
+                    ])
+                [ (Wire.Cst, "cst"); (Wire.Recognize, "recognize") ];
+              Client.close client)
+            [ Wire.Binary; Wire.Json ])
+        Dialects.Dialect.all)
+
 (* --- concurrency determinism ------------------------------------------- *)
 
 let rotate n l =
@@ -602,4 +664,7 @@ let suite =
       test_port_in_use_reported;
     Alcotest.test_case "stop is idempotent and interrupts clients" `Quick
       test_stop_is_idempotent;
+    Alcotest.test_case
+      "streamed replies equal parse-then-render batches, six dialects"
+      `Quick test_streamed_replies_equal_batches;
   ]

@@ -162,7 +162,8 @@ let test_stream_matches_batch () =
           let streamed = ref [] in
           let stream_session = Service.Session.create g in
           let stats =
-            Service.Session.parse_stream ~chunk_size stream_session
+            Service.Session.parse_stream ~chunk_size
+              ~parse:Core.parse_cst_counted stream_session
               ~on_item:(fun item -> streamed := render_item item :: !streamed)
               ~read:(reader_of_string script)
           in
@@ -208,7 +209,8 @@ let test_stream_memory_ceiling () =
   let session = Service.Session.create g in
   let run bytes =
     let stats =
-      Service.Session.parse_stream ~chunk_size:65536 session
+      Service.Session.parse_stream ~chunk_size:65536
+        ~parse:Core.parse_cst_counted session
         ~read:(synthetic_reader ~bytes)
     in
     check_bool
@@ -287,7 +289,7 @@ let test_raw_stream_roundtrip () =
   let session = Service.Session.create g in
   let lines = Buffer.create 128 in
   let stats =
-    Service.Session.parse_stream session
+    Service.Session.parse_stream ~parse:Core.parse_cst_counted session
       ~on_item:(fun item ->
         Buffer.add_string lines (Service.Server.stream_line_of_item item))
       ~read:(reader_of_string script)

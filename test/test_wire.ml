@@ -428,6 +428,43 @@ let writer_reuse_and_shrink () =
   Alcotest.(check int) "and output returns it to its initial capacity" initial
     (Wire.writer_capacity w)
 
+(* A reply producer that raises after two items leaves part of a frame in
+   the writer; the error frame the server then encodes into the same
+   writer must come out whole, byte for byte a fresh encoding, and decode
+   cleanly. *)
+let raising_producer_then_error () =
+  let trees = sample_trees () in
+  Alcotest.(check bool) "three sample trees" true (List.length trees >= 3);
+  List.iter
+    (fun enc ->
+      let w = Wire.writer () in
+      let emitted = ref 0 in
+      (match
+         Wire.encode_reply_into w enc ~id:7 (fun emit ->
+             List.iter
+               (fun t ->
+                 if !emitted = 2 then failwith "poisoned statement";
+                 emit (Wire.Accepted { tokens = 9; cst = Some (Wire.Tree t) });
+                 incr emitted)
+               trees;
+             Alcotest.fail "producer ran past its third item")
+       with
+      | () -> Alcotest.fail "the producer's exception was swallowed"
+      | exception Failure _ -> ());
+      Alcotest.(check int) "two items encoded before the raise" 2 !emitted;
+      let error = Wire.Error (Wire.error Wire.Internal "request 7 failed") in
+      Wire.encode_into w enc error;
+      let sent = Buffer.create 64 in
+      Wire.output w (fun buf off len ->
+          Buffer.add_subbytes sent buf off len;
+          len);
+      Alcotest.(check string) "the error frame is a fresh encoding"
+        (Wire.encode_as enc error) (Buffer.contents sent);
+      match Wire.decode_as enc (Buffer.contents sent) with
+      | Ok f -> Alcotest.(check bool) "decodes to the error" true (f = error)
+      | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e)
+    [ Wire.Binary; Wire.Json ]
+
 (* A reader that drained a frame over 1 MiB keeps reading the frames
    behind it, whether they arrived in the same read or later. *)
 let reader_after_outlier () =
@@ -482,4 +519,6 @@ let suite =
       `Quick writer_reuse_and_shrink;
     Alcotest.test_case "reader keeps reading after a frame over 1 MiB" `Quick
       reader_after_outlier;
+    Alcotest.test_case "a reply producer raising mid-frame, then an error frame"
+      `Quick raising_producer_then_error;
   ]
