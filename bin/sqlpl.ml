@@ -339,12 +339,12 @@ let parse_cmd =
             `Ok ()
           | Error e -> fail "%s" (Fmt.str "%a" Core.pp_error e)
         else
-          match Core.parse_cst g sql with
-          | Ok cst ->
-            let b = Buffer.create 1024 in
-            Parser_gen.Cst.render b cst;
-            Buffer.add_char b '\n';
-            Buffer.output_buffer stdout b;
+          match Core.parse_rows g sql with
+          | Ok rows ->
+            let o = Parser_gen.Out.create 1024 in
+            Parser_gen.Rows.render o ~json:false rows;
+            Parser_gen.Out.add_char o '\n';
+            output stdout o.buf 0 o.len;
             `Ok ()
           | Error e -> fail "%s" (Fmt.str "%a" Core.pp_error e)))
   in
@@ -782,10 +782,7 @@ let client_cmd =
                   | Service.Wire.Accepted { tokens; cst } ->
                     Printf.printf "#%d ok (%d tokens)\n" i tokens;
                     Option.iter
-                      (function
-                        | Service.Wire.Text text -> print_endline text
-                        | Service.Wire.Tree t ->
-                          print_endline (Parser_gen.Cst.to_string t))
+                      (fun c -> print_endline (Service.Wire.cst_text c))
                       cst
                   | Service.Wire.Rejected e ->
                     Fmt.pr "#%d FAIL %a@." i Service.Wire.pp_error e)

@@ -93,17 +93,23 @@ let scan_soa g sql =
     (fun e -> Lex_error e)
     (Lexing_gen.Scanner.scan_soa g.scanner sql)
 
-(* The production path: the bytecode VM over the SoA token stream, whose
-   token records are materialized, a chunk at a time, only for CST leaves
-   and error edges. *)
-let parse_cst_counted g sql =
+(* The production path: the bytecode VM over the SoA token stream, building
+   rows; a CST is those rows materialized, its token records a chunk at a
+   time. *)
+let parse_rows_counted g sql =
   match scan_soa g sql with
   | Error e -> (0, Error e)
   | Ok soa ->
     ( Lexing_gen.Scanner.soa_count soa,
       Result.map_error
         (fun e -> Parse_error e)
-        (Parser_gen.Engine.parse_soa g.parser ~scanner:g.scanner soa) )
+        (Parser_gen.Engine.parse_rows g.parser ~scanner:g.scanner soa) )
+
+let parse_rows g sql = snd (parse_rows_counted g sql)
+
+let parse_cst_counted g sql =
+  let n, rows = parse_rows_counted g sql in
+  (n, Result.map Parser_gen.Rows.to_cst rows)
 
 let parse_cst g sql = snd (parse_cst_counted g sql)
 
@@ -122,7 +128,7 @@ let parse_statement g sql =
   let* cst = parse_cst g sql in
   Result.map_error (fun e -> Lowering_error e) (Lower.statement cst)
 
-let accepts g sql = Result.is_ok (parse_cst g sql)
+let accepts g sql = Result.is_ok (parse_rows g sql)
 let dispatch_summary g = Parser_gen.Engine.summary g.parser
 
 type session = {

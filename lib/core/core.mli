@@ -76,16 +76,27 @@ val scan_soa :
     per-token allocation, invalidated by the next scan on the same domain.
     See {!Lexing_gen.Scanner.scan_soa}. *)
 
+val parse_rows : generated -> string -> (Parser_gen.Rows.tree, error) result
+(** Scan and parse one statement to flat rows: the bytecode VM over the
+    struct-of-arrays token stream, the one production engine (every other
+    parse entry point below and the service layer parse through it). The
+    tree reads the domain's token and row arenas, so it is valid until the
+    next scan or parse on the domain ({!Parser_gen.Rows}). *)
+
+val parse_rows_counted :
+  generated -> string -> int * (Parser_gen.Rows.tree, error) result
+(** {!parse_rows} paired with the statement's token count, excluding the
+    [EOF] sentinel (0 on a lexical error). *)
+
 val parse_cst : generated -> string -> (Parser_gen.Cst.t, error) result
-(** Scan and parse one statement to a concrete syntax tree: the bytecode VM
-    over the struct-of-arrays token stream, the one production engine
-    ({!parse_statement}, {!accepts}, {!run} and the service layer all
-    parse through it). *)
+(** {!parse_rows} materialized as a concrete syntax tree
+    ({!Parser_gen.Rows.to_cst}), which {!parse_statement} and {!run}
+    lower. *)
 
 val parse_cst_counted :
   generated -> string -> int * (Parser_gen.Cst.t, error) result
-(** {!parse_cst} paired with the statement's token count, excluding the
-    [EOF] sentinel (0 on a lexical error). *)
+(** {!parse_cst} paired with the statement's token count, as
+    {!parse_rows_counted} pairs it. *)
 
 val recognize : generated -> string -> (unit, error) result
 (** Accept/reject one statement on the VM without building a CST — the

@@ -16,6 +16,9 @@ type t = {
   decimal_kind : kinded option;
   string_kind : kinded option;
   quoted_ident_kind : kinded option;
+  canon : string array;
+      (* kind id -> the text a token of that kind most often has: a
+         punctuation literal, a keyword's upper-case spelling, or [""] *)
 }
 
 let create ?interner set =
@@ -53,6 +56,12 @@ let create ?interner set =
       puncts.(c) <- (literal, kinded name) :: puncts.(c))
     (List.rev punct_list);
   let class_kind cls = Option.map kinded (List.assoc_opt cls (Spec.classes set)) in
+  let canon = Array.make (Interner.size interner) "" in
+  List.iter
+    (fun (spelling, name) ->
+      canon.((kinded name).k_id) <- String.uppercase_ascii spelling)
+    (Spec.keywords set);
+  List.iter (fun (literal, name) -> canon.((kinded name).k_id) <- literal) punct_list;
   {
     interner;
     keywords;
@@ -63,6 +72,7 @@ let create ?interner set =
     decimal_kind = class_kind Spec.Decimal_number;
     string_kind = class_kind Spec.String_literal;
     quoted_ident_kind = class_kind Spec.Quoted_identifier;
+    canon;
   }
 
 let interner t = t.interner
@@ -365,20 +375,33 @@ let quoted_text ~scratch src start stop ~quote =
     Buffer.contents scratch
   end
 
+let quote_of t kind_id =
+  match t.string_kind, t.quoted_ident_kind with
+  | Some k, _ when k.k_id = kind_id -> '\''
+  | _, Some k when k.k_id = kind_id -> '"'
+  | _ -> '\000'
+
+let rec same_bytes src j s k n =
+  k >= n
+  || String.unsafe_get src (j + k) = String.unsafe_get s k
+     && same_bytes src j s (k + 1) n
+
+(* A token spelled as its kind's canonical text shares that string: most
+   keyword and punctuation tokens materialize without allocating one. *)
 let text_at ?scratch t soa i =
   if i >= soa.count then "" (* EOF *)
   else
     let start = soa.starts.(i) and stop = soa.stops.(i) in
-    let quoted quote =
+    match quote_of t soa.kind_ids.(i) with
+    | '\000' ->
+      let c = t.canon.(soa.kind_ids.(i)) and n = stop - start in
+      if n > 0 && String.length c = n && same_bytes soa.src start c 0 n then c
+      else String.sub soa.src start n
+    | quote ->
       let scratch =
         match scratch with Some b -> b | None -> snd (Domain.DLS.get arena)
       in
       quoted_text ~scratch soa.src start stop ~quote
-    in
-    match t.string_kind, t.quoted_ident_kind with
-    | Some k, _ when k.k_id = soa.kind_ids.(i) -> quoted '\''
-    | _, Some k when k.k_id = soa.kind_ids.(i) -> quoted '"'
-    | _ -> String.sub soa.src start (stop - start)
 
 let token_of_soa t soa i =
   if i >= soa.count then Token.eof (position_at soa soa.starts.(soa.count))
@@ -420,43 +443,8 @@ let tokens_of_soa t soa =
   fill_tokens t soa all 0 (soa.count + 1);
   all
 
-(* Token view: chunks of at most 256 tokens under an outer array of one slot
-   per chunk, each chunk filled on first access. Every block stays within
-   OCaml's young-allocation limit (256 words) for streams under 65536
-   tokens, so a parse neither forces a minor collection nor leaves
-   major-to-minor pointers that promote the whole stream. *)
-let chunk_bits = 8
-let chunk_size = 1 lsl chunk_bits
-
-type view = {
-  v_t : t;
-  v_soa : soa;
-  v_chunks : Token.t array array; (* [[||]] until the chunk is filled *)
-}
-
-let view t soa =
-  {
-    v_t = t;
-    v_soa = soa;
-    v_chunks = Array.make ((soa.count + chunk_size) lsr chunk_bits) [||];
-  }
-
-let fill_chunk v c =
-  let lo = c lsl chunk_bits in
-  let hi = min (lo + chunk_size) (v.v_soa.count + 1) in
-  let chunk = Array.make (hi - lo) Token.placeholder in
-  fill_tokens v.v_t v.v_soa chunk lo hi;
-  v.v_chunks.(c) <- chunk;
-  chunk
-
-let view_token v i =
-  let c = i lsr chunk_bits in
-  let chunk = v.v_chunks.(c) in
-  let chunk = if Array.length chunk = 0 then fill_chunk v c else chunk in
-  chunk.(i land (chunk_size - 1))
-
-let view_kind v i =
-  if i <= v.v_soa.count then Interner.name v.v_t.interner v.v_soa.kind_ids.(i)
+let kind_name t soa i =
+  if i <= soa.count then Interner.name t.interner soa.kind_ids.(i)
   else Token.eof_kind
 
 let scan_tokens t input =

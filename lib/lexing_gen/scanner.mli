@@ -21,12 +21,10 @@
     token plus a newline index, allocating nothing per token. [Token.t]
     records — text strings and line/column positions included — are
     materialized on demand from that buffer: one at a time
-    ({!token_of_soa}), a chunk of at most 256 at a time through a {!view}
-    (what the parser engine reads CST leaves and error positions from), or
-    all at once ({!tokens_of_soa}); {!scan_tokens} is
-    scan-then-materialize-all. A view keeps every block it allocates within
-    OCaml's young-allocation limit of 256 words, so a long statement costs
-    no forced minor collection and its tokens are not promoted wholesale. *)
+    ({!token_of_soa}: what a parse's rows materialize their leaves and
+    error positions from), or all at once ({!tokens_of_soa});
+    {!scan_tokens} is scan-then-materialize-all. A token spelled as its
+    keyword or punctuation literal shares that string as its text. *)
 
 type t
 
@@ -78,22 +76,16 @@ val tokens_of_soa : t -> soa -> Token.t array
 (** Materialize the whole stream (EOF token included, as the last element),
     walking the newline index sequentially. *)
 
-type view
-(** Random access to the tokens of one [soa], materialized lazily in chunks
-    of at most 256 tokens: the first access to a chunk fills it with one
-    newline binary search and a sequential walk. The view reads the [soa]
-    in place, so it is invalidated with it. *)
-
-val view : t -> soa -> view
-(** A view over a completely scanned stream; nothing is materialized yet. *)
-
-val view_token : view -> int -> Token.t
-(** Token [i] (valid for [0..count], [count] being the EOF token), equal to
-    [(tokens_of_soa t soa).(i)]. *)
-
-val view_kind : view -> int -> string
+val kind_name : t -> soa -> int -> string
 (** The kind name of token [i], read from the interner by kind id without
     materializing the token; {!Token.eof_kind} for [i > count]. *)
+
+val quote_of : t -> int -> char
+(** The delimiter of a quoted kind (a string literal's ['\''], a quoted
+    identifier's ['"']), ['\000'] for every other kind id. A quoted
+    token's text is the bytes between its delimiters with each doubled
+    delimiter read as one, which is how a consumer that reads the text in
+    place (the parser's row renderer) recovers it without building it. *)
 
 val scan_tokens : t -> string -> (Token.t array, error) result
 (** Tokenize the whole input in one pass. On success the array always ends

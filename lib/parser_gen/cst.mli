@@ -1,7 +1,8 @@
 (** Concrete syntax trees.
 
-    A generated parser produces a CST whose inner nodes are labelled with
-    non-terminal names and whose leaves are the matched tokens. Semantic
+    A parse builds flat rows ({!Rows}); this tree is their view,
+    materialized on request ({!Rows.to_cst}). Its inner nodes are labelled
+    with non-terminal names and its leaves are the matched tokens. Semantic
     analyses (e.g. the SQL lowering) navigate the CST by label, which keeps
     them robust against the exact shape a particular feature composition
     produced. *)
@@ -43,19 +44,7 @@ val tokens : t -> Lexing_gen.Token.t list
 val node_count : t -> int
 
 val pp : t Fmt.t
-(** S-expression style rendering, useful in tests and debugging. *)
-
-val render : Buffer.t -> t -> unit
-(** [render b t] appends [Fmt.str "%a" pp t] to [b], computed without
-    Format and without allocating beyond [b]'s own growth. A node that
-    starts at column [col] is printed on one line iff its flat width is
-    less than [78 - col]; otherwise each child starts a new line indented
-    [min 68 (col + 2)] and [)] follows the last child. Each width check
-    stops as soon as the width reaches [78 - col], so rendering is linear
-    in the tree. [pp] is the oracle the differential tests hold this
-    to. *)
-
-val to_string : t -> string
-(** [to_string t] is [render] into a fresh buffer. Callers that render
-    many trees (the service's reply frames) render into one reused buffer
-    instead. *)
+(** S-expression style rendering: the text [sqlpl parse] prints and the
+    service returns in [cst] mode. Those write it with {!Rows.render},
+    which reproduces [Fmt.str "%a" pp] byte for byte from a parse's rows;
+    [pp] is its oracle. *)

@@ -403,35 +403,32 @@ let generate ?(dispatch = true) ?interner ?classify g =
 
 type derivs = Engine_types.derivs =
   | Nil
-  | Cons of int * Cst.t list * derivs Lazy.t
-
-(* The one leaf every CST leaf of a recognition run shares: such runs
-   discard their trees, so they materialize no token for them. *)
-let placeholder_leaf = Cst.Leaf Lexing_gen.Token.placeholder
+  | Cons of int * int * derivs Lazy.t
 
 (* One run's memoized oracle over a fixed token-id stream, shared by the
    bytecode VM's fallback boundary and the pure error-reporting rerun.
-   Each value owns a fresh (sparse, lazily created) memo, strict runner
-   and furthest-failure tracker, i.e. it is one logical run. *)
+   Each value owns a fresh (sparse, lazily created) memo and
+   furthest-failure tracker, i.e. it is one logical run. *)
 type run_machinery = {
   rm_results : int -> int -> derivs;
       (* [rm_results nid i]: the priority-ordered derivation stream (end
-         position, children) of non-terminal [nid] at position [i] — the
-         VM's FB oracle *)
-  rm_top : int -> (Cst.t, parse_error) result;
+         position, row) of non-terminal [nid] at position [i] — the VM's FB
+         oracle *)
+  rm_top : int -> (int, parse_error) result;
       (* the whole statement from start non-terminal id [sid] on the
-         memoized engine, with its furthest-failure report on rejection *)
-  rm_fail : unit -> (Cst.t, parse_error) result;
+         memoized engine — its root row — with its furthest-failure report
+         on rejection *)
+  rm_fail : unit -> (int, parse_error) result;
       (* the furthest-failure report accumulated so far (used when the
          start symbol has no rule) *)
 }
 
 (* Token kinds arrive as dense ids ([tids], valid for this engine's
-   interner); the tokens themselves stay behind the [tok] accessor, touched
-   only at CST leaves and error edges — which is how the SoA path parses
-   without materializing [Token.t] records, and the classic path reads its
-   pre-built array. A recognition run ([build = false]) gives its leaves
-   {!placeholder_leaf} and reads [tok] only for an error position.
+   interner); the tokens themselves stay behind the [tok] accessor, read
+   only for an error position. A derivation's children are child codes
+   ({!Rows.leaf} of a token position, or a row id), and a derivation that
+   completes closes its row in the domain's {!Rows} arena, which the
+   caller has started; a recognition run ([build = false]) closes none.
 
    The memoized backtracking engine (p_ functions) has two hooks active
    when [use_dispatch] is on. Every choice point (even inside non-terminals
@@ -444,8 +441,8 @@ type run_machinery = {
 
    A strict run is {!Vm.strict}: the bytecode VM entered at the rule's
    compiled body on its own per-domain arena, so it can run inside the
-   [FB] of the statement's VM run. Its runner is built on the first
-   strict run of this oracle and reused; a run only resets stack pointers.
+   [FB] of the statement's VM run. The domain's strict runner serves every
+   statement; a run only sets its input and resets stack pointers.
    An [nt_strict] subtree references only [nt_fast] rules, so the only
    ambiguity it can meet is a rule-level [Partial] choice; that ends the
    run as ambiguous and the position is enumerated instead. No
@@ -455,16 +452,9 @@ type run_machinery = {
 let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     ~(kind_name : int -> string) ~build ~use_dispatch =
   let n_terms = Interner.size t.interner in
-  let leaf =
-    if build then fun i -> Cst.Leaf (tok i) else fun _ -> placeholder_leaf
-  in
+  let rows = Rows.domain () in
   let tid i = if i < n then Array.unsafe_get tids i else Interner.eof_id in
   let stride = n + 1 in
-  let strict =
-    lazy
-      (* [nt_strict] is all false when there is no program *)
-      (Vm.strict (Option.get t.program) ~ids:tids ~n ~build ~leaf)
-  in
   (* The branch a decision selects at [i]: [>= 0], [-1] when no branch is
      viable, or [Predict.ambiguous] ([Fallback] is ambiguous everywhere). *)
   let select d i =
@@ -523,7 +513,7 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
        parenthesized constructs. Left recursion is rejected at generation
        time, so deriving a stream (or forcing one of its tails) never
        re-enters its own key. *)
-    let rec p_seq seq si i acc (k : int -> Cst.t list -> Cst.t option) =
+    let rec p_seq seq si i acc (k : int -> int list -> int option) =
       if si = Array.length seq then k i acc
       else
         p_term (Array.unsafe_get seq si) i acc (fun j acc ->
@@ -531,17 +521,16 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     and p_term term i acc k =
       match term with
       | ITerm id ->
-        if tid i = id && i < n then k (i + 1) (leaf i :: acc)
+        if tid i = id && i < n then k (i + 1) (Rows.leaf i :: acc)
         else begin
           expect_one i id;
           None
         end
       | INonterm nid ->
-        let name = Array.unsafe_get t.nt_names nid in
         let rec try_results = function
           | Nil -> None
-          | Cons (j, children, rest) -> (
-            match k j (Cst.Node (name, children) :: acc) with
+          | Cons (j, row, rest) -> (
+            match k j (row :: acc) with
             | Some _ as r -> r
             | None -> try_results (Lazy.force rest))
         in
@@ -628,9 +617,10 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
            set is that single derivation — or nothing. An ambiguous
            lookahead gives the attempt up, and this position is enumerated
            instead. *)
-        let strict = Lazy.force strict in
-        let j = strict.Vm.run nid i in
-        if j >= 0 then Cons (j, strict.Vm.children (), Engine_types.nil_tail)
+        let prog = Option.get t.program (* [nt_strict] is all false without one *) in
+        let j = Vm.strict prog ~ids:tids ~n ~build nid i in
+        if j >= 0 then
+          Cons (j, (if build then Vm.strict_row () else 0), Engine_types.nil_tail)
         else if j = -1 then Nil
         else enumerate nid i
       end
@@ -641,19 +631,19 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
          selected alternative can yield a derivation that survives into
          any successful parse. *)
       match p_select (Array.unsafe_get t.alt_dispatch nid) i with
-      | b when b >= 0 -> derive alts i b (b + 1) []
+      | b when b >= 0 -> derive nid alts i b (b + 1) []
       | -1 -> Nil
-      | _ -> derive alts i 0 (Array.length alts) []
+      | _ -> derive nid alts i 0 (Array.length alts) []
     (* Alternatives [a .. stop - 1] of a rule at [i], lazily: alternative
        [a] is enumerated in full (its continuation refuses every end, so
        every end it can reach is seen), its ends not already produced by
        an earlier alternative ([seen]) are emitted in the order found —
-       first tree per end wins — and the next alternative is derived only
-       when a consumer walks past them. A rejecting run walks every stream
+       first tree per end wins, its row closed when it is found — and the
+       next alternative is derived only when a consumer walks past them. A rejecting run walks every stream
        to [Nil], so it derives exactly what the eager enumeration did, and
        its furthest-failure report (the maximum position and the union of
        the expectations there) does not depend on the order. *)
-    and derive alts i a stop seen =
+    and derive nid alts i a stop seen =
       if a = stop then Nil
       else
         let s, (pred : pred) = Array.unsafe_get alts a in
@@ -667,22 +657,26 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
             (p_seq s 0 i [] (fun j acc ->
                  if not (mem j !seen) then begin
                    seen := j :: !seen;
-                   fresh := (j, List.rev acc) :: !fresh
+                   let row =
+                     if build then Rows.close_list rows ~rule:nid ~pos:j acc
+                     else 0
+                   in
+                   fresh := (j, row) :: !fresh
                  end;
                  (* Refuse so the enumeration continues. *)
                  None));
           match !fresh with
-          | [] -> derive alts i (a + 1) stop !seen
-          | (j, children) :: earlier ->
+          | [] -> derive nid alts i (a + 1) stop !seen
+          | (j, row) :: earlier ->
             let seen = !seen in
             List.fold_left
-              (fun rest (j, children) -> Cons (j, children, Lazy.from_val rest))
-              (Cons (j, children, lazy (derive alts i (a + 1) stop seen)))
+              (fun rest (j, row) -> Cons (j, row, Lazy.from_val rest))
+              (Cons (j, row, lazy (derive nid alts i (a + 1) stop seen)))
               earlier
         end
         else begin
           expect_set i pred.first;
-          derive alts i (a + 1) stop seen
+          derive nid alts i (a + 1) stop seen
         end
     in
     let fail_result () =
@@ -739,8 +733,9 @@ let count_rerun () = incr (Domain.DLS.get rerun_count)
 
 (* The shared parse driver: one bytecode VM run, its FB boundaries served
    by a dispatching oracle, and — only when that run rejects — the pure
-   memoized rerun that derives the error. [build] is threaded to the VM so
-   recognition runs skip CST construction entirely. *)
+   memoized rerun that derives the error. The result is the root row in
+   the domain's {!Rows} arena, which a building caller ([build]) has
+   started; recognition runs build no row. *)
 let parse_ids ?start t ~(tids : int array) ~n
     ~(tok : int -> Lexing_gen.Token.t) ~(kind_name : int -> string) ~build =
   let start_name = Option.value ~default:t.start start in
@@ -761,16 +756,20 @@ let parse_ids ?start t ~(tids : int array) ~n
      reproduces the backtracking engine's error exactly. *)
   match t.program with
   | Some prog when String.equal start_name t.start -> (
-    let m = machinery t ~tids ~n ~tok ~kind_name ~build ~use_dispatch:true in
-    match
-      Vm.exec prog ~ids:tids ~n ~build
-        ~leaf:(fun i -> Cst.Leaf (tok i))
-        ~fallback:m.rm_results
-    with
-    | Some tree -> Ok tree
-    | None ->
+    (* built at the run's first [FB]: a statement that commits throughout
+       needs no oracle *)
+    let m =
+      lazy (machinery t ~tids ~n ~tok ~kind_name ~build ~use_dispatch:true)
+    in
+    let root =
+      Vm.exec prog ~ids:tids ~n ~build ~fallback:(fun nid i ->
+          (Lazy.force m).rm_results nid i)
+    in
+    if root >= 0 then Ok root
+    else begin
       count_rerun ();
-      pure ())
+      pure ()
+    end)
   | _ -> pure ()
 
 (* Token kinds resolved to engine ids once, at the boundary: tokens stamped
@@ -784,14 +783,22 @@ let stamped_ids t toks =
         tok.Lexing_gen.Token.kind_id)
     toks
 
+(* A building parse starts the domain's row arena over its tokens and
+   returns its tree. *)
+let build_rows t tokens parse =
+  let rows = Rows.domain () in
+  Rows.start rows ~names:t.nt_names tokens;
+  Result.map (Rows.tree rows) (parse ~build:true)
+
 let parse_tokens ?start t toks =
   let n = Array.length toks in
-  parse_ids ?start t ~tids:(stamped_ids t toks) ~n
-    ~tok:(fun i -> toks.(i))
-    ~kind_name:(fun i ->
-      if i < n then toks.(i).Lexing_gen.Token.kind
-      else Lexing_gen.Token.eof_kind)
-    ~build:true
+  Result.map Rows.to_cst
+    (build_rows t (Rows.Tokens toks)
+       (parse_ids ?start t ~tids:(stamped_ids t toks) ~n
+          ~tok:(fun i -> toks.(i))
+          ~kind_name:(fun i ->
+            if i < n then toks.(i).Lexing_gen.Token.kind
+            else Lexing_gen.Token.eof_kind)))
 
 module Scanner = Lexing_gen.Scanner
 
@@ -808,23 +815,24 @@ let soa_ids t ~scanner (soa : Scanner.soa) ~n =
         let id = soa.Scanner.kind_ids.(i) in
         Interner.stamp_of t.interner ~kind:(Interner.name si id) id)
 
-(* Tokens are read through a chunked view that materializes at most 256
-   tokens at a time, on first access (only if a CST leaf or an error edge
-   needs one); kind names come from the interner by kind id. *)
+(* Only an error position reads a token record; kind names come from the
+   interner by kind id. *)
 let run_soa ?start t ~scanner soa ~build =
   (* [n] counts the EOF sentinel, like the token arrays [scan_tokens]
      produces, so all engines see identical streams. *)
   let n = Scanner.soa_count soa + 1 in
-  let view = Scanner.view scanner soa in
   parse_ids ?start t ~tids:(soa_ids t ~scanner soa ~n) ~n
-    ~tok:(Scanner.view_token view) ~kind_name:(Scanner.view_kind view) ~build
+    ~tok:(Scanner.token_of_soa scanner soa)
+    ~kind_name:(Scanner.kind_name scanner soa) ~build
 
-let parse_soa ?start t ~scanner soa = run_soa ?start t ~scanner soa ~build:true
+let parse_rows ?start t ~scanner soa =
+  build_rows t (Rows.Soa (scanner, soa)) (run_soa ?start t ~scanner soa)
+
+let parse_soa ?start t ~scanner soa =
+  Result.map Rows.to_cst (parse_rows ?start t ~scanner soa)
 
 let recognize_soa ?start t ~scanner soa =
-  Result.map
-    (fun (_ : Cst.t) -> ())
-    (run_soa ?start t ~scanner soa ~build:false)
+  Result.map ignore (run_soa ?start t ~scanner soa ~build:false)
 
 let parse ?start t token_list = parse_tokens ?start t (Array.of_list token_list)
 

@@ -156,9 +156,10 @@ val parse_tokens :
     from the grammar's start symbol (or [start]). The whole input must be
     consumed. {!Lexing_gen.Scanner.scan_tokens} output flows in without
     conversion, and tokens stamped by the shared interner are trusted by
-    id. The parse runs on the bytecode VM; an overridden [start] parses on
-    the memoized engine, since the prediction tables are computed for the
-    grammar's own start symbol.
+    id. The parse runs on the bytecode VM, building rows over [tokens]
+    that are then materialized ({!Rows.to_cst}); an overridden [start]
+    parses on the memoized engine, since the prediction tables are
+    computed for the grammar's own start symbol.
 
     A parse failing past the last token reports the position just past that
     token's span and [EOF] as the found kind. On scanner streams this is
@@ -201,19 +202,30 @@ val program : t -> Program.t option
     program is built eagerly so caching the engine (as [Service.Cache] does)
     caches the compiled program alongside the front-end. *)
 
+val parse_rows :
+  ?start:string ->
+  t ->
+  scanner:Lexing_gen.Scanner.t ->
+  Lexing_gen.Scanner.soa ->
+  (Rows.tree, parse_error) result
+(** Parse a struct-of-arrays token stream in place, building rows: kind
+    ids are read straight out of the scanner's arena, every node the parse
+    closes is a row in the domain's {!Rows} arena, and every leaf a token
+    index into the stream, so no [Token.t] record is built unless an error
+    edge needs one. The tree is valid until the next parse or scan on the
+    domain (see {!Rows}). [scanner] must be the scanner that produced the
+    stream; when it shares the engine's interner (as under
+    {!Core.generate}) its ids are trusted without re-stamping. *)
+
 val parse_soa :
   ?start:string ->
   t ->
   scanner:Lexing_gen.Scanner.t ->
   Lexing_gen.Scanner.soa ->
   (Cst.t, parse_error) result
-(** Parse a struct-of-arrays token stream in place: kind ids are read
-    straight out of the scanner's arena, and [Token.t] records are
-    materialized through a {!Lexing_gen.Scanner.view}, a chunk of at most
-    256 at a time — only when a CST leaf or an error edge needs them.
-    [scanner] must be the scanner that produced the stream; when it shares
-    the engine's interner (as under {!Core.generate}) its ids are trusted
-    without re-stamping. *)
+(** {!parse_rows} materialized as a {!Cst.t} ({!Rows.to_cst}): the leaves'
+    tokens are read through a {!Lexing_gen.Scanner.view}, a chunk of at
+    most 256 at a time. *)
 
 val recognize_soa :
   ?start:string ->
@@ -221,9 +233,8 @@ val recognize_soa :
   scanner:Lexing_gen.Scanner.t ->
   Lexing_gen.Scanner.soa ->
   (unit, parse_error) result
-(** Accept/reject without building a CST. On the fully committed VM path
+(** Accept/reject without building rows. On the fully committed VM path
     this allocates nothing per token — the zero-allocation accept path the
-    SoA stream exists for. Where the memoized fallback runs, its leaves
-    share one placeholder token, so no token is materialized unless the
-    statement is rejected, and its strict runs build no CST node. Errors
-    are still re-derived exactly. *)
+    SoA stream exists for. No token is materialized unless the statement
+    is rejected, and strict runs build no row. Errors are still re-derived
+    exactly. *)

@@ -56,6 +56,6 @@ let pp_parse_error ppf e =
    ones produced. *)
 type derivs =
   | Nil
-  | Cons of int * Cst.t list * derivs Lazy.t
+  | Cons of int * int * derivs Lazy.t
 
 let nil_tail = Lazy.from_val Nil

@@ -52,10 +52,11 @@ and iseq = iterm array
 
 type derivs =
   | Nil
-  | Cons of int * Cst.t list * derivs Lazy.t
-      (** [Cons (j, children, rest)]: a derivation ending at token [j]
-          (exclusive) with these CST children, then the lower-priority
-          derivations with other ends *)
+  | Cons of int * int * derivs Lazy.t
+      (** [Cons (j, row, rest)]: a derivation ending at token [j]
+          (exclusive) whose node is [row] in the domain's {!Rows} arena (a
+          recognition run builds no row and carries [0]), then the
+          lower-priority derivations with other ends *)
 (** The derivations of one non-terminal at one position, in priority order
     and deduped by end position (the highest-priority tree of each end),
     as a memoized lazy stream. The memoized engine derives an alternative

@@ -41,13 +41,18 @@
      statement on the pure memoized path for a byte-identical error
      report.
 
-   In recognition mode ([build = false]) the CST stack is untouched: the
-   fully committed accept path allocates nothing per token. *)
+   A building run keeps a value stack of child codes ({!Rows.leaf} of a
+   matched token, or a row id) and closes each node at its [RET] into the
+   domain's row arena ({!Rows.close}), so it allocates nothing per token
+   either. In recognition mode ([build = false]) the value stack is
+   untouched.
 
-let dummy = Cst.Node ("", [])
+   Each arena has one runner per domain: the interpreter's closures are
+   built once per program and read the run's token ids, count, mode and
+   oracle from a mutable [input] record. *)
 
 type arena = {
-  mutable cst : Cst.t array;
+  mutable vals : int array; (* child codes of the open nodes *)
   mutable frames : int array; (* 2 ints per frame: ret_ip, cst_mark *)
   mutable loops : int array; (* star-iteration start positions *)
   mutable scopes : int array; (* choice-stack marks *)
@@ -59,7 +64,7 @@ type arena = {
 
 let new_arena () =
   {
-    cst = Array.make 256 dummy;
+    vals = Array.make 256 0;
     frames = Array.make 128 0;
     loops = Array.make 64 0;
     scopes = Array.make 64 0;
@@ -67,8 +72,17 @@ let new_arena () =
     ch_ends = Array.make 16 Engine_types.nil_tail;
   }
 
-let arena_key : arena Domain.DLS.key = Domain.DLS.new_key new_arena
-let strict_arena_key : arena Domain.DLS.key = Domain.DLS.new_key new_arena
+(* What changes from run to run; the closures read it here. *)
+type input = {
+  mutable ids : int array;
+  mutable n : int;
+  mutable build : bool;
+  mutable fallback : int -> int -> Engine_types.derivs;
+}
+
+let no_fallback _ _ =
+  (* an [nt_strict] rule references only [nt_fast] ones *)
+  assert false
 
 (* A tail already known to be empty (the usual single derivation) needs no
    choice point. Unforced tails are pushed as they are: deriving them is
@@ -82,27 +96,23 @@ let grow_int (a : int array) =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* The interpreter over arena [a]. [run ip pos] resets the stacks and
-   steps from [ip]; a [strict] run first pushes a base frame returning to
-   the boot [HALT] (address 2). The result is the end position on
-   acceptance, [-1] on rejection, or [Predict.ambiguous] when a strict run
-   meets a [-3] entry. An accepted tree is [a.cst.(0)]: the boot reference
-   (or the strict base frame) reduces into the bottom slot. *)
-let machine prog a ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
-    ~(fallback : int -> int -> Engine_types.derivs) ~strict =
+(* The interpreter over arena [a], closing rows into [rows]. [run ip pos]
+   resets the stacks and steps from [ip]; a [strict] run first pushes a
+   base frame returning to the boot [HALT] (address 2). The result is the
+   end position on acceptance, [-1] on rejection, or [Predict.ambiguous]
+   when a strict run meets a [-3] entry. An accepted tree's root row is
+   [a.vals.(0)]: the boot reference (or the strict base frame) reduces
+   into the bottom slot. *)
+let machine prog a rows (inp : input) ~strict =
   let code = Program.code prog in
   let t1 = Program.t1 prog in
   let t2_first = Program.t2_first prog in
   let t2_second = Program.t2_second prog in
   let csp = ref 0 and fsp = ref 0 and lsp = ref 0 and ssp = ref 0 in
   let cp = ref 0 in
-  let push_cst v =
-    if !csp = Array.length a.cst then begin
-      let b = Array.make (2 * Array.length a.cst) dummy in
-      Array.blit a.cst 0 b 0 (Array.length a.cst);
-      a.cst <- b
-    end;
-    Array.unsafe_set a.cst !csp v;
+  let push_val v =
+    if !csp = Array.length a.vals then a.vals <- grow_int a.vals;
+    Array.unsafe_set a.vals !csp v;
     incr csp
   in
   let push_frame ret_ip =
@@ -137,13 +147,18 @@ let machine prog a ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
     a.ch_ends.(!cp) <- rest;
     incr cp
   in
-  let tid pos = if pos < n then Array.unsafe_get ids pos else 0 in
+  let tid pos = if pos < inp.n then Array.unsafe_get inp.ids pos else 0 in
   let rec step ip pos =
     let op = Array.unsafe_get code ip in
     if op = Program.op_match then begin
-      if pos < n && Array.unsafe_get ids pos = Array.unsafe_get code (ip + 1)
+      if pos < inp.n && Array.unsafe_get inp.ids pos = Array.unsafe_get code (ip + 1)
       then begin
-        if build then push_cst (leaf pos);
+        if inp.build then begin
+          let sp = !csp in
+          if sp = Array.length a.vals then a.vals <- grow_int a.vals;
+          Array.unsafe_set a.vals sp (Rows.leaf pos);
+          csp := sp + 1
+        end;
         step (ip + 2) (pos + 1)
       end
       else backtrack ()
@@ -155,16 +170,16 @@ let machine prog a ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
     else if op = Program.op_ret then begin
       fsp := !fsp - 2;
       let ret_ip = Array.unsafe_get a.frames !fsp in
-      if build then begin
+      if inp.build then begin
         let mark = Array.unsafe_get a.frames (!fsp + 1) in
-        let stack = a.cst in
-        let rec collect k acc =
-          if k < mark then acc
-          else collect (k - 1) (Array.unsafe_get stack k :: acc)
+        let row =
+          Rows.close rows ~rule:(Array.unsafe_get code (ip + 1)) ~pos a.vals
+            mark !csp
         in
-        let children = collect (!csp - 1) [] in
-        csp := mark;
-        push_cst (Cst.Node (Program.nt_name prog code.(ip + 1), children))
+        (* the children's slots are free: the row takes the first *)
+        if mark = Array.length a.vals then a.vals <- grow_int a.vals;
+        Array.unsafe_set a.vals mark row;
+        csp := mark + 1
       end;
       step ret_ip pos
     end
@@ -246,11 +261,11 @@ let machine prog a ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
      priority order, the rest kept as a choice point. *)
   and fallback_at resume_ip pos =
     let nid = Array.unsafe_get code (resume_ip - 1) in
-    match fallback nid pos with
+    match inp.fallback nid pos with
     | Nil -> backtrack ()
-    | Cons (j, children, rest) ->
+    | Cons (j, row, rest) ->
       if not (forced_nil rest) then push_choice resume_ip rest;
-      if build then push_cst (Cst.Node (Program.nt_name prog nid, children));
+      if inp.build then push_val row;
       step resume_ip j
   and backtrack () =
     if !cp = 0 then -1
@@ -263,16 +278,14 @@ let machine prog a ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
         a.ch_ends.(top) <- Engine_types.nil_tail;
         cp := top;
         backtrack ()
-      | Cons (j, children, rest) ->
+      | Cons (j, row, rest) ->
         csp := a.ch_ints.(base + 1);
         fsp := a.ch_ints.(base + 2);
         lsp := a.ch_ints.(base + 3);
         ssp := a.ch_ints.(base + 4);
         let resume_ip = a.ch_ints.(base) in
         a.ch_ends.(top) <- rest;
-        if build then
-          push_cst
-            (Cst.Node (Program.nt_name prog code.(resume_ip - 1), children));
+        if inp.build then push_val row;
         step resume_ip j
     end
   in
@@ -284,36 +297,62 @@ let machine prog a ~(ids : int array) ~n ~build ~(leaf : int -> Cst.t)
     if strict then push_frame 2;
     let j = step ip pos in
     (* Drop references to derivation streams so the arena does not retain
-       CSTs (or the oracle's memo, through unforced tails) across parses. *)
+       the oracle's memo, through unforced tails, across parses. *)
     for k = 0 to !cp - 1 do
       a.ch_ends.(k) <- Engine_types.nil_tail
     done;
     cp := 0;
     j
 
-let exec prog ~ids ~n ~build ~leaf ~fallback =
-  let a = Domain.DLS.get arena_key in
-  let run = machine prog a ~ids ~n ~build ~leaf ~fallback ~strict:false in
-  let j = run 0 0 (* the boot CALL or FB *) in
-  if j < 0 then None else if build then Some a.cst.(0) else Some dummy
-
-type strict = {
+(* A domain's runner on one arena, rebuilt only when the program
+   changes. *)
+type runner = {
+  prog : Program.t;
+  arena : arena;
+  input : input;
   run : int -> int -> int;
-  children : unit -> Cst.t list;
 }
 
-let strict prog ~ids ~n ~build ~leaf =
-  let a = Domain.DLS.get strict_arena_key in
-  let run =
-    machine prog a ~ids ~n ~build ~leaf ~strict:true ~fallback:(fun _ _ ->
-        (* an [nt_strict] rule references only [nt_fast] ones *)
-        assert false)
+type slot = { slot_arena : arena; mutable runner : runner option }
+
+let new_slot () = { slot_arena = new_arena (); runner = None }
+let exec_slot : slot Domain.DLS.key = Domain.DLS.new_key new_slot
+let strict_slot : slot Domain.DLS.key = Domain.DLS.new_key new_slot
+
+let runner key prog ~ids ~n ~build ~fallback ~strict =
+  let slot = Domain.DLS.get key in
+  let r =
+    match slot.runner with
+    | Some r when r.prog == prog -> r
+    | _ ->
+      let input = { ids = [||]; n = 0; build = false; fallback = no_fallback } in
+      let arena = slot.slot_arena in
+      let r =
+        { prog; arena; input;
+          run = machine prog arena (Rows.domain ()) input ~strict }
+      in
+      slot.runner <- Some r;
+      r
   in
-  {
-    run = (fun nt pos -> run (Program.entry prog nt) pos);
-    children =
-      (fun () ->
-        if build then
-          match a.cst.(0) with Cst.Node (_, cs) -> cs | Cst.Leaf _ -> []
-        else []);
-  }
+  let inp = r.input in
+  inp.ids <- ids;
+  inp.n <- n;
+  inp.build <- build;
+  inp.fallback <- fallback;
+  r
+
+let exec prog ~ids ~n ~build ~fallback =
+  let r = runner exec_slot prog ~ids ~n ~build ~fallback ~strict:false in
+  let j = r.run 0 0 (* the boot CALL or FB *) in
+  (* The runner outlives the run: it must not keep its input alive. *)
+  r.input.ids <- [||];
+  r.input.fallback <- no_fallback;
+  if j < 0 then -1 else if build then r.arena.vals.(0) else 0
+
+let strict prog ~ids ~n ~build nt pos =
+  let r =
+    runner strict_slot prog ~ids ~n ~build ~fallback:no_fallback ~strict:true
+  in
+  r.run (Program.entry prog nt) pos
+
+let strict_row () = (Domain.DLS.get strict_slot).slot_arena.vals.(0)

@@ -86,9 +86,14 @@ let outcome_of (item : _ Session.parsed) cst =
   | Ok x -> Wire.Accepted { tokens = item.Session.token_count; cst = cst x }
   | Error e -> Wire.Rejected (Wire.error_of_core ~query:item.Session.sql e)
 
+(* The built-reply edge renders through the oracle printer, not the rows
+   renderer the daemon uses, so replies checked against it are checked
+   against an independent rendering. *)
 let outcome_of_item mode item =
   outcome_of item (fun t ->
-      match mode with Wire.Cst -> Some (Wire.Tree t) | Wire.Recognize -> None)
+      match mode with
+      | Wire.Cst -> Some (Wire.Text (Fmt.str "%a" Parser_gen.Cst.pp t))
+      | Wire.Recognize -> None)
 
 let reply_stats (s : Session.stats) =
   {
@@ -100,15 +105,16 @@ let reply_stats (s : Session.stats) =
   }
 
 (* Each statement is parsed and its outcome written into [out] before the
-   next is parsed: a tree is rendered into the frame and dropped, and a
-   recognized statement never builds one. *)
+   next is parsed: its rows are rendered into the frame before the next
+   parse reuses their arena, no [Cst.t] is built, and a recognized
+   statement builds no row. *)
 let reply_into session out enc (r : Wire.request) =
   Wire.encode_reply_into out enc ~id:r.Wire.id (fun emit ->
       reply_stats
         (match r.Wire.mode with
         | Wire.Cst ->
-          Session.each session ~parse:Core.parse_cst_counted r.Wire.statements
-            (fun item -> emit (outcome_of_item Wire.Cst item))
+          Session.each session ~parse:Core.parse_rows_counted r.Wire.statements
+            (fun item -> emit (outcome_of item (fun t -> Some (Wire.Rows t))))
         | Wire.Recognize ->
           Session.each session ~parse:Core.recognize_counted r.Wire.statements
             (fun item -> emit (outcome_of item (fun () -> None)))))

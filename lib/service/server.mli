@@ -23,9 +23,9 @@
     - each [Request] is answered by one [Reply] ({!reply_into}): its
       statements are parsed one at a time through {!Session.each} on the
       pinned front-end, and each outcome is written into the reply frame
-      before the next statement is parsed — in [cst] mode the tree is
-      rendered into the frame and dropped, in [recognize] mode none is
-      built. The items are byte-identical to the library results:
+      before the next statement is parsed — in [cst] mode the parse's
+      rows are rendered into the frame before the next parse reuses their
+      arena (no [Cst.t] is built), in [recognize] mode no row is built. The items are byte-identical to the library results:
       accepted statements carry token counts (and the rendered CST in
       [cst] mode), rejected ones a wire error with the query text, span,
       found token and decoded expected set attached. A statement that
@@ -95,18 +95,23 @@ val stop : t -> unit
     domain, and unlink the Unix socket path if one was bound. Idempotent. *)
 
 val outcome_of_item : Wire.mode -> Session.item -> Wire.outcome
-(** The exact library-result-to-wire mapping replies are built from —
-    exposed so the determinism tests and the service bench can render
-    {!Session.parse_batch} output locally and demand byte equality with
-    what came over the wire. In {!Wire.Cst} mode an accepted item carries
-    its tree ({!Wire.Tree}); the encoder renders it into the frame. *)
+(** The library-result-to-wire mapping of a built reply — exposed so the
+    determinism tests and the ledger can render {!Session.parse_batch}
+    output locally and demand byte equality with what came over the wire.
+    In {!Wire.Cst} mode an accepted item carries
+    [Wire.Text (Fmt.str "%a" Cst.pp tree)]: the oracle printer, not the
+    rows renderer {!reply_into} writes with, so that equality checks the
+    daemon against an independent rendering. *)
 
 val reply_into : Session.t -> Wire.writer -> Wire.encoding -> Wire.request -> unit
 (** [reply_into session w enc request] replaces [w]'s contents with the
     [Reply] frame the daemon sends for [request]: {!Session.each} feeds
     {!Wire.encode_reply_into}, so each statement's outcome is encoded
-    before the next statement is parsed. Items map as {!outcome_of_item};
-    [Recognize] requests run {!Core.recognize_counted} and build no tree.
+    before the next statement is parsed. [Cst] requests parse with
+    {!Core.parse_rows_counted} and render each tree's rows ({!Wire.Rows})
+    into the frame, so no [Cst.t] is built; the items are byte for byte
+    those of {!outcome_of_item}. [Recognize] requests run
+    {!Core.recognize_counted} and build no tree.
     The stats' [elapsed_ns] is parse time only. An exception from a
     statement propagates, leaving a partial frame in [w]. *)
 

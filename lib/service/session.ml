@@ -113,10 +113,10 @@ let pp_stats ppf s =
     s.statements_per_second s.tokens_per_second pp_furthest s.furthest_error
 
 (* Scan and parse one statement against the pinned front-end. [parse] is
-   {!Core.parse_cst_counted} (the VM over the struct-of-arrays stream, no
-   token records on the accept path) or {!Core.recognize_counted} (no
-   tree at all). Safe under sharding because the stream arena and the
-   VM's stacks are domain-local. *)
+   {!Core.parse_rows_counted} (the VM over the struct-of-arrays stream,
+   building rows), {!Core.parse_cst_counted} (those rows materialized) or
+   {!Core.recognize_counted} (no tree at all). Safe under sharding because
+   the stream, row and VM arenas are domain-local. *)
 let parse_one parse front_end index sql =
   let token_count, result = parse front_end sql in
   { index; sql; token_count; result }

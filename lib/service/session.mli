@@ -6,12 +6,12 @@
     returns per-statement results plus aggregate statistics (token and
     statement throughput, furthest parse-error position); the session also
     accumulates the same statistics across all batches it has run
-    ({!totals}). Every statement parses on the one production engine,
-    through {!Core.parse_cst_counted} or, when only a verdict and a token
-    count are wanted, {!Core.recognize_counted}. {!each} is the one
-    sequential path: it hands each statement's item to a callback before
-    parsing the next, so a caller that consumes items as they come (the
-    daemon rendering replies) never holds more than one tree.
+    ({!totals}). Every statement parses on the one production engine:
+    batches through {!Core.parse_cst_counted}, and {!each} through the
+    parse function its caller passes. {!each} is the one sequential path:
+    it hands each statement's item to a callback before parsing the next,
+    so a caller that consumes items as they come (the daemon rendering
+    each parse's rows into its reply) never holds more than one tree.
 
     A batch can be sharded across OCaml 5 domains
     ([parse_batch ~domains:4]): the generated front-end is immutable after
@@ -76,9 +76,11 @@ val each :
   ('a parsed -> unit) ->
   stats
 (** [each t ~parse stmts f] scans and parses the statements one at a time
-    with [parse] ({!Core.parse_cst_counted}, or {!Core.recognize_counted}
-    when no tree is wanted) and hands each item to [f] before the next
-    statement is parsed, so no item need outlive its call. Failures don't
+    with [parse] ({!Core.parse_rows_counted}, {!Core.parse_cst_counted},
+    or {!Core.recognize_counted} when no tree is wanted) and hands each
+    item to [f] before the next statement is parsed, so no item need
+    outlive its call — and rows, which the next parse invalidates, are
+    consumed in time. Failures don't
     stop the run; they are recorded per item and aggregated. [elapsed] sums
     the statements' parse spans: time spent in [f] is not counted. The
     statistics accumulate into {!totals}. *)

@@ -91,7 +91,7 @@ type mode = Cst | Recognize
 
 type request = { id : int; mode : mode; statements : string list }
 
-type cst = Tree of Parser_gen.Cst.t | Text of string
+type cst = Text of string | Rows of Parser_gen.Rows.tree
 
 type outcome =
   | Accepted of { tokens : int; cst : cst option }
@@ -134,13 +134,15 @@ let default_max_frame = 16 * 1024 * 1024
 
 (* --- frame writer ------------------------------------------------------- *)
 
-(* Frames are encoded into a growable byte array rather than a [Buffer.t]:
-   a frame's length prefix is only known once its payload is written, and
-   bytes can be patched in place and handed to [write] without a copy. A
-   CST carried as a [Tree] is rendered into [tree], a reused scratch
-   buffer, and copied from there exactly as a [Text] of the same bytes
-   would be, so the two encode identically. *)
-type writer = { mutable buf : bytes; mutable len : int; tree : Buffer.t }
+(* Frames are encoded into a growable byte array ({!Parser_gen.Out})
+   rather than a [Buffer.t]: a frame's length prefix is only known once its
+   payload is written, and bytes can be patched in place and handed to
+   [write] without a copy. A CST carried as [Rows] is rendered straight
+   into the frame, exactly the bytes a [Text] of its rendering would
+   add. *)
+module Out = Parser_gen.Out
+
+type writer = Out.t
 
 let initial_capacity = 256
 
@@ -149,53 +151,18 @@ let initial_capacity = 256
    its memory for the rest of the connection. *)
 let shrink_above = 1 lsl 20
 
-let writer () =
-  { buf = Bytes.create initial_capacity; len = 0;
-    tree = Buffer.create initial_capacity }
+let writer () = Out.create initial_capacity
+let writer_capacity (w : writer) = Bytes.length w.buf
+let reserve = Out.reserve
+let add_char = Out.add_char
+let add_string = Out.add_string
 
-let writer_capacity w = Bytes.length w.buf
-
-let reserve w n =
-  let need = w.len + n in
-  if need > Bytes.length w.buf then begin
-    let rec double cap = if cap >= need then cap else double (2 * cap) in
-    let bigger = Bytes.create (double (Bytes.length w.buf)) in
-    Bytes.blit w.buf 0 bigger 0 w.len;
-    w.buf <- bigger
-  end
-
-let add_char w c =
-  reserve w 1;
-  Bytes.unsafe_set w.buf w.len c;
-  w.len <- w.len + 1
-
-let add_string w s =
-  let n = String.length s in
-  reserve w n;
-  Bytes.unsafe_blit_string s 0 w.buf w.len n;
-  w.len <- w.len + n
-
-let add_buffer w b =
-  let n = Buffer.length b in
-  reserve w n;
-  Buffer.blit b 0 w.buf w.len n;
-  w.len <- w.len + n
-
-(* [t]'s text, in the writer's scratch buffer. *)
-let rendered w t =
-  Buffer.clear w.tree;
-  Parser_gen.Cst.render w.tree t;
-  w.tree
-
-let output w write =
+let output (w : writer) write =
   let off = ref 0 in
   while !off < w.len do
     off := !off + write w.buf !off (w.len - !off)
   done;
-  if Bytes.length w.buf > shrink_above then begin
-    w.buf <- Bytes.create initial_capacity;
-    Buffer.reset w.tree
-  end
+  if Bytes.length w.buf > shrink_above then w.buf <- Bytes.create initial_capacity
 
 (* --- binary encoding --------------------------------------------------- *)
 
@@ -216,12 +183,12 @@ let hello_version = 1
 
 let put_u8 b v = add_char b (Char.unsafe_chr (v land 0xff))
 
-let put_u32 b v =
+let put_u32 (b : writer) v =
   reserve b 4;
   Bytes.set_int32_be b.buf b.len (Int32.of_int v);
   b.len <- b.len + 4
 
-let put_u64 b (v : int64) =
+let put_u64 (b : writer) (v : int64) =
   reserve b 8;
   Bytes.set_int64_be b.buf b.len v;
   b.len <- b.len + 8
@@ -268,12 +235,15 @@ let put_error b e =
   put_opt put_str b e.found;
   put_list put_str b e.expected
 
-let put_cst b = function
+(* Rendered rows are the same bytes as their [Text]: the length is
+   patched in once the text is written. *)
+let put_cst (b : writer) = function
   | Text s -> put_str b s
-  | Tree t ->
-    let text = rendered b t in
-    put_u32 b (Buffer.length text);
-    add_buffer b text
+  | Rows t ->
+    let at = b.len in
+    put_u32 b 0;
+    Parser_gen.Rows.render b ~json:false t;
+    Bytes.set_int32_be b.buf at (Int32.of_int (b.len - at - 4))
 
 let put_outcome b = function
   | Accepted { tokens; cst } ->
@@ -287,7 +257,7 @@ let put_outcome b = function
 (* A reply's items are written as [produce] yields them, each (a [Tree]
    rendered) before [produce] goes on; the item count is patched in once
    [produce] returns the stats, which follow the items. *)
-let put_reply b id produce =
+let put_reply (b : writer) id produce =
   put_u8 b tag_reply;
   put_u32 b id;
   let count_at = b.len in
@@ -354,7 +324,7 @@ let put_payload b = function
 (* Four placeholder bytes for the length prefix, then the payload, then the
    prefix is patched in place: the frame leaves the writer without a
    copy. *)
-let put_frame b put =
+let put_frame (b : writer) put =
   put_u32 b 0;
   put b;
   Bytes.set_int32_be b.buf 0 (Int32.of_int (b.len - 4))
@@ -527,23 +497,30 @@ let oversized limit len =
     expected = [];
   }
 
+(* The frame whose payload is [src.[pos .. limit - 1]]. *)
+let payload_of src ~pos ~limit =
+  match get_payload { src; limit; pos } with
+  | frame -> Result.Ok frame
+  | exception Fail m -> Result.Error (bad_frame m)
+
 let decode ?(max_frame = default_max_frame) s =
   let c = { src = s; limit = String.length s; pos = 0 } in
-  match
-    let len = get_u32 c "length prefix" in
+  match get_u32 c "length prefix" with
+  | exception Fail m -> Result.Error (bad_frame m)
+  | len ->
     if len > max_frame then Result.Error (oversized max_frame len)
     else if len = 0 then Result.Error (bad_frame "empty frame")
-    else begin
-      need c len "frame payload";
-      let payload = { src = s; limit = c.pos + len; pos = c.pos } in
-      let frame = get_payload payload in
-      if c.pos + len <> String.length s then
+    else if c.limit - c.pos < len then
+      Result.Error
+        (bad_frame
+           (Printf.sprintf
+              "truncated frame: frame payload needs %d byte(s), %d left" len
+              (c.limit - c.pos)))
+    else
+      match payload_of s ~pos:c.pos ~limit:(c.pos + len) with
+      | Result.Ok _ when c.pos + len <> c.limit ->
         Result.Error (bad_frame "trailing bytes after frame")
-      else Result.Ok frame
-    end
-  with
-  | result -> result
-  | exception Fail m -> Result.Error (bad_frame m)
+      | result -> result
 
 (* --- JSON encoding ------------------------------------------------------ *)
 
@@ -551,23 +528,9 @@ let decode ?(max_frame = default_max_frame) s =
    outside printable ASCII as \u00XX, so arbitrary payloads (newlines, NUL,
    raw UTF-8) survive the line discipline and round-trip bytewise. *)
 
-let hex_digits = "0123456789abcdef"
-
-(* Escapes the [n] bytes that [get] reads: [String.unsafe_get s] for a
-   string, [Buffer.nth] for a rendered tree. *)
-let json_escape b get n =
+let jstr s b =
   add_char b '"';
-  for i = 0 to n - 1 do
-    match get i with
-    | '"' -> add_string b "\\\""
-    | '\\' -> add_string b "\\\\"
-    | ' ' .. '~' as ch -> add_char b ch
-    | ch ->
-      let c = Char.code ch in
-      add_string b "\\u00";
-      add_char b hex_digits.[c lsr 4];
-      add_char b hex_digits.[c land 0xf]
-  done;
+  Out.add_json b s 0 (String.length s);
   add_char b '"'
 
 let json_fields b fields =
@@ -575,13 +538,12 @@ let json_fields b fields =
   List.iteri
     (fun i (k, emit) ->
       if i > 0 then add_char b ',';
-      json_escape b (String.unsafe_get k) (String.length k);
+      jstr k b;
       add_char b ':';
       emit b)
     fields;
   add_char b '}'
 
-let jstr s b = json_escape b (String.unsafe_get s) (String.length s)
 let jint (n : int) b = add_string b (string_of_int n)
 let jarr emit xs b =
   add_char b '[';
@@ -614,9 +576,10 @@ let jerror e b =
 let jcst cst b =
   match cst with
   | Text s -> jstr s b
-  | Tree t ->
-    let text = rendered b t in
-    json_escape b (Buffer.nth text) (Buffer.length text)
+  | Rows t ->
+    add_char b '"';
+    Parser_gen.Rows.render b ~json:true t;
+    add_char b '"'
 
 let joutcome o b =
   match o with
@@ -696,13 +659,13 @@ let json_frame b frame =
 
 (* --- one encoder -------------------------------------------------------- *)
 
-let encode_into w enc frame =
+let encode_into (w : writer) enc frame =
   w.len <- 0;
   match enc with
   | Binary -> put_frame w (fun b -> put_payload b frame)
   | Json -> json_frame w frame
 
-let encode_reply_into w enc ~id produce =
+let encode_reply_into (w : writer) enc ~id produce =
   w.len <- 0;
   match enc with
   | Binary -> put_frame w (fun b -> put_reply b id produce)
@@ -710,12 +673,17 @@ let encode_reply_into w enc ~id produce =
     json_reply w id produce;
     add_char w '\n'
 
-let contents w = Bytes.sub_string w.buf 0 w.len
+let cst_text = function
+  | Text s -> s
+  | Rows t ->
+    let o = Out.create initial_capacity in
+    Parser_gen.Rows.render o ~json:false t;
+    Out.contents o
 
 let encode_as enc frame =
   let w = writer () in
   encode_into w enc frame;
-  contents w
+  Out.contents w
 
 let encode = encode_as Binary
 let encode_json = encode_as Json
@@ -723,7 +691,7 @@ let encode_json = encode_as Json
 let encode_items items =
   let w = writer () in
   put_list put_outcome w items;
-  contents w
+  Out.contents w
 
 (* --- JSON decoding ------------------------------------------------------ *)
 
@@ -1011,11 +979,11 @@ let frame_of_jvalue o =
   | "bye" -> Bye
   | k -> fail "unknown frame kind %S" k
 
-let decode_json ?(max_frame = default_max_frame) s =
-  if String.length s > max_frame + 1 then
-    Result.Error (oversized max_frame (String.length s))
+(* The JSON frame in [src.[0 .. limit - 1]]. *)
+let json_of ~max_frame src ~limit =
+  if limit > max_frame + 1 then Result.Error (oversized max_frame limit)
   else
-    let c = { src = s; limit = String.length s; pos = 0 } in
+    let c = { src; limit; pos = 0 } in
     match
       let v = jvalue c in
       jskip_ws c;
@@ -1025,29 +993,33 @@ let decode_json ?(max_frame = default_max_frame) s =
     | frame -> Result.Ok frame
     | exception Fail m -> Result.Error (bad_frame m)
 
+let decode_json ?(max_frame = default_max_frame) s =
+  json_of ~max_frame s ~limit:(String.length s)
+
 let decode_as ?max_frame = function
   | Binary -> decode ?max_frame
   | Json -> decode_json ?max_frame
 
 (* --- buffered reader ----------------------------------------------------- *)
 
+(* Bytes are read straight into [buf], and a frame is decoded where it
+   lies: the only copies of a reply are the strings its decoder builds.
+   [buf] doubles only when it is full, so it grows with bytes actually
+   received, never from a length prefix. *)
 type reader = {
   read : bytes -> int -> int -> int;
-  buf : Buffer.t;
-  chunk : bytes;
+  mutable buf : bytes;
+  mutable len : int;  (* bytes buffered, from 0 *)
   max_frame : int;
   mutable enc : encoding option;
   mutable eof : bool;
 }
 
-(* Refills read up to 64 KiB at a time, so a large reply arrives in a few
-   reads. Nothing is allocated from a length prefix: [buf] grows only with
-   bytes actually received. *)
-let chunk_size = 65536
+let reader_capacity = 4096
 
 let reader ?(max_frame = default_max_frame) read =
-  { read; buf = Buffer.create 4096; chunk = Bytes.create chunk_size;
-    max_frame; enc = None; eof = false }
+  { read; buf = Bytes.create reader_capacity; len = 0; max_frame; enc = None;
+    eof = false }
 
 let reader_encoding r = r.enc
 
@@ -1056,9 +1028,14 @@ let reader_encoding r = r.enc
    the caller sees the same truncation discipline. *)
 let refill r =
   if r.eof then false
-  else
+  else begin
+    if r.len = Bytes.length r.buf then begin
+      let bigger = Bytes.create (2 * r.len) in
+      Bytes.blit r.buf 0 bigger 0 r.len;
+      r.buf <- bigger
+    end;
     let n =
-      try r.read r.chunk 0 (Bytes.length r.chunk) with
+      try r.read r.buf r.len (Bytes.length r.buf - r.len) with
       | Unix.Unix_error _ | Sys_error _ | End_of_file -> 0
     in
     if n = 0 then begin
@@ -1066,30 +1043,37 @@ let refill r =
       false
     end
     else begin
-      Buffer.add_subbytes r.buf r.chunk 0 n;
+      r.len <- r.len + n;
       true
     end
-
-let buffered r = Buffer.length r.buf
-
-(* Drop the first [n] buffered bytes. The common case — the frame was the
-   whole buffer — copies nothing. A frame over [shrink_above] also gives
-   back the memory it made the buffer grow to. *)
-let consume r n =
-  let empty = if n > shrink_above then Buffer.reset else Buffer.clear in
-  if n = Buffer.length r.buf then empty r.buf
-  else begin
-    let rest = Buffer.sub r.buf n (Buffer.length r.buf - n) in
-    empty r.buf;
-    Buffer.add_string r.buf rest
   end
+
+(* Drop the first [n] buffered bytes, moving the rest to the front. A
+   frame over [shrink_above] also gives back the memory it made the buffer
+   grow to. *)
+let consume r n =
+  let rest = r.len - n in
+  if n > shrink_above then begin
+    let smaller = Bytes.create (max reader_capacity rest) in
+    Bytes.blit r.buf n smaller 0 rest;
+    r.buf <- smaller
+  end
+  else Bytes.blit r.buf n r.buf 0 rest;
+  r.len <- rest
+
+(* The frame that ends at [limit] in the buffer, decoded in place by
+   [decode], then dropped from the buffer. The buffer is only read until
+   [decode] returns, and the strings it builds are copies. *)
+let take r ~limit ~drop decode =
+  let frame = decode (Bytes.unsafe_to_string r.buf) ~limit in
+  consume r drop;
+  Result.map Option.some frame
 
 let rec read_frame r =
   match r.enc with
   | None ->
-    if buffered r > 0 || refill r then begin
-      r.enc <-
-        Some (if Buffer.nth r.buf 0 = '{' then Json else Binary);
+    if r.len > 0 || refill r then begin
+      r.enc <- Some (if Bytes.get r.buf 0 = '{' then Json else Binary);
       read_frame r
     end
     else Result.Ok None
@@ -1097,59 +1081,43 @@ let rec read_frame r =
   | Some Json -> read_json r
 
 and read_binary r =
-  if buffered r >= 4 then begin
-    let b i = Char.code (Buffer.nth r.buf i) in
+  if r.len >= 4 then begin
+    let b i = Char.code (Bytes.get r.buf i) in
     let len = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
     if len > r.max_frame then Result.Error (oversized r.max_frame len)
     else if len = 0 then Result.Error (bad_frame "empty frame")
-    else if buffered r >= 4 + len then begin
-      let raw = Buffer.sub r.buf 0 (4 + len) in
-      consume r (4 + len);
-      match decode ~max_frame:r.max_frame raw with
-      | Result.Ok f -> Result.Ok (Some f)
-      | Result.Error e -> Result.Error e
-    end
+    else if r.len >= 4 + len then
+      take r ~limit:(4 + len) ~drop:(4 + len) (payload_of ~pos:4)
     else if refill r then read_binary r
     else
       Result.Error
         (bad_frame
            (Printf.sprintf
               "stream ended mid-frame: %d of %d payload byte(s) received"
-              (buffered r - 4) len))
+              (r.len - 4) len))
   end
   else if refill r then read_binary r
-  else if buffered r = 0 then Result.Ok None
+  else if r.len = 0 then Result.Ok None
   else
     Result.Error
       (bad_frame
          (Printf.sprintf "stream ended mid-frame: %d header byte(s) received"
-            (buffered r)))
+            r.len))
 
 (* [from] bytes of the buffer are already known to hold no newline. *)
 and read_json ?(from = 0) r =
-  let newline () =
-    let n = buffered r in
-    let rec scan i = if i >= n then None
-      else if Buffer.nth r.buf i = '\n' then Some i
-      else scan (i + 1)
-    in
-    scan from
+  let rec newline i =
+    if i >= r.len then -1 else if Bytes.get r.buf i = '\n' then i else newline (i + 1)
   in
-  match newline () with
-  | Some i ->
-    let line = Buffer.sub r.buf 0 i in
-    consume r (i + 1);
-    (match decode_json ~max_frame:r.max_frame line with
-    | Result.Ok f -> Result.Ok (Some f)
-    | Result.Error e -> Result.Error e)
-  | None ->
-    let scanned = buffered r in
-    if scanned > r.max_frame then
-      Result.Error (oversized r.max_frame scanned)
+  match newline from with
+  | -1 ->
+    let scanned = r.len in
+    if scanned > r.max_frame then Result.Error (oversized r.max_frame scanned)
     else if refill r then read_json ~from:scanned r
-    else if buffered r = 0 then Result.Ok None
+    else if r.len = 0 then Result.Ok None
     else
       Result.Error
         (bad_frame
            (Printf.sprintf "stream ended mid-frame: %d byte(s) without newline"
-              (buffered r)))
+              r.len))
+  | i -> take r ~limit:i ~drop:(i + 1) (json_of ~max_frame:r.max_frame)

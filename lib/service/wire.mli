@@ -95,13 +95,19 @@ type mode =
 
 type request = { id : int; mode : mode; statements : string list }
 
-(** An accepted statement's tree. A reply the server builds carries the
-    [Tree], which the encoders render while they write the frame; a
-    decoded reply carries its [Text]. [Tree t] and [Text (Fmt.str "%a" Cst.pp t)]
-    encode to the same bytes in both encodings. *)
+(** An accepted statement's tree. The daemon's replies carry the parse's
+    [Rows], which the encoders render straight into the frame; a decoded
+    or library-built reply carries the [Text]. [Rows t] and
+    [Text (Fmt.str "%a" Cst.pp (Rows.to_cst t))] encode to the same bytes
+    in both encodings. *)
 type cst =
-  | Tree of Parser_gen.Cst.t
-  | Text of string  (** the rendering {!Parser_gen.Cst.render} produces *)
+  | Text of string  (** [Fmt.str "%a" Parser_gen.Cst.pp] of the tree *)
+  | Rows of Parser_gen.Rows.tree
+      (** a parse's rows, valid only until the next parse on the domain
+          (see {!Parser_gen.Rows}): encode them before parsing on *)
+
+val cst_text : cst -> string
+(** The tree's text: a [Text] as it is, [Rows] rendered. *)
 
 type outcome =
   | Accepted of { tokens : int; cst : cst option }
@@ -142,9 +148,9 @@ type encoding = Binary | Json
 
 (** A reusable frame buffer. {!encode_into} replaces its contents with one
     frame and {!output} writes them, so a connection that keeps one writer
-    encodes every reply without allocating a buffer per frame: a [Tree]
-    is rendered once into the writer's scratch buffer and copied into the
-    frame, and no per-statement string is built. *)
+    encodes every reply without allocating a buffer per frame: [Rows] are
+    rendered straight into the frame, and no per-statement string is
+    built. *)
 type writer
 
 val writer : unit -> writer
@@ -162,10 +168,11 @@ val encode_reply_into :
   unit
 (** [encode_reply_into w enc ~id produce] replaces [w]'s contents with a
     complete [Reply] frame. [produce emit] yields the items through
-    [emit], which encodes each one (rendering a [Tree]) before it returns,
+    [emit], which encodes each one (rendering [Rows]) before it returns,
     and then returns the stats, which both encodings write after the items.
-    A producer that parses a statement, emits its outcome and drops it
-    before parsing the next never holds more than one tree. [encode_into w
+    A producer that parses a statement and emits its outcome before
+    parsing the next can emit the parse's [Rows] and never holds more than
+    one tree. [encode_into w
     enc (Reply r)] is this encoder over [r.items]. An exception from
     [produce] propagates and leaves [w] holding part of a frame, which the
     next encode into [w] replaces. *)
@@ -208,9 +215,12 @@ val encode_items : outcome list -> string
 
     Pulls frames out of a byte stream via a [read] function with
     [Unix.read]'s contract ([read buf off len] returns [0] at end of
-    stream). The encoding is detected from the first byte. Once a frame
-    over 1 MiB has been consumed, the receive buffer returns to its
-    initial capacity. *)
+    stream). The encoding is detected from the first byte. Bytes are read
+    straight into the reader's buffer and each frame is decoded where it
+    lies, with the same total, bounds-checked decoder as {!decode} and
+    {!decode_json}: a reply's only copies are its decoded strings. The
+    buffer grows only with bytes received, and once a frame over 1 MiB has
+    been consumed it returns to its initial capacity. *)
 
 type reader
 

@@ -382,42 +382,47 @@ let heap_words f =
   let _, _, major1 = Gc.counters () in
   (minor1 -. minor0, major1 -. major0)
 
-(* Rendering a CST into a warm buffer allocates nothing: the width checks
-   and the writers recurse directly over the child lists, with no closure,
-   no width array and no intermediate string. *)
+(* Rendering a parse's rows into a warm buffer allocates nothing, in
+   either encoding: the layout reads each node's stored width, the leaves'
+   texts are copied from the token stream in place, and nothing recurses
+   through a closure or builds an intermediate string. *)
 let test_render_is_allocation_free () =
   let g = front_end "full" in
-  let cst =
-    match Core.parse_cst g (readings_insert 48) with
-    | Ok cst -> cst
+  let rows =
+    match Core.parse_rows g (readings_insert 48) with
+    | Ok rows -> rows
     | Error e -> Alcotest.failf "parse: %a" Core.pp_error e
   in
-  let b = Buffer.create 16 in
-  Parser_gen.Cst.render b cst;
-  let minor, major =
-    heap_words (fun () ->
-        for _ = 1 to rounds do
-          Buffer.clear b;
-          Parser_gen.Cst.render b cst
-        done)
-  in
-  check_bool
-    (Printf.sprintf
-       "rendering a 48-row INSERT (%d bytes) into a warm buffer %d times \
-        allocates %.0f minor and %.0f major words (budget 0)"
-       (Buffer.length b) rounds minor major)
-    true
-    (minor = 0. && major = 0.)
+  let o = Parser_gen.Out.create 16 in
+  List.iter
+    (fun json ->
+      Parser_gen.Rows.render o ~json rows;
+      let minor, major =
+        heap_words (fun () ->
+            for _ = 1 to rounds do
+              o.len <- 0;
+              Parser_gen.Rows.render o ~json rows
+            done)
+      in
+      check_bool
+        (Printf.sprintf
+           "rendering a 48-row INSERT's rows (%d bytes%s) into a warm buffer %d \
+            times allocates %.0f minor and %.0f major words (budget 0)"
+           o.len (if json then ", JSON" else "") rounds minor major)
+        true
+        (minor = 0. && major = 0.))
+    [ false; true ]
 
 (* Encoding a reply frame as the server does ([Wire.encode_reply_into] into
-   the connection's writer, each item mapped by [outcome_of_item] as the
-   producer yields it) renders each tree into the warm writer: no
-   major-heap allocation at all, and a minor-heap cost per batch that does
-   not grow with the reply (the outcome records and encoder closures). A
-   per-statement string would cost major words here (every string over
-   2 KiB is a major-heap block) and grow with the rows. The trees are
-   parsed beforehand, so only the encoding is measured. Checked on
-   8-statement batches of 8- and 64-row INSERTs, in both encodings. *)
+   the connection's writer, each tree's rows rendered as the producer
+   yields them) writes each tree into the warm writer: no major-heap
+   allocation at all, and a minor-heap cost per batch that does not grow
+   with the reply (the encoder closures). A per-statement string would
+   cost major words here (every string over 2 KiB is a major-heap block)
+   and grow with the rows. The trees are parsed, and built as rows of
+   their own ([Tree_rows.of_cst]), beforehand, so only the encoding is
+   measured. Checked on 8-statement batches of 8- and 64-row INSERTs, in
+   both encodings. *)
 let test_reply_encoding_is_bounded () =
   let g = front_end "full" in
   let session = Service.Session.create g in
@@ -438,14 +443,22 @@ let test_reply_encoding_is_bounded () =
           elapsed_ns = 0L;
         }
       in
+      let outcomes =
+        List.map
+          (fun (item : Service.Session.item) ->
+            match item.result with
+            | Ok cst ->
+              Service.Wire.Accepted
+                { tokens = item.token_count;
+                  cst = Some (Service.Wire.Rows (Tree_rows.of_cst cst)) }
+            | Error e -> Alcotest.failf "parse: %a" Core.pp_error e)
+          batch.Service.Session.items
+      in
       List.iter
         (fun (label, enc) ->
           let encode () =
             Service.Wire.encode_reply_into out enc ~id:0 (fun emit ->
-                List.iter
-                  (fun item ->
-                    emit (Service.Server.outcome_of_item Service.Wire.Cst item))
-                  batch.Service.Session.items;
+                List.iter emit outcomes;
                 stats)
           in
           encode ();
@@ -619,6 +632,46 @@ let test_daemon_recognition_builds_no_tree () =
             Alcotest.failf "stream rejected %s" sql );
     ]
 
+(* A Cst-mode request answered as the daemon answers it
+   ([Server.reply_into]): each statement is parsed to rows and rendered
+   into the warm writer, with no [Cst.t] built, so a reply costs (almost)
+   nothing per token. Budget 1 minor word per extra token from 8-statement
+   requests of 8-row to 64-row readings INSERTs, and no major word
+   (measured about 50 words per token when each tree was built and
+   rendered). *)
+let test_daemon_cst_replies_are_flat () =
+  let g = front_end "full" in
+  let session = Service.Session.create g in
+  let out = Service.Wire.writer () in
+  let request rows =
+    { Service.Wire.id = 0; mode = Service.Wire.Cst;
+      statements = List.init 8 (fun _ -> readings_insert rows) }
+  in
+  let tokens rows = 8 * token_count g (readings_insert rows) in
+  List.iter
+    (fun (label, enc) ->
+      let words rows =
+        let r = request rows in
+        Service.Server.reply_into session out enc r;
+        heap_words (fun () ->
+            for _ = 1 to rounds do
+              Service.Server.reply_into session out enc r
+            done)
+      in
+      let minor8, major8 = words 8 and minor64, major64 = words 64 in
+      let per_token =
+        (minor64 -. minor8) /. float_of_int rounds
+        /. float_of_int (tokens 64 - tokens 8)
+      in
+      check_bool
+        (Printf.sprintf
+           "%s Cst replies allocate %.3f minor words per extra token from 8 \
+            to 64 rows (budget 1) and %.0f + %.0f major words (budget 0)"
+           label per_token major8 major64)
+        true
+        (per_token < 1. && major8 = 0. && major64 = 0.))
+    [ ("binary", Service.Wire.Binary); ("JSON", Service.Wire.Json) ]
+
 let suite =
   [
     Alcotest.test_case "per-statement overhead is bounded" `Quick
@@ -657,4 +710,6 @@ let suite =
     Alcotest.test_case
       "daemon recognize requests and raw streams build no tree"
       `Quick test_daemon_recognition_builds_no_tree;
+    Alcotest.test_case "daemon Cst replies render rows, flat per token"
+      `Quick test_daemon_cst_replies_are_flat;
   ]

@@ -1,28 +1,43 @@
-(* [Cst.render] against its oracle [Fmt.str "%a" Cst.pp]: the wire
-   renderer must reproduce Format's layout byte for byte, on real parse
-   trees from every shipped dialect and on seeded random trees built to
-   sit on the layout rule's edges (flat width equal to the space left and
-   one either side, chains past the 68-column indent cap, labels and leaf
-   texts longer than the 78-column margin, leaves whose text is empty or
-   equals the kind). [render] appends, so it is checked into a buffer that
-   already holds text; [to_string] is checked too. *)
+(* [Rows.render] against its oracle [Fmt.str "%a" Cst.pp]: the wire
+   renderer must reproduce Format's layout byte for byte, from the widths
+   the rows recorded when they closed, on real parse trees from every
+   shipped dialect and on seeded random trees built to sit on the layout
+   rule's edges (flat width equal to the space left and one either side,
+   chains past the 68-column indent cap, labels and leaf texts longer than
+   the 78-column margin, leaves whose text is empty or equals the kind).
+   The seeded trees become rows through a test-side builder
+   ([Tree_rows.of_cst]). [render] appends, so it is checked into a buffer
+   that already holds text, and in JSON mode too, against the pp text
+   escaped. *)
 
 open Parser_gen
 
 let prefix = "earlier frame bytes\n"
 
-let check_same ~msg t =
-  let want = Fmt.str "%a" Cst.pp t in
-  let b = Buffer.create 16 in
-  Buffer.add_string b prefix;
-  Cst.render b t;
-  let got = Buffer.contents b in
+let rendered ~json rows =
+  let o = Out.create 16 in
+  Out.add_string o prefix;
+  Rows.render o ~json rows;
+  Out.contents o
+
+let check_rows ~msg ~want rows =
+  let got = rendered ~json:false rows in
   if not (String.equal got (prefix ^ want)) then
     Alcotest.failf
       "%s: render differs from pp@.--- pp ---@.%s@.--- render ---@.%s" msg want
       got;
-  if not (String.equal (Cst.to_string t) want) then
-    Alcotest.failf "%s: to_string differs from pp" msg
+  let escaped = Out.create 16 in
+  Out.add_string escaped prefix;
+  Out.add_json escaped want 0 (String.length want);
+  if not (String.equal (rendered ~json:true rows) (Out.contents escaped)) then
+    Alcotest.failf "%s: JSON render differs from pp escaped" msg;
+  let r = Rows.root rows in
+  if r >= 0 && not (String.contains want '\n') then
+    Alcotest.(check int) (msg ^ ": a one-line tree's width") (String.length want)
+      (Rows.width rows r)
+
+let check_same ~msg t =
+  check_rows ~msg ~want:(Fmt.str "%a" Cst.pp t) (Tree_rows.of_cst t)
 
 let tok ?(text = "") kind =
   { Lexing_gen.Token.kind; kind_id = Lexing_gen.Token.no_id; text;
@@ -38,6 +53,10 @@ let dialect_corpus = function
   | "analytics" -> Corpus.analytics_accept
   | _ -> Corpus.full_accept
 
+(* Each statement's rows, straight from the parse, render as [Cst.pp] of
+   the tree [Core.parse_cst] materializes; the root row spans every token
+   but the EOF sentinel. The seeded builder's rows of that tree render the
+   same. *)
 let test_dialect (d : Dialects.Dialect.t) () =
   let g =
     match Core.generate_dialect d with
@@ -45,15 +64,26 @@ let test_dialect (d : Dialects.Dialect.t) () =
     | Error e -> Alcotest.failf "generate %s: %a" d.name Core.pp_error e
   in
   let sampled = Service.Sentences.sample ~count:60 ~seed:4241 g in
-  let trees =
-    List.filter_map
-      (fun sql -> Result.to_option (Core.parse_cst g sql))
-      (dialect_corpus d.name @ sampled)
-  in
-  Alcotest.(check bool) "some statements parse" true (trees <> []);
+  let parsed = ref 0 in
   List.iteri
-    (fun i t -> check_same ~msg:(Printf.sprintf "%s #%d" d.name i) t)
-    trees
+    (fun i sql ->
+      match Core.parse_cst g sql with
+      | Error _ -> ()
+      | Ok cst ->
+        incr parsed;
+        let msg = Printf.sprintf "%s #%d" d.name i in
+        let want = Fmt.str "%a" Cst.pp cst in
+        (match Core.parse_rows_counted g sql with
+        | n, Ok rows ->
+          check_rows ~msg ~want rows;
+          Alcotest.(check (pair int int))
+            (msg ^ ": the root spans the statement")
+            (0, n)
+            (Rows.span rows (Rows.root rows))
+        | _, Error e -> Alcotest.failf "%s: rows: %a" msg Core.pp_error e);
+        check_rows ~msg:(msg ^ ", seeded") ~want (Tree_rows.of_cst cst))
+    (dialect_corpus d.name @ sampled);
+  Alcotest.(check bool) "some statements parse" true (!parsed > 0)
 
 (* --- random trees ------------------------------------------------------- *)
 

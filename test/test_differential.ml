@@ -117,10 +117,12 @@ let check_engines_agree ~msg a b toks =
 
 (* Three-way: the VM (the shipped parser) = memoized (same factored
    grammar, dispatch off) = reference (executable spec on that grammar).
-   The VM is compared twice: at the token level (hand-delivered token
-   arrays through [parse_tokens]) and end to end over the SoA stream
-   ([Core.parse_cst]), which also exercises the lazy token
-   materialization on CST leaves and error edges. *)
+   The VM and the memoized engine build rows, and their trees here are
+   those rows materialized ([Rows.to_cst]); the reference builds its trees
+   directly. The VM is compared twice: at the token level (hand-delivered
+   token arrays through [parse_tokens]) and end to end over the SoA stream
+   ([Core.parse_cst]), which also exercises the lazy token materialization
+   on CST leaves and error edges. *)
 let agree_everywhere ~name g refp memop sql =
   let strip = function
     | Ok cst -> Ok cst

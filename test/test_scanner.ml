@@ -246,10 +246,11 @@ let long_input n =
   done;
   Buffer.contents b
 
-let test_view_matches_tokens_of_soa () =
-  (* Streams of 254..258 and 510..514 tokens (EOF included) put the EOF
-     token, and the last real one, on each side of a 256-token chunk
-     edge. *)
+(* [token_of_soa], which materializes a parse's leaves, agrees with the
+   sequential [tokens_of_soa] on every token of long multi-line streams of
+   254..258 and 510..514 tokens (EOF included), read forward and
+   backward. *)
+let test_token_of_soa_matches_tokens_of_soa () =
   List.iter
     (fun len ->
       let input = long_input (len - 1) in
@@ -259,25 +260,14 @@ let test_view_matches_tokens_of_soa () =
         check_int "count" (len - 1) (Scanner.soa_count soa);
         let all = Scanner.tokens_of_soa basic soa in
         check_int "length" len (Array.length all);
-        let check_view order =
-          let v = Scanner.view basic soa in
-          List.iter
-            (fun i ->
-              let msg = Printf.sprintf "%d tokens: #%d (%s)" len i order in
-              Alcotest.(check token_testable) msg all.(i)
-                (Scanner.view_token v i);
-              Alcotest.(check token_testable) msg
-                (Scanner.token_of_soa basic soa i)
-                (Scanner.view_token v i);
-              check_string msg all.(i).Token.kind (Scanner.view_kind v i))
-            (match order with
-             | "forward" -> List.init len Fun.id
-             | _ -> List.init len (fun i -> len - 1 - i));
-          check_string "past EOF" Token.eof_kind (Scanner.view_kind v len)
-        in
-        (* Backward first: the EOF's chunk is filled before any other. *)
-        check_view "backward";
-        check_view "forward";
+        List.iter
+          (fun i ->
+            let msg = Printf.sprintf "%d tokens: #%d" len i in
+            Alcotest.(check token_testable) msg all.(i)
+              (Scanner.token_of_soa basic soa i);
+            check_string msg all.(i).Token.kind (Scanner.kind_name basic soa i))
+          (List.init len (fun i -> len - 1 - i) @ List.init len Fun.id);
+        check_string "past EOF" Token.eof_kind (Scanner.kind_name basic soa len);
         check_string "doubled quotes unescaped" "it's 1" all.(1).Token.text;
         check_string "quoted identifier unescaped" "Q\"2" all.(2).Token.text;
         check_bool "multi-line" true (all.(len - 1).Token.pos.Token.line > 100))
@@ -310,6 +300,6 @@ let suite =
       test_soa_matches_scan_tokens;
     Alcotest.test_case "SoA errors match" `Quick test_soa_errors_match;
     Alcotest.test_case "SoA arena reuse" `Quick test_soa_arena_reuse;
-    Alcotest.test_case "chunked token view = tokens_of_soa at chunk edges"
-      `Quick test_view_matches_tokens_of_soa;
+    Alcotest.test_case "token_of_soa = tokens_of_soa on long streams"
+      `Quick test_token_of_soa_matches_tokens_of_soa;
   ]

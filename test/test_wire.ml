@@ -364,17 +364,23 @@ let reply_with cst_of trees =
 
 let as_text t = Wire.Text (Fmt.str "%a" Parser_gen.Cst.pp t)
 
-(* [Tree t] and [Text (Cst.pp t)] are the same bytes in both encodings and
-   in [encode_items]; decoding either gives back the [Text]. *)
-let tree_and_text_agree () =
+(* Each tree as rows of its own ([Tree_rows.of_cst]), so that all of them
+   can sit in one reply. *)
+let as_rows t = Wire.Rows (Tree_rows.of_cst t)
+
+(* [Rows] of a tree and [Text (Cst.pp t)] are the same bytes in both
+   encodings and in [encode_items]; decoding either gives back the [Text].
+   The same holds for the rows a parse builds, encoded as a producer
+   yields them, each before the next statement is parsed. *)
+let rows_and_text_agree () =
   let trees = sample_trees () in
   Alcotest.(check bool) "trees parsed" true (List.length trees > 20);
-  let tree = reply_with (fun t -> Wire.Tree t) trees
+  let rows = reply_with as_rows trees
   and text = reply_with as_text trees in
   List.iter
     (fun enc ->
-      let encoded = Wire.encode_as enc tree in
-      Alcotest.(check string) "Tree and Text encode alike" (Wire.encode_as enc text)
+      let encoded = Wire.encode_as enc rows in
+      Alcotest.(check string) "Rows and Text encode alike" (Wire.encode_as enc text)
         encoded;
       match Wire.decode_as enc encoded with
       | Ok f -> Alcotest.(check bool) "decodes to Text = Cst.pp" true (f = text)
@@ -384,8 +390,42 @@ let tree_and_text_agree () =
     (fun t ->
       Alcotest.(check string) "encode_items"
         (Wire.encode_items [ Wire.Accepted { tokens = 1; cst = Some (as_text t) } ])
-        (Wire.encode_items [ Wire.Accepted { tokens = 1; cst = Some (Wire.Tree t) } ]))
-    trees
+        (Wire.encode_items [ Wire.Accepted { tokens = 1; cst = Some (as_rows t) } ]))
+    trees;
+  let g =
+    match Core.generate_dialect Dialects.Dialect.full with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "generate full: %a" Core.pp_error e
+  in
+  let stmts = Corpus.full_accept in
+  let stats = { Wire.statements = 0; accepted = 0; rejected = 0; tokens = 0; elapsed_ns = 0L } in
+  List.iter
+    (fun enc ->
+      let streamed = Wire.writer () in
+      Wire.encode_reply_into streamed enc ~id:1 (fun emit ->
+          List.iter
+            (fun sql ->
+              match Core.parse_rows g sql with
+              | Ok t -> emit (Wire.Accepted { tokens = 0; cst = Some (Wire.Rows t) })
+              | Error e -> Alcotest.failf "%S: %a" sql Core.pp_error e)
+            stmts;
+          stats);
+      let built =
+        List.map
+          (fun sql ->
+            match Core.parse_cst g sql with
+            | Ok t -> Wire.Accepted { tokens = 0; cst = Some (as_text t) }
+            | Error e -> Alcotest.failf "%S: %a" sql Core.pp_error e)
+          stmts
+      in
+      let sent = Buffer.create 1024 in
+      Wire.output streamed (fun buf off len ->
+          Buffer.add_subbytes sent buf off len;
+          len);
+      Alcotest.(check string) "parsed rows encode as their Text"
+        (Wire.encode_as enc (Wire.Reply { Wire.id = 1; items = built; stats }))
+        (Buffer.contents sent))
+    [ Wire.Binary; Wire.Json ]
 
 (* One writer reused across frames gives the bytes a fresh encoder gives,
    whatever [write] accepts per call; after a frame over 1 MiB it returns
@@ -414,12 +454,12 @@ let writer_reuse_and_shrink () =
         true
         (Wire.writer_capacity w <= 1 lsl 20))
     [
-      (Wire.Binary, reply_with (fun t -> Wire.Tree t) trees, 7);
-      (Wire.Json, reply_with (fun t -> Wire.Tree t) trees, 65536);
+      (Wire.Binary, reply_with as_rows trees, 7);
+      (Wire.Json, reply_with as_rows trees, 65536);
       (Wire.Binary, big, 65536);
       (Wire.Binary, Wire.Ping "small", 1);
       (Wire.Json, big, 100_000);
-      (Wire.Json, reply_with (fun t -> Wire.Tree t) trees, 3);
+      (Wire.Json, reply_with as_rows trees, 3);
     ];
   Wire.encode_into w Wire.Binary big;
   Alcotest.(check bool) "an outlier grows the writer" true
@@ -444,7 +484,7 @@ let raising_producer_then_error () =
              List.iter
                (fun t ->
                  if !emitted = 2 then failwith "poisoned statement";
-                 emit (Wire.Accepted { tokens = 9; cst = Some (Wire.Tree t) });
+                 emit (Wire.Accepted { tokens = 9; cst = Some (as_rows t) });
                  incr emitted)
                trees;
              Alcotest.fail "producer ran past its third item")
@@ -513,8 +553,8 @@ let suite =
       reader_reports_truncation;
     Alcotest.test_case "legacy hello engine values are ignored" `Quick
       legacy_engine_ignored;
-    Alcotest.test_case "Tree and Text of one CST encode alike" `Quick
-      tree_and_text_agree;
+    Alcotest.test_case "Rows and Text of one CST encode alike" `Quick
+      rows_and_text_agree;
     Alcotest.test_case "a reused writer encodes like a fresh one and shrinks"
       `Quick writer_reuse_and_shrink;
     Alcotest.test_case "reader keeps reading after a frame over 1 MiB" `Quick
