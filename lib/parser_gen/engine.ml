@@ -521,7 +521,8 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     and p_term term i acc k =
       match term with
       | ITerm id ->
-        if tid i = id && i < n then k (i + 1) (Rows.leaf i :: acc)
+        (* [lnot i] is [Rows.leaf i], spelled out on this per-token path *)
+        if tid i = id && i < n then k (i + 1) (lnot i :: acc)
         else begin
           expect_one i id;
           None

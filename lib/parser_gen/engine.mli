@@ -223,9 +223,8 @@ val parse_soa :
   scanner:Lexing_gen.Scanner.t ->
   Lexing_gen.Scanner.soa ->
   (Cst.t, parse_error) result
-(** {!parse_rows} materialized as a {!Cst.t} ({!Rows.to_cst}): the leaves'
-    tokens are read through a {!Lexing_gen.Scanner.view}, a chunk of at
-    most 256 at a time. *)
+(** {!parse_rows} materialized as a {!Cst.t} ({!Rows.to_cst}): each leaf's
+    token is read with {!Lexing_gen.Scanner.token_of_soa}. *)
 
 val recognize_soa :
   ?start:string ->

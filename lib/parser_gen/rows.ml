@@ -179,7 +179,6 @@ let close a ~rule ~pos (stack : int array) lo hi =
         else leaf_width a (lnot c)
   done;
   set_row a r ~rule ~pos ~at ~n ~width:!width
-[@@inline]
 
 (* Children arrive last first; they are written back to front. *)
 let rec fill a k width = function
@@ -212,13 +211,10 @@ let valid t =
 
 let root t = t.root
 
-let field a r f =
+(* Row [r]'s offset in [data]. *)
+let row a r =
   if r < 0 || r >= a.rows then invalid_arg "Rows: no such row";
-  a.data.((stride * r) + f)
-
-let label t r =
-  let a = valid t in
-  a.names.(field a r f_rule)
+  stride * r
 
 let rec first a c =
   if c < 0 then lnot c
@@ -234,15 +230,12 @@ let rec stop a c =
 
 let span t r =
   let a = valid t in
-  ignore (field a r f_rule);
+  ignore (row a r);
   (first a r, stop a r)
 
-let width t r = field (valid t) r f_width
-
-let children t r =
+let width t r =
   let a = valid t in
-  let at = field a r f_kid_at in
-  List.init (field a r f_kid_n) (fun k -> a.kids.(at + k))
+  a.data.(row a r + f_width)
 
 (* --- rendering -------------------------------------------------------------- *)
 

@@ -67,9 +67,6 @@ val tree : t -> int -> tree
 
 val root : tree -> int
 
-val label : tree -> int -> string
-(** The label of a row of the tree's arena. *)
-
 val span : tree -> int -> int * int
 (** [span t r] is the row's token range [[first, stop)], read down its
     first and last children. *)
@@ -77,9 +74,6 @@ val span : tree -> int -> int * int
 val width : tree -> int -> int
 (** The row's flat rendered width: the length of [Cst.pp] of its subtree
     printed on one line. *)
-
-val children : tree -> int -> int list
-(** The row's child codes, in order: row ids, and [leaf i] for token [i]. *)
 
 val render : Out.t -> json:bool -> tree -> unit
 (** [render o ~json t] appends [Fmt.str "%a" Cst.pp (to_cst t)] to [o],
@@ -92,5 +86,5 @@ val render : Out.t -> json:bool -> tree -> unit
     this to. *)
 
 val to_cst : tree -> Cst.t
-(** The tree as a {!Cst.t}: leaves carry the stream's tokens (read
-    through a {!Lexing_gen.Scanner.view} for a [Soa] stream). *)
+(** The tree as a {!Cst.t}: leaves carry the stream's tokens (read with
+    {!Lexing_gen.Scanner.token_of_soa} from a [Soa] stream). *)

@@ -156,7 +156,8 @@ let machine prog a rows (inp : input) ~strict =
         if inp.build then begin
           let sp = !csp in
           if sp = Array.length a.vals then a.vals <- grow_int a.vals;
-          Array.unsafe_set a.vals sp (Rows.leaf pos);
+          (* [Rows.leaf pos], spelled out on the per-token path *)
+          Array.unsafe_set a.vals sp (lnot pos);
           csp := sp + 1
         end;
         step (ip + 2) (pos + 1)
@@ -290,10 +291,12 @@ let machine prog a rows (inp : input) ~strict =
     end
   in
   fun ip pos ->
+    (* [cp] too: a run that raised left its choices behind *)
     csp := 0;
     fsp := 0;
     lsp := 0;
     ssp := 0;
+    cp := 0;
     if strict then push_frame 2;
     let j = step ip pos in
     (* Drop references to derivation streams so the arena does not retain

@@ -254,7 +254,7 @@ let put_outcome b = function
     put_u8 b 1;
     put_error b e
 
-(* A reply's items are written as [produce] yields them, each (a [Tree]
+(* A reply's items are written as [produce] yields them, each ([Rows]
    rendered) before [produce] goes on; the item count is patched in once
    [produce] returns the stats, which follow the items. *)
 let put_reply (b : writer) id produce =

@@ -10,8 +10,8 @@
    CST leaf or an error edge demands one.
 
    What remains is a per-{e call} constant — the result boxing, the token
-   view and its accessors, and the closure spine [Engine.parse_ids] builds
-   for one run — which is independent of statement length. The tests
+   accessors, and the closure spine [Engine.parse_ids] builds for one
+   run — which is independent of statement length. The tests
    therefore measure with [Gc.minor_words] over warm arenas and pin both
    axes separately:
 
@@ -19,7 +19,7 @@
      between a long and a short statement over warm arenas: budget
      {b 0.1 words/token} (measured ~0.003);
    - the {e fixed} cost per recognize call on a short-statement corpus:
-     budget {b 2000 words/statement} (measured ~700);
+     budget {b 2000 words/statement} (measured ~110);
    - and the SoA path must beat materialization: on a long statement,
      scan+recognize end to end must allocate under a quarter of what
      [scan_tokens] pays for the token records alone (~13 words/token). *)
@@ -323,11 +323,10 @@ let test_no_forced_minor_collections () =
         ])
     [ (48, 40); (1000, 10) ]
 
-(* The bulk INSERT runs through the fallback oracle, whose leaves would
-   each materialize a token (about 17 words with its chunk slot and text).
-   Recognition gives them a shared placeholder instead, so it allocates at
-   least 10 words per token less than building the CST (measured 1 against
-   50; under 1 apart when the leaves materialize tokens). *)
+(* The bulk INSERT runs through the fallback oracle. Building its CST
+   closes rows and then materializes every leaf's token; recognition does
+   neither, so it allocates at least 10 words per token less (measured
+   0.6 against 31). *)
 let test_recognition_materializes_no_token () =
   let g = front_end "full" in
   let sql = readings_insert 48 in
@@ -637,8 +636,8 @@ let test_daemon_recognition_builds_no_tree () =
    into the warm writer, with no [Cst.t] built, so a reply costs (almost)
    nothing per token. Budget 1 minor word per extra token from 8-statement
    requests of 8-row to 64-row readings INSERTs, and no major word
-   (measured about 50 words per token when each tree was built and
-   rendered). *)
+   (measured 0.000; [Core.parse_cst], which builds the trees, allocates
+   about 31 words per token on the same INSERT). *)
 let test_daemon_cst_replies_are_flat () =
   let g = front_end "full" in
   let session = Service.Session.create g in

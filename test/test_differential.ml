@@ -250,11 +250,11 @@ let join_lexemes lexemes =
        (fun i l -> if i = 0 then l else (if i mod 9 = 0 then "\n" else " ") ^ l)
        lexemes)
 
-(* Accepted INSERTs whose token streams straddle the token view's chunk
-   edges at 256 and 512, and rejections whose furthest failure lies past
-   token 256: the production path ([Core.parse_cst], tokens read through
-   the chunked view), the memoized engine over the same view, and the
-   reference over [scan_tokens]' array must agree on every CST and on
+(* Accepted INSERTs whose token streams run past 256 and 512 tokens, and
+   rejections whose furthest failure lies past token 256: the production
+   path ([Core.parse_cst], leaf tokens read one at a time from the SoA
+   stream), the memoized engine over the same stream, and the reference
+   over [scan_tokens]' array must agree on every CST and on
    byte-identical error positions. *)
 let test_chunk_edges () =
   let g = front_end "full" in

@@ -226,7 +226,7 @@ let test_soa_arena_reuse () =
 (* [n] tokens cycling through identifiers, string literals and quoted
    identifiers with doubled quotes (one string spanning a line break), and
    numbers, separated by spaces, line breaks and a multi-line block
-   comment, so that lines and columns vary across chunk edges. *)
+   comment, so that lines and columns vary along the stream. *)
 let long_input n =
   let b = Buffer.create (8 * n) in
   for i = 0 to n - 1 do
