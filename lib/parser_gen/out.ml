@@ -50,11 +50,10 @@ let add_char o c =
   reserve o 1;
   unsafe_add_char o c
 
-let add_substring o s off n =
+let add_string o s =
+  let n = String.length s in
   reserve o n;
-  unsafe_add_substring o s off n
-
-let add_string o s = add_substring o s 0 (String.length s)
+  unsafe_add_substring o s 0 n
 
 let add_json o s off n =
   reserve o (6 * n);

@@ -22,7 +22,6 @@ val reserve : t -> int -> unit
 
 val add_char : t -> char -> unit
 val add_string : t -> string -> unit
-val add_substring : t -> string -> int -> int -> unit
 
 val add_json : t -> string -> int -> int -> unit
 (** [add_json o s off n] appends [s.[off .. off + n - 1]] escaped for a

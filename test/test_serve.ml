@@ -349,9 +349,8 @@ let test_modes_and_json_parity () =
       (match b_cst.Wire.items with
       | Wire.Accepted { cst = Some _; _ } :: _ -> ()
       | _ -> Alcotest.fail "cst mode must render the tree");
-      (* The tree text is pinned to [Cst.pp] of the library's own parse,
-         not to [Server.outcome_of_item], which renders it the same way the
-         server does and so could not catch the renderer drifting. *)
+      (* The tree text is pinned to [Cst.pp] of the library's own parse:
+         the daemon renders rows, and [Cst.pp] is their oracle. *)
       let g =
         match Core.generate_dialect (dialect "minimal") with
         | Ok g -> g
@@ -425,11 +424,13 @@ let test_outlier_reply_then_small () =
           Client.close client)
         [ Wire.Binary; Wire.Json ])
 
-(* The daemon writes each reply as it parses the request. Every reply,
-   on six dialects' corpora with their rejected statements, in both modes
-   and both encodings, must equal the one built from the whole batch
-   parsed first ([Session.parse_batch] + [outcome_of_item]): the same
-   items by [encode_items] and the same stats, but for the time. *)
+(* The daemon writes each reply as it parses the request, rendering each
+   statement's rows into the frame. Every reply, on six dialects' corpora
+   with their rejected statements, in both modes and both encodings, must
+   equal the one built from the whole batch parsed first
+   ([Session.parse_batch] + [outcome_of_item], which renders through
+   [Cst.pp], not the rows renderer): the same items by [encode_items] and
+   the same stats, but for the time. *)
 let corpus = function
   | "minimal" -> Corpus.minimal_accept @ Corpus.minimal_reject
   | "scql" -> Corpus.scql_accept @ Corpus.scql_reject
