@@ -41,7 +41,8 @@ val domain : unit -> t
 val start : t -> names:string array -> tokens -> unit
 (** Empty the arena for a new tree: rule [r] is labelled [names.(r)] and
     leaves index [tokens]. Trees built before are invalidated. An arena
-    that grew past 65,536 rows or kids returns to its initial capacity. *)
+    that grew past 65,536 rows or 262,144 kids returns to its initial
+    capacity. *)
 
 val leaf : int -> int
 (** The child code of token [i]: [lnot i]. *)
