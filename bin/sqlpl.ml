@@ -342,7 +342,7 @@ let parse_cmd =
           match Core.parse_rows g sql with
           | Ok rows ->
             let o = Parser_gen.Out.create 1024 in
-            Parser_gen.Rows.render o ~json:false rows;
+            Parser_gen.Rows.render o rows;
             Parser_gen.Out.add_char o '\n';
             output stdout o.buf 0 o.len;
             `Ok ()
@@ -696,8 +696,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the parser service: a long-running daemon speaking \
-          length-prefixed binary frames (or newline-JSON, auto-detected \
-          per connection) over TCP or Unix sockets. Each connection pins \
+          length-prefixed binary frames over TCP or Unix sockets. Each connection pins \
           one front-end via its hello (dialect, feature list, or resident \
           cache digest) and streams statement batches through it.")
     Term.(
@@ -712,13 +711,6 @@ let client_cmd =
        resident in the server's cache (see $(b,sqlpl cache key))."
     in
     Arg.(value & opt (some string) None & info [ "digest" ] ~docv:"HEX" ~doc)
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Speak the newline-JSON debug encoding instead of binary \
-                frames.")
   in
   let recognize_flag =
     Arg.(
@@ -735,8 +727,8 @@ let client_cmd =
       value & pos_all string []
       & info [] ~docv:"SQL" ~doc:"Statements to send (each one statement).")
   in
-  let run listen unix_path dialect features config_file digest json
-      recognize max_frame batch sqls =
+  let run listen unix_path dialect features config_file digest recognize
+      max_frame batch sqls =
     let selection =
       match digest with
       | Some hex -> Ok (Service.Wire.Digest hex)
@@ -761,10 +753,7 @@ let client_cmd =
     | Ok selection, Ok addr -> (
       if statements = [] then fail "no statements (give SQL or --batch FILE)"
       else
-        let encoding = if json then Service.Wire.Json else Service.Wire.Binary in
-        match
-          Service.Client.connect ~encoding ~max_frame ~selection addr
-        with
+        match Service.Client.connect ~max_frame ~selection addr with
         | Error e -> fail "%s" (Fmt.str "%a" Service.Wire.pp_error e)
         | Ok (client, ok) ->
           Fmt.pr "connected: %s (%d features, digest %s)@." ok.Service.Wire.label
@@ -810,8 +799,7 @@ let client_cmd =
     Term.(
       ret
         (const run $ listen_arg $ unix_arg $ dialect_arg $ features_arg
-       $ config_file_arg $ digest_arg $ json_flag
-       $ recognize_flag $ max_frame_arg $ batch_arg $ sql_arg))
+       $ config_file_arg $ digest_arg $ recognize_flag $ max_frame_arg $ batch_arg $ sql_arg))
 
 (* --- configure ----------------------------------------------------------------- *)
 

@@ -83,8 +83,8 @@ type t = {
   grammar : Grammar.Cfg.t;
   interner : Interner.t;            (* terminal kinds, shared with the scanner *)
   nt_names : string array;          (* non-terminal id -> name (CST labels) *)
-  nt_ids : (string, int) Hashtbl.t;
   start : string;
+  start_id : int;  (* the start rule's non-terminal id *)
   rules : (iseq * pred) array array; (* non-terminal id -> alternatives *)
   alt_dispatch : Predict.decision array; (* nt id -> rule-level decision *)
   nt_fast : bool array;
@@ -377,12 +377,13 @@ let generate ?(dispatch = true) ?interner ?classify g =
           classes;
         }
       in
+      (* defined: [Undefined_start] is fatal above *)
+      let start_id = Hashtbl.find nt_ids g.start in
       let program =
         if dispatch then
-          (* defined: [Undefined_start] is fatal above *)
           Some
             (Program.compile ~nt_names ~nt_fast ~rules ~alt_dispatch
-               ~start:(Hashtbl.find nt_ids g.start))
+               ~start:start_id)
         else None
       in
       Ok
@@ -390,8 +391,8 @@ let generate ?(dispatch = true) ?interner ?classify g =
           grammar = g;
           interner;
           nt_names;
-          nt_ids;
           start = g.start;
+          start_id;
           rules;
           alt_dispatch;
           nt_fast;
@@ -414,13 +415,9 @@ type run_machinery = {
       (* [rm_results nid i]: the priority-ordered derivation stream (end
          position, row) of non-terminal [nid] at position [i] — the VM's FB
          oracle *)
-  rm_top : int -> (int, parse_error) result;
-      (* the whole statement from start non-terminal id [sid] on the
-         memoized engine — its root row — with its furthest-failure report
-         on rejection *)
-  rm_fail : unit -> (int, parse_error) result;
-      (* the furthest-failure report accumulated so far (used when the
-         start symbol has no rule) *)
+  rm_top : unit -> (int, parse_error) result;
+      (* the whole statement from the start rule on the memoized engine —
+         its root row — with its furthest-failure report on rejection *)
 }
 
 (* Token kinds arrive as dense ids ([tids], valid for this engine's
@@ -712,9 +709,9 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
           expected = List.sort_uniq compare !expected;
         }
     in
-  let memo_top sid =
+  let memo_top () =
     let result =
-      p_term (INonterm sid) 0 [] (fun i acc ->
+      p_term (INonterm t.start_id) 0 [] (fun i acc ->
           if tid i = Interner.eof_id then
             match acc with [ tree ] -> Some tree | _ -> None
           else begin
@@ -724,7 +721,7 @@ let machinery t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
     in
     match result with Some tree -> Ok tree | None -> fail_result ()
   in
-  { rm_results = nonterm_results; rm_top = memo_top; rm_fail = fail_result }
+  { rm_results = nonterm_results; rm_top = memo_top }
 
 (* Dispatching runs that rejected and were re-derived on the pure path,
    counted per domain. *)
@@ -737,26 +734,17 @@ let count_rerun () = incr (Domain.DLS.get rerun_count)
    memoized rerun that derives the error. The result is the root row in
    the domain's {!Rows} arena, which a building caller ([build]) has
    started; recognition runs build no row. *)
-let parse_ids ?start t ~(tids : int array) ~n
-    ~(tok : int -> Lexing_gen.Token.t) ~(kind_name : int -> string) ~build =
-  let start_name = Option.value ~default:t.start start in
+let parse_ids t ~(tids : int array) ~n ~(tok : int -> Lexing_gen.Token.t)
+    ~(kind_name : int -> string) ~build =
   let pure () =
-    let m = machinery t ~tids ~n ~tok ~kind_name ~build ~use_dispatch:false in
-    match Hashtbl.find_opt t.nt_ids start_name with
-    | Some sid -> m.rm_top sid
-    | None ->
-      (* No rule to enter: fail at the first token with an empty expected
-         set, as the string engine did for an unknown start symbol. *)
-      m.rm_fail ()
+    (machinery t ~tids ~n ~tok ~kind_name ~build ~use_dispatch:false).rm_top ()
   in
-  (* Prediction tables bake in FOLLOW sets computed for the grammar's own
-     start symbol, so an overridden entry point (or an engine generated
-     without dispatch, which has no program) parses on the pure memoized
-     path. A rejecting VM run is re-derived without dispatch: the VM tracks
-     no expectations, and re-running the (rare) rejected statement
-     reproduces the backtracking engine's error exactly. *)
+  (* An engine generated without dispatch has no program and parses on the
+     pure memoized path. A rejecting VM run is re-derived without dispatch:
+     the VM tracks no expectations, and re-running the (rare) rejected
+     statement reproduces the backtracking engine's error exactly. *)
   match t.program with
-  | Some prog when String.equal start_name t.start -> (
+  | Some prog ->
     (* built at the run's first [FB]: a statement that commits throughout
        needs no oracle *)
     let m =
@@ -770,8 +758,8 @@ let parse_ids ?start t ~(tids : int array) ~n
     else begin
       count_rerun ();
       pure ()
-    end)
-  | _ -> pure ()
+    end
+  | None -> pure ()
 
 (* Token kinds resolved to engine ids once, at the boundary: tokens stamped
    by the shared scanner pass a physical-equality check; foreign or
@@ -791,11 +779,11 @@ let build_rows t tokens parse =
   Rows.start rows ~names:t.nt_names tokens;
   Result.map (Rows.tree rows) (parse ~build:true)
 
-let parse_tokens ?start t toks =
+let parse_tokens t toks =
   let n = Array.length toks in
   Result.map Rows.to_cst
     (build_rows t (Rows.Tokens toks)
-       (parse_ids ?start t ~tids:(stamped_ids t toks) ~n
+       (parse_ids t ~tids:(stamped_ids t toks) ~n
           ~tok:(fun i -> toks.(i))
           ~kind_name:(fun i ->
             if i < n then toks.(i).Lexing_gen.Token.kind
@@ -818,24 +806,19 @@ let soa_ids t ~scanner (soa : Scanner.soa) ~n =
 
 (* Only an error position reads a token record; kind names come from the
    interner by kind id. *)
-let run_soa ?start t ~scanner soa ~build =
+let run_soa t ~scanner soa ~build =
   (* [n] counts the EOF sentinel, like the token arrays [scan_tokens]
      produces, so all engines see identical streams. *)
   let n = Scanner.soa_count soa + 1 in
-  parse_ids ?start t ~tids:(soa_ids t ~scanner soa ~n) ~n
+  parse_ids t ~tids:(soa_ids t ~scanner soa ~n) ~n
     ~tok:(Scanner.token_of_soa scanner soa)
     ~kind_name:(Scanner.kind_name scanner soa) ~build
 
-let parse_rows ?start t ~scanner soa =
-  build_rows t (Rows.Soa (scanner, soa)) (run_soa ?start t ~scanner soa)
+let parse_rows t ~scanner soa =
+  build_rows t (Rows.Soa (scanner, soa)) (run_soa t ~scanner soa)
 
-let parse_soa ?start t ~scanner soa =
-  Result.map Rows.to_cst (parse_rows ?start t ~scanner soa)
+let parse_soa t ~scanner soa =
+  Result.map Rows.to_cst (parse_rows t ~scanner soa)
 
-let recognize_soa ?start t ~scanner soa =
-  Result.map ignore (run_soa ?start t ~scanner soa ~build:false)
-
-let parse ?start t token_list = parse_tokens ?start t (Array.of_list token_list)
-
-let accepts ?start t tokens =
-  match parse ?start t tokens with Ok _ -> true | Error _ -> false
+let recognize_soa t ~scanner soa =
+  Result.map ignore (run_soa t ~scanner soa ~build:false)

@@ -150,29 +150,21 @@ type parse_error = Engine_types.parse_error = {
 
 val pp_parse_error : parse_error Fmt.t
 
-val parse_tokens :
-  ?start:string -> t -> Lexing_gen.Token.t array -> (Cst.t, parse_error) result
+val parse_tokens : t -> Lexing_gen.Token.t array -> (Cst.t, parse_error) result
 (** [parse_tokens p tokens] parses a complete token stream (ending in [EOF])
-    from the grammar's start symbol (or [start]). The whole input must be
-    consumed. {!Lexing_gen.Scanner.scan_tokens} output flows in without
-    conversion, and tokens stamped by the shared interner are trusted by
-    id. The parse runs on the bytecode VM, building rows over [tokens]
-    that are then materialized ({!Rows.to_cst}); an overridden [start]
-    parses on the memoized engine, since the prediction tables are
-    computed for the grammar's own start symbol.
+    from the grammar's start symbol. The whole input must be consumed.
+    {!Lexing_gen.Scanner.scan_tokens} output flows in without conversion:
+    tokens stamped by the shared interner are trusted by id, and tokens
+    carrying {!Lexing_gen.Token.no_id} (built by hand rather than by a
+    scanner) are re-interned by kind. The parse runs on the bytecode VM,
+    building rows over [tokens] that are then materialized
+    ({!Rows.to_cst}).
 
     A parse failing past the last token reports the position just past that
     token's span and [EOF] as the found kind. On scanner streams this is
     the trailing [EOF] sentinel's own position; it differs from
     [Oracle.Reference] (which clamps to the last token's start) only on
     hand-built streams without the sentinel. *)
-
-val parse :
-  ?start:string -> t -> Lexing_gen.Token.t list -> (Cst.t, parse_error) result
-(** List view of {!parse_tokens}. Tokens carrying {!Lexing_gen.Token.no_id}
-    (built by hand rather than by a scanner) are re-interned by kind. *)
-
-val accepts : ?start:string -> t -> Lexing_gen.Token.t list -> bool
 
 val pure_reruns : unit -> int
 (** How many parses in the calling domain so far had their dispatching run
@@ -203,7 +195,6 @@ val program : t -> Program.t option
     caches the compiled program alongside the front-end. *)
 
 val parse_rows :
-  ?start:string ->
   t ->
   scanner:Lexing_gen.Scanner.t ->
   Lexing_gen.Scanner.soa ->
@@ -218,7 +209,6 @@ val parse_rows :
     {!Core.generate}) its ids are trusted without re-stamping. *)
 
 val parse_soa :
-  ?start:string ->
   t ->
   scanner:Lexing_gen.Scanner.t ->
   Lexing_gen.Scanner.soa ->
@@ -227,7 +217,6 @@ val parse_soa :
     token is read with {!Lexing_gen.Scanner.token_of_soa}. *)
 
 val recognize_soa :
-  ?start:string ->
   t ->
   scanner:Lexing_gen.Scanner.t ->
   Lexing_gen.Scanner.soa ->

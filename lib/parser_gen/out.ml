@@ -12,10 +12,6 @@ let grow o need =
 
 let reserve o n = if o.len + n > Bytes.length o.buf then grow o (o.len + n)
 
-let unsafe_add_char o c =
-  Bytes.unsafe_set o.buf o.len c;
-  o.len <- o.len + 1
-
 (* Labels, kinds and indents are short: a loop beats the blit's C call on
    them. *)
 let unsafe_add_substring o s off n =
@@ -27,34 +23,12 @@ let unsafe_add_substring o s off n =
   else Bytes.unsafe_blit_string s off buf len n;
   o.len <- len + n
 
-let hex_digits = "0123456789abcdef"
-
-let unsafe_add_json o s off n =
-  for i = off to off + n - 1 do
-    match String.unsafe_get s i with
-    | '"' ->
-      unsafe_add_char o '\\';
-      unsafe_add_char o '"'
-    | '\\' ->
-      unsafe_add_char o '\\';
-      unsafe_add_char o '\\'
-    | ' ' .. '~' as ch -> unsafe_add_char o ch
-    | ch ->
-      let c = Char.code ch in
-      unsafe_add_substring o "\\u00" 0 4;
-      unsafe_add_char o (String.unsafe_get hex_digits (c lsr 4));
-      unsafe_add_char o (String.unsafe_get hex_digits (c land 0xf))
-  done
-
 let add_char o c =
   reserve o 1;
-  unsafe_add_char o c
+  Bytes.unsafe_set o.buf o.len c;
+  o.len <- o.len + 1
 
 let add_string o s =
   let n = String.length s in
   reserve o n;
   unsafe_add_substring o s 0 n
-
-let add_json o s off n =
-  reserve o (6 * n);
-  unsafe_add_json o s off n

@@ -22,13 +22,3 @@ val reserve : t -> int -> unit
 
 val add_char : t -> char -> unit
 val add_string : t -> string -> unit
-
-val add_json : t -> string -> int -> int -> unit
-(** [add_json o s off n] appends [s.[off .. off + n - 1]] escaped for a
-    JSON string body: ['"'] and ['\\'] are backslash-escaped, printable
-    ASCII is kept, and every other byte becomes [\u00XX]. No quotes are
-    added. *)
-
-val unsafe_add_json : t -> string -> int -> int -> unit
-(** {!add_json} without the capacity check, for a writer that has
-    {!reserve}d six bytes per byte of text. *)

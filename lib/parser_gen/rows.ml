@@ -249,13 +249,9 @@ let width t r =
 let margin = 78
 let max_indent = 68
 
-(* A line break and the deepest indent, raw and JSON-escaped: a child's
-   line starts with a prefix of one of them. *)
+(* A line break and the deepest indent: a child's line starts with a
+   prefix of it. *)
 let break = "\n" ^ String.make max_indent ' '
-let json_break = "\\u000a" ^ String.make max_indent ' '
-
-(* Room for [n] bytes of text: six per byte when escaped. *)
-let room json n = if json then 6 * n else n
 
 (* [Out]'s writes, unchecked once [reserve] has made room; local, so that
    the renderer's calls to them are direct. *)
@@ -272,88 +268,84 @@ let add_sub (o : Out.t) s off n =
   done;
   o.len <- len + n
 
-let put o json s off n =
-  if json then Out.unsafe_add_json o s off n else add_sub o s off n
-
-let put_string o json s = put o json s 0 (String.length s)
+let put_string o s = add_sub o s 0 (String.length s)
 
 (* A quoted text in pieces: each ends just after a delimiter, whose double
    is skipped. *)
-let rec put_quoted o json src q hi from j =
-  if j >= hi then put o json src from (j - from)
+let rec put_quoted o src q hi from j =
+  if j >= hi then add_sub o src from (j - from)
   else if String.unsafe_get src j = q then begin
-    put o json src from (j + 1 - from);
-    put_quoted o json src q hi (j + 2) (j + 2)
+    add_sub o src from (j + 1 - from);
+    put_quoted o src q hi (j + 2) (j + 2)
   end
-  else put_quoted o json src q hi from (j + 1)
+  else put_quoted o src q hi from (j + 1)
 
-let put_leaf a o json i =
+let put_leaf a o i =
   match a.tokens with
   | Tokens toks ->
     let tok = toks.(i) in
-    put_string o json tok.kind;
+    put_string o tok.kind;
     if not (String.equal tok.kind tok.text || tok.text = "") then begin
       add_char o '(';
-      put_string o json tok.text;
+      put_string o tok.text;
       add_char o ')'
     end
   | Soa (_, soa) ->
     let kind = a.kind_names.(soa.kind_ids.(i)) in
-    put_string o json kind;
+    put_string o kind;
     if shows_text a soa i kind (text_length a soa i) then begin
       add_char o '(';
       let start = soa.starts.(i) and stop = soa.stops.(i) in
       (match Bytes.unsafe_get a.kind_quote soa.kind_ids.(i) with
-      | '\000' -> put o json soa.src start (stop - start)
-      | q -> put_quoted o json soa.src q (stop - 1) (start + 1) (start + 1));
+      | '\000' -> add_sub o soa.src start (stop - start)
+      | q -> put_quoted o soa.src q (stop - 1) (start + 1) (start + 1));
       add_char o ')'
     end
 
-let rec flat a o json c =
-  if c < 0 then put_leaf a o json (lnot c)
+let rec flat a o c =
+  if c < 0 then put_leaf a o (lnot c)
   else begin
     let d = a.data and base = stride * c in
     add_char o '(';
-    put_string o json (Array.unsafe_get a.names (Array.unsafe_get d (base + f_rule)));
+    put_string o (Array.unsafe_get a.names (Array.unsafe_get d (base + f_rule)));
     let at = Array.unsafe_get d (base + f_kid_at) in
     for k = at to at + Array.unsafe_get d (base + f_kid_n) - 1 do
       add_char o ' ';
-      flat a o json (Array.unsafe_get a.kids k)
+      flat a o (Array.unsafe_get a.kids k)
     done;
     add_char o ')'
   end
 
-let rec layout a o json col c =
+let rec layout a o col c =
   if c < 0 then begin
-    reserve o (room json (leaf_width a (lnot c)));
-    put_leaf a o json (lnot c)
+    reserve o (leaf_width a (lnot c));
+    put_leaf a o (lnot c)
   end
   else
     let d = a.data and base = stride * c in
     let width = Array.unsafe_get d (base + f_width) in
     if width < margin - col then begin
-      reserve o (room json width);
-      flat a o json c
+      reserve o width;
+      flat a o c
     end
     else begin
       let label = Array.unsafe_get a.names (Array.unsafe_get d (base + f_rule)) in
-      reserve o (1 + room json (String.length label));
+      reserve o (1 + String.length label);
       add_char o '(';
-      put_string o json label;
+      put_string o label;
       let indent = if col + 2 < max_indent then col + 2 else max_indent in
-      let brk = if json then json_break else break in
-      let brk_len = (if json then 6 else 1) + indent in
+      let brk_len = 1 + indent in
       let at = Array.unsafe_get d (base + f_kid_at) in
       for k = at to at + Array.unsafe_get d (base + f_kid_n) - 1 do
         reserve o brk_len;
-        add_sub o brk 0 brk_len;
-        layout a o json indent (Array.unsafe_get a.kids k)
+        add_sub o break 0 brk_len;
+        layout a o indent (Array.unsafe_get a.kids k)
       done;
       reserve o 1;
       add_char o ')'
     end
 
-let render o ~json t = layout (valid t) o json 0 t.root
+let render o t = layout (valid t) o 0 t.root
 
 (* --- the tree view ------------------------------------------------------------ *)
 

@@ -76,9 +76,8 @@ val width : tree -> int -> int
 (** The row's flat rendered width: the length of [Cst.pp] of its subtree
     printed on one line. *)
 
-val render : Out.t -> json:bool -> tree -> unit
-(** [render o ~json t] appends [Fmt.str "%a" Cst.pp (to_cst t)] to [o],
-    escaped as a JSON string body ({!Out.add_json}) when [json] holds. A
+val render : Out.t -> tree -> unit
+(** [render o t] appends [Fmt.str "%a" Cst.pp (to_cst t)] to [o]. A
     node that starts at column [col] is printed on one line iff its flat
     width is less than [78 - col]; otherwise each child starts a new line
     indented [min 68 (col + 2)] and [)] follows the last child. Widths are

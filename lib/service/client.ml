@@ -1,6 +1,5 @@
 type t = {
   fd : Unix.file_descr;
-  encoding : Wire.encoding;
   reader : Wire.reader;
   out : Wire.writer;
   mutable next_id : int;
@@ -11,7 +10,7 @@ let io_error fmt =
   Printf.ksprintf (fun m -> Error (Wire.error Wire.Io m)) fmt
 
 let write t frame =
-  Wire.encode_into t.out t.encoding frame;
+  Wire.encode_into t.out frame;
   Wire.output t.out (Unix.write t.fd)
 
 let send t frame =
@@ -52,15 +51,13 @@ let dial addr =
       (Fmt.str "%a" Wire.pp_address addr)
       (Unix.error_message err)
 
-let connect ?(encoding = Wire.Binary) ?(client = "sqlpl-client") ?max_frame
-    ~selection addr =
+let connect ?(client = "sqlpl-client") ?max_frame ~selection addr =
   match dial addr with
   | Error e -> Error e
   | Ok fd ->
     let t =
       {
         fd;
-        encoding;
         reader =
           Wire.reader ?max_frame (fun buf off len -> Unix.read fd buf off len);
         out = Wire.writer ();

@@ -1,6 +1,6 @@
 (** Client side of the {!Wire} protocol.
 
-    A thin blocking client: [connect] dials the daemon, performs the hello
+    A thin blocking client over binary frames: [connect] dials the daemon, performs the hello
     handshake (pinning a front-end by dialect, feature list, or resident
     digest) and hands back the negotiated {!Wire.hello_ok}; [request] sends
     one statement batch and waits for its reply. Transport failures and
@@ -11,16 +11,14 @@
 type t
 
 val connect :
-  ?encoding:Wire.encoding ->
   ?client:string ->
   ?max_frame:int ->
   selection:Wire.selection ->
   Wire.address ->
   (t * Wire.hello_ok, Wire.error) result
-(** Dial, send [Hello], await [Hello_ok]. [encoding] (default {!Wire.Binary})
-    picks the binary frames or the newline-JSON debug encoding — the server
-    follows the client's choice. A server-rejected hello returns the
-    server's structured error; a failed dial returns an {!Wire.Io} error. *)
+(** Dial, send [Hello], await [Hello_ok]. A server-rejected hello returns
+    the server's structured error; a failed dial returns an {!Wire.Io}
+    error. *)
 
 val request :
   ?mode:Wire.mode -> t -> string list -> (Wire.reply, Wire.error) result

@@ -108,8 +108,8 @@ let reply_stats (s : Session.stats) =
    next is parsed: its rows are rendered into the frame before the next
    parse reuses their arena, no [Cst.t] is built, and a recognized
    statement builds no row. *)
-let reply_into session out enc (r : Wire.request) =
-  Wire.encode_reply_into out enc ~id:r.Wire.id (fun emit ->
+let reply_into session out (r : Wire.request) =
+  Wire.encode_reply_into out ~id:r.Wire.id (fun emit ->
       reply_stats
         (match r.Wire.mode with
         | Wire.Cst ->
@@ -157,8 +157,8 @@ let count_error t = locked t (fun () -> t.wire_errors <- t.wire_errors + 1)
 
 (* --- raw streaming mode ------------------------------------------------- *)
 
-(* A streaming connection opens with ['S'] (no framed protocol can: binary
-   frames start [0x00], JSON ones ['{']), then one header line
+(* A streaming connection opens with ['S'] (no frame under 16 MiB can: its
+   length prefix starts with [0x00]), then one header line
    [<dialect>\n], then unframed SQL bytes until the client shuts down its
    write side. The server pipes the bytes through
    {!Session.parse_stream} — fixed memory ceiling, statements split at
@@ -207,12 +207,6 @@ let read_stream_header fd =
   in
   go ()
 
-(* Headers once named the parse engine after the dialect; those three
-   words are still accepted and ignored. *)
-let legacy_engine_word = function
-  | "committed" | "vm" | "fused" -> true
-  | _ -> false
-
 let serve_stream t fd =
   let fail msg =
     (try write_all fd ("err " ^ msg ^ "\n")
@@ -238,21 +232,12 @@ let serve_stream t fd =
     match read_stream_header fd with
     | None -> fail "missing stream header line (<dialect>)"
     | Some header -> (
-      let parts =
+      match
         List.filter
           (fun s -> s <> "")
           (String.split_on_char ' ' (String.trim header))
-      in
-      let resolved =
-        match parts with
-        | [ d ] -> Ok d
-        | [ d; e ] when legacy_engine_word e -> Ok d
-        | [ _; e ] -> Error (Printf.sprintf "unknown engine %S" e)
-        | _ -> Error "stream header must be: <dialect>"
-      in
-      match resolved with
-      | Error msg -> fail msg
-      | Ok name -> (
+      with
+      | [ name ] -> (
         match Dialects.Dialect.find name with
         | None -> fail (Printf.sprintf "unknown dialect %S" name)
         | Some d -> (
@@ -275,15 +260,16 @@ let serve_stream t fd =
                with Unix.Unix_error _ | Sys_error _ -> ())
             | exception (Unix.Unix_error _ | Sys_error _) ->
               (* the peer vanished mid-stream *)
-              count_error t))))
+              count_error t)))
+      | _ -> fail "stream header must be: <dialect>")
 
 (* Serve one framed connection to completion. Every exit path is
    structured: the client either saw a [Reply]/[Pong] per frame, or one
    final [Error] explaining why the server is hanging up. The routing in
    [serve] consumed the connection's first byte, so it is pushed back in
    front of the {!Wire.reader}'s reads (the reader needs it: it is the
-   encoding magic). Every frame the server sends is encoded into one
-   writer, kept for the whole connection. *)
+   first byte of the length prefix). Every frame the server sends is
+   encoded into one writer, kept for the whole connection. *)
 let serve_framed t fd ~first =
   let pushed_back = ref true in
   let reader =
@@ -296,9 +282,8 @@ let serve_framed t fd ~first =
         else Unix.read fd buf off len)
   in
   let out = Wire.writer () in
-  let enc () = Option.value (Wire.reader_encoding reader) ~default:Wire.Binary in
   let send frame =
-    Wire.encode_into out (enc ()) frame;
+    Wire.encode_into out frame;
     flush fd out
   in
   let bail error =
@@ -330,13 +315,13 @@ let serve_framed t fd ~first =
         | Ok (Some frame) -> (
           match frame with
           | Wire.Request r ->
-            (match reply_into session out (enc ()) r with
+            (match reply_into session out r with
             | () -> ()
             | exception exn ->
               (* A poisoned statement must poison its request only: the
                  error frame replaces the partial reply in the writer. *)
               count_error t;
-              Wire.encode_into out (enc ())
+              Wire.encode_into out
                 (Wire.Error
                    (Wire.error Wire.Internal
                       (Printf.sprintf "request %d failed: %s" r.Wire.id
@@ -358,7 +343,8 @@ let serve_framed t fd ~first =
          (Fmt.str "expected hello, got %a" Wire.pp_frame frame))
 
 (* First-byte routing: ['S'] opens the raw streaming mode, anything else
-   (the [0x00]/['{'] encoding magic) goes to the framed protocol. *)
+   goes to the framed protocol, whose reader answers bytes that are not a
+   frame with a structured error. *)
 let serve t fd =
   let first = Bytes.create 1 in
   let got = try Unix.read fd first 0 1 with Unix.Unix_error _ -> 0 in

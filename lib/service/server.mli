@@ -11,8 +11,9 @@
 
     {2 Connection lifecycle}
 
-    - the first byte picks the encoding: [0x00] binary, ['{'] newline-JSON
-      debug — the server answers in kind;
+    - every frame either way is a binary {!Wire} frame; bytes that are
+      not one (a line of JSON, say) draw a structured [Error]
+      ([oversized] or [bad_frame]) and the close;
     - the first frame must be a [Hello] carrying the client's
       configuration selection (dialect name, explicit feature list, or
       the hex digest of a front-end already resident in the cache); the
@@ -41,9 +42,7 @@
 
     When the server was started with [~stream:true], a connection whose
     first byte is ['S'] bypasses the framed protocol entirely: the client
-    sends one header line [<dialect>\n] (a legacy engine word
-    [committed], [vm] or [fused] after the dialect is accepted and ignored)
-    followed by raw SQL bytes until it shuts down its
+    sends one header line [<dialect>\n] followed by raw SQL bytes until it shuts down its
     write side. The server pipes the bytes through
     {!Session.parse_stream} on the recognizer, so no tree is built —
     statements split at top-level [;] exactly
@@ -103,8 +102,8 @@ val outcome_of_item : Wire.mode -> Session.item -> Wire.outcome
     rows renderer {!reply_into} writes with, so that equality checks the
     daemon against an independent rendering. *)
 
-val reply_into : Session.t -> Wire.writer -> Wire.encoding -> Wire.request -> unit
-(** [reply_into session w enc request] replaces [w]'s contents with the
+val reply_into : Session.t -> Wire.writer -> Wire.request -> unit
+(** [reply_into session w request] replaces [w]'s contents with the
     [Reply] frame the daemon sends for [request]: {!Session.each} feeds
     {!Wire.encode_reply_into}, so each statement's outcome is encoded
     before the next statement is parsed. [Cst] requests parse with

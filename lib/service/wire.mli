@@ -1,13 +1,13 @@
 (** Wire protocol of the parser service.
 
     [sqlpl serve] speaks length-prefixed binary frames over TCP or Unix
-    sockets, with a newline-JSON debug encoding carrying exactly the same
-    frames. The two encodings are distinguished by the first byte a client
-    sends: a binary frame's length prefix of any frame small enough to be
-    legal starts with [0x00], while a JSON frame starts with ['{'] — so the
-    server auto-detects the encoding per connection and answers in kind.
+    sockets, and nothing else: bytes that are not a frame (a line of JSON,
+    say, whose first four bytes read as a length prefix far over the
+    limit) draw the decoder's structured {!error}, and the server closes
+    the connection. For raw debugging over [nc], [sqlpl serve --stream]
+    accepts unframed SQL (see {!Server}).
 
-    {2 Binary frame layout}
+    {2 Frame layout}
 
     {v
     frame     := u32(len) u8(tag) payload[len-1]     len = |tag+payload|
@@ -15,6 +15,8 @@
     opt(x)    := u8(0) | u8(1) x
     list(x)   := u32(n) x*n
     u32/u64   — big-endian
+    hello     := u8(1) u8(version = 2) str(client) selection
+    hello_ok  := u8(2) str(digest) str(label) u32(features)
     v}
 
     Every integer field is bounds-checked against the remaining payload
@@ -51,7 +53,6 @@ type code =
   | Internal
 
 val code_to_string : code -> string
-val code_of_string : string -> code option
 
 type error = {
   code : code;
@@ -78,10 +79,7 @@ type selection =
                           server's cache *)
 
 type hello = { client : string; selection : selection }
-(** Both encodings still carry the engine choice older clients sent: the
-    binary hello keeps its engine byte (written 0, read without effect,
-    values above 2 rejected) and JSON ignores an ["engine"] member. The
-    same holds for {!hello_ok}. *)
+(** A hello of any version but 2 is a {!Bad_frame}. *)
 
 type hello_ok = {
   digest : string;  (** canonical config digest, hex *)
@@ -98,8 +96,8 @@ type request = { id : int; mode : mode; statements : string list }
 (** An accepted statement's tree. The daemon's replies carry the parse's
     [Rows], which the encoders render straight into the frame; a decoded
     or library-built reply carries the [Text]. [Rows t] and
-    [Text (Fmt.str "%a" Cst.pp (Rows.to_cst t))] encode to the same bytes
-    in both encodings. *)
+    [Text (Fmt.str "%a" Cst.pp (Rows.to_cst t))] encode to the same
+    bytes. *)
 type cst =
   | Text of string  (** [Fmt.str "%a" Parser_gen.Cst.pp] of the tree *)
   | Rows of Parser_gen.Rows.tree
@@ -144,8 +142,6 @@ val pp_frame : frame Fmt.t
 val default_max_frame : int
 (** 16 MiB. *)
 
-type encoding = Binary | Json
-
 (** A reusable frame buffer. {!encode_into} replaces its contents with one
     frame and {!output} writes them, so a connection that keeps one writer
     encodes every reply without allocating a buffer per frame: [Rows] are
@@ -155,25 +151,21 @@ type writer
 
 val writer : unit -> writer
 
-val encode_into : writer -> encoding -> frame -> unit
-(** [encode_into w enc frame] replaces [w]'s contents with the complete
-    frame: binary with its length prefix, or one ['\n']-terminated JSON
-    line. Every other encoder below is this one into a fresh writer. *)
+val encode_into : writer -> frame -> unit
+(** [encode_into w frame] replaces [w]'s contents with the complete
+    frame, length prefix included. {!encode} is this encoder into a fresh
+    writer. *)
 
 val encode_reply_into :
-  writer ->
-  encoding ->
-  id:int ->
-  ((outcome -> unit) -> reply_stats) ->
-  unit
-(** [encode_reply_into w enc ~id produce] replaces [w]'s contents with a
+  writer -> id:int -> ((outcome -> unit) -> reply_stats) -> unit
+(** [encode_reply_into w ~id produce] replaces [w]'s contents with a
     complete [Reply] frame. [produce emit] yields the items through
     [emit], which encodes each one (rendering [Rows]) before it returns,
-    and then returns the stats, which both encodings write after the items.
+    and then returns the stats, which are written after the items.
     A producer that parses a statement and emits its outcome before
     parsing the next can emit the parse's [Rows] and never holds more than
-    one tree. [encode_into w
-    enc (Reply r)] is this encoder over [r.items]. An exception from
+    one tree. [encode_into w (Reply r)] is this encoder over [r.items].
+    An exception from
     [produce] propagates and leaves [w] holding part of a frame, which the
     next encode into [w] replaces. *)
 
@@ -188,23 +180,11 @@ val writer_capacity : writer -> int
 (** Bytes the writer's frame buffer currently holds room for. *)
 
 val encode : frame -> string
-(** Complete binary frame, length prefix included. *)
+(** The complete frame, length prefix included. *)
 
 val decode : ?max_frame:int -> string -> (frame, error) result
-(** Decode exactly one binary frame; trailing bytes are a {!Bad_frame}.
+(** Decode exactly one frame; trailing bytes are a {!Bad_frame}.
     Total, never raises. An accepted outcome's tree decodes as [Text]. *)
-
-val encode_json : frame -> string
-(** One line of JSON, ['\n']-terminated. Every byte outside printable
-    ASCII is escaped, so the line contains no raw control characters and
-    round-trips arbitrary payloads. *)
-
-val decode_json : ?max_frame:int -> string -> (frame, error) result
-(** Decode one JSON frame (with or without the trailing newline). Total,
-    never raises. *)
-
-val encode_as : encoding -> frame -> string
-val decode_as : ?max_frame:int -> encoding -> string -> (frame, error) result
 
 val encode_items : outcome list -> string
 (** Canonical byte encoding of a reply's items section — the determinism
@@ -215,19 +195,15 @@ val encode_items : outcome list -> string
 
     Pulls frames out of a byte stream via a [read] function with
     [Unix.read]'s contract ([read buf off len] returns [0] at end of
-    stream). The encoding is detected from the first byte. Bytes are read
-    straight into the reader's buffer and each frame is decoded where it
-    lies, with the same total, bounds-checked decoder as {!decode} and
-    {!decode_json}: a reply's only copies are its decoded strings. The
+    stream). Bytes are read straight into the reader's buffer and each
+    frame is decoded where it lies, with the same total, bounds-checked
+    decoder as {!decode}: a reply's only copies are its decoded strings. The
     buffer grows only with bytes received, and once a frame over 1 MiB has
     been consumed it returns to its initial capacity. *)
 
 type reader
 
 val reader : ?max_frame:int -> (bytes -> int -> int -> int) -> reader
-
-val reader_encoding : reader -> encoding option
-(** [None] until the first byte has been read. *)
 
 val read_frame : reader -> (frame option, error) result
 (** The next frame; [Ok None] on a clean end of stream at a frame

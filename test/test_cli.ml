@@ -214,16 +214,95 @@ let test_family_flags_removed () =
       expect ~status:124 ~needles:[ "unknown option '--family'" ] args ())
     [ [ "serve"; "--family" ]; [ "cache"; "stats"; "--family" ] ]
 
-(* One engine: the option that picked among parse engines is gone from
-   every command that had it. *)
-let test_engine_flag_removed () =
+(* One engine and one wire encoding: the options that picked among parse
+   engines and between binary and JSON frames are gone from every command
+   that had them. *)
+let test_engine_and_json_flags_removed () =
   List.iter
-    (fun args ->
-      expect ~status:124 ~needles:[ "unknown option '--engine'" ] args ())
+    (fun (flag, args) ->
+      expect ~status:124 ~needles:[ Printf.sprintf "unknown option '%s'" flag ]
+        args ())
     [
-      [ "parse"; "-d"; "full"; "--engine"; "vm"; "SELECT a FROM t" ];
-      [ "client"; "-d"; "full"; "--engine"; "fused"; "SELECT a FROM t" ];
+      ("--engine", [ "parse"; "-d"; "full"; "--engine"; "vm"; "SELECT a FROM t" ]);
+      ( "--engine",
+        [ "client"; "-d"; "full"; "--engine"; "fused"; "SELECT a FROM t" ] );
+      ("--json", [ "client"; "-d"; "full"; "--json"; "SELECT a FROM t" ]);
     ]
+
+(* The shipped daemon end to end: [sqlpl serve] on a Unix socket as a
+   child process, two [sqlpl client] runs against it (a tree, then
+   recognition only), then SIGTERM, after which the daemon reports the two
+   connections it served. The child is always reaped. *)
+let test_serve_and_client () =
+  match binary with
+  | None -> ()
+  | Some bin ->
+    let dir = Filename.temp_dir "sqlpl_serve" "" in
+    let sock = Filename.concat dir "s" and log = Filename.concat dir "serve.out" in
+    let out = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+    let pid =
+      Unix.create_process bin [| bin; "serve"; "--unix"; sock |] Unix.stdin out out
+    in
+    Unix.close out;
+    let reaped = ref false in
+    let reap () =
+      if not !reaped then begin
+        reaped := true;
+        ignore (Unix.waitpid [] pid)
+      end
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        if not !reaped then begin
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          reap ()
+        end;
+        List.iter
+          (fun f -> try Sys.remove f with Sys_error _ -> ())
+          [ sock; log ];
+        try Sys.rmdir dir with Sys_error _ -> ())
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        while (not (Sys.file_exists sock)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        check_bool "the daemon's socket exists" true (Sys.file_exists sock);
+        let client extra =
+          match
+            run_cli
+              ([ "client"; "--unix"; sock; "-d"; "tinysql" ]
+              @ extra @ [ "SELECT nodeid FROM sensors" ])
+          with
+          | Some (0, output) -> output
+          | Some (status, output) ->
+            Alcotest.failf "client %s exited %d:@.%s" (String.concat " " extra)
+              status output
+          | None -> Alcotest.fail "binary vanished"
+        in
+        let lines output = String.split_on_char '\n' output in
+        List.iter
+          (fun (extra, tree) ->
+            let output = client extra in
+            List.iter
+              (fun needle ->
+                check_bool
+                  (Printf.sprintf "client %s prints %S" (String.concat " " extra)
+                     needle)
+                  true (contains output needle))
+              [ "#0 ok"; "-- 1 statement(s)" ];
+            check_bool
+              (Printf.sprintf "client %s prints a tree: %b"
+                 (String.concat " " extra) tree)
+              tree
+              (List.exists (String.starts_with ~prefix:"(") (lines output)))
+          [ ([], true); ([ "--recognize" ], false) ];
+        Unix.kill pid Sys.sigterm;
+        reap ();
+        let served = In_channel.with_open_text log In_channel.input_all in
+        check_bool
+          (Printf.sprintf "the daemon reports two connections:@.%s" served)
+          true
+          (contains served "stopped after 2 connection(s)"))
 
 (* The GC's space_overhead is the runtime's own setting
    ([OCAMLRUNPARAM=o=N]); serve has no flag duplicating it. *)
@@ -342,7 +421,10 @@ let suite =
     Alcotest.test_case "cache stats" `Quick test_cache_stats;
     Alcotest.test_case "--family flags removed" `Quick
       test_family_flags_removed;
-    Alcotest.test_case "--engine flag removed" `Quick test_engine_flag_removed;
+    Alcotest.test_case "--engine and --json flags removed" `Quick
+      test_engine_and_json_flags_removed;
+    Alcotest.test_case "serve and client end to end over a Unix socket" `Quick
+      test_serve_and_client;
     Alcotest.test_case "serve --gc-space-overhead removed" `Quick
       test_gc_space_overhead_removed;
     Alcotest.test_case "configure session" `Quick test_configure_session;

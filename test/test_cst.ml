@@ -7,30 +7,24 @@
    the 78-column margin, leaves whose text is empty or equals the kind).
    The seeded trees become rows through a test-side builder
    ([Tree_rows.of_cst]). [render] appends, so it is checked into a buffer
-   that already holds text, and in JSON mode too, against the pp text
-   escaped. *)
+   that already holds text. *)
 
 open Parser_gen
 
 let prefix = "earlier frame bytes\n"
 
-let rendered ~json rows =
+let rendered rows =
   let o = Out.create 16 in
   Out.add_string o prefix;
-  Rows.render o ~json rows;
+  Rows.render o rows;
   Out.contents o
 
 let check_rows ~msg ~want rows =
-  let got = rendered ~json:false rows in
+  let got = rendered rows in
   if not (String.equal got (prefix ^ want)) then
     Alcotest.failf
       "%s: render differs from pp@.--- pp ---@.%s@.--- render ---@.%s" msg want
       got;
-  let escaped = Out.create 16 in
-  Out.add_string escaped prefix;
-  Out.add_json escaped want 0 (String.length want);
-  if not (String.equal (rendered ~json:true rows) (Out.contents escaped)) then
-    Alcotest.failf "%s: JSON render differs from pp escaped" msg;
   let r = Rows.root rows in
   if r >= 0 && not (String.contains want '\n') then
     Alcotest.(check int) (msg ^ ": a one-line tree's width") (String.length want)

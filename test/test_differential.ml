@@ -409,6 +409,9 @@ let tok kind =
   { Lexing_gen.Token.kind; kind_id = Lexing_gen.Token.no_id; text = kind;
     pos = { Lexing_gen.Token.line = 1; column = 1; offset = 0 } }
 
+let accepts p toks =
+  Result.is_ok (Parser_gen.Engine.parse_tokens p (Array.of_list toks))
+
 let test_k2_commits () =
   (* [s : A B | A C] conflicts at k = 1 (both predict A) and resolves at
      k = 2: the whole grammar must classify committed. *)
@@ -422,9 +425,9 @@ let test_k2_commits () =
   Alcotest.(check int) "ambiguous points" 0 s.Parser_gen.Engine.ambiguous_points;
   Alcotest.(check int) "committed nts" 1 s.Parser_gen.Engine.committed_nts;
   check_bool "parses A C" true
-    (Parser_gen.Engine.accepts p [ tok "A"; tok "C" ]);
+    (accepts p [ tok "A"; tok "C" ]);
   check_bool "rejects A A" false
-    (Parser_gen.Engine.accepts p [ tok "A"; tok "A" ]);
+    (accepts p [ tok "A"; tok "A" ]);
   (* The VM compiles the k = 2 decision into a D2 opcode probing the
      two-level side table, and must agree token for token with the
      memoized engine. *)
@@ -462,11 +465,11 @@ let test_ambiguous_falls_back () =
   Alcotest.(check int) "s fallback points" 1 cls.Parser_gen.Engine.nt_fallbacks;
   (* x and y commit on their own; s consumes them through the memo path. *)
   check_bool "parses A B D" true
-    (Parser_gen.Engine.accepts p [ tok "A"; tok "B"; tok "D" ]);
+    (accepts p [ tok "A"; tok "B"; tok "D" ]);
   check_bool "parses A B C E" true
-    (Parser_gen.Engine.accepts p [ tok "A"; tok "B"; tok "C"; tok "E" ]);
+    (accepts p [ tok "A"; tok "B"; tok "C"; tok "E" ]);
   check_bool "rejects A B C D" false
-    (Parser_gen.Engine.accepts p [ tok "A"; tok "B"; tok "C"; tok "D" ]);
+    (accepts p [ tok "A"; tok "B"; tok "C"; tok "D" ]);
   (* On the VM the references to [x]/[y] inside the uncommitted rule [s]
      never compile; the program boots with [FB s], so the whole statement
      is one memoized fallback occurrence, and must reproduce the memoized

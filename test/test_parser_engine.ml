@@ -14,7 +14,7 @@ let gen g =
   | Error e -> Alcotest.failf "generate: %a" Engine.pp_gen_error e
 
 let parse p input =
-  Engine.parse p (Def_tokens.tokens input)
+  Engine.parse_tokens p (Array.of_list (Def_tokens.tokens input))
 
 let parse_ok p input =
   match parse p input with
@@ -162,7 +162,7 @@ let test_error_past_last_token () =
       pos = { Lexing_gen.Token.line = 1; column = 1; offset = 0 };
     }
   in
-  match Engine.parse p [ tok ] with
+  match Engine.parse_tokens p [| tok |] with
   | Ok _ -> Alcotest.fail "must fail"
   | Error e ->
     Alcotest.(check string) "found EOF" "EOF" e.Engine.found;
@@ -200,13 +200,6 @@ let test_generate_tolerates_unreachable () =
 let start_override_g =
   grammar ~start:"s"
     [ rule "s" [ [ t "SELECT"; nt "name" ] ]; rule "name" [ [ t "IDENT" ] ] ]
-
-let test_start_override () =
-  let p = gen start_override_g in
-  check_bool "parse from sub-rule" true
-    (Result.is_ok (Engine.parse ~start:"name" p (Def_tokens.tokens "a")));
-  check_bool "sub-rule rejects full input" false
-    (Result.is_ok (Engine.parse ~start:"name" p (Def_tokens.tokens "SELECT a")))
 
 let test_accessors () =
   Alcotest.(check string) "start symbol" "expr" (Engine.start_symbol arith);
@@ -260,7 +253,6 @@ let suite =
     Alcotest.test_case "reject undefined nonterminal" `Quick test_generate_rejects_undefined;
     Alcotest.test_case "tolerate unreachable helper" `Quick
       test_generate_tolerates_unreachable;
-    Alcotest.test_case "start override" `Quick test_start_override;
     Alcotest.test_case "accessors" `Quick test_accessors;
     Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
     Alcotest.test_case "long repetition" `Quick test_long_repetition;

@@ -301,26 +301,21 @@ let test_raw_stream_roundtrip () =
   Buffer.add_string lines (Service.Server.stream_done_line stats);
   let expected = Buffer.contents lines in
   with_stream_server (fun server ->
-      (* Cooperative clients first: the bare header, and each legacy
-         engine word (accepted and ignored), answer byte-identically. *)
-      List.iter
-        (fun header ->
-          let fd = raw_connect server in
-          write_string fd ("S" ^ header ^ "\n");
-          write_string fd script;
-          Unix.shutdown fd Unix.SHUTDOWN_SEND;
-          Alcotest.(check string)
-            (Printf.sprintf "streamed reply (whole writes, %S)" header)
-            expected (read_all fd);
-          Unix.close fd)
-        [ "tinysql"; "tinysql committed"; "tinysql vm"; "tinysql fused" ];
+      (* A cooperative client first. *)
+      let fd = raw_connect server in
+      write_string fd "Stinysql\n";
+      write_string fd script;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      Alcotest.(check string) "streamed reply (whole writes)" expected
+        (read_all fd);
+      Unix.close fd;
       (* Then a dribbling client: header and body one byte at a time, so
          chunk boundaries fall inside the header line, inside tokens and
          inside the quoted [;]. *)
       let fd = raw_connect server in
       String.iter
         (fun c -> write_string fd (String.make 1 c))
-        ("Stinysql fused\n" ^ script);
+        ("Stinysql\n" ^ script);
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
       Alcotest.(check string) "streamed reply (dribbled writes)" expected
         (read_all fd);
@@ -335,13 +330,18 @@ let test_raw_stream_bad_header () =
       Unix.close fd;
       check_bool "unknown dialect draws an err line" true
         (String.length reply >= 4 && String.sub reply 0 4 = "err ");
-      let fd = raw_connect server in
-      write_string fd "Stinysql warp_drive\nSELECT 1;";
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      let reply = read_all fd in
-      Unix.close fd;
-      check_bool "unknown engine draws an err line" true
-        (String.length reply >= 4 && String.sub reply 0 4 = "err "))
+      (* The header names the dialect alone: a second word is malformed. *)
+      List.iter
+        (fun header ->
+          let fd = raw_connect server in
+          write_string fd ("S" ^ header ^ "\nSELECT 1;");
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let reply = read_all fd in
+          Unix.close fd;
+          Alcotest.(check string)
+            (Printf.sprintf "%S draws the header error line" header)
+            "err stream header must be: <dialect>\n" reply)
+        [ "tinysql vm"; "tinysql warp_drive" ])
 
 let test_raw_stream_disabled () =
   (* Without [~stream:true] the ['S'] opener draws one err line and the

@@ -1,9 +1,8 @@
-(* Property tests for the service wire codec: binary and JSON encodings
-   round-trip arbitrary frames (payloads with embedded newlines, NUL bytes,
-   raw non-ASCII, empty batches), the two encodings agree frame for frame,
-   and decoding hostile input — truncations, oversized length prefixes,
-   random bytes — returns structured errors, never raises, and never
-   over-allocates. *)
+(* Property tests for the service wire codec: binary frames round-trip
+   arbitrary frames (payloads with embedded newlines, NUL bytes, raw
+   non-ASCII, empty batches), and decoding hostile input — truncations,
+   oversized length prefixes, random bytes, a line of JSON — returns
+   structured errors, never raises, and never over-allocates. *)
 
 module Gen = QCheck.Gen
 module Wire = Service.Wire
@@ -13,8 +12,8 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 (* --- generators --------------------------------------------------------- *)
 
 (* Payload bytes draw from the full byte range, weighted toward the nasty
-   cases: newlines (the JSON framing delimiter), NUL, quotes, backslashes,
-   and bytes above 0x7f (raw UTF-8 or not). *)
+   cases: newlines, NUL, quotes, backslashes, and bytes above 0x7f (raw
+   UTF-8 or not). *)
 let gen_byte =
   Gen.frequency
     [
@@ -114,32 +113,6 @@ let binary_roundtrip =
       | Ok frame' -> frame' = frame
       | Error e -> QCheck.Test.fail_reportf "decode: %a" Wire.pp_error e)
 
-let json_roundtrip =
-  QCheck.Test.make ~count:500 ~name:"JSON decode . encode = id" arb_frame
-    (fun frame ->
-      match Wire.decode_json (Wire.encode_json frame) with
-      | Ok frame' -> frame' = frame
-      | Error e -> QCheck.Test.fail_reportf "decode_json: %a" Wire.pp_error e)
-
-(* The newline-JSON debug framing only works if a frame is exactly one
-   line: every embedded newline must be escaped away. *)
-let json_single_line =
-  QCheck.Test.make ~count:500 ~name:"JSON encoding is one line" arb_frame
-    (fun frame ->
-      let s = Wire.encode_json frame in
-      String.length s > 0
-      && s.[String.length s - 1] = '\n'
-      && not (String.contains (String.sub s 0 (String.length s - 1)) '\n'))
-
-(* Both encodings carry the same frame: decoding the JSON form yields
-   exactly what decoding the binary form yields. *)
-let encodings_agree =
-  QCheck.Test.make ~count:500 ~name:"JSON mode agrees with binary mode"
-    arb_frame (fun frame ->
-      match (Wire.decode (Wire.encode frame), Wire.decode_json (Wire.encode_json frame)) with
-      | Ok a, Ok b -> a = b && a = frame
-      | _ -> false)
-
 (* --- hostile input ------------------------------------------------------- *)
 
 let gen_frame_and_cut =
@@ -172,6 +145,11 @@ let oversized_is_structured () =
   | Error e ->
     Alcotest.(check bool) "small limit" true (e.Wire.code = Wire.Oversized)
   | Ok _ -> Alcotest.fail "frame over the connection limit accepted");
+  (* A line of JSON is not a frame: its first four bytes read as a length
+     prefix far over the limit. *)
+  (match Wire.decode {|{"frame":"hello","version":1,"client":"x"}|} with
+  | Error e -> Alcotest.(check bool) "JSON line" true (e.Wire.code = Wire.Oversized)
+  | Ok _ -> Alcotest.fail "a line of JSON decoded as a frame");
   (* A lying *inner* length field (a string claiming more bytes than the
      frame holds) is a bad frame, caught by the bounds check. *)
   let lying =
@@ -193,35 +171,22 @@ let garbage_never_raises =
     (fun s ->
       match Wire.decode s with Ok _ -> true | Error _ -> true)
 
-let json_garbage_never_raises =
-  QCheck.Test.make ~count:1000 ~name:"JSON decode is total on random bytes"
-    (QCheck.make ~print:String.escaped
-       (Gen.string_size ~gen:(Gen.char_range '\000' '\255') (Gen.int_bound 64)))
-    (fun s ->
-      match Wire.decode_json s with Ok _ -> true | Error _ -> true)
-
 (* --- specifics ----------------------------------------------------------- *)
 
 let empty_batch_roundtrips () =
   let frame = Wire.Request { Wire.id = 0; mode = Wire.Cst; statements = [] } in
-  (match Wire.decode (Wire.encode frame) with
+  match Wire.decode (Wire.encode frame) with
   | Ok f -> Alcotest.(check bool) "binary" true (f = frame)
-  | Error e -> Alcotest.failf "binary: %a" Wire.pp_error e);
-  match Wire.decode_json (Wire.encode_json frame) with
-  | Ok f -> Alcotest.(check bool) "json" true (f = frame)
-  | Error e -> Alcotest.failf "json: %a" Wire.pp_error e
+  | Error e -> Alcotest.failf "binary: %a" Wire.pp_error e
 
 let nasty_statement_roundtrips () =
   let nasty = "SELECT 'a\nb' FROM \000t; -- caf\xc3\xa9 \"quote\" \\slash" in
   let frame =
     Wire.Request { Wire.id = 7; mode = Wire.Recognize; statements = [ nasty; "" ] }
   in
-  List.iter
-    (fun enc ->
-      match Wire.decode_as enc (Wire.encode_as enc frame) with
-      | Ok f -> Alcotest.(check bool) "roundtrip" true (f = frame)
-      | Error e -> Alcotest.failf "%a" Wire.pp_error e)
-    [ Wire.Binary; Wire.Json ]
+  match Wire.decode (Wire.encode frame) with
+  | Ok f -> Alcotest.(check bool) "roundtrip" true (f = frame)
+  | Error e -> Alcotest.failf "%a" Wire.pp_error e
 
 let trailing_bytes_rejected () =
   let s = Wire.encode Wire.Bye ^ "x" in
@@ -230,85 +195,62 @@ let trailing_bytes_rejected () =
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
 
 (* The reader pulls frames out of a dribbled stream: one byte per read
-   call, several frames back to back, both encodings. *)
+   call, several frames back to back. *)
 let reader_reassembles_dribble () =
+  let frames =
+    [
+      Wire.Ping "a\nb\000c";
+      Wire.Request { Wire.id = 1; mode = Wire.Cst; statements = [ "SELECT 1" ] };
+      Wire.Bye;
+    ]
+  in
+  let stream = String.concat "" (List.map Wire.encode frames) in
+  let pos = ref 0 in
+  let read buf off _len =
+    if !pos >= String.length stream then 0
+    else begin
+      Bytes.set buf off stream.[!pos];
+      incr pos;
+      1
+    end
+  in
+  let r = Wire.reader read in
   List.iter
-    (fun enc ->
-      let frames =
-        [
-          Wire.Ping "a\nb\000c";
-          Wire.Request { Wire.id = 1; mode = Wire.Cst; statements = [ "SELECT 1" ] };
-          Wire.Bye;
-        ]
-      in
-      let stream = String.concat "" (List.map (Wire.encode_as enc) frames) in
-      let pos = ref 0 in
-      let read buf off _len =
-        if !pos >= String.length stream then 0
-        else begin
-          Bytes.set buf off stream.[!pos];
-          incr pos;
-          1
-        end
-      in
-      let r = Wire.reader read in
-      List.iter
-        (fun expect ->
-          match Wire.read_frame r with
-          | Ok (Some f) -> Alcotest.(check bool) "frame" true (f = expect)
-          | Ok None -> Alcotest.fail "premature end of stream"
-          | Error e -> Alcotest.failf "%a" Wire.pp_error e)
-        frames;
+    (fun expect ->
       match Wire.read_frame r with
-      | Ok None -> ()
-      | Ok (Some f) -> Alcotest.failf "unexpected frame %a" Wire.pp_frame f
+      | Ok (Some f) -> Alcotest.(check bool) "frame" true (f = expect)
+      | Ok None -> Alcotest.fail "premature end of stream"
       | Error e -> Alcotest.failf "%a" Wire.pp_error e)
-    [ Wire.Binary; Wire.Json ]
+    frames;
+  match Wire.read_frame r with
+  | Ok None -> ()
+  | Ok (Some f) -> Alcotest.failf "unexpected frame %a" Wire.pp_frame f
+  | Error e -> Alcotest.failf "%a" Wire.pp_error e
 
-(* The hello's engine byte and JSON member are what older peers send:
-   every value an engine ever had decodes to the same frame, a value none
-   had is still a structured error. Offsets: u32 length, tag, version,
-   then the client string (u32 length + bytes), then the engine byte. *)
-let legacy_engine_ignored () =
+(* A hello is version 2: tag, version, the client string, then the
+   selection, with no byte between them. A version-1 hello (which carried
+   an engine byte after the client string) is a structured bad frame. *)
+let hello_version_2 () =
   let hello = Wire.Hello { Wire.client = "old"; selection = Wire.Dialect "full" } in
   let encoded = Wire.encode hello in
-  let at = 4 + 1 + 1 + 4 + String.length "old" in
-  Alcotest.(check char) "encoder writes engine byte 0" '\000' encoded.[at];
-  let with_byte b =
-    let s = Bytes.of_string encoded in
-    Bytes.set s at (Char.chr b);
-    Bytes.to_string s
+  Alcotest.(check int) "version byte" 2 (Char.code encoded.[5]);
+  Alcotest.(check int) "frame size"
+    (4 + 1 + 1 + (4 + String.length "old") + 1 + (4 + String.length "full"))
+    (String.length encoded);
+  let v1 =
+    let b = Buffer.create 32 in
+    Buffer.add_string b "\000\000\000\019\001\001";
+    Buffer.add_string b "\000\000\000\003old";
+    (* engine byte *) Buffer.add_char b '\000';
+    Buffer.add_string b "\000\000\000\000\004full";
+    Buffer.contents b
   in
-  List.iter
-    (fun b ->
-      match Wire.decode (with_byte b) with
-      | Ok f ->
-        Alcotest.(check bool) (Printf.sprintf "engine byte %d ignored" b) true
-          (f = hello)
-      | Error e -> Alcotest.failf "engine byte %d: %a" b Wire.pp_error e)
-    [ 0; 1; 2 ];
-  List.iter
-    (fun b ->
-      match Wire.decode (with_byte b) with
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "engine byte %d is a bad frame" b)
-          true (e.Wire.code = Wire.Bad_frame)
-      | Ok _ -> Alcotest.failf "engine byte %d accepted" b)
-    [ 3; 255 ];
-  List.iter
-    (fun engine ->
-      let line =
-        Printf.sprintf
-          {|{"frame":"hello","version":1,"client":"old","engine":%s,"selection":{"dialect":"full"}}|}
-          engine
-      in
-      match Wire.decode_json line with
-      | Ok f ->
-        Alcotest.(check bool) (Printf.sprintf "JSON engine %s ignored" engine)
-          true (f = hello)
-      | Error e -> Alcotest.failf "JSON engine %s: %a" engine Wire.pp_error e)
-    [ {|"committed"|}; {|"vm"|}; {|"fused"|}; {|"warp"|}; "7" ]
+  match Wire.decode v1 with
+  | Error e ->
+    Alcotest.(check bool) "bad_frame" true (e.Wire.code = Wire.Bad_frame);
+    Alcotest.(check string) "message" "unsupported hello version 1"
+      e.Wire.message
+  | Ok f -> Alcotest.failf "version-1 hello accepted as %a" Wire.pp_frame f
 
 let reader_reports_truncation () =
   let whole = Wire.encode (Wire.Ping "hello") in
@@ -332,7 +274,7 @@ let tok ?(text = "") kind =
     pos = { Lexing_gen.Token.line = 1; column = 1; offset = 0 } }
 
 (* Real trees from the full and analytics corpora, plus leaves whose text
-   needs JSON escaping. *)
+   holds quotes, backslashes, control bytes and raw UTF-8. *)
 let sample_trees () =
   let parse name stmts =
     match Dialects.Dialect.find name with
@@ -368,8 +310,8 @@ let as_text t = Wire.Text (Fmt.str "%a" Parser_gen.Cst.pp t)
    can sit in one reply. *)
 let as_rows t = Wire.Rows (Tree_rows.of_cst t)
 
-(* [Rows] of a tree and [Text (Cst.pp t)] are the same bytes in both
-   encodings and in [encode_items]; decoding either gives back the [Text].
+(* [Rows] of a tree and [Text (Cst.pp t)] are the same bytes in a frame
+   and in [encode_items]; decoding either gives back the [Text].
    The same holds for the rows a parse builds, encoded as a producer
    yields them, each before the next statement is parsed. *)
 let rows_and_text_agree () =
@@ -377,15 +319,11 @@ let rows_and_text_agree () =
   Alcotest.(check bool) "trees parsed" true (List.length trees > 20);
   let rows = reply_with as_rows trees
   and text = reply_with as_text trees in
-  List.iter
-    (fun enc ->
-      let encoded = Wire.encode_as enc rows in
-      Alcotest.(check string) "Rows and Text encode alike" (Wire.encode_as enc text)
-        encoded;
-      match Wire.decode_as enc encoded with
-      | Ok f -> Alcotest.(check bool) "decodes to Text = Cst.pp" true (f = text)
-      | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e)
-    [ Wire.Binary; Wire.Json ];
+  let encoded = Wire.encode rows in
+  Alcotest.(check string) "Rows and Text encode alike" (Wire.encode text) encoded;
+  (match Wire.decode encoded with
+  | Ok f -> Alcotest.(check bool) "decodes to Text = Cst.pp" true (f = text)
+  | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e);
   List.iter
     (fun t ->
       Alcotest.(check string) "encode_items"
@@ -399,33 +337,30 @@ let rows_and_text_agree () =
   in
   let stmts = Corpus.full_accept in
   let stats = { Wire.statements = 0; accepted = 0; rejected = 0; tokens = 0; elapsed_ns = 0L } in
-  List.iter
-    (fun enc ->
-      let streamed = Wire.writer () in
-      Wire.encode_reply_into streamed enc ~id:1 (fun emit ->
-          List.iter
-            (fun sql ->
-              match Core.parse_rows g sql with
-              | Ok t -> emit (Wire.Accepted { tokens = 0; cst = Some (Wire.Rows t) })
-              | Error e -> Alcotest.failf "%S: %a" sql Core.pp_error e)
-            stmts;
-          stats);
-      let built =
-        List.map
-          (fun sql ->
-            match Core.parse_cst g sql with
-            | Ok t -> Wire.Accepted { tokens = 0; cst = Some (as_text t) }
-            | Error e -> Alcotest.failf "%S: %a" sql Core.pp_error e)
-          stmts
-      in
-      let sent = Buffer.create 1024 in
-      Wire.output streamed (fun buf off len ->
-          Buffer.add_subbytes sent buf off len;
-          len);
-      Alcotest.(check string) "parsed rows encode as their Text"
-        (Wire.encode_as enc (Wire.Reply { Wire.id = 1; items = built; stats }))
-        (Buffer.contents sent))
-    [ Wire.Binary; Wire.Json ]
+  let streamed = Wire.writer () in
+  Wire.encode_reply_into streamed ~id:1 (fun emit ->
+      List.iter
+        (fun sql ->
+          match Core.parse_rows g sql with
+          | Ok t -> emit (Wire.Accepted { tokens = 0; cst = Some (Wire.Rows t) })
+          | Error e -> Alcotest.failf "%S: %a" sql Core.pp_error e)
+        stmts;
+      stats);
+  let built =
+    List.map
+      (fun sql ->
+        match Core.parse_cst g sql with
+        | Ok t -> Wire.Accepted { tokens = 0; cst = Some (as_text t) }
+        | Error e -> Alcotest.failf "%S: %a" sql Core.pp_error e)
+      stmts
+  in
+  let sent = Buffer.create 1024 in
+  Wire.output streamed (fun buf off len ->
+      Buffer.add_subbytes sent buf off len;
+      len);
+  Alcotest.(check string) "parsed rows encode as their Text"
+    (Wire.encode (Wire.Reply { Wire.id = 1; items = built; stats }))
+    (Buffer.contents sent)
 
 (* One writer reused across frames gives the bytes a fresh encoder gives,
    whatever [write] accepts per call; after a frame over 1 MiB it returns
@@ -442,11 +377,11 @@ let writer_reuse_and_shrink () =
   let big = Wire.Ping (String.make (3 * 1024 * 1024 / 2) 'p') in
   let trees = sample_trees () in
   List.iter
-    (fun (enc, frame, step) ->
-      Wire.encode_into w enc frame;
+    (fun (frame, step) ->
+      Wire.encode_into w frame;
       Buffer.clear sent;
       Wire.output w (write step);
-      Alcotest.(check string) "writer bytes = fresh encoding" (Wire.encode_as enc frame)
+      Alcotest.(check string) "writer bytes = fresh encoding" (Wire.encode frame)
         (Buffer.contents sent);
       Alcotest.(check bool)
         (Printf.sprintf "writer holds %d bytes, at most 1 MiB, after output"
@@ -454,14 +389,14 @@ let writer_reuse_and_shrink () =
         true
         (Wire.writer_capacity w <= 1 lsl 20))
     [
-      (Wire.Binary, reply_with as_rows trees, 7);
-      (Wire.Json, reply_with as_rows trees, 65536);
-      (Wire.Binary, big, 65536);
-      (Wire.Binary, Wire.Ping "small", 1);
-      (Wire.Json, big, 100_000);
-      (Wire.Json, reply_with as_rows trees, 3);
+      (reply_with as_rows trees, 7);
+      (reply_with as_rows trees, 65536);
+      (big, 65536);
+      (Wire.Ping "small", 1);
+      (big, 100_000);
+      (reply_with as_rows trees, 3);
     ];
-  Wire.encode_into w Wire.Binary big;
+  Wire.encode_into w big;
   Alcotest.(check bool) "an outlier grows the writer" true
     (Wire.writer_capacity w > 1 lsl 20);
   Wire.output w (fun _ _ len -> len);
@@ -475,72 +410,62 @@ let writer_reuse_and_shrink () =
 let raising_producer_then_error () =
   let trees = sample_trees () in
   Alcotest.(check bool) "three sample trees" true (List.length trees >= 3);
-  List.iter
-    (fun enc ->
-      let w = Wire.writer () in
-      let emitted = ref 0 in
-      (match
-         Wire.encode_reply_into w enc ~id:7 (fun emit ->
-             List.iter
-               (fun t ->
-                 if !emitted = 2 then failwith "poisoned statement";
-                 emit (Wire.Accepted { tokens = 9; cst = Some (as_rows t) });
-                 incr emitted)
-               trees;
-             Alcotest.fail "producer ran past its third item")
-       with
-      | () -> Alcotest.fail "the producer's exception was swallowed"
-      | exception Failure _ -> ());
-      Alcotest.(check int) "two items encoded before the raise" 2 !emitted;
-      let error = Wire.Error (Wire.error Wire.Internal "request 7 failed") in
-      Wire.encode_into w enc error;
-      let sent = Buffer.create 64 in
-      Wire.output w (fun buf off len ->
-          Buffer.add_subbytes sent buf off len;
-          len);
-      Alcotest.(check string) "the error frame is a fresh encoding"
-        (Wire.encode_as enc error) (Buffer.contents sent);
-      match Wire.decode_as enc (Buffer.contents sent) with
-      | Ok f -> Alcotest.(check bool) "decodes to the error" true (f = error)
-      | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e)
-    [ Wire.Binary; Wire.Json ]
+  let w = Wire.writer () in
+  let emitted = ref 0 in
+  (match
+     Wire.encode_reply_into w ~id:7 (fun emit ->
+         List.iter
+           (fun t ->
+             if !emitted = 2 then failwith "poisoned statement";
+             emit (Wire.Accepted { tokens = 9; cst = Some (as_rows t) });
+             incr emitted)
+           trees;
+         Alcotest.fail "producer ran past its third item")
+   with
+  | () -> Alcotest.fail "the producer's exception was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "two items encoded before the raise" 2 !emitted;
+  let error = Wire.Error (Wire.error Wire.Internal "request 7 failed") in
+  Wire.encode_into w error;
+  let sent = Buffer.create 64 in
+  Wire.output w (fun buf off len ->
+      Buffer.add_subbytes sent buf off len;
+      len);
+  Alcotest.(check string) "the error frame is a fresh encoding"
+    (Wire.encode error) (Buffer.contents sent);
+  match Wire.decode (Buffer.contents sent) with
+  | Ok f -> Alcotest.(check bool) "decodes to the error" true (f = error)
+  | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e
 
 (* A reader that drained a frame over 1 MiB keeps reading the frames
    behind it, whether they arrived in the same read or later. *)
 let reader_after_outlier () =
+  let frames =
+    [ Wire.Ping (String.make (3 * 1024 * 1024 / 2) 'q'); Wire.Ping "after";
+      Wire.Pong (String.make (2 * 1024 * 1024) 'r'); Wire.Bye ]
+  in
+  let stream = String.concat "" (List.map Wire.encode frames) in
+  let pos = ref 0 in
+  let read buf off len =
+    let n = min (min len 50_000) (String.length stream - !pos) in
+    Bytes.blit_string stream !pos buf off n;
+    pos := !pos + n;
+    n
+  in
+  let r = Wire.reader read in
   List.iter
-    (fun enc ->
-      let frames =
-        [ Wire.Ping (String.make (3 * 1024 * 1024 / 2) 'q'); Wire.Ping "after";
-          Wire.Pong (String.make (2 * 1024 * 1024) 'r'); Wire.Bye ]
-      in
-      let stream = String.concat "" (List.map (Wire.encode_as enc) frames) in
-      let pos = ref 0 in
-      let read buf off len =
-        let n = min (min len 50_000) (String.length stream - !pos) in
-        Bytes.blit_string stream !pos buf off n;
-        pos := !pos + n;
-        n
-      in
-      let r = Wire.reader read in
-      List.iter
-        (fun expect ->
-          match Wire.read_frame r with
-          | Ok (Some f) -> Alcotest.(check bool) "frame" true (f = expect)
-          | Ok None -> Alcotest.fail "premature end of stream"
-          | Error e -> Alcotest.failf "%a" Wire.pp_error e)
-        frames)
-    [ Wire.Binary; Wire.Json ]
+    (fun expect ->
+      match Wire.read_frame r with
+      | Ok (Some f) -> Alcotest.(check bool) "frame" true (f = expect)
+      | Ok None -> Alcotest.fail "premature end of stream"
+      | Error e -> Alcotest.failf "%a" Wire.pp_error e)
+    frames
 
 let suite =
   [
     to_alcotest binary_roundtrip;
-    to_alcotest json_roundtrip;
-    to_alcotest json_single_line;
-    to_alcotest encodings_agree;
     to_alcotest truncation_is_structured;
     to_alcotest garbage_never_raises;
-    to_alcotest json_garbage_never_raises;
     Alcotest.test_case "oversized and lying lengths are structured" `Quick
       oversized_is_structured;
     Alcotest.test_case "empty batch round-trips" `Quick empty_batch_roundtrips;
@@ -551,8 +476,8 @@ let suite =
       reader_reassembles_dribble;
     Alcotest.test_case "reader reports mid-frame end of stream" `Quick
       reader_reports_truncation;
-    Alcotest.test_case "legacy hello engine values are ignored" `Quick
-      legacy_engine_ignored;
+    Alcotest.test_case "a version-1 hello is a bad frame" `Quick
+      hello_version_2;
     Alcotest.test_case "Rows and Text of one CST encode alike" `Quick
       rows_and_text_agree;
     Alcotest.test_case "a reused writer encodes like a fresh one and shrinks"
