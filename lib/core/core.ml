@@ -125,8 +125,8 @@ let recognize_counted g sql =
 let recognize g sql = snd (recognize_counted g sql)
 
 let parse_statement g sql =
-  let* cst = parse_cst g sql in
-  Result.map_error (fun e -> Lowering_error e) (Lower.statement cst)
+  let* rows = parse_rows g sql in
+  Result.map_error (fun e -> Lowering_error e) (Lower.rows rows)
 
 let accepts g sql = Result.is_ok (parse_rows g sql)
 let dispatch_summary g = Parser_gen.Engine.summary g.parser

@@ -90,8 +90,8 @@ val parse_rows_counted :
 
 val parse_cst : generated -> string -> (Parser_gen.Cst.t, error) result
 (** {!parse_rows} materialized as a concrete syntax tree
-    ({!Parser_gen.Rows.to_cst}), which {!parse_statement} and {!run}
-    lower. *)
+    ({!Parser_gen.Rows.to_cst}), for printing and inspection;
+    {!parse_statement} and {!run} lower the rows and never build one. *)
 
 val parse_cst_counted :
   generated -> string -> int * (Parser_gen.Cst.t, error) result
@@ -108,7 +108,8 @@ val recognize_counted : generated -> string -> int * (unit, error) result
     {!parse_cst_counted} pairs it. *)
 
 val parse_statement : generated -> string -> (Sql_ast.Ast.statement, error) result
-(** Scan, parse and lower one statement. *)
+(** Scan, parse and lower one statement: {!parse_rows}, then
+    {!Lower.rows} over the tree, with no {!Parser_gen.Cst.t} built. *)
 
 val accepts : generated -> string -> bool
 (** Does the tailored parser accept the statement? (Lexical errors count as

@@ -403,6 +403,8 @@ let text_at ?scratch t soa i =
       in
       quoted_text ~scratch soa.src start stop ~quote
 
+let text_of_soa t soa i = text_at t soa i
+
 let token_of_soa t soa i =
   if i >= soa.count then Token.eof (position_at soa soa.starts.(soa.count))
   else

@@ -72,6 +72,12 @@ val token_of_soa : t -> soa -> int -> Token.t
     doubled-quote unescaping for string/quoted-identifier literals — and
     line/column recovered by binary search of the newline index. *)
 
+val text_of_soa : t -> soa -> int -> string
+(** Token [i]'s [text] as {!token_of_soa} gives it, without building the
+    record or finding its position: the kind's shared canonical string when
+    the token is spelled that way, else a copy of its bytes (quoted kinds
+    unescaped); [""] for the EOF token. *)
+
 val tokens_of_soa : t -> soa -> Token.t array
 (** Materialize the whole stream (EOF token included, as the last element),
     walking the newline index sequentially. *)

@@ -817,8 +817,5 @@ let run_soa t ~scanner soa ~build =
 let parse_rows t ~scanner soa =
   build_rows t (Rows.Soa (scanner, soa)) (run_soa t ~scanner soa)
 
-let parse_soa t ~scanner soa =
-  Result.map Rows.to_cst (parse_rows t ~scanner soa)
-
 let recognize_soa t ~scanner soa =
   Result.map ignore (run_soa t ~scanner soa ~build:false)

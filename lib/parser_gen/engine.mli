@@ -208,14 +208,6 @@ val parse_rows :
     stream; when it shares the engine's interner (as under
     {!Core.generate}) its ids are trusted without re-stamping. *)
 
-val parse_soa :
-  t ->
-  scanner:Lexing_gen.Scanner.t ->
-  Lexing_gen.Scanner.soa ->
-  (Cst.t, parse_error) result
-(** {!parse_rows} materialized as a {!Cst.t} ({!Rows.to_cst}): each leaf's
-    token is read with {!Lexing_gen.Scanner.token_of_soa}. *)
-
 val recognize_soa :
   t ->
   scanner:Lexing_gen.Scanner.t ->

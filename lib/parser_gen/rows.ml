@@ -25,6 +25,16 @@ let f_kid_at = 1
 let f_kid_n = 2
 let f_width = 3
 
+(* A tree's arrays, for reading in place; declared before [t], whose
+   fields of the same names take precedence below. *)
+type reader = {
+  names : string array;
+  data : int array;
+  kids : int array;
+  kind_ids : int array;
+  kind_names : string array;
+}
+
 type t = {
   mutable names : string array;
   mutable tokens : tokens;
@@ -237,6 +247,42 @@ let width t r =
   let a = valid t in
   a.data.(row a r + f_width)
 
+(* --- reading ---------------------------------------------------------------- *)
+
+(* A hand-built stream's kinds, interned here: ids in order of first use. *)
+let intern_kinds (toks : Token.t array) =
+  let ids = Hashtbl.create 16 and names = ref [] in
+  let kind_ids =
+    Array.map
+      (fun (tok : Token.t) ->
+        match Hashtbl.find_opt ids tok.kind with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.add ids tok.kind id;
+          names := tok.kind :: !names;
+          id)
+      toks
+  in
+  (kind_ids, Array.of_list (List.rev !names))
+
+let reader t =
+  let a = valid t in
+  let kind_ids, kind_names =
+    match a.tokens with
+    | Soa (_, soa) -> (soa.kind_ids, a.kind_names)
+    | Tokens toks -> intern_kinds toks
+  in
+  ({ names = a.names; data = a.data; kids = a.kids; kind_ids; kind_names }
+    : reader)
+
+let text t c =
+  let a = valid t in
+  if c >= 0 then invalid_arg "Rows.text: a row is not a leaf";
+  match a.tokens with
+  | Tokens toks -> toks.(lnot c).Token.text
+  | Soa (sc, soa) -> Scanner.text_of_soa sc soa (lnot c)
+
 (* --- rendering -------------------------------------------------------------- *)
 
 (* The layout [Cst.pp] gets from Format under [Fmt.str] (margin 78,
@@ -372,3 +418,36 @@ let to_cst t =
   let a = valid t in
   let c = t.root in
   if c >= 0 then cst_node a c else Cst.Leaf (leaf_token a (lnot c))
+
+(* --- trees built from a view ------------------------------------------------ *)
+
+(* The leaves' tokens in order are the stream, the labels in order of
+   first use are the rule names, and each node is closed over its
+   children. *)
+let of_cst (t : Cst.t) =
+  let names = Hashtbl.create 16 and labels = ref [] and toks = ref [] in
+  let rec collect = function
+    | Cst.Leaf tok -> toks := tok :: !toks
+    | Cst.Node (l, cs) ->
+      if not (Hashtbl.mem names l) then begin
+        Hashtbl.add names l (Hashtbl.length names);
+        labels := l :: !labels
+      end;
+      List.iter collect cs
+  in
+  collect t;
+  let a = create () in
+  start a
+    ~names:(Array.of_list (List.rev !labels))
+    (Tokens (Array.of_list (List.rev !toks)));
+  let next = ref 0 in
+  let rec build = function
+    | Cst.Leaf _ ->
+      let i = !next in
+      incr next;
+      leaf i
+    | Cst.Node (l, cs) ->
+      let kids = List.fold_left (fun acc c -> build c :: acc) [] cs in
+      close_list a ~rule:(Hashtbl.find names l) ~pos:!next kids
+  in
+  tree a (build t)

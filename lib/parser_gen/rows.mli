@@ -76,6 +76,40 @@ val width : tree -> int -> int
 (** The row's flat rendered width: the length of [Cst.pp] of its subtree
     printed on one line. *)
 
+(** {2 Reading}
+
+    A consumer that walks a whole tree by label (the SQL lowering) reads
+    the arena's arrays in place, through a {!reader}: calls across modules
+    are indirect in the dev profile's builds, and one per child read would
+    cost more than the walk itself. *)
+
+type reader = private {
+  names : string array;  (** rule names, by rule id *)
+  data : int array;
+      (** row [r] is [data.(4 * r) .. data.(4 * r + 3)]: its rule id, the
+          index of its first child in [kids] (its position when it has
+          none), its number of children, and its flat width *)
+  kids : int array;  (** the children of every row, as child codes *)
+  kind_ids : int array;  (** token [i]'s kind, as an index into [kind_names] *)
+  kind_names : string array;
+}
+(** A tree's arrays as they stand, valid while the tree is. A row [r]'s
+    label is [names.(data.(4 * r))], its children are [kids.(k)] for [k]
+    in [data.(4 * r + 1)] up to that plus [data.(4 * r + 2)], and a leaf
+    [lnot i]'s label is [kind_names.(kind_ids.(i))], its token's kind. *)
+
+val reader : tree -> reader
+(** The tree's reader. Over a [Soa] stream it allocates only itself; over
+    materialized tokens it interns their kinds first. *)
+
+val text : tree -> int -> string
+(** A leaf's text, as the token {!to_cst} gives it carries it: for a
+    [Soa] stream {!Lexing_gen.Scanner.text_of_soa} (a canonical spelling
+    shares its kind's string, a quoted kind's doubled delimiters read
+    once). Raises [Invalid_argument] on a row. *)
+
+(** {2 Writing} *)
+
 val render : Out.t -> tree -> unit
 (** [render o t] appends [Fmt.str "%a" Cst.pp (to_cst t)] to [o]. A
     node that starts at column [col] is printed on one line iff its flat
@@ -88,3 +122,8 @@ val render : Out.t -> tree -> unit
 val to_cst : tree -> Cst.t
 (** The tree as a {!Cst.t}: leaves carry the stream's tokens (read with
     {!Lexing_gen.Scanner.token_of_soa} from a [Soa] stream). *)
+
+val of_cst : Cst.t -> tree
+(** A {!Cst.t} as rows, in a fresh arena of its own (never {!domain}'s),
+    over its leaves' tokens: [to_cst (of_cst c) = c], and the tree stays
+    valid for as long as it is kept. *)

@@ -207,23 +207,28 @@ let read_stream_header fd =
   in
   go ()
 
+(* Hang up after a final error: shut the write side, so the client reads
+   the error and then end of input, and drain what it already sent before
+   the connection closes, since closing with unread bytes in the receive
+   queue resets the connection and can destroy the error before the client
+   reads it. Bounded, so a hostile endless stream cannot pin the worker. *)
+let drain fd =
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  let buf = Bytes.create 8192 in
+  let rec go budget =
+    if budget > 0 then
+      match Unix.read fd buf 0 8192 with
+      | 0 -> ()
+      | n -> go (budget - n)
+      | exception Unix.Unix_error _ -> ()
+  in
+  go (16 * 1024 * 1024)
+
 let serve_stream t fd =
   let fail msg =
     (try write_all fd ("err " ^ msg ^ "\n")
      with Unix.Unix_error _ | Sys_error _ -> ());
-    (* Drain what the client already streamed before the connection closes:
-       closing with unread bytes in the receive queue resets the connection
-       and can destroy the error line before the client reads it. Bounded,
-       so a hostile endless stream cannot pin the worker. *)
-    let buf = Bytes.create 8192 in
-    let rec drain budget =
-      if budget > 0 then
-        match Unix.read fd buf 0 8192 with
-        | 0 -> ()
-        | n -> drain (budget - n)
-        | exception Unix.Unix_error _ -> ()
-    in
-    drain (16 * 1024 * 1024);
+    drain fd;
     count_error t
   in
   if not t.stream then
@@ -288,6 +293,7 @@ let serve_framed t fd ~first =
   in
   let bail error =
     ignore (send (Wire.Error error));
+    drain fd;
     count_error t
   in
   match Wire.read_frame reader with

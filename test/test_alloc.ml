@@ -418,7 +418,7 @@ let test_render_is_allocation_free () =
    with the reply (the encoder closures). A per-statement string would
    cost major words here (every string over 2 KiB is a major-heap block)
    and grow with the rows. The trees are parsed, and built as rows of
-   their own ([Tree_rows.of_cst]), beforehand, so only the encoding is
+   their own ([Parser_gen.Rows.of_cst]), beforehand, so only the encoding is
    measured. Checked on 8-statement batches of 8- and 64-row INSERTs. *)
 let test_reply_encoding_is_bounded () =
   let g = front_end "full" in
@@ -447,7 +447,7 @@ let test_reply_encoding_is_bounded () =
             | Ok cst ->
               Service.Wire.Accepted
                 { tokens = item.token_count;
-                  cst = Some (Service.Wire.Rows (Tree_rows.of_cst cst)) }
+                  cst = Some (Service.Wire.Rows (Parser_gen.Rows.of_cst cst)) }
             | Error e -> Alcotest.failf "parse: %a" Core.pp_error e)
           batch.Service.Session.items
       in
@@ -662,6 +662,33 @@ let test_daemon_cst_replies_are_flat () =
     true
     (per_token < 1. && major8 = 0. && major64 = 0.)
 
+(* Scanning, parsing and lowering a statement reads the parse's rows in
+   place: no [Cst.t] and no token record is built on the way. Pinned on
+   the 48-row readings INSERT of the full dialect (about 492 tokens),
+   measured alone right after a minor collection: budget 16 minor words
+   per token. Measured 10.5. When [Core.parse_statement] lowered the
+   [Cst.t] view it measured 55.7 words per token; a variant that still
+   builds the view ([Rows.to_cst]) before lowering the rows measured
+   40.8, and fails here. *)
+let test_parse_statement_reads_rows () =
+  let g = front_end "full" in
+  let sql = readings_insert 48 in
+  let tokens = token_count g sql in
+  let parse () =
+    match Core.parse_statement g sql with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "parse_statement: %a" Core.pp_error e
+  in
+  parse ();
+  Gc.minor ();
+  let per_token = measure_words parse /. float_of_int tokens in
+  check_bool
+    (Printf.sprintf
+       "parse_statement on a %d-token INSERT allocates %.1f words per token \
+        (budget 16)"
+       tokens per_token)
+    true (per_token < 16.)
+
 let suite =
   [
     Alcotest.test_case "per-statement overhead is bounded" `Quick
@@ -702,4 +729,6 @@ let suite =
       `Quick test_daemon_recognition_builds_no_tree;
     Alcotest.test_case "daemon Cst replies render rows, flat per token"
       `Quick test_daemon_cst_replies_are_flat;
+    Alcotest.test_case "full: parse_statement allocates < 16 words per token"
+      `Quick test_parse_statement_reads_rows;
   ]

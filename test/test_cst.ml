@@ -6,7 +6,7 @@
    chains past the 68-column indent cap, labels and leaf texts longer than
    the 78-column margin, leaves whose text is empty or equals the kind).
    The seeded trees become rows through a test-side builder
-   ([Tree_rows.of_cst]). [render] appends, so it is checked into a buffer
+   ([Parser_gen.Rows.of_cst]). [render] appends, so it is checked into a buffer
    that already holds text. *)
 
 open Parser_gen
@@ -31,7 +31,7 @@ let check_rows ~msg ~want rows =
       (Rows.width rows r)
 
 let check_same ~msg t =
-  check_rows ~msg ~want:(Fmt.str "%a" Cst.pp t) (Tree_rows.of_cst t)
+  check_rows ~msg ~want:(Fmt.str "%a" Cst.pp t) (Parser_gen.Rows.of_cst t)
 
 let tok ?(text = "") kind =
   { Lexing_gen.Token.kind; kind_id = Lexing_gen.Token.no_id; text;
@@ -75,7 +75,7 @@ let test_dialect (d : Dialects.Dialect.t) () =
             (0, n)
             (Rows.span rows (Rows.root rows))
         | _, Error e -> Alcotest.failf "%s: rows: %a" msg Core.pp_error e);
-        check_rows ~msg:(msg ^ ", seeded") ~want (Tree_rows.of_cst cst))
+        check_rows ~msg:(msg ^ ", seeded") ~want (Parser_gen.Rows.of_cst cst))
     (dialect_corpus d.name @ sampled);
   Alcotest.(check bool) "some statements parse" true (!parsed > 0)
 

@@ -274,7 +274,8 @@ let test_chunk_edges () =
     in
     let memoized =
       match Core.scan_soa g sql with
-      | Ok soa -> Parser_gen.Engine.parse_soa memop ~scanner:g.Core.scanner soa
+      | Ok soa -> Result.map Parser_gen.Rows.to_cst
+          (Parser_gen.Engine.parse_rows memop ~scanner:g.Core.scanner soa)
       | Error e -> Alcotest.failf "scan_soa: %a" Core.pp_error e
     in
     let msg what = Printf.sprintf "%s (%d tokens)" what (Array.length toks) in
@@ -585,7 +586,8 @@ let check_hand_built ?(no_rerun = false) g ~tokens cases =
         | Error e ->
           Alcotest.failf "scan_soa %s: %a" input Lexing_gen.Scanner.pp_error e
       in
-      let soa_parse () = Parser_gen.Engine.parse_soa p ~scanner (scanned ()) in
+      let soa_parse () = Result.map Parser_gen.Rows.to_cst
+        (Parser_gen.Engine.parse_rows p ~scanner (scanned ())) in
       let recognized () =
         Result.is_ok (Parser_gen.Engine.recognize_soa p ~scanner (scanned ()))
       in

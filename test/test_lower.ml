@@ -393,6 +393,114 @@ let test_explain_lowering () =
   | Ast.Explain_stmt { order_by = [ _ ]; _ } -> ()
   | _ -> Alcotest.fail "explain wraps the full query statement"
 
+(* The rows path ([Core.parse_statement], which lowers the parse's rows)
+   against the [Cst.t] adapter ([Lower.statement] of [Core.parse_cst]):
+   equal ASTs, or equal errors, on every dialect's accept corpus and on
+   mutated and junk statements of the full dialect. *)
+let same_lowering g sql =
+  let rows = Core.parse_statement g sql in
+  let adapter =
+    match Core.parse_cst g sql with
+    | Error e -> Error e
+    | Ok cst -> Result.map_error (fun e -> Core.Lowering_error e) (Lower.statement cst)
+  in
+  match rows, adapter with
+  | Ok a, Ok b -> Ast.equal_statement a b
+  | Error a, Error b -> Fmt.str "%a" Core.pp_error a = Fmt.str "%a" Core.pp_error b
+  | _ -> false
+
+let test_rows_match_adapter () =
+  List.iter
+    (fun (d, corpus) ->
+      let g =
+        match Dialects.Dialect.find d with
+        | Some dialect -> Result.get_ok (Core.generate_dialect dialect)
+        | None -> Alcotest.failf "no dialect %s" d
+      in
+      List.iter
+        (fun sql -> Alcotest.(check bool) (d ^ ": " ^ sql) true (same_lowering g sql))
+        corpus)
+    [
+      ("minimal", Corpus.minimal_accept); ("scql", Corpus.scql_accept);
+      ("tinysql", Corpus.tinysql_accept); ("embedded", Corpus.embedded_accept);
+      ("analytics", Corpus.analytics_accept); ("full", Corpus.full_accept);
+    ];
+  let g = Lazy.force full in
+  let rng = Random.State.make [| 34 |] in
+  let corpus = Array.of_list Corpus.full_accept in
+  let junk = [| "SELECT"; "FROM"; "("; ")"; ","; "'"; "*"; "a"; "1"; " "; "?";
+                "."; "<"; "="; "WHERE"; "AND"; "x" |] in
+  for _ = 1 to 500 do
+    let sql = corpus.(Random.State.int rng (Array.length corpus)) in
+    let mutated =
+      if String.length sql < 4 then sql
+      else
+        let at = Random.State.int rng (String.length sql - 2) in
+        String.sub sql 0 at ^ String.sub sql (at + 2) (String.length sql - at - 2)
+    in
+    let noise =
+      String.concat ""
+        (List.init (Random.State.int rng 30) (fun _ ->
+             junk.(Random.State.int rng (Array.length junk))))
+    in
+    List.iter
+      (fun s -> Alcotest.(check bool) s true (same_lowering g s))
+      [ mutated; "SELECT " ^ noise ]
+  done
+
+(* Parameter ordinals belong to one lowering run: two domains lowering
+   at once each number their markers 1 and 2, in lexical order. *)
+let test_parameters_per_run () =
+  let g = Lazy.force full in
+  let sql =
+    "SELECT a FROM t WHERE a = ? AND b IN ( SELECT c FROM u WHERE d = ? )"
+  in
+  let ordinals = function
+    | Ast.Query_stmt
+        {
+          body =
+            Ast.Select
+              {
+                where =
+                  Some
+                    (Ast.And
+                      ( Ast.Comparison (_, _, Ast.Parameter p),
+                        Ast.In_subquery
+                          {
+                            subquery =
+                              {
+                                body =
+                                  Ast.Select
+                                    {
+                                      where =
+                                        Some
+                                          (Ast.Comparison (_, _, Ast.Parameter q));
+                                      _;
+                                    };
+                                _;
+                              };
+                            _;
+                          } ));
+                _;
+              };
+          _;
+        } ->
+      Some (p, q)
+    | _ -> None
+  in
+  let run () =
+    let bad = ref 0 in
+    for _ = 1 to 1000 do
+      match Core.parse_statement g sql with
+      | Ok stmt when ordinals stmt = Some (1, 2) -> ()
+      | _ -> incr bad
+    done;
+    !bad
+  in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let b1 = Domain.join d1 and b2 = Domain.join d2 in
+  Alcotest.(check (pair int int)) "ASTs without ordinals 1 then 2" (0, 0) (b1, b2)
+
 let suite =
   [
     Alcotest.test_case "literals" `Quick test_literals;
@@ -427,4 +535,8 @@ let suite =
     Alcotest.test_case "corresponding" `Quick test_corresponding_lowering;
     Alcotest.test_case "sequences" `Quick test_sequence_lowering;
     Alcotest.test_case "explain" `Quick test_explain_lowering;
+    Alcotest.test_case "rows path = Cst adapter on corpora and mutations" `Quick
+      test_rows_match_adapter;
+    Alcotest.test_case "parameter ordinals are per run, across domains" `Quick
+      test_parameters_per_run;
   ]

@@ -45,20 +45,38 @@ let test_arith_rejects () =
     (fun s -> check_bool s false (accepts arith s))
     [ ""; "+"; "1 +"; "(1"; "1)"; "1 2"; "1 + * 2" ]
 
+(* Tree helpers over the [Cst.t] view, used by the two cases below. *)
+let children_labelled t lbl =
+  List.filter (fun c -> String.equal (Cst.label c) lbl) (Cst.children t)
+
+let rec descendant t lbl =
+  if String.equal (Cst.label t) lbl then Some t
+  else List.find_map (fun c -> descendant c lbl) (Cst.children t)
+
+let rec tokens = function
+  | Cst.Leaf tok -> [ tok ]
+  | Cst.Node (_, cs) -> List.concat_map tokens cs
+
+let first_token t = List.nth_opt (tokens t) 0
+
+let rec node_count = function
+  | Cst.Leaf _ -> 1
+  | Cst.Node (_, cs) -> 1 + List.fold_left (fun n c -> n + node_count c) 0 cs
+
 let test_cst_shape () =
   let tree = parse_ok arith "1 + 2" in
   Alcotest.(check string) "root" "expr" (Cst.label tree);
-  check_int "two terms" 2 (List.length (Cst.children_labelled tree "term"));
-  match Cst.first_token tree with
+  check_int "two terms" 2 (List.length (children_labelled tree "term"));
+  match first_token tree with
   | Some tok -> Alcotest.(check string) "first token text" "1" tok.Lexing_gen.Token.text
   | None -> Alcotest.fail "token expected"
 
 let test_cst_navigation () =
   let tree = parse_ok arith "(1 + 2) * 3" in
   check_bool "descendant finds nested expr" true
-    (Cst.descendant tree "PLUS" <> None);
-  check_int "all tokens" 7 (List.length (Cst.tokens tree));
-  check_bool "node_count counts leaves and nodes" true (Cst.node_count tree > 7)
+    (descendant tree "PLUS" <> None);
+  check_int "all tokens" 7 (List.length (tokens tree));
+  check_bool "node_count counts leaves and nodes" true (node_count tree > 7)
 
 (* Backtracking: alternatives sharing a long prefix. *)
 let backtracking_g =

@@ -596,6 +596,47 @@ let test_stop_is_idempotent () =
     | Ok _ -> Alcotest.fail "connect succeeded after stop"
     | Error e -> check_bool "connect refused" true (e.Wire.code = Wire.Io)
 
+(* A JSON line holding a 10 KB string member, over a Unix socket: the
+   daemon answers with one [Oversized] frame and hangs up without
+   resetting the connection, because it shuts its write side and drains
+   the unread line before it closes. The client reads late, after the
+   daemon is done with the connection: a close with the line unread
+   would have reset it and destroyed the frame. *)
+let test_long_json_line_draws_one_frame () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "sqlpl-serve-json-%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  with_server ~addr:(Wire.Unix_socket path) (fun server ->
+      for _ = 1 to 3 do
+        let fd = raw_connect server in
+        let line =
+          {|{"frame":"hello","client":"|} ^ String.make 10_000 'x' ^ {|"}|} ^ "\n"
+        in
+        let rec send off =
+          if off < String.length line then
+            send (off + Unix.write_substring fd line off (String.length line - off))
+        in
+        send 0;
+        (* read only once the daemon has had time to hang up *)
+        Thread.delay 0.1;
+        let reader = Wire.reader (fun b o l -> Unix.read fd b o l) in
+        (match Wire.read_frame reader with
+        | Ok (Some (Wire.Error e)) ->
+          check_bool "oversized" true (e.Wire.code = Wire.Oversized)
+        | Ok _ -> Alcotest.fail "long JSON line not answered with an error frame"
+        | Error e -> Alcotest.failf "reading the error frame: %a" Wire.pp_error e
+        | exception Unix.Unix_error (err, _, _) ->
+          Alcotest.failf "reading the error frame: %s" (Unix.error_message err));
+        (match Wire.read_frame reader with
+        | Ok None -> ()
+        | _ -> Alcotest.fail "a second frame after the error");
+        Unix.close fd
+      done;
+      assert_alive server)
+
 let suite =
   [
     Alcotest.test_case "a version-1 hello draws bad_frame" `Quick
@@ -631,4 +672,6 @@ let suite =
       `Quick test_streamed_replies_equal_batches;
     Alcotest.test_case "a JSON line draws one binary error frame" `Quick
       test_json_line_draws_binary_error;
+    Alcotest.test_case "a 10 KB JSON line over a Unix socket draws one frame"
+      `Quick test_long_json_line_draws_one_frame;
   ]

@@ -306,9 +306,9 @@ let reply_with cst_of trees =
 
 let as_text t = Wire.Text (Fmt.str "%a" Parser_gen.Cst.pp t)
 
-(* Each tree as rows of its own ([Tree_rows.of_cst]), so that all of them
+(* Each tree as rows of its own ([Parser_gen.Rows.of_cst]), so that all of them
    can sit in one reply. *)
-let as_rows t = Wire.Rows (Tree_rows.of_cst t)
+let as_rows t = Wire.Rows (Parser_gen.Rows.of_cst t)
 
 (* [Rows] of a tree and [Text (Cst.pp t)] are the same bytes in a frame
    and in [encode_items]; decoding either gives back the [Text].
